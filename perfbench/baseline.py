@@ -46,13 +46,12 @@ def summarize(values: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
-    parser.add_argument("--workloads", help="comma-separated subset")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
     seeds = seed_list(args.seeds)
     old = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc = {"notes": old.get("notes", []), "run_seconds": spec["run_seconds"], "seeds": seeds,

@@ -4,7 +4,9 @@ An operation succeeds when the CLI exits 0 (or no ``PortoptError`` is
 raised in-process), every solution it produces is ``converged`` and its
 KKT residual is at most ``KKT_TOL``.  The frontier oracle is the
 closed-form two-fund hyperbola, computed here with plain numpy so that it
-shares no code with the QP engine.
+shares no code with the QP engine.  Every regime keeps the weights summing
+to one, so every frontier lies on or outside that hyperbola, and on it
+under c3.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from portopt.solver import KKT_TOL
 
 HYPERBOLA_RTOL = 1e-6    # frontier variance vs the analytic c3 curve
 CLOSED_FORM_TOL = 1e-6   # c3 weights vs the analytic optimum, scaled by max |w|
-CLOUD_RTOL = 1e-9        # sampled portfolios may not beat the frontier
+BEAT_RTOL = 1e-9         # no portfolio may beat the hyperbola or the min-variance point
 
 
 def solution_ok(sol) -> bool:
@@ -94,6 +96,30 @@ def frontier_hyperbola_error(points, cov, mean) -> float:
     return float(np.max(np.abs(pts[:, 0] ** 2 - exact) / exact))
 
 
+def frontier_problems(points, min_stdev: float, cov, mean, exact: bool = False) -> list[str]:
+    """What is wrong with a traced (stdev, return) curve sorted by return.
+
+    Each point lies on or outside the analytic hyperbola (on it when
+    ``exact``, the c3 case), is no less risky than the regime's
+    minimum-variance portfolio, and risk does not fall as return rises.
+    """
+    pts = np.asarray(points, dtype=float)
+    stdev, ret = pts[:, 0], pts[:, 1]
+    found = []
+    below = stdev ** 2 < hyperbola_variance(cov, mean, ret) * (1.0 - BEAT_RTOL)
+    if below.any():
+        found.append(f"{int(below.sum())} points inside the unconstrained frontier")
+    if exact:
+        err = frontier_hyperbola_error(pts, cov, mean)
+        if err > HYPERBOLA_RTOL:
+            found.append(f"c3 points off the hyperbola by {err:.3g}")
+    if np.any(stdev < min_stdev * (1.0 - BEAT_RTOL)):
+        found.append("points less risky than the minimum-variance portfolio")
+    if np.any(np.diff(stdev) < -BEAT_RTOL * stdev[1:]):
+        found.append("risk falls as return rises")
+    return found
+
+
 def cloud_problems(cloud, min_stdev: float, cov=None, mean=None) -> int:
     """Count sampled (stdev, return) rows that beat the frontier.
 
@@ -102,10 +128,10 @@ def cloud_problems(cloud, min_stdev: float, cov=None, mean=None) -> int:
     outside the analytic hyperbola.
     """
     cloud = np.asarray(cloud, dtype=float)
-    bad = cloud[:, 0] < min_stdev * (1.0 - CLOUD_RTOL)
+    bad = cloud[:, 0] < min_stdev * (1.0 - BEAT_RTOL)
     if cov is not None:
         exact = hyperbola_variance(cov, mean, cloud[:, 1])
-        bad |= cloud[:, 0] ** 2 < exact * (1.0 - CLOUD_RTOL)
+        bad |= cloud[:, 0] ** 2 < exact * (1.0 - BEAT_RTOL)
     return int(np.count_nonzero(bad))
 
 

@@ -3,7 +3,8 @@
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
 Run from the repository root.  Workloads (see ``workloads.py``):
-``frontier-grid`` and ``large-n-solve``.  With
+``frontier-grid`` and ``large-n-solve``; each repeats its own part for at
+least ``--seconds`` after its probes.  With
 ``--trace 0`` the last line of standard output holds the end-to-end
 metrics; with ``--trace 1`` it holds the per-layer metrics of a traced run,
 whose spans are written to ``.perfbench_runs/``.  The program is imported
@@ -95,8 +96,10 @@ def per_layer(workloads, args, ctx) -> dict:
     import_s = statistics.median(
         workloads.fresh_python(["-c", "import portopt"]) for _ in range(IMPORT_REPEATS))
     ctx.inprocess_cli = True
+    workloads.one_pass(ctx, args.workload, args.seed)     # warm-up, not measured
     # traced, untraced, traced: the overhead estimate cancels a linear drift
-    # in machine speed, and the two traced passes must count the same work
+    # in machine speed, the two traced passes must count the same work, and
+    # each per-layer figure is the mean of the two
     passes = []
     for traced in (True, False, True):
         ctx.tracer = trace.Tracer() if traced else None
@@ -112,15 +115,18 @@ def per_layer(workloads, args, ctx) -> dict:
         ctx.problems.append("outputs differ between untraced and traced passes")
     RUNS.mkdir(exist_ok=True)
     tracer_a.write(RUNS / f"trace-{args.workload}-s{args.seed}.jsonl")
-    return trace.layer_metrics(tracer_a, import_s=import_s,
-                               overhead_s=(wall_a + wall_b) / 2 - wall_u)
+    overhead_s = (wall_a + wall_b) / 2 - wall_u
+    layers = [trace.layer_metrics(t, import_s=import_s, overhead_s=overhead_s)
+              for t in (tracer_a, tracer_b)]
+    return {k: {"value": (m["value"] + layers[1][k]["value"]) / 2, "unit": m["unit"]}
+            for k, m in layers[0].items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

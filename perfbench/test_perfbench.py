@@ -26,7 +26,6 @@ def test_generator_is_deterministic_per_seed():
     assert a.tickers == b.tickers and a.months == b.months
     assert np.array_equal(a.returns, b.returns)
     assert not np.array_equal(a.returns, make_returns(20, 60, seed=8).returns)
-    assert not np.array_equal(a.returns, make_returns(20, 60, seed=7, draw=1).returns)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -98,6 +97,26 @@ def test_hyperbola_matches_the_c3_frontier():
     assert checks.closed_form_gap(w, u.mm.cov) < 1e-10
     bumped = np.array(curve.points) * [0.99, 1.0]   # less risk than the frontier
     assert checks.cloud_problems(bumped, 0.0, u.mm.cov, u.mm.mean) == len(bumped)
+
+
+@pytest.mark.parametrize("regime", ("c1", "c2", "c3", "c4", "c5"))
+def test_frontier_check_passes_traced_curves_and_rejects_perturbed_ones(regime):
+    u = make_universe(12, 60, seed=3)
+    c = ConstraintSet(regime, market_index=u.market_index if regime == "c5" else None)
+    curve = trace_frontier(u.mm.cov, u.mm.mean, u.rf, c, grid=20)
+    floor = curve.min_variance.stats.stdev
+    args = (u.mm.cov, u.mm.mean, regime == "c3")
+    assert checks.frontier_problems(curve.points, floor, *args) == []
+    pts = np.array(curve.points)
+    inside = pts.copy()
+    inside[5, 0] = 0.99 * np.sqrt(checks.hyperbola_variance(u.mm.cov, u.mm.mean, pts[5, 1]))
+    assert any("inside" in p for p in checks.frontier_problems(inside, floor, *args))
+    falling = pts.copy()
+    falling[-1, 0] = falling[-2, 0] * 0.999   # risk drops at the top return
+    assert any("falls" in p for p in checks.frontier_problems(falling, floor, *args))
+    below = pts.copy()
+    below[0, 0] = floor * 0.99
+    assert any("minimum-variance" in p for p in checks.frontier_problems(below, floor, *args))
 
 
 def test_tracer_counts_repeat_and_functions_are_restored():

@@ -48,15 +48,14 @@ def month_labels(t: int) -> list[tuple[int, int]]:
     return out
 
 
-def make_returns(n: int, t: int, seed: int, draw: int = 0) -> MonthlyReturnTable:
+def make_returns(n: int, t: int, seed: int) -> MonthlyReturnTable:
     """T x N monthly returns: N - 1 single-factor stocks plus the market.
 
-    ``draw`` selects one of several independent universes of the same seed.
     T must exceed N so that the sample covariance has full rank.
     """
     if n < 3 or t <= n:
         raise ValueError(f"need 3 <= N < T, got N={n}, T={t}")
-    rng = np.random.default_rng([seed, draw, n, t])
+    rng = np.random.default_rng([seed, n, t])
     stocks = n - 1
     market = rng.normal(0.006, 0.04, t).clip(-0.35, 0.35)
     beta = rng.uniform(0.4, 1.6, stocks)
@@ -79,7 +78,7 @@ def well_posed_rf(mm: MarkowitzEstimates, market_index: int) -> float:
     return floor - RF_MARGIN * float(np.std(mean)) - 1e-6
 
 
-def make_universe(n: int, t: int, seed: int, draw: int = 0) -> Universe:
-    table = make_returns(n, t, seed, draw)
+def make_universe(n: int, t: int, seed: int) -> Universe:
+    table = make_returns(n, t, seed)
     mm = markowitz_estimates(table)
     return Universe(table, mm, well_posed_rf(mm, table.market_position))

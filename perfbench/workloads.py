@@ -10,12 +10,10 @@ Three parts make up every workload:
 
 A workload runs its own in-process part at full size, and the CLI part and
 the other in-process part as probes on the bundled data, so that every
-workload reports every end-to-end metric.  A fourth stream starts fresh
-interpreters that only set up.  The streams take turns one operation at a
-time, so that each metric's samples spread over the whole run rather than
-over one stretch of it: on a shared 2-core machine the speed can drift by
-a quarter over tens of seconds.  All load comes from one process, closed
-loop, one client; nothing runs concurrently.
+workload reports every end-to-end metric.  Fresh interpreters that only set
+up give ``setup_s``.  Each part runs its passes back to back, and every
+end-to-end metric is the median of its passes.  All load comes from one
+process, closed loop, one client; nothing runs concurrently.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -67,20 +64,18 @@ CLOUD_COUNT = 2000
 FRONTIER_UNIVERSE = (50, 128)       # (N, T) of the seeded frontier universe
 SOLVE_SIZES = (100, 200)            # N of the seeded large-N universes
 SOLVE_T = 240
-SPLIT_DRAWS = 1                     # universes per size solved in c1
-WEIGHT_DRAWS = 4                    # universes per size solved in c2-c5, which are
-                                    # cheap but vary most from seed to seed
 
 WORKLOADS = {                       # workload -> the part it runs at full size
     "frontier-grid": "frontier",
     "large-n-solve": "solve",
 }
-# passes each probe completes at least: medians need repeats, and repeated
-# CLI passes give the byte-identity check
-MIN_PROBE_PASSES = {"cli": 3, "frontier": 5, "solve": 25, "setup": 3}
-# seconds each probe's minimum takes, roughly; streams share the run in
-# proportion to these (the workload's own part in proportion to the run time)
-PROBE_WEIGHT = {"cli": 13.5, "frontier": 7.5, "solve": 4.0, "setup": 3.0}
+# full passes of the workload's own part.  A pass takes 10-14 s on a 2-core
+# machine, and the spread across runs there comes from drift over minutes,
+# which more passes within a run do not remove
+HOME_MIN_PASSES = 2
+# passes of each probe: medians need repeats, and repeated CLI passes give
+# the byte-identity check
+PROBE_PASSES = {"setup": 3, "cli": 3, "frontier": 5, "solve": 40}
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,6 @@ class Market:
     rf: float
     market_index: int
     estimates: object     # MarkowitzEstimates or IndexModelEstimates
-    draw: int = 0         # which of a seed's universes of this size
 
     def constraint(self, regime: str) -> ConstraintSet:
         return ConstraintSet(regime, market_index=self.market_index if regime == "c5" else None)
@@ -121,14 +115,13 @@ def build_inputs(workload: str, seed: int) -> Inputs:
         Market("bundled-im", MODEL_IM, im_covariance(im), im.expected_returns(), rf, mi, im),
     ))
     if WORKLOADS[workload] == "frontier":
-        sizes, t, draws = (FRONTIER_UNIVERSE[0],), FRONTIER_UNIVERSE[1], 1
+        sizes, t = (FRONTIER_UNIVERSE[0],), FRONTIER_UNIVERSE[1]
     else:
-        sizes, t, draws = SOLVE_SIZES, SOLVE_T, WEIGHT_DRAWS
-    for draw in range(draws):
-        for n in sizes:
-            u = make_universe(n, t, seed, draw)
-            inputs.universes.append(Market(f"n{n}-d{draw}-mm", MODEL_MM, u.mm.cov, u.mm.mean,
-                                           u.rf, u.market_index, u.mm, draw))
+        sizes, t = SOLVE_SIZES, SOLVE_T
+    for n in sizes:
+        u = make_universe(n, t, seed)
+        inputs.universes.append(Market(f"n{n}-mm", MODEL_MM, u.mm.cov, u.mm.mean,
+                                       u.rf, u.market_index, u.mm))
     return inputs
 
 
@@ -181,8 +174,7 @@ def _solution_problems(*solutions) -> list[str]:
     ]
 
 
-# --- parts: each is a generator over one pass, yielding after every
-# operation and returning (sample, digests) ------------------------------------
+# --- parts: each runs one pass and returns (sample, digests) -----------------
 
 def _python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     """A fresh interpreter running ``args`` from the root, importing ``src/``."""
@@ -198,11 +190,10 @@ def fresh_python(args: list[str]) -> float:
     return time.perf_counter() - t0
 
 
-def run_setup(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
+def run_setup(ctx: Context) -> tuple[dict, None]:
     """Interpreter start, import, input generation and estimation, in a fresh process."""
-    seconds = fresh_python(["perfbench/run.py", "--setup-only",
+    seconds = fresh_python(["perfbench/run.py", "--setup-only", "--seconds", "0",
                             "--workload", ctx.workload, "--seed", str(ctx.seed)])
-    yield
     return {"setup_s": seconds}, None
 
 
@@ -228,7 +219,7 @@ def _cli_call(ctx: Context, argv: list[str]) -> int:
     return _python(["-m", "portopt.cli", *argv], stderr=subprocess.DEVNULL).returncode
 
 
-def run_cli(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
+def run_cli(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, dict]:
     """The four CLI steps into a fresh directory; the same whatever ``full``."""
     out = ctx.new_dir("cli")
     rel = os.path.relpath(out, ROOT)
@@ -241,11 +232,10 @@ def run_cli(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
             return found + checks.cli_outputs_problems(out, prefix)
         _, sample[f"cli_{step}_s"] = ctx.run_op(
             f"cli.{step}", lambda argv=argv: _cli_call(ctx, [*argv, "--output-dir", rel]), check)
-        yield
     return sample, checks.dir_digests(out)
 
 
-def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
+def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
     """Per regime: frontiers of every market, then one cloud on the bundled
     universe, evaluated under both of its models.  The probe traces only
     the c2 frontiers of the bundled data but samples every regime."""
@@ -261,10 +251,8 @@ def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
                 found = _solution_problems(curve.tangency, curve.min_variance)
                 if len(curve.points) < 2:
                     found.append("degenerate frontier")
-                if regime == "c3":
-                    err = checks.frontier_hyperbola_error(curve.points, m.cov, m.mean)
-                    if err > checks.HYPERBOLA_RTOL:
-                        found.append(f"c3 points off the hyperbola by {err:.3g}")
+                found += checks.frontier_problems(curve.points, curve.min_variance.stats.stdev,
+                                                  m.cov, m.mean, exact=regime == "c3")
                 return found
             curve, seconds = ctx.run_op(
                 f"frontier.trace.{m.label}.{regime}",
@@ -276,7 +264,6 @@ def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
                 curves[m.label] = curve
                 points += len(curve.points)
                 digests.append(checks.array_digest(curve.points))
-            yield
         c = inputs.bundled[0].constraint(regime)
 
         def cloud(c=c):
@@ -296,7 +283,6 @@ def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
         if rows is not None:
             portfolios += CLOUD_COUNT * len(rows)
             digests.append(checks.array_digest(*rows))
-        yield
     sample = {
         "frontier_points_per_s": points / trace_s,
         "cloud_points_per_s": portfolios / cloud_s,
@@ -304,15 +290,12 @@ def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
     return sample, digests
 
 
-def run_solve(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
-    """Minimum-variance and maximum-Sharpe cells of every market: c1 on the
-    first ``SPLIT_DRAWS`` universes of each size, c2-c5 on ``WEIGHT_DRAWS``."""
+def run_solve(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
+    """Minimum-variance and maximum-Sharpe cells of every market in every regime."""
     split_s = weight_s = 0.0
     digests = []
     for m in (inputs.universes if full else inputs.bundled):
         for regime in REGIMES:
-            if regime == "c1" and m.draw >= SPLIT_DRAWS:
-                continue
             c = m.constraint(regime)
             cells = (
                 ("minvar", lambda m=m, c=c: solve_min_variance(m.cov, c, mean=m.mean, rf=m.rf,
@@ -335,77 +318,35 @@ def run_solve(ctx: Context, inputs: Inputs, full: bool) -> Iterator:
                     weight_s += seconds
                 if sol is not None:
                     digests.append(checks.array_digest(sol.weights))
-                yield
     return {"solve_split_s": split_s, "solve_weight_s": weight_s}, digests
 
 
 PARTS = {"cli": run_cli, "frontier": run_frontier, "solve": run_solve}
 
 
-def drain(passing: Iterator):
-    """Run a whole pass; return its (sample, digests)."""
-    while True:
-        try:
-            next(passing)
-        except StopIteration as done:
-            return done.value
-
-
-@dataclass
-class Stream:
-    """Repeated passes of one part, advanced one operation at a time."""
-
-    name: str
-    run: object          # a part: (ctx, inputs, full) -> pass generator
-    full: bool
-    weight: float
-    min_passes: int
-    busy: float = 0.0
-    passes: list = field(default_factory=list)
-    current: Iterator | None = None
-
-    def step(self, ctx: Context, inputs: Inputs) -> None:
-        if self.current is None:
-            self.current = self.run(ctx, inputs, self.full)
-        t0 = time.perf_counter()
-        try:
-            next(self.current)
-        except StopIteration as done:
-            self.passes.append(done.value)
-            self.current = None
-        self.busy += time.perf_counter() - t0
-
-    @property
-    def pending(self) -> bool:
-        return self.current is not None or len(self.passes) < self.min_passes
+def _medians(ctx: Context, name: str, passes: list) -> dict:
+    """Median of each sample over the passes; the passes' outputs must agree."""
+    digests = [d for _, d in passes]
+    if any(d != digests[0] for d in digests[1:]):
+        ctx.problems.append(f"{name}: outputs differ between repetitions")
+    return {key: statistics.median(sample[key] for sample, _ in passes) for key in passes[0][0]}
 
 
 def measure(ctx: Context, workload: str, inputs: Inputs, seconds: float) -> dict:
-    """The timed loop: every stream advances in turn, the one furthest behind
-    its share first, until ``seconds`` are spent and every stream has
-    finished its passes.  Returns the median of each end-to-end sample."""
+    """The timed loop: the probes' passes, then full passes of the workload's
+    own part until ``seconds`` are spent.  Returns every end-to-end sample's
+    median over its passes."""
     home = WORKLOADS[workload]
-    streams = [
-        Stream(part, fn, True, seconds, 1) if part == home else
-        Stream(part, fn, False, PROBE_WEIGHT[part], MIN_PROBE_PASSES[part])
-        for part, fn in PARTS.items()
-    ]
-    streams.append(Stream("setup", run_setup, False, PROBE_WEIGHT["setup"],
-                          MIN_PROBE_PASSES["setup"]))
+    metrics = _medians(ctx, "setup", [run_setup(ctx) for _ in range(PROBE_PASSES["setup"])])
+    for part, fn in PARTS.items():
+        if part != home:
+            metrics.update(_medians(
+                ctx, part, [fn(ctx, inputs, False) for _ in range(PROBE_PASSES[part])]))
+    passes = []
     t0 = time.perf_counter()
-    while True:
-        open_streams = streams if time.perf_counter() - t0 < seconds else [
-            s for s in streams if s.pending]
-        if not open_streams:
-            break
-        min(open_streams, key=lambda s: s.busy / s.weight).step(ctx, inputs)
-    metrics = {}
-    for s in streams:
-        digests = [d for _, d in s.passes]
-        if any(d != digests[0] for d in digests[1:]):
-            ctx.problems.append(f"{s.name}: outputs differ between repetitions")
-        for key in s.passes[0][0]:
-            metrics[key] = statistics.median(sample[key] for sample, _ in s.passes)
+    while len(passes) < HOME_MIN_PASSES or time.perf_counter() - t0 < seconds:
+        passes.append(PARTS[home](ctx, inputs, True))
+    metrics.update(_medians(ctx, home, passes))
     return metrics
 
 
@@ -413,4 +354,4 @@ def one_pass(ctx: Context, workload: str, seed: int) -> list:
     """Inputs plus one pass of every part, as the traced run repeats it."""
     inputs = build_inputs(workload, seed)
     home = WORKLOADS[workload]
-    return [drain(fn(ctx, inputs, part == home))[1] for part, fn in PARTS.items()]
+    return [fn(ctx, inputs, part == home)[1] for part, fn in PARTS.items()]
