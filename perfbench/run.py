@@ -6,18 +6,26 @@ Run from the repository root.  Workloads (see ``workloads.py``):
 ``frontier-grid`` and ``large-n-solve``; each repeats its own part for at
 least ``--seconds`` after its probes.  With
 ``--trace 0`` the last line of standard output holds the end-to-end
-metrics; with ``--trace 1`` it holds the per-layer metrics of a traced run,
-whose spans are written to ``.perfbench_runs/``.  The program is imported
-from ``src/`` of the same checkout and nowhere else; without it the
-benchmark exits with code 2 and prints no result.
+metrics, as seconds at a reference machine speed (``speed.py``); with
+``--trace 1`` it holds the per-layer metrics of a traced run, in wall
+seconds, whose spans are written to ``.perfbench_runs/``.  The benchmark
+and every process it starts run on one CPU with one BLAS thread.  The
+program is imported from ``src/`` of the same checkout and nowhere else;
+without it the benchmark exits with code 2 and prints no result.
 """
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads and inherited by every CLI process:
+# on a 2-core machine a second OpenBLAS thread spins on the other core
+# between calls, so timings then depend on whatever else runs there.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import argparse
 import contextlib
 import json
-import os
 import platform
 import resource
 import shutil
@@ -54,6 +62,15 @@ def _import_program():
     return workloads
 
 
+def pin_to_one_cpu() -> None:
+    """Run this process, and every process it starts, on one CPU.
+
+    The machine-speed samples (``speed.py``) then describe the CPU that the
+    measured work, fresh CLI processes included, runs on.
+    """
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
 def blas_info() -> dict:
     import ctypes
     import numpy as np
@@ -74,6 +91,7 @@ def environment() -> dict:
     return {
         "python": platform.python_version(), "numpy": numpy.__version__,
         "scipy": scipy.__version__, "blas": blas_info(), "nproc": os.cpu_count(),
+        "pinned_cpus": sorted(os.sched_getaffinity(0)),
     }
 
 
@@ -131,6 +149,7 @@ def main(argv=None) -> int:
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
+    pin_to_one_cpu()
     workloads = _import_program()
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "

@@ -16,6 +16,7 @@ from portopt import ConstraintSet, solve_max_sharpe, solve_min_variance, trace_f
 from portopt.solver import KKT_TOL
 
 from perfbench import checks, trace
+from perfbench.speed import BURST, NOMINAL_S, SpeedProbe
 from perfbench.trace import Span, Tracer
 from perfbench.universe import make_returns, make_universe
 
@@ -71,6 +72,19 @@ def test_self_times_on_a_hand_built_tree():
     assert trace.self_times(spans) == pytest.approx([3.0, 3.5, 1.0, 0.5, 2.0, 1.0])
     assert trace.self_time_by_name(spans) == pytest.approx(
         {"op.x": 3.0, "a": 3.5, "b": 1.5, "c": 2.0, "op.y": 1.0})
+
+
+def test_speed_scale_uses_the_median_kernel_time_near_an_operation():
+    probe = SpeedProbe()
+    probe.times = [0.0, 1.0, 1.5, 10.0, 20.0]
+    probe.seconds = [NOMINAL_S, 2 * NOMINAL_S, 4 * NOMINAL_S, NOMINAL_S, NOMINAL_S]
+    # samples at 0.0, 1.0 and 1.5 lie within WINDOW_S of [0.5, 1.0]
+    assert probe.scale(0.5, 1.0) == pytest.approx(0.5)
+    assert probe.reference_seconds((0.5, 1.0)) == pytest.approx(0.25)
+    # no sample within the window: the nearest one
+    assert probe.scale(14.0, 15.0) == pytest.approx(1.0)
+    probe.tick()
+    assert len(probe.seconds) == 5 + BURST and probe.times == sorted(probe.times)
 
 
 class _Sol:

@@ -11,9 +11,13 @@ Three parts make up every workload:
 A workload runs its own in-process part at full size, and the CLI part and
 the other in-process part as probes on the bundled data, so that every
 workload reports every end-to-end metric.  Fresh interpreters that only set
-up give ``setup_s``.  Each part runs its passes back to back, and every
-end-to-end metric is the median of its passes.  All load comes from one
-process, closed loop, one client; nothing runs concurrently.
+up give ``setup_s``.  Each part runs its passes back to back.  All load
+comes from one process, closed loop, one client; nothing runs concurrently.
+
+A pass times each of its operations, and ``speed.SpeedProbe`` turns each
+wall time into seconds at a reference machine speed.  A time metric is the
+sum, over the operations it covers, of each operation's median time across
+the passes; a rate metric divides the pass's work by that sum.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from portopt import (
 from portopt.estimation import MODEL_IM, MODEL_MM
 
 from . import checks
+from .speed import SpeedProbe
 from .universe import make_universe
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,13 +75,12 @@ WORKLOADS = {                       # workload -> the part it runs at full size
     "frontier-grid": "frontier",
     "large-n-solve": "solve",
 }
-# full passes of the workload's own part.  A pass takes 10-14 s on a 2-core
-# machine, and the spread across runs there comes from drift over minutes,
-# which more passes within a run do not remove
+# full passes of the workload's own part.  A pass takes 8-14 s on a 2-core
+# machine; two keep a run under a minute
 HOME_MIN_PASSES = 2
 # passes of each probe: medians need repeats, and repeated CLI passes give
 # the byte-identity check
-PROBE_PASSES = {"setup": 3, "cli": 3, "frontier": 5, "solve": 40}
+PROBE_PASSES = {"setup": 3, "cli": 3, "frontier": 3, "solve": 40}
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,7 @@ class Context:
     seed: int
     scratch: Path                 # CLI output directories live here
     tracer: object = None         # trace.Tracer while tracing
+    speed: SpeedProbe | None = None   # samples machine speed between operations
     inprocess_cli: bool = False
     attempted: int = 0
     failed: int = 0
@@ -141,8 +147,10 @@ class Context:
         """Time one operation and record whether it succeeded.
 
         ``check(result)`` lists what is wrong with a result; it runs outside
-        the timed region.  Returns (result or None, seconds).
+        the timed region.  Returns (result or None, (start, end)).
         """
+        if self.speed:
+            self.speed.tick()
         self.attempted += 1
         span = self.tracer.operation(name) if self.tracer else contextlib.nullcontext()
         result = None
@@ -153,12 +161,14 @@ class Context:
                 error = None
             except PortoptError as exc:
                 error = f"{type(exc).__name__}: {exc}"
-            seconds = time.perf_counter() - t0
+            t1 = time.perf_counter()
+        if self.speed:
+            self.speed.tick()
         found = [error] if error else check(result)
         if found:
             self.failed += 1
             self.problems.extend(f"{name}: {p}" for p in found)
-        return result, seconds
+        return result, (t0, t1)
 
     def new_dir(self, tag: str) -> Path:
         self._dirs += 1
@@ -174,7 +184,16 @@ def _solution_problems(*solutions) -> list[str]:
     ]
 
 
-# --- parts: each runs one pass and returns (sample, digests) -----------------
+class Pass(NamedTuple):
+    """One pass of a part: per metric, the (start, end) of each operation
+    it covers; per rate metric, the work done; and digests of the outputs."""
+
+    times: dict
+    work: dict
+    digests: object
+
+
+# --- parts: each runs one pass -------------------------------------------------
 
 def _python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     """A fresh interpreter running ``args`` from the root, importing ``src/``."""
@@ -190,11 +209,13 @@ def fresh_python(args: list[str]) -> float:
     return time.perf_counter() - t0
 
 
-def run_setup(ctx: Context) -> tuple[dict, None]:
+def run_setup(ctx: Context) -> Pass:
     """Interpreter start, import, input generation and estimation, in a fresh process."""
-    seconds = fresh_python(["perfbench/run.py", "--setup-only", "--seconds", "0",
-                            "--workload", ctx.workload, "--seed", str(ctx.seed)])
-    return {"setup_s": seconds}, None
+    argv = ["perfbench/run.py", "--setup-only", "--seconds", "0",
+            "--workload", ctx.workload, "--seed", str(ctx.seed)]
+    _, span = ctx.run_op("setup", lambda: _python(argv).returncode,
+                         lambda code: [f"exit code {code}"] if code else [])
+    return Pass({"setup_s": {"setup": span}}, {}, None)
 
 
 def cli_steps(seed: int):
@@ -219,28 +240,30 @@ def _cli_call(ctx: Context, argv: list[str]) -> int:
     return _python(["-m", "portopt.cli", *argv], stderr=subprocess.DEVNULL).returncode
 
 
-def run_cli(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, dict]:
+def run_cli(ctx: Context, inputs: Inputs, full: bool) -> Pass:
     """The four CLI steps into a fresh directory; the same whatever ``full``."""
     out = ctx.new_dir("cli")
     rel = os.path.relpath(out, ROOT)
-    sample = {}
+    times = {}
     for step, prefix, argv in cli_steps(ctx.seed):
         def check(code, prefix=prefix):
             found = [f"exit code {code}"] if code != 0 else []
             if not any(out.glob(f"{prefix}*")):
                 found.append(f"no {prefix}* output")
             return found + checks.cli_outputs_problems(out, prefix)
-        _, sample[f"cli_{step}_s"] = ctx.run_op(
+        _, span = ctx.run_op(
             f"cli.{step}", lambda argv=argv: _cli_call(ctx, [*argv, "--output-dir", rel]), check)
-    return sample, checks.dir_digests(out)
+        times[f"cli_{step}_s"] = {step: span}
+    return Pass(times, {}, checks.dir_digests(out))
 
 
-def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
+def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Pass:
     """Per regime: frontiers of every market, then one cloud on the bundled
     universe, evaluated under both of its models.  The probe traces only
     the c2 frontiers of the bundled data but samples every regime."""
     markets = (*inputs.bundled, *inputs.universes) if full else inputs.bundled
-    points = trace_s = portfolios = cloud_s = 0.0
+    points = portfolios = 0
+    trace_s, cloud_s = {}, {}
     digests = []
     for regime in REGIMES:
         curves = {}
@@ -254,12 +277,12 @@ def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
                 found += checks.frontier_problems(curve.points, curve.min_variance.stats.stdev,
                                                   m.cov, m.mean, exact=regime == "c3")
                 return found
-            curve, seconds = ctx.run_op(
+            curve, span = ctx.run_op(
                 f"frontier.trace.{m.label}.{regime}",
                 lambda m=m, c=c: trace_frontier(m.cov, m.mean, m.rf, c, grid=FRONTIER_GRID,
                                                 model=m.model),
                 check)
-            trace_s += seconds
+            trace_s[f"{m.label}.{regime}"] = span
             if curve is not None:
                 curves[m.label] = curve
                 points += len(curve.points)
@@ -278,21 +301,17 @@ def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
                 on_c3 = (m.cov, m.mean) if regime == "c3" else (None, None)
                 bad += checks.cloud_problems(pts, floor, *on_c3)
             return [f"{bad} sampled portfolios beat the frontier"] if bad else []
-        rows, seconds = ctx.run_op(f"frontier.cloud.{regime}", cloud, check)
-        cloud_s += seconds
+        rows, cloud_s[regime] = ctx.run_op(f"frontier.cloud.{regime}", cloud, check)
         if rows is not None:
             portfolios += CLOUD_COUNT * len(rows)
             digests.append(checks.array_digest(*rows))
-    sample = {
-        "frontier_points_per_s": points / trace_s,
-        "cloud_points_per_s": portfolios / cloud_s,
-    }
-    return sample, digests
+    return Pass({"frontier_points_per_s": trace_s, "cloud_points_per_s": cloud_s},
+                {"frontier_points_per_s": points, "cloud_points_per_s": portfolios}, digests)
 
 
-def run_solve(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
+def run_solve(ctx: Context, inputs: Inputs, full: bool) -> Pass:
     """Minimum-variance and maximum-Sharpe cells of every market in every regime."""
-    split_s = weight_s = 0.0
+    split_s, weight_s = {}, {}
     digests = []
     for m in (inputs.universes if full else inputs.bundled):
         for regime in REGIMES:
@@ -311,32 +330,37 @@ def run_solve(ctx: Context, inputs: Inputs, full: bool) -> tuple[dict, list]:
                         if gap > checks.CLOSED_FORM_TOL:
                             found.append(f"c3 weights off the closed form by {gap:.3g}")
                     return found
-                sol, seconds = ctx.run_op(f"solve.{m.label}.{regime}.{objective}", solve, check)
-                if regime == "c1":
-                    split_s += seconds
-                else:
-                    weight_s += seconds
+                name = f"solve.{m.label}.{regime}.{objective}"
+                sol, span = ctx.run_op(name, solve, check)
+                (split_s if regime == "c1" else weight_s)[name] = span
                 if sol is not None:
                     digests.append(checks.array_digest(sol.weights))
-    return {"solve_split_s": split_s, "solve_weight_s": weight_s}, digests
+    return Pass({"solve_split_s": split_s, "solve_weight_s": weight_s}, {}, digests)
 
 
 PARTS = {"cli": run_cli, "frontier": run_frontier, "solve": run_solve}
 
 
-def _medians(ctx: Context, name: str, passes: list) -> dict:
-    """Median of each sample over the passes; the passes' outputs must agree."""
-    digests = [d for _, d in passes]
-    if any(d != digests[0] for d in digests[1:]):
+def _medians(ctx: Context, name: str, passes: list[Pass]) -> dict:
+    """Each metric from its operations' median reference-speed times; the
+    passes must agree."""
+    if any(p.digests != passes[0].digests or p.work != passes[0].work for p in passes[1:]):
         ctx.problems.append(f"{name}: outputs differ between repetitions")
-    return {key: statistics.median(sample[key] for sample, _ in passes) for key in passes[0][0]}
+    metrics = {}
+    for metric, ops in passes[0].times.items():
+        seconds = sum(statistics.median(ctx.speed.reference_seconds(p.times[metric][op])
+                                        for p in passes) for op in ops)
+        work = passes[0].work.get(metric)
+        metrics[metric] = seconds if work is None else work / seconds
+    return metrics
 
 
 def measure(ctx: Context, workload: str, inputs: Inputs, seconds: float) -> dict:
     """The timed loop: the probes' passes, then full passes of the workload's
-    own part until ``seconds`` are spent.  Returns every end-to-end sample's
-    median over its passes."""
+    own part until ``seconds`` are spent.  Returns every end-to-end metric
+    but peak RSS, each from its operations' median times (``_medians``)."""
     home = WORKLOADS[workload]
+    ctx.speed = SpeedProbe()
     metrics = _medians(ctx, "setup", [run_setup(ctx) for _ in range(PROBE_PASSES["setup"])])
     for part, fn in PARTS.items():
         if part != home:
@@ -354,4 +378,4 @@ def one_pass(ctx: Context, workload: str, seed: int) -> list:
     """Inputs plus one pass of every part, as the traced run repeats it."""
     inputs = build_inputs(workload, seed)
     home = WORKLOADS[workload]
-    return [fn(ctx, inputs, part == home)[1] for part, fn in PARTS.items()]
+    return [fn(ctx, inputs, part == home).digests for part, fn in PARTS.items()]
