@@ -16,7 +16,7 @@ from portopt import ConstraintSet, solve_max_sharpe, solve_min_variance, trace_f
 from portopt.solver import KKT_TOL
 
 from perfbench import checks, trace
-from perfbench.speed import BURST, NOMINAL_S, SpeedProbe
+from perfbench.speed import BURST, NOMINAL_S, PROCESS_NOMINAL_S, SpeedProbe
 from perfbench.trace import Span, Tracer
 from perfbench.universe import make_returns, make_universe
 
@@ -74,17 +74,22 @@ def test_self_times_on_a_hand_built_tree():
         {"op.x": 3.0, "a": 3.5, "b": 1.5, "c": 2.0, "op.y": 1.0})
 
 
-def test_speed_scale_uses_the_median_kernel_time_near_an_operation():
+def test_speed_scale_uses_the_median_reference_time_near_an_operation():
     probe = SpeedProbe()
-    probe.times = [0.0, 1.0, 1.5, 10.0, 20.0]
-    probe.seconds = [NOMINAL_S, 2 * NOMINAL_S, 4 * NOMINAL_S, NOMINAL_S, NOMINAL_S]
-    # samples at 0.0, 1.0 and 1.5 lie within WINDOW_S of [0.5, 1.0]
-    assert probe.scale(0.5, 1.0) == pytest.approx(0.5)
+    probe.kernel.times = [0.0, 1.0, 1.5, 10.0, 20.0]
+    probe.kernel.seconds = [NOMINAL_S, 2 * NOMINAL_S, 4 * NOMINAL_S, NOMINAL_S, NOMINAL_S]
+    probe.process.times = [1.0]
+    probe.process.seconds = [4 * PROCESS_NOMINAL_S]
+    # kernel samples at 0.0, 1.0 and 1.5 lie within WINDOW_S of [0.5, 1.0]
+    assert probe.kernel.scale(0.5, 1.0) == pytest.approx(0.5)
     assert probe.reference_seconds((0.5, 1.0)) == pytest.approx(0.25)
+    # fresh processes scale by the bare interpreter start
+    assert probe.reference_seconds((0.5, 1.0), fresh=True) == pytest.approx(0.125)
     # no sample within the window: the nearest one
-    assert probe.scale(14.0, 15.0) == pytest.approx(1.0)
-    probe.tick()
-    assert len(probe.seconds) == 5 + BURST and probe.times == sorted(probe.times)
+    assert probe.kernel.scale(14.0, 15.0) == pytest.approx(1.0)
+    probe.tick(fresh=True)
+    assert len(probe.kernel.seconds) == 5 + BURST and len(probe.process.seconds) == 1 + BURST
+    assert probe.kernel.times == sorted(probe.kernel.times)
 
 
 class _Sol:

@@ -15,7 +15,8 @@ up give ``setup_s``.  Each part runs its passes back to back.  All load
 comes from one process, closed loop, one client; nothing runs concurrently.
 
 A pass times each of its operations, and ``speed.SpeedProbe`` turns each
-wall time into seconds at a reference machine speed.  A time metric is the
+wall time into seconds at a reference machine speed, with a reference of
+its own for fresh processes.  A time metric is the
 sum, over the operations it covers, of each operation's median time across
 the passes; a rate metric divides the pass's work by that sum.
 """
@@ -143,14 +144,15 @@ class Context:
     problems: list[str] = field(default_factory=list)
     _dirs: int = 0
 
-    def run_op(self, name: str, fn, check):
+    def run_op(self, name: str, fn, check, fresh: bool = False):
         """Time one operation and record whether it succeeded.
 
         ``check(result)`` lists what is wrong with a result; it runs outside
-        the timed region.  Returns (result or None, (start, end)).
+        the timed region; ``fresh`` operations start a process.  Returns
+        (result or None, (start, end)).
         """
         if self.speed:
-            self.speed.tick()
+            self.speed.tick(fresh)
         self.attempted += 1
         span = self.tracer.operation(name) if self.tracer else contextlib.nullcontext()
         result = None
@@ -186,11 +188,13 @@ def _solution_problems(*solutions) -> list[str]:
 
 class Pass(NamedTuple):
     """One pass of a part: per metric, the (start, end) of each operation
-    it covers; per rate metric, the work done; and digests of the outputs."""
+    it covers; per rate metric, the work done; digests of the outputs; and
+    whether its operations are fresh processes."""
 
     times: dict
     work: dict
     digests: object
+    fresh: bool = False
 
 
 # --- parts: each runs one pass -------------------------------------------------
@@ -214,8 +218,8 @@ def run_setup(ctx: Context) -> Pass:
     argv = ["perfbench/run.py", "--setup-only", "--seconds", "0",
             "--workload", ctx.workload, "--seed", str(ctx.seed)]
     _, span = ctx.run_op("setup", lambda: _python(argv).returncode,
-                         lambda code: [f"exit code {code}"] if code else [])
-    return Pass({"setup_s": {"setup": span}}, {}, None)
+                         lambda code: [f"exit code {code}"] if code else [], fresh=True)
+    return Pass({"setup_s": {"setup": span}}, {}, None, fresh=True)
 
 
 def cli_steps(seed: int):
@@ -252,9 +256,10 @@ def run_cli(ctx: Context, inputs: Inputs, full: bool) -> Pass:
                 found.append(f"no {prefix}* output")
             return found + checks.cli_outputs_problems(out, prefix)
         _, span = ctx.run_op(
-            f"cli.{step}", lambda argv=argv: _cli_call(ctx, [*argv, "--output-dir", rel]), check)
+            f"cli.{step}", lambda argv=argv: _cli_call(ctx, [*argv, "--output-dir", rel]), check,
+            fresh=not ctx.inprocess_cli)
         times[f"cli_{step}_s"] = {step: span}
-    return Pass(times, {}, checks.dir_digests(out))
+    return Pass(times, {}, checks.dir_digests(out), fresh=not ctx.inprocess_cli)
 
 
 def run_frontier(ctx: Context, inputs: Inputs, full: bool) -> Pass:
@@ -348,7 +353,7 @@ def _medians(ctx: Context, name: str, passes: list[Pass]) -> dict:
         ctx.problems.append(f"{name}: outputs differ between repetitions")
     metrics = {}
     for metric, ops in passes[0].times.items():
-        seconds = sum(statistics.median(ctx.speed.reference_seconds(p.times[metric][op])
+        seconds = sum(statistics.median(ctx.speed.reference_seconds(p.times[metric][op], p.fresh)
                                         for p in passes) for op in ops)
         work = passes[0].work.get(metric)
         metrics[metric] = seconds if work is None else work / seconds
