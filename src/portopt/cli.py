@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from . import __version__
 from .constraints import REGIMES, ConstraintSet
 from .errors import (
     ConfigError,
@@ -33,7 +34,6 @@ from .errors import (
 from .estimation import (
     MODEL_IM,
     MODEL_MM,
-    im_covariance,
     index_model_estimates,
     markowitz_estimates,
 )
@@ -57,13 +57,14 @@ from .ingest import (
 from .report import (
     compare_models,
     expected_cell_deltas,
+    model_inputs,
     report_to_csv,
     report_to_json_dict,
 )
 from .solver import solve_max_sharpe, solve_min_variance
 from .svgplot import Series, render_plot
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 OUTPUT_DIR_ENV = "PORTOPT_OUTPUT_DIR"
 
 _MODEL_CHOICES = ("mm", "im", "both")
@@ -197,13 +198,6 @@ def _constraint(cfg: RunConfig, table, regime: str | None = None) -> ConstraintS
     )
 
 
-def _model_inputs(mm, im):
-    return {
-        MODEL_MM: (mm.cov, mm.mean),
-        MODEL_IM: (im_covariance(im), im.expected_returns()),
-    }
-
-
 def _solution_csv(sol, tickers) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -236,21 +230,17 @@ def cmd_solve(cfg: RunConfig) -> int:
     rf, _ = _load_rf(cfg)
     mm, im = _estimates(cfg, table, rf)
     c = _constraint(cfg, table)
-    inputs = _model_inputs(mm, im)
+    inputs = model_inputs(mm, im)
     models = [MODEL_MM, MODEL_IM] if cfg.model == "both" else [cfg.model.upper()]
-    objectives = (
-        ["minvar", "maxsharpe"] if cfg.objective == "both" else [cfg.objective]
-    )
+    objectives = ["minvar", "maxsharpe"] if cfg.objective == "both" else [cfg.objective]
     out = _outdir(cfg)
     failures: list[dict] = []
     for model in models:
         cov, mean = inputs[model]
         for obj in objectives:
+            solve = solve_min_variance if obj == "minvar" else solve_max_sharpe
             try:
-                if obj == "minvar":
-                    sol = solve_min_variance(cov, c, mean=mean, rf=rf, model=model)
-                else:
-                    sol = solve_max_sharpe(cov, mean, rf, c, model=model)
+                sol = solve(cov=cov, c=c, mean=mean, rf=rf, model=model)
             except PortoptError as exc:
                 failures.append({
                     "model": model, "objective": obj,
@@ -292,7 +282,7 @@ def cmd_frontier(cfg: RunConfig) -> int:
     rf, _ = _load_rf(cfg)
     mm, im = _estimates(cfg, table, rf)
     c = _constraint(cfg, table)
-    inputs = _model_inputs(mm, im)
+    inputs = model_inputs(mm, im)
     out = _outdir(cfg)
 
     curves = {}
@@ -336,27 +326,15 @@ def cmd_frontier(cfg: RunConfig) -> int:
             }
         (out / f"frontier_{c.regime}.json").write_text(_json_text(doc), encoding="utf-8")
     if "svg" in cfg.formats:
-        series = []
-        for m in (MODEL_MM, MODEL_IM):
-            series.append(Series(
-                tuple(pts[m][:, 0]), tuple(pts[m][:, 1]),
-                label=f"{m} cloud", kind="scatter",
-                color=_COLORS[("cloud", m)], css_class=f"cloud-{m.lower()}",
-            ))
-        for m in (MODEL_MM, MODEL_IM):
-            xs = tuple(s for s, _ in curves[m].points)
-            ys = tuple(r for _, r in curves[m].points)
-            series.append(Series(
-                xs, ys, label=f"{m} frontier",
-                color=_COLORS[("frontier", m)], css_class=f"frontier-{m.lower()}",
-            ))
-        for m in (MODEL_MM, MODEL_IM):
-            xs = tuple(s for s, _ in cals[m])
-            ys = tuple(r for _, r in cals[m])
-            series.append(Series(
-                xs, ys, label=f"{m} CAL",
-                color=_COLORS[("cal", m)], css_class=f"cal-{m.lower()}",
-            ))
+        layers = (("cloud", "cloud", pts),
+                  ("frontier", "frontier", {m: curves[m].points for m in curves}),
+                  ("cal", "CAL", cals))
+        series = [
+            Series(tuple(p[0] for p in points[m]), tuple(p[1] for p in points[m]),
+                   label=f"{m} {label}", kind="scatter" if layer == "cloud" else "line",
+                   color=_COLORS[(layer, m)], css_class=f"{layer}-{m.lower()}")
+            for layer, label, points in layers for m in (MODEL_MM, MODEL_IM)
+        ]
         svg = render_plot(
             series,
             title=f"Efficient frontier and CAL under {c.regime}",

@@ -8,19 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, check_feasible
+from .constraints import ConstraintSet, regime_model
 from .errors import SamplingError, ValidationError
 from .estimation import MODEL_MM, PortfolioStats, portfolio_stats
-from .solver import (
-    OBJECTIVE_TARGET_RETURN,
-    PortfolioSolution,
-    _build_solution,
-    _prepare_cov,
-    _solve_variance_qp,
-    attainable_return_range,
-    solve_max_sharpe,
-    solve_min_variance,
-)
+from .solver import PortfolioSolution, Problem
 
 
 @dataclass(frozen=True)
@@ -56,17 +47,12 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     """
     if grid < 2:
         raise ValidationError("grid must be at least 2")
-    mean_v = np.asarray(mean, dtype=float)
-    minvar = solve_min_variance(cov, c, mean=mean_v, rf=rf, model=model)
-    tangency = solve_max_sharpe(cov, mean_v, rf, c, model=model)
-    lo_rng, hi_rng = attainable_return_range(mean_v, c)
-
-    if c.regime == "c5":
-        single = np.delete(mean_v, c.market_index)
-    else:
-        single = mean_v
-    hi = hi_rng if np.isfinite(hi_rng) else float(np.max(single))
-    lo = lo_rng if np.isfinite(lo_rng) else float(np.min(single))
+    problem = Problem.prepare(cov, c, mean=mean, rf=rf, model=model)
+    minvar = problem.min_variance()
+    tangency = problem.max_sharpe()
+    regime, mean_v = problem.regime, problem.mean
+    lo = float(mean_v @ regime.vertex(mean_v, highest=False))
+    hi = float(mean_v @ regime.vertex(mean_v, highest=True))
     mu0 = minvar.stats.ret
     hi = max(hi, tangency.stats.ret, mu0)
 
@@ -81,13 +67,9 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
         targets.extend(np.linspace(lo, mu0, grid)[:-1])
     targets = sorted(set(float(t) for t in targets))
 
-    cov_raw, cov_solve, ridge = _prepare_cov(cov)
-    n = cov_raw.shape[0]
     pts: list[tuple[float, float]] = []
     for t in targets:
-        w, res = _solve_variance_qp(cov_solve, c, n, extra_eqs=[(mean_v, t)])
-        sol = _build_solution(w, res, cov_raw, c, mean_v, rf,
-                              OBJECTIVE_TARGET_RETURN, ridge, model, target=t)
+        sol = problem.target_return(t, anchor=minvar.weights)
         pts.append((sol.stats.stdev, sol.stats.ret))
     pts.sort(key=lambda p: p[1])
     return FrontierCurve(tuple(pts), tangency, minvar, c, model)
@@ -169,6 +151,7 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
         raise ValidationError("n_assets must be at least 1")
     rng = np.random.default_rng(seed)
     n = n_assets
+    regime = regime_model(c, n)
 
     if c.regime == "c4":
         weights = rng.dirichlet(np.ones(n), size=count)
@@ -184,19 +167,18 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
             cand = None
             for _ in range(100):
                 cand = _normalized_normal(rng, n)
-                if check_feasible(cand, c, tol=1e-12).feasible:
+                if regime.excess(cand).max() <= 1e-12:
                     w = cand
                     break
             if w is None:
                 w = _shrink_to_feasible(cand, c)
             weights[k] = w
 
-    for k in range(count):
-        rep = check_feasible(weights[k], c, tol=1e-9)
-        if not rep.feasible:
-            raise SamplingError(
-                f"generated infeasible sample {k}: {rep.violations}"
-            )
+    bad = np.flatnonzero((regime.excess(weights) > 1e-9).any(axis=1))
+    if len(bad):
+        raise SamplingError(
+            f"generated infeasible sample {bad[0]}: {regime.violations(weights[bad[0]], 1e-9)}"
+        )
     return CloudSample(constraint=c, seed=seed, weights=weights)
 
 

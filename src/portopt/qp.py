@@ -6,9 +6,9 @@ set directly, so the returned point satisfies the active constraints and
 first-order conditions to linear-algebra precision; ties are broken by
 smallest index, making the method deterministic for fixed inputs.
 
-A feasible start is built with a minimum-l1-norm HiGHS LP when
-inequalities are present, or a least-squares solve when the problem is
-equality-only.
+Without a start point, ``find_feasible_point`` builds one: the
+least-squares solution of the equalities, moved onto the inequalities by
+an elastic phase-1 that this same method solves.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConvergenceError, InfeasibleError
 
 _STALL_LIMIT = 30          # consecutive zero steps before switching to Bland's rule
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-9,
-}
+_ELASTIC_DELTA = 1e-9      # proximal weight of the elastic phase-1
+_FEAS_TOL = 1e-9           # phase-1 verdict, relative to the right-hand sides
 
 
 @dataclass(frozen=True)
@@ -51,39 +48,44 @@ def _as_vector(b) -> np.ndarray:
 
 
 def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
-    """A well-scaled feasible point: the constraint set's minimum-l1 member.
+    """A well-scaled feasible point, or ``InfeasibleError``.
 
-    Solved as an LP over the positive/negative parts of x, which keeps
-    phase-1 bounded even on unbounded feasible sets and avoids the
-    huge-norm vertices a zero-objective LP can return.
+    Starts from the least-squares solution of the equalities.  With
+    inequalities present it then solves the elastic problem
+
+        min 1's + delta/2 (|x|^2 + |s|^2)
+        s.t. A_eq x = b_eq,  A_in x - s <= b_in,  s >= 0
+
+    from that point with ``s = max(A_in x - b_in, 0)``; the constraints are
+    consistent exactly when the optimal ``s`` vanishes.  The small proximal
+    term keeps the phase-1 bounded and its point well scaled even on
+    unbounded feasible sets.
     """
     A_eq = _as_matrix(A_eq, n)
     b_eq = _as_vector(b_eq)
     A_in = _as_matrix(A_in, n)
     b_in = _as_vector(b_in)
-    if A_in.shape[0] == 0:
-        if A_eq.shape[0] == 0:
-            return np.zeros(n)
-        x0, *_ = np.linalg.lstsq(A_eq, b_eq, rcond=None)
-        if np.max(np.abs(A_eq @ x0 - b_eq), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(b_eq), initial=0.0)):
+    m_eq, m_in = A_eq.shape[0], A_in.shape[0]
+    x = np.zeros(n)
+    if m_eq:
+        x, *_ = np.linalg.lstsq(A_eq, b_eq, rcond=None)
+        if np.max(np.abs(A_eq @ x - b_eq), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(b_eq), initial=0.0)):
             raise InfeasibleError("equality constraints are inconsistent")
-        return x0
-    res = linprog(
-        np.ones(2 * n),
-        A_ub=np.hstack([A_in, -A_in]) if A_in.shape[0] else None,
-        b_ub=b_in if A_in.shape[0] else None,
-        A_eq=np.hstack([A_eq, -A_eq]) if A_eq.shape[0] else None,
-        b_eq=b_eq if A_eq.shape[0] else None,
-        bounds=[(0, None)] * (2 * n),
-        method="highs",
-        options=_LP_OPTIONS,
+    if not m_in:
+        return x
+    s = np.maximum(A_in @ x - b_in, 0.0)
+    res = solve_qp(
+        _ELASTIC_DELTA * np.eye(n + m_in),
+        np.concatenate([np.zeros(n), np.ones(m_in)]),
+        np.hstack([A_eq, np.zeros((m_eq, m_in))]), b_eq,
+        np.block([[A_in, -np.eye(m_in)], [np.zeros((m_in, n)), -np.eye(m_in)]]),
+        np.concatenate([b_in, np.zeros(m_in)]),
+        x0=np.concatenate([x, s]),
     )
-    if res.status == 2:
+    x = res.x[:n]
+    if np.max(A_in @ x - b_in) > _FEAS_TOL * (1.0 + np.max(np.abs(b_in))):
         raise InfeasibleError("constraint set is infeasible")
-    if res.status != 0 or res.x is None:
-        raise ConvergenceError(f"phase-1 LP failed: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    return x[:n] - x[n:]
+    return x
 
 
 def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -110,10 +112,7 @@ def solve_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
     b_in = _as_vector(b_in)
     m_eq, m_in = A_eq.shape[0], A_in.shape[0]
 
-    if x0 is None:
-        x = find_feasible_point(A_eq, b_eq, A_in, b_in, n)
-    else:
-        x = np.array(x0, dtype=float)
+    x = find_feasible_point(A_eq, b_eq, A_in, b_in, n) if x0 is None else np.array(x0, dtype=float)
 
     row_scale = 1.0 + np.max(np.abs(A_in), axis=1, initial=0.0) if m_in else np.zeros(0)
     working: list[int] = []

@@ -22,8 +22,7 @@ from .solver import (
     OBJECTIVE_MAX_SHARPE,
     OBJECTIVE_MIN_VARIANCE,
     PortfolioSolution,
-    solve_max_sharpe,
-    solve_min_variance,
+    solve_objective,
 )
 
 
@@ -44,6 +43,14 @@ class ComparisonReport:
     estimator_counts: tuple[int, int]   # (full-covariance, single-index)
 
 
+def model_inputs(mm: MarkowitzEstimates, im: IndexModelEstimates) -> dict:
+    """``{model: (covariance, mean)}`` for the full-covariance and single-index models."""
+    return {
+        MODEL_MM: (mm.cov, mm.mean),
+        MODEL_IM: (im_covariance(im), im.expected_returns()),
+    }
+
+
 def compare_models(mm: MarkowitzEstimates, im: IndexModelEstimates, rf: float,
                    constraints) -> ComparisonReport:
     """Solve both objectives under both models for each constraint regime.
@@ -54,19 +61,13 @@ def compare_models(mm: MarkowitzEstimates, im: IndexModelEstimates, rf: float,
     if tuple(mm.tickers) != tuple(im.tickers):
         raise ValidationError("estimate sets cover different asset universes")
     n = mm.n_assets
-    model_inputs = (
-        (MODEL_MM, mm.cov, mm.mean),
-        (MODEL_IM, im_covariance(im), im.expected_returns()),
-    )
+    inputs = model_inputs(mm, im)
     cells: list[ReportCell] = []
     for c in constraints:
-        for model, cov, mean in model_inputs:
+        for model, (cov, mean) in inputs.items():
             for objective in (OBJECTIVE_MIN_VARIANCE, OBJECTIVE_MAX_SHARPE):
                 try:
-                    if objective == OBJECTIVE_MIN_VARIANCE:
-                        sol = solve_min_variance(cov, c, mean=mean, rf=rf, model=model)
-                    else:
-                        sol = solve_max_sharpe(cov, mean, rf, c, model=model)
+                    sol = solve_objective(objective, cov, mean, rf, c, model=model)
                     cells.append(ReportCell(c, model, objective, solution=sol))
                 except PortoptError as exc:
                     cells.append(ReportCell(c, model, objective, error=str(exc)))

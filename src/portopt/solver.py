@@ -1,13 +1,17 @@
 """Constrained portfolio solvers with closed-form oracles and KKT diagnostics.
 
-Minimum-variance and target-return problems are quadratic programs in the
-weight space.  Maximum Sharpe is rewritten as a convex QP through the
-homogenization change of variables ``y = kappa * w`` with the excess return
-normalized to one; every regime's constraints rewrite exactly because they
-are linear or absolute-value (handled by variable splitting).  The gross
-exposure regime (c1) is solved in split variables ``w = p - n`` with a tiny
-diagonal term keeping the split Hessian strictly convex; the perturbation
-is orders of magnitude below every contract tolerance.
+Every problem is a quadratic program in the solve variables of the regime
+model (``constraints.regime_model``): the weights, or for the gross
+exposure regime (c1) the split ``w = p - n``, with a tiny diagonal term
+keeping the split Hessian strictly convex; the perturbation is orders of
+magnitude below every contract tolerance.  Maximum Sharpe is rewritten as a
+convex QP through the homogenization change of variables ``y = kappa * w``
+with the excess return normalized to one; every regime row rewrites
+exactly because it is linear in the solve variables.
+
+Every solve starts from a closed-form feasible point (the regime's centre,
+a mix of a feasible portfolio with a return vertex, or for maximum Sharpe
+the unconstrained optimum or the long-only fill); phase-1 is a last resort.
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
-from .constraints import ConstraintSet, check_feasible
+from .constraints import ConstraintSet, RegimeModel, check_feasible, regime_model
 from .errors import (
-    ConvergenceError,
     DegenerateSharpeError,
     InfeasibleError,
     SingularMatrixError,
@@ -38,10 +40,6 @@ KKT_TOL = 1e-6
 MAX_ITER = 10000
 
 _ACT_TOL = 1e-7          # active-constraint detection in KKT diagnostics
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-9,
-}
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class PortfolioSolution:
     regularization: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = np.asarray(self.weights, dtype=float) + 0.0   # a copy, with -0.0 as 0.0
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -112,100 +110,15 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
     return c, solve_c, ridge
 
 
-def _check_dims(c: ConstraintSet, n: int) -> None:
-    if c.regime == "c5" and not (0 <= c.market_index < n):
-        raise ValidationError(
-            f"market index {c.market_index} out of range for {n} assets"
-        )
-
-
-def _constraint_matrices_w(c: ConstraintSet, n: int, extra_eqs=()):
-    """Equality/inequality matrices of a variance problem.
-
-    Returns (A_eq, b_eq, A_in, b_in, split) in the solve space; split
-    problems carry 2n variables (p, n) with w = p - n.
-    """
-    eqs = [(np.ones(n), 1.0)]
-    eqs += [(np.asarray(a, dtype=float), float(b)) for a, b in extra_eqs]
-    if c.regime == "c5":
-        e = np.zeros(n)
-        e[c.market_index] = 1.0
-        eqs.append((e, 0.0))
-
-    if c.regime == "c1":
-        m = len(eqs)
-        A_eq = np.zeros((m, 2 * n))
-        b_eq = np.zeros(m)
-        for k, (a, b) in enumerate(eqs):
-            A_eq[k, :n] = a
-            A_eq[k, n:] = -a
-            b_eq[k] = b
-        A_in = np.vstack([-np.eye(2 * n), np.ones((1, 2 * n))])
-        b_in = np.concatenate([np.zeros(2 * n), [c.leverage_cap]])
-        return A_eq, b_eq, A_in, b_in, True
-
-    A_eq = np.vstack([a for a, _ in eqs])
-    b_eq = np.array([b for _, b in eqs])
-    if c.regime == "c4":
-        A_in, b_in = -np.eye(n), np.zeros(n)
-    elif c.regime == "c2":
-        A_in = np.vstack([np.eye(n), -np.eye(n)])
-        b_in = np.full(2 * n, c.weight_bound)
-    else:  # c3, c5
-        A_in, b_in = np.zeros((0, n)), np.zeros(0)
-    return A_eq, b_eq, A_in, b_in, False
-
-
-def _constraint_matrices_sharpe(c: ConstraintSet, n: int, excess: np.ndarray):
-    """Homogenized constraint matrices with the excess return pinned to 1."""
-    if c.regime == "c1":
-        A_eq = np.concatenate([excess, -excess])[None, :]
-        b_eq = np.array([1.0])
-        lev = np.concatenate([
-            np.full(n, 1.0 - c.leverage_cap),
-            np.full(n, 1.0 + c.leverage_cap),
-        ])
-        A_in = np.vstack([-np.eye(2 * n), lev[None, :]])
-        b_in = np.zeros(2 * n + 1)
-        return A_eq, b_eq, A_in, b_in, True
-
-    eqs = [(excess, 1.0)]
-    if c.regime == "c5":
-        e = np.zeros(n)
-        e[c.market_index] = 1.0
-        eqs.append((e, 0.0))
-    A_eq = np.vstack([a for a, _ in eqs])
-    b_eq = np.array([b for _, b in eqs])
-
-    if c.regime == "c4":
-        A_in, b_in = -np.eye(n), np.zeros(n)
-    elif c.regime == "c2":
-        ones = np.ones((n, n)) * c.weight_bound
-        A_in = np.vstack([np.eye(n) - ones, -np.eye(n) - ones])
-        b_in = np.zeros(2 * n)
-    else:  # c3, c5: kappa = sum(y) >= 0 kept explicit
-        A_in = -np.ones((1, n))
-        b_in = np.zeros(1)
-    return A_eq, b_eq, A_in, b_in, False
-
-
 def _hessian(C2: np.ndarray, split: bool) -> np.ndarray:
     if not split:
         return C2
     n = C2.shape[0]
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = C2
-    H[n:, n:] = C2
-    H[:n, n:] = -C2
-    H[n:, :n] = -C2
+    H = np.block([[C2, -C2], [-C2, C2]])
     # keeps the split Hessian strictly convex; far below contract tolerances
     eps = 1e-12 * max(1.0, float(np.trace(C2)) / n)
     H += eps * np.eye(2 * n)
     return H
-
-
-def _recover(x: np.ndarray, split: bool, n: int) -> np.ndarray:
-    return x[:n] - x[n:] if split else x.copy()
 
 
 def _stats(w, cov, mean, rf, model) -> PortfolioStats:
@@ -219,43 +132,69 @@ def _stats(w, cov, mean, rf, model) -> PortfolioStats:
     return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=model)
 
 
-def _stationarity_residual(grad, eq_cols, in_cols, in_slacks) -> tuple[float, float]:
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson non-negative least squares: argmin ||Ax - b|| over x >= 0.
+
+    The unconstrained least-squares solution is returned when it is
+    nonnegative; otherwise the passive set starts from its positive
+    support when that support's own solution is positive, else from empty.
+    """
+    k = A.shape[1]
+
+    def least_squares(passive: np.ndarray) -> np.ndarray:
+        z = np.zeros(k)
+        z[passive], *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
+        return z
+
+    x = least_squares(np.ones(k, dtype=bool))
+    if np.all(x >= 0.0):
+        return x
+    passive = x > 0.0
+    x = least_squares(passive)
+    if not np.all(x[passive] > 0.0):
+        passive[:] = False
+        x = np.zeros(k)
+    tol = 1e-12 * max(1.0, float(np.abs(A).max(initial=0.0) * np.abs(b).max(initial=0.0)))
+    for _ in range(3 * k):
+        dual = A.T @ (b - A @ x)
+        candidates = np.flatnonzero(~passive & (dual > tol))
+        if not len(candidates):
+            break
+        passive[candidates[np.argmax(dual[candidates])]] = True
+        while True:
+            z = least_squares(passive)
+            if np.all(z[passive] > 0.0):
+                x = z
+                break
+            # step back to the last feasible point on the segment x -> z
+            blocked = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[blocked] / (x[blocked] - z[blocked])
+            x = x + float(ratios.min()) * (z - x)
+            x[blocked[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    return x
+
+
+def _stationarity_residual(grad, E, F, slacks) -> tuple[float, float]:
     """(stationarity, complementary-slackness) with sign-correct multipliers.
 
-    Multipliers are non-unique at degenerate active sets, so inequality
-    multipliers are recovered under their nonnegativity constraint (NNLS on
-    the component orthogonal to the equality span); plain least squares can
-    miss a valid certificate.
+    ``E`` and ``F`` hold the equality and active inequality rows as
+    columns.  Multipliers are non-unique at degenerate active sets, so
+    inequality multipliers are recovered under their nonnegativity
+    constraint (NNLS on the component orthogonal to the equality span);
+    plain least squares can miss a valid certificate.
     """
-    E = np.column_stack(eq_cols)
-    if in_cols:
-        F = np.column_stack(in_cols)
+    def perp(v: np.ndarray) -> np.ndarray:
+        coef, *_ = np.linalg.lstsq(E, v, rcond=None)
+        return v - E @ coef
 
-        def _perp(v: np.ndarray) -> np.ndarray:
-            coef, *_ = np.linalg.lstsq(E, v, rcond=None)
-            return v - E @ coef
-
-        A = np.column_stack([_perp(F[:, j]) for j in range(F.shape[1])])
-        lam_in, _ = nnls(A, -_perp(grad))
-        rhs = -(grad + F @ lam_in)
-    else:
-        lam_in = np.zeros(0)
-        rhs = -grad
-    lam_eq, *_ = np.linalg.lstsq(E, rhs, rcond=None)
-    r = grad + E @ lam_eq
-    if in_cols:
-        r = r + F @ lam_in
-    comp = max(
-        (abs(float(lam_in[j])) * max(in_slacks[j], 0.0) for j in range(len(in_cols))),
-        default=0.0,
-    )
+    lam_in = _nnls(perp(F), -perp(grad)) if F.shape[1] else np.zeros(0)
+    r = grad + F @ lam_in
+    lam_eq, *_ = np.linalg.lstsq(E, -r, rcond=None)
+    r = r + E @ lam_eq
+    comp = float(np.max(np.abs(lam_in) * np.maximum(slacks, 0.0), initial=0.0))
     return float(np.max(np.abs(r), initial=0.0)), comp
-
-
-def _basis_col(size: int, index: int, value: float = 1.0) -> np.ndarray:
-    col = np.zeros(size)
-    col[index] = value
-    return col
 
 
 def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None) -> float:
@@ -263,65 +202,25 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None) ->
 
     Combines the stationarity gap, complementary slackness and primal
     feasibility into a single max-norm.  When ``target`` is given the return
-    equality is part of the problem.  The gross-exposure regime is scored in
-    split variables (p, n), where its conditions are plain QP optimality.
+    equality is part of the problem.  Conditions are scored in the regime's
+    solve variables (split ``(p, n)`` for the gross-exposure regime), where
+    they are plain QP optimality; a row is active within ``_ACT_TOL`` of
+    its bound.
     """
     w = np.asarray(w, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = len(w)
-    grad = 2.0 * (cov @ w)
-
-    eqs: list[np.ndarray] = [np.ones(n)]
+    regime = regime_model(c, len(w))
+    eq, _, A_in, _ = regime.system()
     if target is not None:
         if mean is None:
             raise ValidationError("target-return KKT check requires the mean vector")
-        eqs.append(np.asarray(mean, dtype=float))
-    if c.regime == "c5":
-        eqs.append(_basis_col(n, c.market_index))
-
-    if c.regime == "c1":
-        # split space: z = (p, n), w = p - n, p = w+, n = w-
-        grad_z = np.concatenate([grad, -grad])
-        eq_cols = [np.concatenate([a, -a]) for a in eqs]
-        in_cols: list[np.ndarray] = []
-        in_slacks: list[float] = []
-        p_part = np.maximum(w, 0.0)
-        n_part = np.maximum(-w, 0.0)
-        for i in range(n):
-            if p_part[i] <= _ACT_TOL:
-                in_cols.append(_basis_col(2 * n, i, -1.0))
-                in_slacks.append(float(p_part[i]))
-            if n_part[i] <= _ACT_TOL:
-                in_cols.append(_basis_col(2 * n, n + i, -1.0))
-                in_slacks.append(float(n_part[i]))
-        gross = float(np.abs(w).sum())
-        if gross >= c.leverage_cap - _ACT_TOL:
-            in_cols.append(np.ones(2 * n))
-            in_slacks.append(float(c.leverage_cap - gross))
-        stationarity, comp = _stationarity_residual(
-            grad_z, eq_cols, in_cols, in_slacks)
-    else:
-        in_cols = []
-        in_slacks = []
-        if c.regime == "c4":
-            for i in range(n):
-                if w[i] <= _ACT_TOL:
-                    in_cols.append(_basis_col(n, i, -1.0))
-                    in_slacks.append(float(w[i]))
-        elif c.regime == "c2":
-            b = c.weight_bound
-            for i in range(n):
-                if w[i] >= b - _ACT_TOL:
-                    in_cols.append(_basis_col(n, i, 1.0))
-                    in_slacks.append(float(b - w[i]))
-                elif w[i] <= -b + _ACT_TOL:
-                    in_cols.append(_basis_col(n, i, -1.0))
-                    in_slacks.append(float(b + w[i]))
-        stationarity, comp = _stationarity_residual(grad, eqs, in_cols, in_slacks)
-
-    rep = check_feasible(w, c, tol=0.0)
-    feas = max((m for _, m in rep.violations), default=0.0)
-    return float(max(stationarity, comp, feas))
+        eq = np.vstack([eq, regime.lift(np.asarray(mean, dtype=float))])
+    excess = regime.excess(w)              # on the inequality rows, minus the slack
+    slacks = -excess[2 * regime.m_eq:]
+    active = slacks <= _ACT_TOL
+    stationarity, comp = _stationarity_residual(
+        regime.lift(2.0 * (cov @ w)), eq.T, A_in[active].T, slacks[active])
+    return float(max(stationarity, comp, excess.max(initial=0.0)))
 
 
 def kkt_residual(solution: PortfolioSolution, cov, mean=None, rf: float = 0.0) -> float:
@@ -338,48 +237,137 @@ def kkt_residual(solution: PortfolioSolution, cov, mean=None, rf: float = 0.0) -
     )
 
 
-def _initial_point_variance(c: ConstraintSet, n: int, has_target: bool):
-    if has_target:
-        return None
-    if c.regime in ("c3", "c4"):
-        return np.full(n, 1.0 / n)
-    if c.regime == "c2" and 1.0 / n <= c.weight_bound:
-        return np.full(n, 1.0 / n)
-    if c.regime == "c5" and n >= 2:
-        w = np.full(n, 1.0 / (n - 1))
-        w[c.market_index] = 0.0
-        return w
-    if c.regime == "c1" and c.leverage_cap >= 1.0:
-        return np.concatenate([np.full(n, 1.0 / n), np.zeros(n)])
-    return None
+def _homogenized(regime: RegimeModel, excess: np.ndarray):
+    """Rows of the maximum-Sharpe QP over ``y = kappa w`` with ``kappa = 1'w``.
+
+    ``a.w <= b`` becomes ``a.y - b 1'y <= 0``, the full-investment row
+    becomes ``excess.y = 1``, and ``1'y >= 0`` is appended; that row is
+    redundant, and never active, where the regime bounds the weights.
+    """
+    A_eq, b_eq, A_in, b_in = regime.system()
+    kappa = regime.lift(np.ones(regime.n))
+    A_eq = np.vstack([regime.lift(excess), A_eq[1:] - b_eq[1:, None] * kappa])
+    A_in = np.vstack([A_in - b_in[:, None] * kappa, -kappa])
+    return A_eq, np.append(1.0, np.zeros(len(A_eq) - 1)), A_in, np.zeros(len(A_in))
 
 
-def _solve_variance_qp(C_solve, c, n, extra_eqs=()):
-    A_eq, b_eq, A_in, b_in, split = _constraint_matrices_w(c, n, extra_eqs)
-    H = _hessian(2.0 * C_solve, split)
-    x0 = _initial_point_variance(c, n, has_target=bool(extra_eqs))
-    if x0 is None:
-        x0 = find_feasible_point(A_eq, b_eq, A_in, b_in, H.shape[0])
-    res = solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in,
-                   x0=x0, max_iter=MAX_ITER)
-    w = _recover(res.x, split, n)
-    if c.regime == "c5":
-        w[c.market_index] = 0.0
-    return w, res
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One regime's solves on a validated covariance, prepared once."""
 
+    cov: np.ndarray            # validated and symmetrized
+    cov_solve: np.ndarray      # cov plus the ridge applied, factorizable
+    ridge: float
+    regime: RegimeModel
+    mean: np.ndarray | None
+    rf: float
+    model: str
 
-def _build_solution(w, res, cov_raw, c, mean, rf, objective, ridge, model,
-                    target=None) -> PortfolioSolution:
-    mean_v = None if mean is None else np.asarray(mean, dtype=float)
-    stats = _stats(w, cov_raw, mean_v, rf, model)
-    kkt = kkt_residual_weights(w, cov_raw, c, mean=mean_v, target=target)
-    rep = check_feasible(w, c, PUBLIC_FEAS_TOL)
-    converged = bool(res.converged and rep.feasible and kkt <= KKT_TOL)
-    return PortfolioSolution(
-        weights=w, stats=stats, objective=objective, constraint=c,
-        kkt_residual=kkt, iterations=res.iterations, converged=converged,
-        regularization=ridge,
-    )
+    @classmethod
+    def prepare(cls, cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,
+                model: str = MODEL_MM) -> Problem:
+        cov_raw, cov_solve, ridge = _prepare_cov(cov)
+        n = cov_raw.shape[0]
+        regime = regime_model(c, n)
+        if mean is not None:
+            mean = np.asarray(mean, dtype=float)
+            if mean.shape != (n,):
+                raise ValidationError("mean vector length does not match covariance")
+        return cls(cov_raw, cov_solve, ridge, regime, mean, float(rf), model)
+
+    def _mean(self) -> np.ndarray:
+        if self.mean is None:
+            raise ValidationError("this objective requires the mean vector")
+        return self.mean
+
+    def _solve(self, A_eq, b_eq, A_in, b_in, x0):
+        H = _hessian(2.0 * self.cov_solve, self.regime.split)
+        return solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in,
+                        x0=x0, max_iter=MAX_ITER)
+
+    def _solution(self, w, res, objective: str, target=None) -> PortfolioSolution:
+        c = self.regime.constraint
+        stats = _stats(w, self.cov, self.mean, self.rf, self.model)
+        kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target)
+        rep = check_feasible(w, c, PUBLIC_FEAS_TOL)
+        converged = bool(res.converged and rep.feasible and kkt <= KKT_TOL)
+        return PortfolioSolution(
+            weights=w, stats=stats, objective=objective, constraint=c,
+            kkt_residual=kkt, iterations=res.iterations, converged=converged,
+            regularization=self.ridge,
+        )
+
+    def min_variance(self) -> PortfolioSolution:
+        r = self.regime
+        res = self._solve(*r.system(), r.centre())
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
+
+    def target_return(self, target: float, anchor=None) -> PortfolioSolution:
+        """Minimum variance at expected return ``target``.
+
+        The start mixes ``anchor`` (feasible weights, by default the
+        regime's centre) with the return vertex on the target's side.
+        """
+        r, mean = self.regime, self._mean()
+        lo, hi = r.return_range(mean)
+        slack = 1e-9 * (1.0 + abs(target))
+        if target < lo - slack or target > hi + slack:
+            raise InfeasibleError(
+                f"target return {target:.10g} outside attainable interval "
+                f"[{lo:.10g}, {hi:.10g}]"
+            )
+        t = min(max(target, lo), hi)
+        a = r.to_weights(r.centre()) if anchor is None else np.asarray(anchor, dtype=float)
+        a_ret = float(mean @ a)
+        v = r.vertex(mean, highest=t >= a_ret)
+        gap = float(mean @ v) - a_ret
+        s = (t - a_ret) / gap if gap != 0.0 else 0.0
+        A_eq, b_eq, A_in, b_in = r.system()
+        res = self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t),
+                          A_in, b_in, r.to_solve(a + s * (v - a)))
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t)
+
+    def max_sharpe(self) -> PortfolioSolution:
+        r, mean = self.regime, self._mean()
+        r.centre()                                  # raises when the set is empty
+        rows = _homogenized(r, mean - self.rf)
+        res = self._solve(*rows, self._sharpe_start(mean - self.rf, *rows))
+        y = r.to_weights(res.x)
+        kappa = float(y.sum())
+        if kappa <= 1e-12 * (1.0 + float(np.abs(y).sum())):
+            raise DegenerateSharpeError(
+                "maximum Sharpe is approached only asymptotically (zero normalizer)"
+            )
+        w = y / kappa
+        return self._solution(w, res, OBJECTIVE_MAX_SHARPE, target=float(mean @ w))
+
+    def _sharpe_start(self, excess, A_eq, b_eq, A_in, b_in) -> np.ndarray:
+        """A feasible point of the homogenized problem.
+
+        The unconstrained optimum when it is feasible (it is then optimal);
+        else the long-only fill, or failing that the highest-return vertex,
+        scaled to unit excess return; else a phase-1 point.
+        """
+        r = self.regime
+        if not r.split:
+            z = np.linalg.solve(self.cov_solve, excess)
+            denom = float(excess @ z)
+            if denom > 0.0:
+                y = z / denom
+                if (np.max(np.abs(A_eq @ y - b_eq), initial=0.0) <= 1e-9
+                        and np.all(A_in @ y <= b_in + 1e-12)):
+                    return y
+        order = r.free[np.argsort(-excess[r.free], kind="stable")]
+        for w in (r.fill(order, 0.0), r.vertex(excess, highest=True)):
+            gain = float(excess @ w)
+            if gain > 0.0:
+                return r.to_solve(w) / gain
+        try:
+            return find_feasible_point(A_eq, b_eq, A_in, b_in, A_eq.shape[1])
+        except InfeasibleError:
+            raise DegenerateSharpeError(
+                "no feasible portfolio earns a positive excess return"
+            ) from None
 
 
 def solve_min_variance(cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,
@@ -389,141 +377,58 @@ def solve_min_variance(cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,
     ``mean``/``rf`` only feed the reported statistics; without a mean the
     return and Sharpe fields are NaN.
     """
-    cov_raw, cov_solve, ridge = _prepare_cov(cov)
-    n = cov_raw.shape[0]
-    _check_dims(c, n)
-    w, res = _solve_variance_qp(cov_solve, c, n)
-    return _build_solution(w, res, cov_raw, c, mean, rf,
-                           OBJECTIVE_MIN_VARIANCE, ridge, model)
+    return Problem.prepare(cov, c, mean=mean, rf=rf, model=model).min_variance()
 
 
 def solve_target_return(cov, mean, target: float, c: ConstraintSet, *,
                         rf: float = 0.0, model: str = MODEL_MM) -> PortfolioSolution:
     """Minimum-variance portfolio whose expected return equals ``target``."""
-    cov_raw, cov_solve, ridge = _prepare_cov(cov)
-    n = cov_raw.shape[0]
-    _check_dims(c, n)
-    mean_v = np.asarray(mean, dtype=float)
-    if mean_v.shape != (n,):
-        raise ValidationError("mean vector length does not match covariance")
-    lo, hi = attainable_return_range(mean_v, c, n_assets=n)
-    slack = 1e-9 * (1.0 + abs(target))
-    if target < lo - slack or target > hi + slack:
-        raise InfeasibleError(
-            f"target return {target:.10g} outside attainable interval "
-            f"[{lo:.10g}, {hi:.10g}]"
-        )
-    t_eff = min(max(target, lo), hi)
-    w, res = _solve_variance_qp(cov_solve, c, n, extra_eqs=[(mean_v, t_eff)])
-    return _build_solution(w, res, cov_raw, c, mean_v, rf,
-                           OBJECTIVE_TARGET_RETURN, ridge, model, target=t_eff)
+    return Problem.prepare(cov, c, mean=mean, rf=rf, model=model).target_return(target)
 
 
 def solve_max_sharpe(cov, mean, rf: float, c: ConstraintSet, *,
                      model: str = MODEL_MM) -> PortfolioSolution:
     """Feasible portfolio maximizing (mean.w - rf) / stdev under regime ``c``."""
-    cov_raw, cov_solve, ridge = _prepare_cov(cov)
-    n = cov_raw.shape[0]
-    _check_dims(c, n)
-    mean_v = np.asarray(mean, dtype=float)
-    if mean_v.shape != (n,):
-        raise ValidationError("mean vector length does not match covariance")
-    excess = mean_v - rf
-    A_eq, b_eq, A_in, b_in, split = _constraint_matrices_sharpe(c, n, excess)
-    H = _hessian(2.0 * cov_solve, split)
-    x0 = None
-    if not split:
-        # unconstrained homogenized optimum; optimal outright whenever feasible
-        z = np.linalg.solve(cov_solve, excess)
-        denom = float(excess @ z)
-        if denom > 0.0:
-            y_cf = z / denom
-            eq_ok = np.max(np.abs(A_eq @ y_cf - b_eq), initial=0.0) <= 1e-9
-            in_ok = np.all(A_in @ y_cf <= b_in + 1e-12) if A_in.shape[0] else True
-            if eq_ok and in_ok:
-                x0 = y_cf
-    if x0 is None:
-        try:
-            x0 = find_feasible_point(A_eq, b_eq, A_in, b_in, H.shape[0])
-        except InfeasibleError:
-            # distinguish an empty feasible set from an unattainable excess return
-            A2, b2, A3, b3, _ = _constraint_matrices_w(c, n)
-            find_feasible_point(A2, b2, A3, b3, A2.shape[1])   # raises if empty
-            raise DegenerateSharpeError(
-                "no feasible portfolio earns a positive excess return"
-            ) from None
-    res = solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in,
-                   x0=x0, max_iter=MAX_ITER)
-    y = _recover(res.x, split, n)
-    kappa = float(y.sum())
-    if kappa <= 1e-12 * (1.0 + float(np.abs(y).sum())):
-        raise DegenerateSharpeError(
-            "maximum Sharpe is approached only asymptotically (zero normalizer)"
-        )
-    w = y / kappa
-    if c.regime == "c5":
-        w[c.market_index] = 0.0
-    sol = _build_solution(w, res, cov_raw, c, mean_v, rf,
-                          OBJECTIVE_MAX_SHARPE, ridge, model,
-                          target=float(mean_v @ w))
-    return sol
+    return Problem.prepare(cov, c, mean=mean, rf=rf, model=model).max_sharpe()
+
+
+def solve_objective(objective: str, cov, mean, rf: float, c: ConstraintSet, *,
+                    model: str = MODEL_MM) -> PortfolioSolution:
+    """Minimum variance or maximum Sharpe, named by ``OBJECTIVE_*``."""
+    if objective == OBJECTIVE_MIN_VARIANCE:
+        return solve_min_variance(cov, c, mean=mean, rf=rf, model=model)
+    if objective == OBJECTIVE_MAX_SHARPE:
+        return solve_max_sharpe(cov, mean, rf, c, model=model)
+    raise ValidationError(f"unknown objective {objective!r}")
 
 
 def attainable_return_range(mean, c: ConstraintSet, *, n_assets=None) -> tuple[float, float]:
     """Feasible interval of expected returns under ``c`` (inf for unbounded)."""
     mean_v = np.asarray(mean, dtype=float)
     n = n_assets if n_assets is not None else len(mean_v)
-    _check_dims(c, n)
-    A_eq, b_eq, A_in, b_in, split = _constraint_matrices_w(c, n)
-    obj = np.concatenate([mean_v, -mean_v]) if split else mean_v
-
-    def extreme(sign: float) -> float:
-        # sign=1 minimizes mean.w, sign=-1 maximizes it
-        res = linprog(
-            sign * obj,
-            A_ub=A_in if A_in.shape[0] else None,
-            b_ub=b_in if A_in.shape[0] else None,
-            A_eq=A_eq, b_eq=b_eq,
-            bounds=[(None, None)] * A_eq.shape[1],
-            method="highs",
-            options=_LP_OPTIONS,
-        )
-        if res.status == 3:
-            return -sign * np.inf
-        if res.status == 2:
-            raise InfeasibleError(f"constraint set {c.regime} is infeasible")
-        if res.status != 0:
-            raise ConvergenceError(f"return-range LP failed: {res.message}")
-        return float(sign * res.fun)
-
-    return extreme(1.0), extreme(-1.0)
+    return regime_model(c, n).return_range(mean_v)
 
 
-def closed_form_min_variance(cov) -> np.ndarray:
-    """Analytic unconstrained minimum-variance weights ``C^-1 1 / (1'C^-1 1)``."""
+def _cholesky_solve(cov, rhs: np.ndarray) -> np.ndarray:
+    """``C^-1 rhs`` through the Cholesky factor of the symmetrized ``C``."""
     c = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = c.shape[0]
     try:
         L = np.linalg.cholesky(0.5 * (c + c.T))
     except np.linalg.LinAlgError:
         raise SingularMatrixError("covariance is singular or indefinite") from None
-    ones = np.ones(n)
-    z = np.linalg.solve(L, ones)
-    y = np.linalg.solve(L.T, z)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def closed_form_min_variance(cov) -> np.ndarray:
+    """Analytic unconstrained minimum-variance weights ``C^-1 1 / (1'C^-1 1)``."""
+    ones = np.ones(np.atleast_2d(cov).shape[0])
+    y = _cholesky_solve(cov, ones)
     return y / float(ones @ y)
 
 
 def closed_form_tangency(cov, mean, rf: float) -> np.ndarray:
     """Analytic unconstrained tangency weights ``C^-1 (mean - rf 1)``, normalized."""
-    c = np.atleast_2d(np.asarray(cov, dtype=float))
-    mean_v = np.asarray(mean, dtype=float)
-    try:
-        L = np.linalg.cholesky(0.5 * (c + c.T))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("covariance is singular or indefinite") from None
-    excess = mean_v - rf
-    z = np.linalg.solve(L, excess)
-    y = np.linalg.solve(L.T, z)
+    y = _cholesky_solve(cov, np.asarray(mean, dtype=float) - rf)
     denom = float(y.sum())
     if abs(denom) <= 1e-12 * (1.0 + float(np.abs(y).sum())):
         raise DegenerateSharpeError("tangency normalizer is zero")
