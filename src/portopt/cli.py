@@ -9,10 +9,9 @@ constraints.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -27,7 +26,6 @@ from .errors import (
     InfeasibleError,
     InsufficientDataError,
     ParseError,
-    PortoptError,
     SingularMatrixError,
     ValidationError,
 )
@@ -48,6 +46,8 @@ from .frontier import (
 from .ingest import (
     average_risk_free,
     compute_monthly_returns,
+    csv_text,
+    format_number,
     month_label,
     monthly_returns_to_csv,
     parse_price_table,
@@ -61,7 +61,7 @@ from .report import (
     report_to_csv,
     report_to_json_dict,
 )
-from .solver import solve_max_sharpe, solve_min_variance
+from .solver import OBJECTIVE_MAX_SHARPE, OBJECTIVE_MIN_VARIANCE
 from .svgplot import Series, render_plot
 
 TOOL_VERSION = __version__
@@ -70,6 +70,10 @@ OUTPUT_DIR_ENV = "PORTOPT_OUTPUT_DIR"
 _MODEL_CHOICES = ("mm", "im", "both")
 _OBJECTIVE_CHOICES = ("minvar", "maxsharpe", "both")
 _FORMAT_CHOICES = ("csv", "json", "svg")
+_OBJECTIVE_NAMES = {OBJECTIVE_MIN_VARIANCE: "minvar", OBJECTIVE_MAX_SHARPE: "maxsharpe"}
+# the JSON types a config file may give each RunConfig field, by annotation
+_CONFIG_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
+                 "None": type(None), "tuple[str, ...]": (list, str)}
 
 _COLORS = {
     ("frontier", MODEL_MM): "#1f77b4",
@@ -122,17 +126,17 @@ class RunConfig:
             raise ConfigError("grid must be at least 2")
         if self.cloud_count < 1:
             raise ConfigError("cloud count must be at least 1")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.rf_override is not None and not math.isfinite(self.rf_override):
+            raise ConfigError(f"the risk-free rate (--rf) must be finite, got {self.rf_override}")
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _read_text(path: str) -> str:
+def _read_text(path) -> str:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"input file not found: {path}")
@@ -145,47 +149,33 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _validate_inputs(cfg: RunConfig) -> None:
-    """Fail on missing files/settings before any parsing or computation."""
+def _load(cfg: RunConfig, *, estimate: bool = True):
+    """``(table, rf, mm, im)`` from the configured inputs; the estimates are
+    ``None`` unless ``estimate``.  Every file is read before any parsing."""
     if not cfg.prices_path:
         raise ConfigError("a prices file is required (--prices)")
     if not cfg.market_ticker:
         raise ConfigError("the market ticker is required (--market-ticker)")
-    if not Path(cfg.prices_path).is_file():
-        raise ConfigError(f"input file not found: {cfg.prices_path}")
+    prices = _read_text(cfg.prices_path)
+    riskfree = None
     if cfg.rf_override is None:
         if not cfg.riskfree_path:
             raise ConfigError("either a risk-free file (--riskfree) or --rf is required")
-        if not Path(cfg.riskfree_path).is_file():
-            raise ConfigError(f"input file not found: {cfg.riskfree_path}")
+        riskfree = _read_text(cfg.riskfree_path)
     if cfg.expected_dir and not Path(cfg.expected_dir).is_dir():
         raise ConfigError(f"expected-values directory not found: {cfg.expected_dir}")
-
-
-def _load_returns(cfg: RunConfig):
-    daily = parse_price_table(
-        _read_text(cfg.prices_path), cfg.market_ticker,
-        forward_fill=cfg.forward_fill, filename=cfg.prices_path,
-    )
-    return compute_monthly_returns(select_bom(daily))
-
-
-def _load_rf(cfg: RunConfig):
-    if cfg.rf_override is not None:
-        return float(cfg.rf_override), None
-    if not cfg.riskfree_path:
-        raise ConfigError("either a risk-free file (--riskfree) or --rf is required")
-    series = parse_riskfree_table(
-        _read_text(cfg.riskfree_path), filename=cfg.riskfree_path
-    )
-    return average_risk_free(series), series
-
-
-def _estimates(cfg: RunConfig, table, rf: float):
+    daily = parse_price_table(prices, cfg.market_ticker,
+                              forward_fill=cfg.forward_fill, filename=cfg.prices_path)
+    table = compute_monthly_returns(select_bom(daily))
+    if riskfree is None:
+        rf = float(cfg.rf_override)
+    else:
+        rf = average_risk_free(parse_riskfree_table(riskfree, filename=cfg.riskfree_path))
+    if not estimate:
+        return table, rf, None, None
     ddof = 1 if cfg.covariance_denominator == "sample" else 0
-    mm = markowitz_estimates(table, ddof=ddof)
-    im = index_model_estimates(table, mode=cfg.regression_mode, rf=rf, ddof=ddof)
-    return mm, im
+    return (table, rf, markowitz_estimates(table, ddof=ddof),
+            index_model_estimates(table, mode=cfg.regression_mode, rf=rf, ddof=ddof))
 
 
 def _constraint(cfg: RunConfig, table, regime: str | None = None) -> ConstraintSet:
@@ -198,75 +188,57 @@ def _constraint(cfg: RunConfig, table, regime: str | None = None) -> ConstraintS
     )
 
 
-def _solution_csv(sol, tickers) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*tickers, "return", "stdev", "sharpe"])
-    writer.writerow([
-        *(_fmt(v) for v in sol.weights),
-        _fmt(sol.stats.ret), _fmt(sol.stats.stdev), _fmt(sol.stats.sharpe),
-    ])
-    return out.getvalue()
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
-    _validate_inputs(cfg)
-    table = _load_returns(cfg)
-    rf, _ = _load_rf(cfg)
+    table, rf, _, _ = _load(cfg, estimate=False)
     out = _outdir(cfg)
     path = out / "monthly_returns.csv"
     path.write_text(monthly_returns_to_csv(table), encoding="utf-8")
     print(f"observations: {table.sample_size}")
     print(f"assets: {table.n_assets}")
     print(f"months: {month_label(table.months[0])} .. {month_label(table.months[-1])}")
-    print(f"average monthly risk-free rate: {_fmt(rf)}")
+    print(f"average monthly risk-free rate: {format_number(rf)}")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    _validate_inputs(cfg)
-    table = _load_returns(cfg)
-    rf, _ = _load_rf(cfg)
-    mm, im = _estimates(cfg, table, rf)
+    table, rf, mm, im = _load(cfg)
     c = _constraint(cfg, table)
-    inputs = model_inputs(mm, im)
-    models = [MODEL_MM, MODEL_IM] if cfg.model == "both" else [cfg.model.upper()]
-    objectives = ["minvar", "maxsharpe"] if cfg.objective == "both" else [cfg.objective]
+    report = compare_models(
+        mm, im, rf, [c],
+        models=[m for m in (MODEL_MM, MODEL_IM) if cfg.model in (m.lower(), "both")],
+        objectives=[o for o, name in _OBJECTIVE_NAMES.items() if cfg.objective in (name, "both")],
+    )
     out = _outdir(cfg)
     failures: list[dict] = []
-    for model in models:
-        cov, mean = inputs[model]
-        for obj in objectives:
-            solve = solve_min_variance if obj == "minvar" else solve_max_sharpe
-            try:
-                sol = solve(cov=cov, c=c, mean=mean, rf=rf, model=model)
-            except PortoptError as exc:
-                failures.append({
-                    "model": model, "objective": obj,
-                    "kind": type(exc).__name__, "error": str(exc),
-                })
-                print(f"{model} {obj} {c.regime}: FAILED ({exc})", file=sys.stderr)
-                continue
-            stem = f"solution_{model.lower()}_{obj}_{c.regime}"
-            if "json" in cfg.formats:
-                (out / f"{stem}.json").write_text(
-                    _json_text(sol.to_json_dict(table.tickers)), encoding="utf-8"
-                )
-            if "csv" in cfg.formats:
-                (out / f"{stem}.csv").write_text(
-                    _solution_csv(sol, table.tickers), encoding="utf-8"
-                )
-            if not sol.converged:
-                failures.append({
-                    "model": model, "objective": obj,
-                    "kind": "ConvergenceError",
-                    "error": f"kkt_residual={sol.kkt_residual:.3e}",
-                })
-            print(
-                f"{model} {obj} {c.regime}: return={_fmt(sol.stats.ret)} "
-                f"stdev={_fmt(sol.stats.stdev)} sharpe={_fmt(sol.stats.sharpe)}"
+    for cell in report.cells:
+        model, obj, sol = cell.model, _OBJECTIVE_NAMES[cell.objective], cell.solution
+        if sol is None:
+            failures.append({"model": model, "objective": obj,
+                             "kind": type(cell.error).__name__, "error": str(cell.error)})
+            print(f"{model} {obj} {c.regime}: FAILED ({cell.error})", file=sys.stderr)
+            continue
+        stem = f"solution_{model.lower()}_{obj}_{c.regime}"
+        if "json" in cfg.formats:
+            (out / f"{stem}.json").write_text(
+                _json_text(sol.to_json_dict(table.tickers)), encoding="utf-8"
             )
+        if "csv" in cfg.formats:
+            stats = (sol.stats.ret, sol.stats.stdev, sol.stats.sharpe)
+            (out / f"{stem}.csv").write_text(
+                csv_text([[*table.tickers, "return", "stdev", "sharpe"], [*sol.weights, *stats]]),
+                encoding="utf-8",
+            )
+        if not sol.converged:
+            failures.append({
+                "model": model, "objective": obj,
+                "kind": "ConvergenceError",
+                "error": f"kkt_residual={sol.kkt_residual:.3e}",
+            })
+        print(
+            f"{model} {obj} {c.regime}: return={format_number(sol.stats.ret)} "
+            f"stdev={format_number(sol.stats.stdev)} sharpe={format_number(sol.stats.sharpe)}"
+        )
     if failures:
         (out / "diagnostics.json").write_text(
             _json_text({"failures": failures}), encoding="utf-8"
@@ -277,10 +249,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_frontier(cfg: RunConfig) -> int:
-    _validate_inputs(cfg)
-    table = _load_returns(cfg)
-    rf, _ = _load_rf(cfg)
-    mm, im = _estimates(cfg, table, rf)
+    table, rf, mm, im = _load(cfg)
     c = _constraint(cfg, table)
     inputs = model_inputs(mm, im)
     out = _outdir(cfg)
@@ -313,9 +282,7 @@ def cmd_frontier(cfg: RunConfig) -> int:
             tag = m.lower()
             (out / f"frontier_{tag}.csv").write_text(frontier_to_csv(curves[m]), encoding="utf-8")
             (out / f"cal_{tag}.csv").write_text(points_to_csv(cals[m]), encoding="utf-8")
-            (out / f"cloud_{tag}.csv").write_text(
-                points_to_csv([(p[0], p[1]) for p in pts[m]]), encoding="utf-8"
-            )
+            (out / f"cloud_{tag}.csv").write_text(points_to_csv(pts[m]), encoding="utf-8")
     if "json" in cfg.formats:
         doc = {"constraint": c.to_json_dict(), "rf": rf}
         for m in (MODEL_MM, MODEL_IM):
@@ -344,7 +311,7 @@ def cmd_frontier(cfg: RunConfig) -> int:
         (out / f"frontier_{c.regime}.svg").write_text(svg, encoding="utf-8")
     for m in (MODEL_MM, MODEL_IM):
         t = curves[m].tangency.stats
-        print(f"{m}: tangency sharpe={_fmt(t.sharpe)} stdev={_fmt(t.stdev)}")
+        print(f"{m}: tangency sharpe={format_number(t.sharpe)} stdev={format_number(t.stdev)}")
     print(f"wrote frontier outputs to {out}")
     return 0
 
@@ -355,18 +322,19 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _json_file(path) -> object:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _load_expected(expected_dir: str) -> dict:
-    expected = {}
-    for p in sorted(Path(expected_dir).glob("*.json")):
-        expected[p.stem] = json.loads(p.read_text(encoding="utf-8"))
-    return expected
+    return {p.stem: _json_file(p) for p in sorted(Path(expected_dir).glob("*.json"))}
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    _validate_inputs(cfg)
-    table = _load_returns(cfg)
-    rf, _ = _load_rf(cfg)
-    mm, im = _estimates(cfg, table, rf)
+    table, rf, mm, im = _load(cfg)
     constraints = [_constraint(cfg, table, regime=r) for r in REGIMES]
     report = compare_models(mm, im, rf, constraints)
     out = _outdir(cfg)
@@ -406,16 +374,15 @@ def cmd_compare(cfg: RunConfig) -> int:
     (out / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
     if cfg.expected_dir:
-        deltas = expected_cell_deltas(report, _load_expected(cfg.expected_dir))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["cell", "field", "expected", "actual", "delta"])
-        for row in deltas:
-            writer.writerow([
-                row["cell"], row["field"], _fmt(row["expected"]),
-                _fmt(row["actual"]), _fmt(row["delta"]),
-            ])
-        (out / "deltas.csv").write_text(buf.getvalue(), encoding="utf-8")
+        columns = ("cell", "field", "expected", "actual", "delta")
+        try:
+            deltas = expected_cell_deltas(report, _load_expected(cfg.expected_dir))
+        except (TypeError, ValueError) as exc:   # valid JSON holding the wrong values
+            raise ConfigError(f"malformed expected values in {cfg.expected_dir}: {exc}") from None
+        (out / "deltas.csv").write_text(
+            csv_text([columns, *([row[k] for k in columns] for row in deltas)]),
+            encoding="utf-8",
+        )
 
     failed = sum(1 for cell in report.cells if cell.solution is None)
     print(f"estimator counts: mm={report.estimator_counts[0]} im={report.estimator_counts[1]}")
@@ -482,13 +449,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     file_values = {}
     if getattr(args, "config", None):
-        raw = json.loads(_read_text(args.config))
+        raw = _json_file(args.config)
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
+        known = {f.name: f.type for f in fields(RunConfig)}
+        unknown = set(raw) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        for key, value in raw.items():
+            if not isinstance(value, tuple(_CONFIG_TYPES[t] for t in known[key].split(" | "))):
+                raise ConfigError(f"config key {key!r} must be {known[key]}, got {value!r}")
         file_values = raw
     for f in fields(RunConfig):
         if f.name in file_values:

@@ -19,6 +19,7 @@ certificate and ``check_feasible`` all derive from that one description.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +46,10 @@ class ConstraintSet:
         if regime == "c5":
             if self.market_index is None or self.market_index < 0:
                 raise ValidationError("c5 requires a nonnegative market_index")
-        if self.leverage_cap <= 0 or self.weight_bound <= 0:
-            raise ValidationError("constraint parameters must be positive")
+        for name in ("leverage_cap", "weight_bound"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
 
     def describe(self) -> str:
         base = "sum(w) = 1"

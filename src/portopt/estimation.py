@@ -146,7 +146,8 @@ class IndexModelEstimates:
 
 @dataclass(frozen=True)
 class PortfolioStats:
-    """Expected return, standard deviation and Sharpe ratio of a portfolio."""
+    """Expected return, standard deviation and Sharpe ratio of a portfolio
+    (arrays, one entry per portfolio, from ``portfolio_stats`` on rows)."""
 
     ret: float
     stdev: float
@@ -227,29 +228,34 @@ def im_covariance(est: IndexModelEstimates) -> np.ndarray:
 
 
 def portfolio_stats(weights, estimates, rf: float = 0.0) -> PortfolioStats:
-    """Return/stdev/Sharpe of a fully-invested weight vector under either model."""
+    """Return/stdev/Sharpe of fully-invested weights under either model.
+
+    ``weights`` is one portfolio, or one per row; the statistics are then
+    arrays with one entry per row.
+    """
     w = np.asarray(weights, dtype=float)
-    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights must sum to 1, got {w.sum():.12g}")
-    if isinstance(estimates, MarkowitzEstimates):
-        if w.shape != estimates.mean.shape:
-            raise ValidationError("weight length does not match estimates")
-        ret = float(w @ estimates.mean)
-        var = float(w @ estimates.cov @ w)
-        model = MODEL_MM
-    elif isinstance(estimates, IndexModelEstimates):
-        if w.shape != estimates.beta.shape:
-            raise ValidationError("weight length does not match estimates")
-        ret = float(w @ estimates.expected_returns())
-        port_beta = float(w @ estimates.beta)
-        var = port_beta ** 2 * estimates.market_var + float((w ** 2) @ estimates.resid_var)
-        model = MODEL_IM
-    else:
+    sums = w.sum(axis=-1)
+    off = np.abs(sums - 1.0)
+    if off.max() > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights must sum to 1, got {sums.flat[off.argmax()]:.12g}")
+    if not isinstance(estimates, (MarkowitzEstimates, IndexModelEstimates)):
         raise ValidationError(f"unsupported estimates type {type(estimates).__name__}")
-    if var < -1e-12:
-        raise ValidationError(f"negative portfolio variance {var:.3e}")
-    stdev = float(np.sqrt(max(var, 0.0)))
-    sharpe = (ret - rf) / stdev if stdev > 0.0 else 0.0
+    if w.shape[-1:] != (estimates.n_assets,):
+        raise ValidationError("weight length does not match estimates")
+    if isinstance(estimates, MarkowitzEstimates):
+        ret = w @ estimates.mean
+        var = ((w @ estimates.cov) * w).sum(axis=-1)
+        model = MODEL_MM
+    else:
+        ret = w @ estimates.expected_returns()
+        var = (w @ estimates.beta) ** 2 * estimates.market_var + (w ** 2) @ estimates.resid_var
+        model = MODEL_IM
+    if np.min(var) < -1e-12:
+        raise ValidationError(f"negative portfolio variance {np.min(var):.3e}")
+    stdev = np.sqrt(np.maximum(var, 0.0))
+    sharpe = np.divide(ret - rf, stdev, out=np.zeros_like(stdev), where=stdev > 0.0)
+    if w.ndim == 1:
+        ret, stdev, sharpe = float(ret), float(stdev), float(sharpe)
     return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=model)
 
 

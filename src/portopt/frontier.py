@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +9,7 @@ import numpy as np
 from .constraints import ConstraintSet, regime_model
 from .errors import SamplingError, ValidationError
 from .estimation import MODEL_MM, PortfolioStats, portfolio_stats
+from .ingest import csv_text
 from .solver import PortfolioSolution, Problem
 
 
@@ -37,7 +36,7 @@ class FrontierCurve:
 
 
 def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
-                   include_lower: bool = False, model: str = MODEL_MM) -> FrontierCurve:
+                   model: str = MODEL_MM) -> FrontierCurve:
     """Sample the frontier at ``grid`` equally spaced return targets.
 
     The upper end of the target span is the best feasible expected return;
@@ -51,7 +50,6 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     minvar = problem.min_variance()
     tangency = problem.max_sharpe()
     regime, mean_v = problem.regime, problem.mean
-    lo = float(mean_v @ regime.vertex(mean_v, highest=False))
     hi = float(mean_v @ regime.vertex(mean_v, highest=True))
     mu0 = minvar.stats.ret
     hi = max(hi, tangency.stats.ret, mu0)
@@ -63,8 +61,6 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
 
     targets = list(np.linspace(mu0, hi, grid))
     targets.append(tangency.stats.ret)
-    if include_lower and lo < mu0 - 1e-12 * (1.0 + abs(mu0)):
-        targets.extend(np.linspace(lo, mu0, grid)[:-1])
     targets = sorted(set(float(t) for t in targets))
 
     pts: list[tuple[float, float]] = []
@@ -105,32 +101,23 @@ class CloudSample:
         return self.weights.shape[0]
 
 
-def _normalized_normal(rng, n: int, zero_index: int | None = None) -> np.ndarray:
+def _normalized_normal(rng, n: int, pinned: np.ndarray) -> np.ndarray:
     for _ in range(10000):
         z = rng.standard_normal(n)
-        if zero_index is not None:
-            z[zero_index] = 0.0
+        z[pinned] = 0.0
         s = z.sum()
         if abs(s) >= 0.05:
             return z / s
     raise SamplingError("could not draw a normalizable weight vector")
 
 
-def _shrink_to_feasible(w: np.ndarray, c: ConstraintSet) -> np.ndarray:
-    """Move toward equal weights until the regime constraint holds."""
-    n = len(w)
-    e = np.full(n, 1.0 / n)
-
-    def ok(t: float) -> bool:
-        cand = e + t * (w - e)
-        if c.regime == "c1":
-            return float(np.abs(cand).sum()) <= c.leverage_cap
-        return float(np.max(np.abs(cand))) <= c.weight_bound
-
+def _shrink_to_feasible(w: np.ndarray, holds) -> np.ndarray:
+    """Move toward equal weights until ``holds`` accepts the mix."""
+    e = np.full(len(w), 1.0 / len(w))
     lo_t, hi_t = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo_t + hi_t)
-        if ok(mid):
+        if holds(e + mid * (w - e)):
             lo_t = mid
         else:
             hi_t = mid
@@ -140,38 +127,32 @@ def _shrink_to_feasible(w: np.ndarray, c: ConstraintSet) -> np.ndarray:
 def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> CloudSample:
     """Draw ``count`` feasible fully-invested weight vectors.
 
-    Long-only uses a flat Dirichlet on the simplex; the unconstrained and
-    no-market regimes normalize standard normal draws; the leverage and box
-    regimes reject from the normal generator, shrinking toward equal
-    weights after 100 rejections.
+    A long-only regime draws a flat Dirichlet on the simplex.  Every other
+    regime draws standard normals, zeroes its pinned assets, normalizes
+    them to sum to one and accepts the draw when its inequality rows hold;
+    after 100 rejections the last draw is shrunk toward equal weights.
     """
     if count < 1:
         raise ValidationError("count must be at least 1")
     if n_assets < 1:
         raise ValidationError("n_assets must be at least 1")
     rng = np.random.default_rng(seed)
-    n = n_assets
-    regime = regime_model(c, n)
+    regime = regime_model(c, n_assets)
 
-    if c.regime == "c4":
-        weights = rng.dirichlet(np.ones(n), size=count)
-    elif c.regime in ("c3", "c5"):
-        zero = c.market_index if c.regime == "c5" else None
-        weights = np.empty((count, n))
+    def inequality_excess(w) -> np.ndarray:
+        return regime.excess(w)[2 * regime.m_eq:]
+
+    if regime.box[0] == 0.0:   # long only: the feasible set is the simplex
+        weights = rng.dirichlet(np.ones(n_assets), size=count)
+    else:
+        weights = np.empty((count, n_assets))
         for k in range(count):
-            weights[k] = _normalized_normal(rng, n, zero)
-    else:  # c1, c2: rejection with shrink fallback
-        weights = np.empty((count, n))
-        for k in range(count):
-            w = None
-            cand = None
             for _ in range(100):
-                cand = _normalized_normal(rng, n)
-                if regime.excess(cand).max() <= 1e-12:
-                    w = cand
+                w = _normalized_normal(rng, n_assets, regime.pinned)
+                if np.all(inequality_excess(w) <= 1e-12):
                     break
-            if w is None:
-                w = _shrink_to_feasible(cand, c)
+            else:
+                w = _shrink_to_feasible(w, lambda v: np.all(inequality_excess(v) <= 0.0))
             weights[k] = w
 
     bad = np.flatnonzero((regime.excess(weights) > 1e-9).any(axis=1))
@@ -184,21 +165,13 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
 
 def cloud_points(sample: CloudSample, estimates, rf: float = 0.0) -> np.ndarray:
     """Evaluate each sampled portfolio to a (stdev, return) row under a model."""
-    out = np.empty((len(sample), 2))
-    for k, w in enumerate(sample.weights):
-        st = portfolio_stats(w, estimates, rf)
-        out[k] = (st.stdev, st.ret)
-    return out
+    stats = portfolio_stats(sample.weights, estimates, rf)
+    return np.column_stack([stats.stdev, stats.ret])
 
 
 def points_to_csv(points) -> str:
     """Serialize (stdev, return) pairs with the standard two-column header."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["stdev", "return"])
-    for s, r in points:
-        writer.writerow([format(s, ".10g"), format(r, ".10g")])
-    return out.getvalue()
+    return csv_text([("stdev", "return"), *points])
 
 
 def frontier_to_csv(curve: FrontierCurve) -> str:

@@ -350,11 +350,20 @@ def average_risk_free(series: RiskFreeSeries) -> float:
     return float(np.mean(series.monthly_rates))
 
 
+def format_number(x) -> str:
+    """The one number format of every CSV cell and printed figure: 10 significant digits."""
+    return format(float(x), ".10g")
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text with ``\\n`` line ends, floats through ``format_number``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [format_number(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return out.getvalue()
+
+
 def monthly_returns_to_csv(table: MonthlyReturnTable) -> str:
     """Serialize a return table as ``month,<ticker>,...`` CSV."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["month", *table.tickers])
-    for month, row in zip(table.months, table.returns):
-        writer.writerow([month_label(month), *(format(x, ".10g") for x in row)])
-    return out.getvalue()
+    return csv_text([["month", *table.tickers],
+                     *([month_label(m), *row] for m, row in zip(table.months, table.returns))])

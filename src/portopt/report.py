@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +16,7 @@ from .estimation import (
     estimator_count,
     im_covariance,
 )
+from .ingest import csv_text
 from .solver import (
     OBJECTIVE_MAX_SHARPE,
     OBJECTIVE_MIN_VARIANCE,
@@ -32,7 +31,7 @@ class ReportCell:
     model: str
     objective: str
     solution: PortfolioSolution | None = None
-    error: str | None = None
+    error: PortoptError | None = None   # what failed the cell, when it has no solution
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,11 @@ def model_inputs(mm: MarkowitzEstimates, im: IndexModelEstimates) -> dict:
 
 
 def compare_models(mm: MarkowitzEstimates, im: IndexModelEstimates, rf: float,
-                   constraints) -> ComparisonReport:
-    """Solve both objectives under both models for each constraint regime.
+                   constraints, *, models=(MODEL_MM, MODEL_IM),
+                   objectives=(OBJECTIVE_MIN_VARIANCE, OBJECTIVE_MAX_SHARPE)) -> ComparisonReport:
+    """Solve each objective under each model for each constraint regime.
 
-    Failed cells are recorded with their error message instead of aborting
-    the report.
+    Failed cells keep their error instead of aborting the report.
     """
     if tuple(mm.tickers) != tuple(im.tickers):
         raise ValidationError("estimate sets cover different asset universes")
@@ -64,43 +63,32 @@ def compare_models(mm: MarkowitzEstimates, im: IndexModelEstimates, rf: float,
     inputs = model_inputs(mm, im)
     cells: list[ReportCell] = []
     for c in constraints:
-        for model, (cov, mean) in inputs.items():
-            for objective in (OBJECTIVE_MIN_VARIANCE, OBJECTIVE_MAX_SHARPE):
+        for model in models:
+            cov, mean = inputs[model]
+            for objective in objectives:
                 try:
                     sol = solve_objective(objective, cov, mean, rf, c, model=model)
                     cells.append(ReportCell(c, model, objective, solution=sol))
                 except PortoptError as exc:
-                    cells.append(ReportCell(c, model, objective, error=str(exc)))
+                    cells.append(ReportCell(c, model, objective, error=exc))
     counts = (estimator_count(MODEL_MM, n), estimator_count(MODEL_IM, n))
     return ComparisonReport(tuple(mm.tickers), float(rf), tuple(cells), counts)
 
 
 def report_to_csv(report: ComparisonReport) -> str:
     """One row per constraint x model x objective, one column per ticker."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([
-        "constraint", "model", "objective", *report.tickers,
-        "return", "stdev", "sharpe", "kkt_residual", "converged", "error",
-    ])
+    rows = [["constraint", "model", "objective", *report.tickers,
+             "return", "stdev", "sharpe", "kkt_residual", "converged", "error"]]
     for cell in report.cells:
         row = [cell.constraint.regime, cell.model, cell.objective]
-        if cell.solution is not None:
-            s = cell.solution
-            row += [format(v, ".10g") for v in s.weights]
-            row += [
-                format(s.stats.ret, ".10g"),
-                format(s.stats.stdev, ".10g"),
-                format(s.stats.sharpe, ".10g"),
-                format(s.kkt_residual, ".10g"),
-                str(s.converged).lower(),
-                "",
-            ]
+        s = cell.solution
+        if s is not None:
+            row += [*s.weights, s.stats.ret, s.stats.stdev, s.stats.sharpe, s.kkt_residual,
+                    str(s.converged).lower(), ""]
         else:
-            row += [""] * (len(report.tickers) + 5)
-            row.append(cell.error or "failed")
-        writer.writerow(row)
-    return out.getvalue()
+            row += [""] * (len(report.tickers) + 5) + [str(cell.error) or "failed"]
+        rows.append(row)
+    return csv_text(rows)
 
 
 def report_to_json_dict(report: ComparisonReport) -> dict:
@@ -114,7 +102,7 @@ def report_to_json_dict(report: ComparisonReport) -> dict:
         if cell.solution is not None:
             d["solution"] = cell.solution.to_json_dict(report.tickers)
         else:
-            d["error"] = cell.error
+            d["error"] = str(cell.error)
         cells.append(d)
     mm_count, im_count = report.estimator_counts
     return {

@@ -169,7 +169,7 @@ def test_solve_nonconvergence_exit_code(toy_files, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise errors.ConvergenceError("forced for test")
 
-    monkeypatch.setattr("portopt.cli.solve_min_variance", boom)
+    monkeypatch.setattr("portopt.solver.solve_min_variance", boom)
     prices, riskfree = toy_files
     out = tmp_path / "out"
     code = main(["solve", *_base_args(prices, riskfree, out),
@@ -290,6 +290,34 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
     assert main(["ingest", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command, flags, files, cause", [
+    ("solve", ["--constraint", "c1", "--leverage-cap", "nan"], {}, "leverage_cap"),
+    ("solve", ["--constraint", "c1", "--leverage-cap", "inf"], {}, "leverage_cap"),
+    ("frontier", ["--constraint", "c2", "--weight-bound", "inf"], {}, "weight_bound"),
+    ("frontier", ["--seed", "-1"], {}, "seed"),
+    ("solve", ["--rf", "nan"], {}, "risk-free"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": "{not json"}, "not valid JSON"),
+    ("frontier", ["--config", "{cfg}"], {"cfg.json": '{"grid": "abc"}'}, "'grid'"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"formats": 5}'}, "'formats'"),
+    ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": "{"}, "not valid JSON"),
+    ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"return": "x"}'},
+     "malformed expected values"),
+], ids=["leverage-cap-nan", "leverage-cap-inf", "weight-bound-inf", "negative-seed", "rf-nan",
+        "config-not-json", "config-grid-str", "config-formats-int", "expected-not-json",
+        "expected-bad-value"])
+def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
+                                              command, flags, files, cause):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    flags = [f.format(cfg=tmp_path / "cfg.json", exp=tmp_path / "exp") for f in flags]
+    prices, riskfree = toy_files
+    code = main([command, *_base_args(prices, riskfree, tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and cause in err
 
 
 def test_usage_error_maps_to_one():

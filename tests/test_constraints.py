@@ -24,6 +24,14 @@ def test_regime_validation():
         ConstraintSet("c1", leverage_cap=0.0)
 
 
+@pytest.mark.parametrize("name", ["leverage_cap", "weight_bound"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_nonfinite_or_nonpositive_parameter_rejected(name, value):
+    for regime in ("c1", "c2", "c3"):
+        with pytest.raises(ValidationError, match=name):
+            ConstraintSet(regime, **{name: value})
+
+
 def test_describe_mentions_full_investment():
     for regime in ("c1", "c2", "c3", "c4"):
         assert "sum(w) = 1" in ConstraintSet(regime).describe()

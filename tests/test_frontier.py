@@ -60,17 +60,6 @@ def test_efficient_branch_monotone():
     assert all(a <= b + 1e-12 for a, b in zip(stdevs, stdevs[1:]))
 
 
-def test_lower_branch_flag():
-    rng = np.random.default_rng(3)
-    cov = random_monthly_cov(rng, 4)
-    mean = rng.normal(0.01, 0.008, 4)
-    mean[2] = 0.02
-    base = trace_frontier(cov, mean, 0.002, C4, grid=10)
-    full = trace_frontier(cov, mean, 0.002, C4, grid=10, include_lower=True)
-    assert len(full.points) > len(base.points)
-    assert min(r for _, r in full.points) < base.min_variance.stats.ret
-
-
 def test_cloud_dominance_vs_frontier():
     # no sampled feasible point sits strictly above-left of the efficient
     # branch (linear interpolation over-estimates a convex frontier, so the
