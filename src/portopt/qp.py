@@ -102,7 +102,14 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def solve_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
              x0=None, max_iter: int = 10000) -> QPResult:
-    """Minimize a convex quadratic under linear equalities/inequalities."""
+    """Minimize a convex quadratic under linear equalities/inequalities.
+
+    The working set is a boolean mask over the inequality rows.  Each
+    iteration solves the KKT system of the equalities plus the working
+    rows; a zero step either returns (no negative multiplier) or drops the
+    most negative working row, and a nonzero step is cut by the ratio test
+    at the nearest blocking row, the lowest index winning an exact tie.
+    """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
     n = H.shape[0]
@@ -110,32 +117,26 @@ def solve_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
     b_eq = _as_vector(b_eq)
     A_in = _as_matrix(A_in, n)
     b_in = _as_vector(b_in)
-    m_eq, m_in = A_eq.shape[0], A_in.shape[0]
+    m_eq = A_eq.shape[0]
 
     x = find_feasible_point(A_eq, b_eq, A_in, b_in, n) if x0 is None else np.array(x0, dtype=float)
 
-    row_scale = 1.0 + np.max(np.abs(A_in), axis=1, initial=0.0) if m_in else np.zeros(0)
-    working: list[int] = []
-    if m_in:
-        resid = b_in - A_in @ x
-        working = [int(i) for i in np.flatnonzero(resid <= 1e-9 * row_scale)]
+    row_scale = 1.0 + np.max(np.abs(A_in), axis=1, initial=0.0)
+    working = b_in - A_in @ x <= 1e-9 * row_scale
 
     stall = 0
     quiet = 0
     f_prev = np.inf
-    iterations = 0
 
     for iterations in range(1, max_iter + 1):
         grad = H @ x + g
-        act = sorted(working)
-        A_act = np.vstack([A_eq, A_in[act]]) if (m_eq or act) else np.zeros((0, n))
-        m_act = A_act.shape[0]
-        K = np.block([
-            [H, A_act.T],
-            [A_act, np.zeros((m_act, m_act))],
-        ])
-        rhs = np.concatenate([-grad, np.zeros(m_act)])
-        sol = _solve_kkt(K, rhs)
+        act = np.flatnonzero(working)
+        A_act = np.vstack([A_eq, A_in[act]])
+        K = np.zeros((n + A_act.shape[0],) * 2)
+        K[:n, :n] = H
+        K[n:, :n] = A_act
+        K[:n, n:] = A_act.T
+        sol = _solve_kkt(K, np.concatenate([-grad, np.zeros(A_act.shape[0])]))
         p = sol[:n]
         lam = sol[n:]
         f = 0.5 * float(x @ (H @ x)) + float(g @ x)
@@ -144,45 +145,35 @@ def solve_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
         # (or steps that have stopped moving the objective) count as zero
         step_tol = (1e-13 * (1.0 + np.max(np.abs(x), initial=0.0))
                     + 4e-13 * np.max(np.abs(lam), initial=0.0))
-        if np.max(np.abs(p), initial=0.0) <= step_tol or quiet >= 5:
-            mult_in_w = lam[m_eq:]
+        p_max = np.max(np.abs(p), initial=0.0)
+        if p_max <= step_tol or quiet >= 5:
+            mult_in = lam[m_eq:]
             gscale = 1.0 + float(np.max(np.abs(grad), initial=0.0))
-            neg = [j for j, m in enumerate(mult_in_w) if m < -1e-9 * gscale]
-            if not neg:
-                eq_mult = lam[:m_eq].copy()
-                in_mult = np.zeros(m_in)
-                for j, row in enumerate(act):
-                    in_mult[row] = max(mult_in_w[j], 0.0)
-                return QPResult(x, eq_mult, in_mult, tuple(act), iterations, True)
-            if stall > _STALL_LIMIT:
-                drop = act[min(neg)]                      # Bland's rule
-            else:
-                drop = act[neg[int(np.argmin([mult_in_w[j] for j in neg]))]]
-            working.remove(drop)
+            neg = np.flatnonzero(mult_in < -1e-9 * gscale)
+            if not neg.size:
+                in_mult = np.zeros(working.size)
+                in_mult[act] = np.maximum(mult_in, 0.0)
+                return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()),
+                                iterations, True)
+            # Bland's rule after a long stall, else the most negative multiplier
+            working[act[neg[0] if stall > _STALL_LIMIT else np.argmin(mult_in)]] = False
             stall += 1
             quiet = 0
             continue
 
-        # ratio test over inactive inequalities
-        alpha = 1.0
-        blocking = -1
-        if m_in:
-            for i in range(m_in):
-                if i in working:
-                    continue
-                d = float(A_in[i] @ p)
-                if d <= 1e-13 * row_scale[i] * (1.0 + np.max(np.abs(p))):
-                    continue
-                room = max(float(b_in[i] - A_in[i] @ x), 0.0)
-                a_i = room / d
-                if a_i < alpha - 1e-15:
-                    alpha = a_i
-                    blocking = i
+        # ratio test over the rows outside the working set that p moves toward
+        d = A_in @ p
+        room = np.maximum(b_in - A_in @ x, 0.0)
+        cand = np.flatnonzero(~working & (d > 1e-13 * row_scale * (1.0 + p_max)))
+        ratio = np.append(room[cand] / d[cand], 1.0)   # last: the full step
+        k = np.argmin(ratio)                            # the lowest index wins an exact tie
+        blocked = ratio[k] < 1.0 - 1e-15
+        alpha = ratio[k] if blocked else 1.0
         x = x + alpha * p
         made_progress = f < f_prev - 1e-14 * (1.0 + abs(f))
         f_prev = min(f, f_prev)
-        if blocking >= 0:
-            working.append(blocking)
+        if blocked:
+            working[cand[k]] = True
             stall = stall + 1 if alpha <= 1e-14 else 0
             quiet = 0
         else:
@@ -190,5 +181,5 @@ def solve_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
             quiet = 0 if made_progress else quiet + 1
 
     raise ConvergenceError(
-        f"active-set iteration cap {max_iter} reached ({len(working)} active rows)"
+        f"active-set iteration cap {max_iter} reached ({np.count_nonzero(working)} active rows)"
     )

@@ -118,11 +118,19 @@ def expected_cell_deltas(report: ComparisonReport, expected: dict) -> list[dict]
 
     ``expected`` maps ``"<constraint>_<model>_<objective>"`` (lowercase model,
     e.g. ``c3_mm_min_variance``) to dicts with any of ``return``, ``stdev``,
-    ``sharpe`` and ``weights`` (list ordered like the report tickers).
+    ``sharpe`` and ``weights`` (list ordered like the report tickers).  A key
+    that names no report cell, or a weights list of another length than the
+    tickers, raises ``ValueError``.
     """
+    keys = [f"{c.constraint.regime}_{c.model.lower()}_{c.objective}" for c in report.cells]
+    for key, exp in expected.items():
+        if key not in keys:
+            raise ValueError(f"{key!r} names no report cell")
+        if "weights" in exp and len(exp["weights"]) != len(report.tickers):
+            raise ValueError(f"{key!r} has {len(exp['weights'])} weights "
+                             f"for {len(report.tickers)} tickers")
     rows: list[dict] = []
-    for cell in report.cells:
-        key = f"{cell.constraint.regime}_{cell.model.lower()}_{cell.objective}"
+    for key, cell in zip(keys, report.cells):
         if key not in expected or cell.solution is None:
             continue
         exp = expected[key]

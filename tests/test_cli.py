@@ -304,9 +304,18 @@ def test_unknown_config_key_rejected(tmp_path):
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": "{"}, "not valid JSON"),
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"return": "x"}'},
      "malformed expected values"),
+    ("compare", ["--expected", "{exp}"], {"exp/c4_mm_min_variance.json": '{"weights": [0.5, 0.5]}'},
+     "has 2 weights for 3 tickers"),
+    ("compare", ["--expected", "{exp}"], {"exp/c4_mm_min_variance.json": '{"weights": [0, 0, 0, 1]}'},
+     "has 4 weights for 3 tickers"),
+    ("compare", ["--expected", "{exp}"], {"exp/c9_mm_min_variance.json": '{"return": 0.01}'},
+     "'c9_mm_min_variance' names no report cell"),
+    ("compare", ["--expected", "{exp}"], {"exp/c4_MM_min_variance.json": '{"return": 0.01}'},
+     "'c4_MM_min_variance' names no report cell"),
 ], ids=["leverage-cap-nan", "leverage-cap-inf", "weight-bound-inf", "negative-seed", "rf-nan",
         "config-not-json", "config-grid-str", "config-formats-int", "expected-not-json",
-        "expected-bad-value"])
+        "expected-bad-value", "expected-short-weights", "expected-long-weights",
+        "expected-unknown-regime", "expected-uppercase-model"])
 def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
                                               command, flags, files, cause):
     for name, text in files.items():

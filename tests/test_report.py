@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from conftest import factor_returns, make_table
+from conftest import PRICES_CSV, RISKFREE_CSV, factor_returns, make_table
 from portopt import (
     ConstraintSet,
     ValidationError,
+    average_risk_free,
     compare_models,
+    compute_monthly_returns,
     index_model_estimates,
     markowitz_estimates,
+    parse_price_table,
+    parse_riskfree_table,
+    select_bom,
 )
 from portopt.report import (
     expected_cell_deltas,
@@ -125,3 +130,32 @@ def test_expected_cell_deltas(estimates):
     wrows = [r for r in rows if r["field"].startswith("weight[")]
     assert len(wrows) == 6
     assert all(abs(r["delta"]) < 1e-12 for r in wrows)
+
+
+def test_expected_cell_deltas_rejects_unknown_keys_and_wrong_lengths(estimates):
+    table, mm, im = estimates
+    rep = compare_models(mm, im, RF, [ConstraintSet("c3")])
+    for expected, cause in (
+        ({"c3_mm_min_variance": {"weights": [0.5, 0.5]}}, "has 2 weights for 6 tickers"),
+        ({"c3_mm_min_variance": {"weights": [0.1] * 7}}, "has 7 weights for 6 tickers"),
+        ({"c4_mm_min_variance": {"return": 0.01}}, "'c4_mm_min_variance' names no report cell"),
+        ({"c3_MM_min_variance": {"return": 0.01}}, "'c3_MM_min_variance' names no report cell"),
+    ):
+        with pytest.raises(ValueError, match=cause):
+            expected_cell_deltas(rep, expected)
+
+
+def test_bundled_report_iteration_counts():
+    # pins the active-set path of every cell on the bundled data: a changed
+    # count means the engine took another route to its answer
+    table = compute_monthly_returns(select_bom(parse_price_table(
+        PRICES_CSV.read_text(encoding="utf-8"), "MKT")))
+    rf = average_risk_free(parse_riskfree_table(RISKFREE_CSV.read_text(encoding="utf-8")))
+    rep = compare_models(markowitz_estimates(table), index_model_estimates(table, rf=rf), rf,
+                         all_constraints(table))
+    assert len(rep.cells) == 20
+    counts = {"c1": (24, 13), "c2": (3, 10), "c3": (2, 1), "c4": (9, 3), "c5": (2, 2)}
+    for cell in rep.cells:
+        objective = ("min_variance", "max_sharpe").index(cell.objective)
+        assert cell.solution.iterations == counts[cell.constraint.regime][objective], (
+            cell.constraint.regime, cell.model, cell.objective)
