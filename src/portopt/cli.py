@@ -71,9 +71,10 @@ _MODEL_CHOICES = ("mm", "im", "both")
 _OBJECTIVE_CHOICES = ("minvar", "maxsharpe", "both")
 _FORMAT_CHOICES = ("csv", "json", "svg")
 _OBJECTIVE_NAMES = {OBJECTIVE_MIN_VARIANCE: "minvar", OBJECTIVE_MAX_SHARPE: "maxsharpe"}
-# the JSON types a config file may give each RunConfig field, by annotation
-_CONFIG_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
-                 "None": type(None), "tuple[str, ...]": (list, str)}
+# the JSON types a config file may give each RunConfig field, by annotation;
+# matched exactly, since JSON true is a Python bool and bool subclasses int
+_CONFIG_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+                 "None": (type(None),), "tuple[str, ...]": (list, str)}
 
 _COLORS = {
     ("frontier", MODEL_MM): "#1f77b4",
@@ -457,7 +458,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         for key, value in raw.items():
-            if not isinstance(value, tuple(_CONFIG_TYPES[t] for t in known[key].split(" | "))):
+            if not any(type(value) in _CONFIG_TYPES[t] for t in known[key].split(" | ")):
                 raise ConfigError(f"config key {key!r} must be {known[key]}, got {value!r}")
         file_values = raw
     for f in fields(RunConfig):

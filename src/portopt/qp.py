@@ -6,9 +6,8 @@ set directly, so the returned point satisfies the active constraints and
 first-order conditions to linear-algebra precision; ties are broken by
 smallest index, making the method deterministic for fixed inputs.
 
-Without a start point, ``find_feasible_point`` builds one: the
-least-squares solution of the equalities, moved onto the inequalities by
-an elastic phase-1 that this same method solves.
+Every call passes all constraint arrays (empty ones included) and a
+feasible start point; the solvers build theirs in closed form.
 """
 
 from __future__ import annotations
@@ -34,19 +33,6 @@ class QPResult:
     converged: bool
 
 
-def _as_matrix(a, n: int) -> np.ndarray:
-    if a is None:
-        return np.zeros((0, n))
-    m = np.atleast_2d(np.asarray(a, dtype=float))
-    return m.reshape((0, n)) if m.size == 0 else m
-
-
-def _as_vector(b) -> np.ndarray:
-    if b is None:
-        return np.zeros(0)
-    return np.atleast_1d(np.asarray(b, dtype=float))
-
-
 def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
     """A well-scaled feasible point, or ``InfeasibleError``.
 
@@ -59,12 +45,9 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
     from that point with ``s = max(A_in x - b_in, 0)``; the constraints are
     consistent exactly when the optimal ``s`` vanishes.  The small proximal
     term keeps the phase-1 bounded and its point well scaled even on
-    unbounded feasible sets.
+    unbounded feasible sets.  The arrays are as for ``solve_qp``.  The
+    library no longer calls this: every solve starts in closed form.
     """
-    A_eq = _as_matrix(A_eq, n)
-    b_eq = _as_vector(b_eq)
-    A_in = _as_matrix(A_in, n)
-    b_in = _as_vector(b_in)
     m_eq, m_in = A_eq.shape[0], A_in.shape[0]
     x = np.zeros(n)
     if m_eq:
@@ -100,27 +83,19 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
-             x0=None, max_iter: int = 10000) -> QPResult:
+def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
-    The working set is a boolean mask over the inequality rows.  Each
-    iteration solves the KKT system of the equalities plus the working
-    rows; a zero step either returns (no negative multiplier) or drops the
-    most negative working row, and a nonzero step is cut by the ratio test
-    at the nearest blocking row, the lowest index winning an exact tie.
+    Every argument is a float array, a matrix without rows has shape
+    ``(0, n)``, and ``x0`` must satisfy every row.  The working set is a
+    boolean mask over the inequality rows.  Each iteration solves the KKT
+    system of the equalities plus the working rows; a zero step either
+    returns (no negative multiplier) or drops the most negative working
+    row, and a nonzero step is cut by the ratio test at the nearest
+    blocking row, the lowest index winning an exact tie.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    n = H.shape[0]
-    A_eq = _as_matrix(A_eq, n)
-    b_eq = _as_vector(b_eq)
-    A_in = _as_matrix(A_in, n)
-    b_in = _as_vector(b_in)
-    m_eq = A_eq.shape[0]
-
-    x = find_feasible_point(A_eq, b_eq, A_in, b_in, n) if x0 is None else np.array(x0, dtype=float)
-
+    n, m_eq = H.shape[0], A_eq.shape[0]
+    x = x0
     row_scale = 1.0 + np.max(np.abs(A_in), axis=1, initial=0.0)
     working = b_in - A_in @ x <= 1e-9 * row_scale
 

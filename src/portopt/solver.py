@@ -9,9 +9,10 @@ convex QP through the homogenization change of variables ``y = kappa * w``
 with the excess return normalized to one; every regime row rewrites
 exactly because it is linear in the solve variables.
 
-Every solve starts from a closed-form feasible point (the regime's centre,
+Every solve starts from a closed-form feasible point: the regime's centre,
 a mix of a feasible portfolio with a return vertex, or for maximum Sharpe
-the unconstrained optimum or the long-only fill); phase-1 is a last resort.
+the unconstrained optimum, the long-only fill, the highest-return vertex
+or a zero-investment pair; without one, maximum Sharpe is degenerate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import find_feasible_point, solve_qp
+from .qp import solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -37,7 +38,6 @@ OBJECTIVE_TARGET_RETURN = "target_return"
 
 PUBLIC_FEAS_TOL = 1e-7
 KKT_TOL = 1e-6
-MAX_ITER = 10000
 
 _ACT_TOL = 1e-7          # active-constraint detection in KKT diagnostics
 
@@ -273,6 +273,10 @@ class Problem:
             mean = np.asarray(mean, dtype=float)
             if mean.shape != (n,):
                 raise ValidationError("mean vector length does not match covariance")
+            if not np.all(np.isfinite(mean)):
+                raise ValidationError("mean vector contains non-finite entries")
+        if not math.isfinite(rf):
+            raise ValidationError(f"risk-free rate rf must be finite, got {rf}")
         return cls(cov_raw, cov_solve, ridge, regime, mean, float(rf), model)
 
     def _mean(self) -> np.ndarray:
@@ -282,8 +286,7 @@ class Problem:
 
     def _solve(self, A_eq, b_eq, A_in, b_in, x0):
         H = _hessian(2.0 * self.cov_solve, self.regime.split)
-        return solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in,
-                        x0=x0, max_iter=MAX_ITER)
+        return solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in, x0)
 
     def _solution(self, w, res, objective: str, target=None) -> PortfolioSolution:
         c = self.regime.constraint
@@ -346,7 +349,11 @@ class Problem:
 
         The unconstrained optimum when it is feasible (it is then optimal);
         else the long-only fill, or failing that the highest-return vertex,
-        scaled to unit excess return; else a phase-1 point.
+        scaled to unit excess return.  On a bounded set (c1, c2, c4) that
+        vertex maximizes the excess return, so when it earns none there is
+        no point: ``1'y = 0`` would force ``y = 0``.  On c3 and c5 the
+        zero-investment pair long the best and short the worst free asset
+        is one, unless all their excess returns are equal.
         """
         r = self.regime
         if not r.split:
@@ -362,12 +369,13 @@ class Problem:
             gain = float(excess @ w)
             if gain > 0.0:
                 return r.to_solve(w) / gain
-        try:
-            return find_feasible_point(A_eq, b_eq, A_in, b_in, A_eq.shape[1])
-        except InfeasibleError:
-            raise DegenerateSharpeError(
-                "no feasible portfolio earns a positive excess return"
-            ) from None
+        best, worst = order[0], order[-1]
+        spread = float(excess[best] - excess[worst])
+        if r.bounded or spread <= 0.0:
+            raise DegenerateSharpeError("no feasible portfolio earns a positive excess return")
+        y = np.zeros(r.n)
+        y[best], y[worst] = 1.0 / spread, -1.0 / spread
+        return y
 
 
 def solve_min_variance(cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import portopt.qp
+import portopt.solver
 from conftest import PRICES_CSV, RISKFREE_CSV
 from portopt.cli import main
 
@@ -301,6 +303,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ("solve", ["--config", "{cfg}"], {"cfg.json": "{not json"}, "not valid JSON"),
     ("frontier", ["--config", "{cfg}"], {"cfg.json": '{"grid": "abc"}'}, "'grid'"),
     ("solve", ["--config", "{cfg}"], {"cfg.json": '{"formats": 5}'}, "'formats'"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"leverage_cap": true, "constraint": "c1"}'},
+     "'leverage_cap'"),
+    ("frontier", ["--config", "{cfg}"], {"cfg.json": '{"seed": true}'}, "'seed'"),
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": "{"}, "not valid JSON"),
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"return": "x"}'},
      "malformed expected values"),
@@ -313,7 +318,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ("compare", ["--expected", "{exp}"], {"exp/c4_MM_min_variance.json": '{"return": 0.01}'},
      "'c4_MM_min_variance' names no report cell"),
 ], ids=["leverage-cap-nan", "leverage-cap-inf", "weight-bound-inf", "negative-seed", "rf-nan",
-        "config-not-json", "config-grid-str", "config-formats-int", "expected-not-json",
+        "config-not-json", "config-grid-str", "config-formats-int", "config-leverage-cap-bool",
+        "config-seed-bool", "expected-not-json",
         "expected-bad-value", "expected-short-weights", "expected-long-weights",
         "expected-unknown-regime", "expected-uppercase-model"])
 def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
@@ -331,3 +337,37 @@ def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
 
 def test_usage_error_maps_to_one():
     assert main(["definitely-not-a-command"]) == 1
+
+
+@pytest.fixture()
+def no_phase1(monkeypatch):
+    """Fails the test if any solve reaches the phase-1 feasible point."""
+    def fail(*args, **kwargs):
+        pytest.fail("a solve ran phase-1")
+
+    monkeypatch.setattr(portopt.qp, "find_feasible_point", fail)
+    assert not hasattr(portopt.solver, "find_feasible_point")
+
+
+@pytest.mark.parametrize("command, constraint", [
+    ("solve", "c4"),        # bounded: the best vertex earns no excess return
+    ("solve", "c5"),        # unbounded: the zero-investment pair start
+    ("frontier", "c4"),
+])
+def test_degenerate_sharpe_exits_two(toy_files, tmp_path, capsys, no_phase1, command, constraint):
+    prices, riskfree = toy_files
+    out = tmp_path / "out"
+    objective = ["--objective", "maxsharpe"] if command == "solve" else []
+    code = main([command, *_base_args(prices, riskfree, out), "--rf", "0.5",
+                 "--constraint", constraint, *objective])
+    assert code == 2
+    if command == "solve":
+        failures = json.loads((out / "diagnostics.json").read_text())["failures"]
+        assert {f["kind"] for f in failures} == {"DegenerateSharpeError"}
+        assert len(failures) == 2                   # MM and IM
+    else:
+        assert "solver failure: " in capsys.readouterr().err
+
+
+def test_bundled_compare_never_runs_phase1(tmp_path, no_phase1):
+    assert main(["compare", *_base_args(PRICES_CSV, RISKFREE_CSV, tmp_path / "out")]) == 0

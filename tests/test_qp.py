@@ -12,7 +12,8 @@ def test_unconstrained_equality_qp():
     # min (x-1)'(x-1) s.t. sum x = 0 -> x = 1 - mean(1) = 0 shifted
     h = 2.0 * np.eye(3)
     g = -2.0 * np.ones(3)
-    res = solve_qp(h, g, A_eq=np.ones((1, 3)), b_eq=[0.0])
+    res = solve_qp(h, g, A_eq=np.ones((1, 3)), b_eq=np.zeros(1),
+                   A_in=np.zeros((0, 3)), b_in=np.zeros(0), x0=np.zeros(3))
     assert res.converged
     assert np.allclose(res.x, 0.0, atol=1e-12)
 
@@ -22,8 +23,8 @@ def test_simple_bound_activation():
     h = 2.0 * np.eye(3)
     a_in = np.zeros((1, 3))
     a_in[0, 2] = 1.0
-    res = solve_qp(h, np.zeros(3), A_eq=np.ones((1, 3)), b_eq=[1.0],
-                   A_in=a_in, b_in=[0.1])
+    res = solve_qp(h, np.zeros(3), A_eq=np.ones((1, 3)), b_eq=np.ones(1),
+                   A_in=a_in, b_in=np.array([0.1]), x0=np.array([0.5, 0.5, 0.0]))
     assert res.converged
     assert np.allclose(res.x, [0.45, 0.45, 0.1], atol=1e-12)
     assert res.in_multipliers[0] > 0.0
@@ -32,8 +33,8 @@ def test_simple_bound_activation():
 def test_inactive_inequality_multiplier_zero():
     h = 2.0 * np.eye(2)
     a_in = np.array([[1.0, 0.0]])
-    res = solve_qp(h, np.zeros(2), A_eq=np.ones((1, 2)), b_eq=[1.0],
-                   A_in=a_in, b_in=[10.0])
+    res = solve_qp(h, np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
+                   A_in=a_in, b_in=np.array([10.0]), x0=np.array([0.5, 0.5]))
     assert res.converged
     assert res.in_multipliers[0] == 0.0
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-12)
@@ -54,8 +55,8 @@ def test_matches_scipy_on_random_boxes():
             dense = rng.standard_normal((rng.integers(1, 2 * n), n))
             a_in = np.vstack([a_in, dense])
             b_in = np.concatenate([b_in, dense.sum(axis=1) / n + rng.uniform(0.0, 0.3, len(dense))])
-        res = solve_qp(h, g, A_eq=np.ones((1, n)), b_eq=[1.0],
-                       A_in=a_in, b_in=b_in)
+        res = solve_qp(h, g, A_eq=np.ones((1, n)), b_eq=np.ones(1),
+                       A_in=a_in, b_in=b_in, x0=np.full(n, 1.0 / n))
         assert res.converged
 
         def f(x):
@@ -77,8 +78,7 @@ def test_matches_scipy_on_random_boxes():
 def test_infeasible_detected():
     a_in = np.array([[1.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(InfeasibleError):
-        solve_qp(np.eye(2), np.zeros(2), A_eq=np.ones((1, 2)), b_eq=[1.0],
-                 A_in=a_in, b_in=[-5.0, -5.0])
+        find_feasible_point(np.ones((1, 2)), np.ones(1), a_in, np.array([-5.0, -5.0]), 2)
 
 
 def test_find_feasible_point_respects_constraints():
@@ -95,16 +95,18 @@ def test_determinism_same_inputs_same_output():
     h = a @ a.T / 5 + 0.4 * np.eye(5)
     g = rng.standard_normal(5)
     a_in = -np.eye(5)
-    r1 = solve_qp(h, g, A_eq=np.ones((1, 5)), b_eq=[1.0], A_in=a_in, b_in=np.zeros(5))
-    r2 = solve_qp(h, g, A_eq=np.ones((1, 5)), b_eq=[1.0], A_in=a_in, b_in=np.zeros(5))
+    args = dict(A_eq=np.ones((1, 5)), b_eq=np.ones(1), A_in=a_in, b_in=np.zeros(5),
+                x0=np.full(5, 0.2))
+    r1 = solve_qp(h, g, **args)
+    r2 = solve_qp(h, g, **args)
     assert np.array_equal(r1.x, r2.x)
     assert r1.active == r2.active
 
 
 def _tie_problem():
     # min |x - (2, 2)|^2 with x1 <= 1 and x2 <= 1: from 0 both rows block at alpha = 0.5
-    return dict(H=2.0 * np.eye(2), g=np.array([-4.0, -4.0]), A_in=np.eye(2),
-                b_in=np.ones(2), x0=np.zeros(2))
+    return dict(H=2.0 * np.eye(2), g=np.array([-4.0, -4.0]), A_eq=np.zeros((0, 2)),
+                b_eq=np.zeros(0), A_in=np.eye(2), b_in=np.ones(2), x0=np.zeros(2))
 
 
 def test_iteration_cap_raises():
@@ -125,7 +127,7 @@ def test_singular_kkt_and_blands_rule():
     # singular (least-squares fallback), and dropping them one by one is a
     # run of more than 30 zero steps (Bland's rule)
     res = solve_qp(2.0 * np.eye(3), np.array([-2.0, 0.0, 0.0]),
-                   A_eq=np.ones((1, 3)), b_eq=[1.0],
+                   A_eq=np.ones((1, 3)), b_eq=np.ones(1),
                    A_in=np.tile([-1.0, 0.0, 0.0], (40, 1)), b_in=np.zeros(40),
                    x0=np.array([0.0, 0.5, 0.5]))
     assert res.converged

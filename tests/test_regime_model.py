@@ -1,4 +1,4 @@
-"""Regime model, phase-1 and NNLS against scipy, used here only as an oracle."""
+"""Regime model, feasible starts and NNLS against scipy, used here only as an oracle."""
 
 import subprocess
 import sys
@@ -10,6 +10,7 @@ from scipy.optimize import linprog, nnls
 
 from portopt import (
     ConstraintSet,
+    DegenerateSharpeError,
     InfeasibleError,
     PortfolioSolution,
     PortfolioStats,
@@ -21,7 +22,7 @@ from portopt import (
 )
 from portopt.constraints import regime_model
 from portopt.qp import find_feasible_point
-from portopt.solver import _nnls
+from portopt.solver import Problem, _homogenized, _nnls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -156,6 +157,49 @@ def test_find_feasible_point_verdict_matches_linprog():
         if len(A_eq):
             assert np.allclose(A_eq @ x, b_eq, atol=1e-9)
     assert 20 < verdicts.count(False) < 100
+
+
+def _excess(rng, n, kind):
+    if kind == "negative":
+        return -rng.uniform(0.001, 0.05, n)
+    if kind == "constant":
+        return np.full(n, float(rng.choice([-0.01, 0.0, 0.01])))
+    if kind == "single_zero":
+        excess = -rng.uniform(0.001, 0.05, n)
+        excess[rng.integers(n)] = 0.0
+        return excess
+    return rng.normal(0.0, 0.02, n)
+
+
+def test_sharpe_start_verdict_matches_linprog():
+    rng = np.random.default_rng(14)
+    verdicts = {True: 0, False: 0}
+    for k in range(60):
+        n = int(rng.integers(2, 9))
+        a = rng.standard_normal((n, n))
+        cov = a @ a.T / n + 0.3 * np.eye(n)
+        excess = _excess(rng, n, ("negative", "constant", "single_zero", "mixed")[k % 4])
+        for c in _regimes(n, rng):
+            try:
+                regime_model(c, n).centre()
+            except InfeasibleError:
+                continue                                          # an empty set
+            problem = Problem.prepare(cov, c, mean=excess)
+            A_eq, b_eq, A_in, b_in = _homogenized(problem.regime, excess)
+            lp = linprog(np.zeros(A_eq.shape[1]), A_ub=A_in, b_ub=b_in, A_eq=A_eq, b_eq=b_eq,
+                         bounds=[(None, None)] * A_eq.shape[1], method="highs")
+            assert lp.status in (0, 2)
+            try:
+                y = problem._sharpe_start(excess, A_eq, b_eq, A_in, b_in)
+            except DegenerateSharpeError:
+                verdicts[False] += 1
+                assert lp.status == 2, (c, excess)
+                continue
+            verdicts[True] += 1
+            assert lp.status == 0, (c, excess)
+            assert np.max(np.abs(A_eq @ y - b_eq)) <= 1e-9, (c, excess)
+            assert np.all(A_in @ y <= b_in + 1e-12), (c, excess)
+    assert min(verdicts.values()) > 100
 
 
 def test_lawson_hanson_matches_scipy_nnls():

@@ -230,6 +230,18 @@ def test_degenerate_sharpe_under_long_only():
         solve_max_sharpe(cov, [0.001, 0.002], 0.01, C4)
 
 
+@pytest.mark.parametrize("solve, cause", [
+    (lambda cov: solve_max_sharpe(cov, [0.1, np.nan, 0.2], 0.0, C3), "mean"),
+    (lambda cov: solve_max_sharpe(cov, [0.1, 0.15, 0.2], np.nan, C4), "rf"),
+    (lambda cov: solve_max_sharpe(cov, [0.1, np.inf, 0.2], 0.0, ConstraintSet("c1")), "mean"),
+    (lambda cov: solve_max_sharpe(cov, [0.1, 0.15, 0.2], np.inf, ConstraintSet("c2")), "rf"),
+    (lambda cov: solve_min_variance(cov, C3, mean=[0.1, np.nan, 0.2]), "mean"),
+], ids=["mean-nan-c3", "rf-nan-c4", "mean-inf-c1", "rf-inf-c2", "min-variance-mean-nan"])
+def test_nonfinite_mean_or_rf_rejected(solve, cause):
+    with pytest.raises(ValidationError, match=rf"\b{cause}\b"):
+        solve(np.diag([0.01, 0.02, 0.04]))
+
+
 def test_non_psd_rejected():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
     with pytest.raises(ValidationError):
