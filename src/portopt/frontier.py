@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet, regime_model
-from .errors import SamplingError, ValidationError
+from .errors import ConvergenceError, SamplingError, ValidationError
 from .estimation import MODEL_MM, PortfolioStats, portfolio_stats
 from .ingest import csv_text
 from .solver import PortfolioSolution, Problem
@@ -43,6 +43,20 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     when that is unbounded (regimes without weight bounds) the best single
     feasible asset anchors it.  The tangency return is always inserted so
     the max-Sharpe point lies exactly on the curve.
+
+    The curve is one path from the minimum-variance solution upward: each
+    target's QP starts from the previous target's solution, a few
+    active-set changes away.  Without inequality rows (c3, c5) the target
+    solutions are affine in the target (two-fund separation, Merton 1972),
+    so one QP at the top target ``hi`` gives every point as the mix
+    ``w_mv + s (w_far - w_mv)`` with ``s = (t - mu0) / (hi - mu0)``.
+
+    Every point must pass its KKT certificate, or ``ConvergenceError``
+    names its target and residual.  A two-fund mix is certified through
+    its two ends: its KKT system is linear in ``t``, so mixing the ends'
+    weights and multipliers leaves a residual of at most
+    ``|1 - s| r_mv + |s| r_far``, no more than the larger end's within
+    the span.
     """
     if grid < 2:
         raise ValidationError("grid must be at least 2")
@@ -63,12 +77,24 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     targets.append(tangency.stats.ret)
     targets = sorted(set(float(t) for t in targets))
 
-    pts: list[tuple[float, float]] = []
-    for t in targets:
-        sol = problem.target_return(t, anchor=minvar.weights)
-        pts.append((sol.stats.stdev, sol.stats.ret))
-    pts.sort(key=lambda p: p[1])
+    if not len(regime.system()[2]):   # no inequality rows: two funds span the curve
+        w_mv = _certified(minvar, mu0).weights
+        w_far = _certified(problem.target_return(hi, anchor=w_mv), hi).weights
+        stats = [problem.stats(w_mv + (t - mu0) / span * (w_far - w_mv)) for t in targets]
+    else:
+        stats, prev = [], minvar
+        for t in targets:
+            prev = _certified(problem.target_return(t, anchor=prev.weights), t)
+            stats.append(prev.stats)
+    pts = sorted(((s.stdev, s.ret) for s in stats), key=lambda p: p[1])
     return FrontierCurve(tuple(pts), tangency, minvar, c, model)
+
+
+def _certified(sol: PortfolioSolution, target: float) -> PortfolioSolution:
+    if not sol.converged:
+        raise ConvergenceError(f"frontier point at target return {target:.10g} failed its "
+                               f"KKT certificate (residual {sol.kkt_residual:.3g})")
+    return sol
 
 
 def capital_allocation_line(rf: float, tangency: PortfolioStats,

@@ -121,17 +121,6 @@ def _hessian(C2: np.ndarray, split: bool) -> np.ndarray:
     return H
 
 
-def _stats(w, cov, mean, rf, model) -> PortfolioStats:
-    var = float(w @ cov @ w)
-    stdev = float(np.sqrt(max(var, 0.0)))
-    if mean is None:
-        return PortfolioStats(ret=float("nan"), stdev=stdev, sharpe=float("nan"),
-                              model=model)
-    ret = float(np.asarray(mean, dtype=float) @ w)
-    sharpe = (ret - rf) / stdev if stdev > 0.0 else 0.0
-    return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=model)
-
-
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lawson-Hanson non-negative least squares: argmin ||Ax - b|| over x >= 0.
 
@@ -284,13 +273,24 @@ class Problem:
             raise ValidationError("this objective requires the mean vector")
         return self.mean
 
+    def stats(self, w) -> PortfolioStats:
+        """Return, stdev and Sharpe of weights ``w``, as every solution reports them."""
+        var = float(w @ self.cov @ w)
+        stdev = float(np.sqrt(max(var, 0.0)))
+        if self.mean is None:
+            return PortfolioStats(ret=float("nan"), stdev=stdev, sharpe=float("nan"),
+                                  model=self.model)
+        ret = float(self.mean @ w)
+        sharpe = (ret - self.rf) / stdev if stdev > 0.0 else 0.0
+        return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=self.model)
+
     def _solve(self, A_eq, b_eq, A_in, b_in, x0):
         H = _hessian(2.0 * self.cov_solve, self.regime.split)
         return solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in, x0)
 
     def _solution(self, w, res, objective: str, target=None) -> PortfolioSolution:
         c = self.regime.constraint
-        stats = _stats(w, self.cov, self.mean, self.rf, self.model)
+        stats = self.stats(w)
         kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target)
         rep = check_feasible(w, c, PUBLIC_FEAS_TOL)
         converged = bool(res.converged and rep.feasible and kkt <= KKT_TOL)

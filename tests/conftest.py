@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import portopt.solver
 from portopt import MonthlyReturnTable
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -46,6 +47,23 @@ def factor_returns(rng, t: int, n: int):
     eps = rng.normal(0.0, 1.0, (t, n - 1)) * rng.uniform(0.01, 0.04, n - 1)
     stocks = alpha[None, :] + np.outer(mkt, beta) + eps
     return np.column_stack([stocks, mkt])
+
+
+def fail_certificate(monkeypatch, k: int):
+    """Make the ``k``-th certificate at a return level report a residual of 1.
+
+    Maximum Sharpe checks the first; a frontier's points come after it.
+    """
+    original, seen = portopt.solver.kkt_residual_weights, [0]
+
+    def failing(*args, target=None, **kwargs):
+        if target is not None:
+            seen[0] += 1
+            if seen[0] == k:
+                return 1.0
+        return original(*args, target=target, **kwargs)
+
+    monkeypatch.setattr(portopt.solver, "kkt_residual_weights", failing)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 
 import portopt.qp
 import portopt.solver
-from conftest import PRICES_CSV, RISKFREE_CSV
+from conftest import PRICES_CSV, RISKFREE_CSV, fail_certificate
 from portopt.cli import main
 
 TOY_PRICES = """date,AAA,BBB,MKT
@@ -371,3 +371,12 @@ def test_degenerate_sharpe_exits_two(toy_files, tmp_path, capsys, no_phase1, com
 
 def test_bundled_compare_never_runs_phase1(tmp_path, no_phase1):
     assert main(["compare", *_base_args(PRICES_CSV, RISKFREE_CSV, tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("constraint", ["c1", "c3"])
+def test_failed_frontier_point_exits_two(tmp_path, capsys, monkeypatch, constraint):
+    fail_certificate(monkeypatch, 2)   # the first target point, or the far two-fund end
+    code = main(["frontier", *_base_args(PRICES_CSV, RISKFREE_CSV, tmp_path / "out"),
+                 "--constraint", constraint, "--grid", "10", "--cloud-count", "10"])
+    assert code == 2
+    assert "solver failure: frontier point at target return" in capsys.readouterr().err

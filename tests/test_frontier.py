@@ -3,18 +3,36 @@
 import numpy as np
 import pytest
 
-from conftest import factor_returns, make_table, random_monthly_cov
+import portopt.solver
+from conftest import (
+    PRICES_CSV,
+    RISKFREE_CSV,
+    factor_returns,
+    fail_certificate,
+    make_table,
+    random_monthly_cov,
+)
 from portopt import (
     ConstraintSet,
+    ConvergenceError,
     PortfolioStats,
     ValidationError,
+    average_risk_free,
     capital_allocation_line,
     check_feasible,
     cloud_points,
+    compute_monthly_returns,
+    im_covariance,
+    index_model_estimates,
     markowitz_estimates,
+    parse_price_table,
+    parse_riskfree_table,
     sample_cloud,
+    select_bom,
+    solve_target_return,
     trace_frontier,
 )
+from portopt.constraints import regime_model
 from portopt.frontier import frontier_to_csv, points_to_csv
 
 C3 = ConstraintSet("c3")
@@ -211,3 +229,100 @@ def test_frontier_csv_matches_points():
     curve = trace_frontier(cov, [0.01, 0.02], 0.0, C3, grid=3)
     text = frontier_to_csv(curve)
     assert text.count("\n") == len(curve.points) + 1
+
+
+REGIMES = ("c1", "c2", "c3", "c4", "c5")
+
+
+@pytest.fixture(scope="module")
+def markets():
+    """{label: (cov, mean, rf, market index)}: bundled MM and IM, and a seeded N=30 universe."""
+    table = compute_monthly_returns(select_bom(parse_price_table(
+        PRICES_CSV.read_text(encoding="utf-8"), "MKT")))
+    rf = average_risk_free(parse_riskfree_table(RISKFREE_CSV.read_text(encoding="utf-8")))
+    mm = markowitz_estimates(table)
+    im = index_model_estimates(table, rf=rf)
+    universe = make_table(factor_returns(np.random.default_rng(30), 120, 30))
+    n30 = markowitz_estimates(universe)
+    return {
+        "bundled-mm": (mm.cov, mm.mean, rf, table.market_position),
+        "bundled-im": (im_covariance(im), im.expected_returns(), rf, table.market_position),
+        "n30": (n30.cov, n30.mean, 0.0, universe.market_position),
+    }
+
+
+def _regime(regime: str, market_index: int) -> ConstraintSet:
+    return ConstraintSet(regime, market_index=market_index if regime == "c5" else None)
+
+
+def _trace_counting_qps(monkeypatch, cov, mean, rf, c, grid):
+    """The curve, with the number of QPs it ran and their total iterations."""
+    original, work = portopt.solver.solve_qp, [0, 0]
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        work[0] += 1
+        work[1] += res.iterations
+        return res
+
+    monkeypatch.setattr(portopt.solver, "solve_qp", counting)
+    curve = trace_frontier(cov, mean, rf, c, grid=grid)
+    monkeypatch.undo()
+    return curve, *work
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("label", ["bundled-mm", "bundled-im", "n30"])
+def test_path_points_match_cold_solves(markets, label, regime):
+    # every warm-started or two-fund point is the cold solve at its target:
+    # the grid from the minimum-variance return to the best feasible one,
+    # plus the tangency return
+    cov, mean, rf, mi = markets[label]
+    c = _regime(regime, mi)
+    curve = trace_frontier(cov, mean, rf, c, grid=50)
+    mu0, tangency = curve.min_variance.stats.ret, curve.tangency.stats.ret
+    best = float(mean @ regime_model(c, len(mean)).vertex(mean, highest=True))
+    grid = np.linspace(mu0, max(best, tangency, mu0), 50)
+    targets = sorted({float(t) for t in (*grid, tangency)})
+    assert len(curve.points) == len(targets)
+    cold = []
+    for (stdev, ret), t in zip(curve.points, targets):
+        sol = solve_target_return(cov, mean, t, c)
+        assert sol.converged
+        assert stdev == pytest.approx(sol.stats.stdev, rel=1e-10, abs=0.0), t
+        assert ret == pytest.approx(sol.stats.ret, rel=1e-10, abs=1e-15), t
+        cold.append((sol.stats.stdev, sol.stats.ret))
+    assert frontier_to_csv(curve) == points_to_csv(cold)
+
+
+@pytest.mark.parametrize("regime", ["c3", "c5"])
+@pytest.mark.parametrize("label", ["bundled-mm", "bundled-im", "n30"])
+def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
+    # minimum variance, maximum Sharpe and the one target at the far end
+    cov, mean, rf, mi = markets[label]
+    curve, calls, _ = _trace_counting_qps(monkeypatch, cov, mean, rf, _regime(regime, mi), 100)
+    assert len(curve.points) >= 100
+    assert calls <= 3
+
+
+def test_bundled_frontier_path_iteration_counts(monkeypatch, markets):
+    # pins the warm-started path of every bounded bundled curve at grid 100:
+    # cold-starting each target costs 388-1210 iterations per curve
+    counts = {"c1": (239, 246), "c2": (246, 241), "c4": (203, 203)}
+    for regime, expected in counts.items():
+        for label, iterations in zip(("bundled-mm", "bundled-im"), expected):
+            cov, mean, rf, mi = markets[label]
+            _, calls, total = _trace_counting_qps(monkeypatch, cov, mean, rf,
+                                                  _regime(regime, mi), 100)
+            assert (calls, total) == (103, iterations), (regime, label)
+
+
+@pytest.mark.parametrize("regime, k", [
+    ("c4", 10),     # a warm-started point
+    ("c3", 2),      # the far end of the two-fund mix
+])
+def test_failed_point_certificate_raises(monkeypatch, markets, regime, k):
+    cov, mean, rf, mi = markets["bundled-mm"]
+    fail_certificate(monkeypatch, k)
+    with pytest.raises(ConvergenceError, match=r"target return -?\d.*residual 1\b"):
+        trace_frontier(cov, mean, rf, _regime(regime, mi), grid=20)
