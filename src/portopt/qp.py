@@ -1,10 +1,14 @@
 """Dense primal active-set solver for small convex quadratic programs.
 
 Solves ``min 0.5 x'Hx + g'x`` subject to ``A_eq x = b_eq`` and
-``A_in x <= b_in``.  Each iteration solves the KKT system of the working
-set directly, so the returned point satisfies the active constraints and
-first-order conditions to linear-algebra precision; ties are broken by
-smallest index, making the method deterministic for fixed inputs.
+``A_in x <= b_in``.  An inequality row with a single nonzero is a bound:
+while it is in the working set it fixes its variable, so each iteration
+solves the KKT system over the free variables only, with the equalities
+and the working general rows, and reads each bound's multiplier off the
+stationarity of its fixed coordinate.  The returned point satisfies the
+active constraints and first-order conditions to linear-algebra
+precision; ties are broken by smallest index, making the method
+deterministic for fixed inputs.
 
 Every call passes all constraint arrays (empty ones included) and a
 feasible start point; the solvers build theirs in closed form.
@@ -72,10 +76,10 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
 
 
 def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
+    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     try:
         sol = np.linalg.solve(K, rhs)
-        if np.max(np.abs(K @ sol - rhs), initial=0.0) <= 1e-7 * scale:
+        if np.abs(K @ sol - rhs).max(initial=0.0) <= 1e-7 * scale:
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -89,41 +93,67 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResul
     Every argument is a float array, a matrix without rows has shape
     ``(0, n)``, and ``x0`` must satisfy every row.  The working set is a
     boolean mask over the inequality rows.  Each iteration solves the KKT
-    system of the equalities plus the working rows; a zero step either
-    returns (no negative multiplier) or drops the most negative working
-    row, and a nonzero step is cut by the ratio test at the nearest
-    blocking row, the lowest index winning an exact tie.
+    system of the free variables under the equalities and the working
+    general rows; the step is zero on the variables the working bounds
+    fix.  A bound's multiplier closes the stationarity of its variable,
+    and bounds on one variable share it in proportion to their
+    coefficients (the least-norm split).  A zero step either returns (no
+    negative multiplier) or drops the most negative working row, and a
+    nonzero step is cut by the ratio test at the nearest blocking row,
+    the lowest index winning an exact tie.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
     x = x0
-    row_scale = 1.0 + np.max(np.abs(A_in), axis=1, initial=0.0)
+    row_scale = 1.0 + np.abs(A_in).max(axis=1, initial=0.0)
     working = b_in - A_in @ x <= 1e-9 * row_scale
+    nonzero = A_in != 0.0
+    bound = nonzero.sum(axis=1) == 1
+    var = nonzero.argmax(axis=1)                     # a bound row's variable
 
     stall = 0
     quiet = 0
     f_prev = np.inf
 
     for iterations in range(1, max_iter + 1):
-        grad = H @ x + g
+        Hx = H @ x
+        grad = Hx + g
         act = np.flatnonzero(working)
-        A_act = np.vstack([A_eq, A_in[act]])
-        K = np.zeros((n + A_act.shape[0],) * 2)
-        K[:n, :n] = H
-        K[n:, :n] = A_act
-        K[:n, n:] = A_act.T
-        sol = _solve_kkt(K, np.concatenate([-grad, np.zeros(A_act.shape[0])]))
-        p = sol[:n]
-        lam = sol[n:]
-        f = 0.5 * float(x @ (H @ x)) + float(g @ x)
+        on_bound = bound[act]
+        general = ~on_bound
+        fixing = act[on_bound]
+        A_gen = np.concatenate([A_eq, A_in[act[general]]])   # equalities, then general rows
+        if fixing.size:
+            free = np.ones(n, dtype=bool)
+            free[var[fixing]] = False
+            free = np.flatnonzero(free)
+            H_f, A_f = H[free[:, None], free], A_gen[:, free]
+        else:
+            free, H_f, A_f = slice(None), H, A_gen
+        nf, m = H_f.shape[0], A_gen.shape[0]
+        K = np.zeros((nf + m,) * 2)
+        K[:nf, :nf] = H_f
+        K[nf:, :nf] = A_f
+        K[:nf, nf:] = A_f.T
+        sol = _solve_kkt(K, np.concatenate([-grad[free], np.zeros(m)]))
+        lam = np.empty(m_eq + act.size)              # equalities, then the working set
+        lam[:m_eq] = sol[nf:nf + m_eq]
+        mult_in = lam[m_eq:]
+        mult_in[general] = sol[nf + m_eq:]
+        p = np.zeros(n)
+        p[free] = sol[:nf]
+        if fixing.size:
+            fixed = var[fixing]
+            r = (H @ p + grad + A_gen.T @ sol[nf:])[fixed]
+            c = A_in[fixing, fixed]
+            mult_in[on_bound] = -r * c / np.bincount(fixed, c * c, n)[fixed]
 
         # KKT solve noise grows with the multiplier scale; steps below it
         # (or steps that have stopped moving the objective) count as zero
-        step_tol = (1e-13 * (1.0 + np.max(np.abs(x), initial=0.0))
-                    + 4e-13 * np.max(np.abs(lam), initial=0.0))
-        p_max = np.max(np.abs(p), initial=0.0)
+        step_tol = (1e-13 * (1.0 + np.abs(x).max())
+                    + 4e-13 * np.abs(lam).max(initial=0.0))
+        p_max = np.abs(p).max()
         if p_max <= step_tol or quiet >= 5:
-            mult_in = lam[m_eq:]
-            gscale = 1.0 + float(np.max(np.abs(grad), initial=0.0))
+            gscale = 1.0 + float(np.abs(grad).max())
             neg = np.flatnonzero(mult_in < -1e-9 * gscale)
             if not neg.size:
                 in_mult = np.zeros(working.size)
@@ -136,11 +166,12 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResul
             quiet = 0
             continue
 
+        f = 0.5 * float(x @ Hx) + float(g @ x)
         # ratio test over the rows outside the working set that p moves toward
         d = A_in @ p
         room = np.maximum(b_in - A_in @ x, 0.0)
         cand = np.flatnonzero(~working & (d > 1e-13 * row_scale * (1.0 + p_max)))
-        ratio = np.append(room[cand] / d[cand], 1.0)   # last: the full step
+        ratio = np.concatenate([room[cand] / d[cand], (1.0,)])   # last: the full step
         k = np.argmin(ratio)                            # the lowest index wins an exact tie
         blocked = ratio[k] < 1.0 - 1e-15
         alpha = ratio[k] if blocked else 1.0
@@ -148,7 +179,10 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResul
         made_progress = f < f_prev - 1e-14 * (1.0 + abs(f))
         f_prev = min(f, f_prev)
         if blocked:
-            working[cand[k]] = True
+            j = cand[k]
+            working[j] = True
+            if bound[j]:       # land on the bound exactly, not a rounding away
+                x[var[j]] = b_in[j] / A_in[j, var[j]]
             stall = stall + 1 if alpha <= 1e-14 else 0
             quiet = 0
         else:

@@ -1,11 +1,13 @@
 """Active-set QP engine against hand-solvable and library-checkable cases."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from portopt.errors import ConvergenceError, InfeasibleError
-from portopt.qp import find_feasible_point, solve_qp
+from portopt.qp import _STALL_LIMIT, find_feasible_point, solve_qp
 
 
 def test_unconstrained_equality_qp():
@@ -122,15 +124,97 @@ def test_exact_tie_blocks_the_lowest_index_first():
     assert res.iterations == 3     # step to row 0, zero step to row 1, optimality
 
 
-def test_singular_kkt_and_blands_rule():
-    # 40 copies of -x1 <= 0, all active at the start: the KKT matrix is
-    # singular (least-squares fallback), and dropping them one by one is a
-    # run of more than 30 zero steps (Bland's rule)
-    res = solve_qp(2.0 * np.eye(3), np.array([-2.0, 0.0, 0.0]),
-                   A_eq=np.ones((1, 3)), b_eq=np.ones(1),
-                   A_in=np.tile([-1.0, 0.0, 0.0], (40, 1)), b_in=np.zeros(40),
-                   x0=np.array([0.0, 0.5, 0.5]))
+def _solve_counting(monkeypatch, **problem):
+    """Solve, counting least-squares fallbacks and the longest run of zero steps.
+
+    The run is the ``stall`` counter of ``solve_qp``, read at every line of
+    its frame; a drop made with ``stall > _STALL_LIMIT`` follows Bland's rule.
+    """
+    fallbacks, stalls = [0], [0]
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        fallbacks[0] += 1
+        return lstsq(*args, **kwargs)
+
+    def trace(frame, event, arg):
+        if frame.f_code is not solve_qp.__code__:
+            return None
+
+        def line(frame, event, arg):
+            stalls[0] = max(stalls[0], frame.f_locals.get("stall", 0))
+            return line
+        return line
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    sys.settrace(trace)
+    try:
+        res = solve_qp(**problem)
+    finally:
+        sys.settrace(None)
+    return res, fallbacks[0], stalls[0]
+
+
+def test_singular_kkt_and_blands_rule(monkeypatch):
+    # 40 copies of -x1 <= 0, all active at the start, and dropping them one
+    # by one is a run of more than 30 zero steps (Bland's rule).  Bound rows
+    # fix their variable instead of entering the KKT matrix, so it stays
+    # regular: no least-squares fallback (the general-row variant below has 40)
+    res, fallbacks, stall = _solve_counting(
+        monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
+        A_eq=np.ones((1, 3)), b_eq=np.ones(1),
+        A_in=np.tile([-1.0, 0.0, 0.0], (40, 1)), b_in=np.zeros(40),
+        x0=np.array([0.0, 0.5, 0.5]))
     assert res.converged
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
     assert res.iterations == 42    # 40 drops, one step, optimality
+    assert fallbacks == 0
+    assert stall > _STALL_LIMIT + 1  # some drop was made past the limit
+
+
+def test_singular_kkt_of_general_rows_and_blands_rule(monkeypatch):
+    # 40 copies of the general row -x1 - x2 <= 0, all active at the start:
+    # the KKT matrix is singular (least-squares fallback) until one copy is
+    # left, and the 40 drops are a run past the stall limit (Bland's rule)
+    res, fallbacks, stall = _solve_counting(
+        monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
+        A_eq=np.ones((1, 3)), b_eq=np.ones(1),
+        A_in=np.tile([-1.0, -1.0, 0.0], (40, 1)), b_in=np.zeros(40),
+        x0=np.array([0.0, 0.0, 1.0]))
+    assert res.converged
+    assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
+    assert res.active == ()
+    assert res.iterations == 43    # one step, 40 drops, one step, optimality
+    assert fallbacks == 40         # the step and the drops with two or more copies
+    assert stall > _STALL_LIMIT + 1
+
+
+def test_multipliers_certify_their_point():
+    # random box-bounded QPs with a dense row, and x0 >= 0 written as two to
+    # four scaled copies of one bound row, active from the start: the
+    # returned multipliers must close stationarity (the copies share x0's
+    # multiplier, none carries all of it), be nonnegative and vanish off
+    # the active rows
+    rng = np.random.default_rng(8)
+    for _ in range(24):
+        n = int(rng.integers(3, 7))
+        a = rng.standard_normal((n, n))
+        h = a @ a.T / n + 0.3 * np.eye(n)
+        g = rng.standard_normal(n)
+        g[0] += 3.0                                   # keeps x0 on its bound
+        copies = -rng.uniform(0.5, 3.0, (int(rng.integers(2, 5)), 1)) * np.eye(n)[:1]
+        dense = rng.standard_normal((1, n))
+        x0 = np.append(0.0, np.full(n - 1, 1.0 / (n - 1)))
+        a_in = np.vstack([np.eye(n), -np.eye(n), copies, dense])
+        b_in = np.concatenate([np.full(2 * n, 0.8), np.zeros(len(copies)), dense @ x0 + 0.2])
+        a_eq = np.ones((1, n))
+        res = solve_qp(h, g, A_eq=a_eq, b_eq=np.ones(1), A_in=a_in, b_in=b_in, x0=x0)
+        assert res.converged
+        assert set(range(2 * n, 2 * n + len(copies))) <= set(res.active)
+        mu = res.in_multipliers
+        stationarity = h @ res.x + g + a_eq.T @ res.eq_multipliers + a_in.T @ mu
+        assert np.abs(stationarity).max() <= 1e-10 * (1.0 + np.abs(g).max())
+        assert np.all(mu >= 0.0)
+        assert np.all(np.delete(mu, res.active) == 0.0)
+        assert np.abs(mu * (b_in - a_in @ res.x)).max() <= 1e-12

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_monthly_cov, random_spd
+import portopt.qp
+from conftest import factor_returns, make_table, random_monthly_cov, random_spd
 from portopt import (
     ConstraintSet,
     DegenerateSharpeError,
@@ -15,11 +16,12 @@ from portopt import (
     closed_form_min_variance,
     closed_form_tangency,
     kkt_residual,
+    markowitz_estimates,
     solve_max_sharpe,
     solve_min_variance,
     solve_target_return,
 )
-from portopt.solver import kkt_residual_weights
+from portopt.solver import kkt_residual_weights, solve_objective
 
 C3 = ConstraintSet("c3")
 C4 = ConstraintSet("c4")
@@ -353,3 +355,26 @@ def test_solution_json_shape():
     assert d["weights"]["A"] == pytest.approx(0.8)
     sol_no_mean = solve_min_variance(cov, C3)
     assert sol_no_mean.to_json_dict()["return"] is None
+
+
+def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
+    # c1 and c4 on a seeded N = 100 factor universe: the iteration counts
+    # are the full-space engine's, and since the bounds p, n >= 0 and
+    # w >= 0 fix variables instead of entering the KKT matrix, no matrix
+    # has more than N + 2 rows (the full-space one reached 380-400 on c1)
+    mm = markowitz_estimates(make_table(factor_returns(np.random.default_rng(1), 240, 100)))
+    rows, solve_kkt = [], portopt.qp._solve_kkt
+
+    def recording(K, rhs):
+        rows.append(K.shape[0])
+        return solve_kkt(K, rhs)
+
+    monkeypatch.setattr(portopt.qp, "_solve_kkt", recording)
+    pins = {("c1", "min_variance"): 194, ("c1", "max_sharpe"): 62,
+            ("c4", "min_variance"): 81, ("c4", "max_sharpe"): 15}
+    for (regime, objective), iterations in pins.items():
+        rows.clear()
+        sol = solve_objective(objective, mm.cov, mm.mean, 0.002, ConstraintSet(regime))
+        assert sol.converged and sol.kkt_residual <= 1e-12
+        assert sol.iterations == iterations
+        assert max(rows) <= 100 + 2
