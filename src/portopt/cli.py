@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleError,
     InsufficientDataError,
     ParseError,
+    SamplingError,
     SingularMatrixError,
     ValidationError,
 )
@@ -255,24 +256,13 @@ def cmd_frontier(cfg: RunConfig) -> int:
     inputs = model_inputs(mm, im)
     out = _outdir(cfg)
 
-    curves = {}
-    for model in (MODEL_MM, MODEL_IM):
-        cov, mean = inputs[model]
-        curves[model] = trace_frontier(cov, mean, rf, c, grid=cfg.grid, model=model)
-
+    curves = {m: trace_frontier(*inputs[m], rf, c, grid=cfg.grid, model=m)
+              for m in (MODEL_MM, MODEL_IM)}
     cloud = sample_cloud(c, table.n_assets, cfg.cloud_count, cfg.seed)
-    pts = {
-        MODEL_MM: cloud_points(cloud, mm, rf),
-        MODEL_IM: cloud_points(cloud, im, rf),
-    }
-    sigma_max = 1.05 * max(
-        max(s for s, _ in curves[m].points) for m in curves
-    )
-    sigma_max = max(
-        sigma_max,
-        float(max(pts[m][:, 0].max() for m in pts)),
-        max(curves[m].tangency.stats.stdev for m in curves),
-    )
+    pts = {MODEL_MM: cloud_points(cloud, mm, rf), MODEL_IM: cloud_points(cloud, im, rf)}
+    sigma_max = max(1.05 * max(s for m in curves for s, _ in curves[m].points),
+                    float(max(pts[m][:, 0].max() for m in pts)),
+                    max(curves[m].tangency.stats.stdev for m in curves))
     cals = {
         m: capital_allocation_line(rf, curves[m].tangency.stats, sigma_max, grid=cfg.grid)
         for m in curves
@@ -502,7 +492,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, DegenerateSharpeError) as exc:
+    except (ConvergenceError, DegenerateSharpeError, SamplingError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

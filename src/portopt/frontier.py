@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, regime_model
+from .constraints import ConstraintSet, RegimeModel, regime_model
 from .errors import ConvergenceError, SamplingError, ValidationError
 from .estimation import MODEL_MM, PortfolioStats, portfolio_stats
 from .ingest import csv_text
@@ -127,27 +127,22 @@ class CloudSample:
         return self.weights.shape[0]
 
 
-def _normalized_normal(rng, n: int, pinned: np.ndarray) -> np.ndarray:
-    for _ in range(10000):
-        z = rng.standard_normal(n)
-        z[pinned] = 0.0
-        s = z.sum()
-        if abs(s) >= 0.05:
-            return z / s
-    raise SamplingError("could not draw a normalizable weight vector")
-
-
-def _shrink_to_feasible(w: np.ndarray, holds) -> np.ndarray:
-    """Move toward equal weights until ``holds`` accepts the mix."""
-    e = np.full(len(w), 1.0 / len(w))
-    lo_t, hi_t = 0.0, 1.0
+def _shrink_to_feasible(w: np.ndarray, regime: RegimeModel) -> np.ndarray:
+    """Move each row toward equal weights as far as the regime's inequality
+    rows hold for the mix, by 60 bisection steps."""
+    e = np.full(w.shape[1], 1.0 / w.shape[1])
+    lo, hi = np.zeros(len(w)), np.ones(len(w))
     for _ in range(60):
-        mid = 0.5 * (lo_t + hi_t)
-        if holds(e + mid * (w - e)):
-            lo_t = mid
-        else:
-            hi_t = mid
-    return e + lo_t * (w - e)
+        mid = 0.5 * (lo + hi)
+        ok = np.all(regime.excess(e + mid[:, None] * (w - e))[:, 2 * regime.m_eq:] <= 0.0, axis=1)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return e + lo[:, None] * (w - e)
+
+
+def _misses(hit: np.ndarray, before: int) -> np.ndarray:
+    """Entries since the last hit (0 at a hit), ``before`` misses preceding."""
+    i = np.arange(len(hit))
+    return i - np.maximum.accumulate(np.where(hit, i, -1 - before))
 
 
 def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> CloudSample:
@@ -157,6 +152,7 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
     regime draws standard normals, zeroes its pinned assets, normalizes
     them to sum to one and accepts the draw when its inequality rows hold;
     after 100 rejections the last draw is shrunk toward equal weights.
+    Draws come in blocks, tested at once and given out in stream order.
     """
     if count < 1:
         raise ValidationError("count must be at least 1")
@@ -165,21 +161,34 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
     rng = np.random.default_rng(seed)
     regime = regime_model(c, n_assets)
 
-    def inequality_excess(w) -> np.ndarray:
-        return regime.excess(w)[2 * regime.m_eq:]
-
     if regime.box[0] == 0.0:   # long only: the feasible set is the simplex
         weights = rng.dirichlet(np.ones(n_assets), size=count)
     else:
-        weights = np.empty((count, n_assets))
-        for k in range(count):
-            for _ in range(100):
-                w = _normalized_normal(rng, n_assets, regime.pinned)
-                if np.all(inequality_excess(w) <= 1e-12):
-                    break
-            else:
-                w = _shrink_to_feasible(w, lambda v: np.all(inequality_excess(v) <= 0.0))
-            weights[k] = w
+        weights, shrunk = np.empty((count, n_assets)), np.zeros(count, dtype=bool)
+        done = drawn = rejected = run = 0   # rejected: rows of the open 100; run: since normalizable
+        while done < count:
+            need = count - done   # sized by the draws per portfolio so far, within 64 KB
+            block = min(max(need, -(-need * drawn // done) if done else 2 * drawn),
+                        2**13 // n_assets + 1)
+            z = rng.standard_normal((block, n_assets))
+            drawn += block
+            z[:, regime.pinned] = 0.0
+            s = z.sum(axis=1)
+            gap = _misses(np.abs(s) >= 0.05, run)
+            run, live = gap[-1], np.logical_and.accumulate(gap < 10000)   # live until a stall
+            rows = np.flatnonzero((gap == 0) & live)
+            w = z[rows] / s[rows, None]
+            ok = np.all(regime.excess(w)[:, 2 * regime.m_eq:] <= 1e-12, axis=1)   # inequalities
+            # a portfolio is the first accepted row of its next 100, or else the 100th, shrunk
+            since = _misses(ok, rejected)
+            pick = np.flatnonzero(since % 100 == 0)[:need]
+            weights[done:done + len(pick)], shrunk[done:done + len(pick)] = w[pick], ~ok[pick]
+            done += len(pick)
+            rejected = since[-1] % 100 if len(since) else rejected
+            if done < count and not live[-1]:
+                raise SamplingError("could not draw a normalizable weight vector")
+        if shrunk.any():
+            weights[shrunk] = _shrink_to_feasible(weights[shrunk], regime)
 
     bad = np.flatnonzero((regime.excess(weights) > 1e-9).any(axis=1))
     if len(bad):

@@ -380,3 +380,16 @@ def test_failed_frontier_point_exits_two(tmp_path, capsys, monkeypatch, constrai
                  "--constraint", constraint, "--grid", "10", "--cloud-count", "10"])
     assert code == 2
     assert "solver failure: frontier point at target return" in capsys.readouterr().err
+
+
+def test_failed_cloud_exits_two(tmp_path, capsys, monkeypatch):
+    from portopt import errors
+
+    def boom(*args, **kwargs):
+        raise errors.SamplingError("forced for test")
+
+    monkeypatch.setattr("portopt.cli.sample_cloud", boom)
+    code = main(["frontier", *_base_args(PRICES_CSV, RISKFREE_CSV, tmp_path / "out"),
+                 "--constraint", "c3", "--grid", "10", "--cloud-count", "10"])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "solver failure: forced for test"
