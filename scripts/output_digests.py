@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Digests of every output of the identity command set, for diffing two versions.
+
+Usage: PYTHONPATH=src python scripts/output_digests.py OUTDIR
+
+Runs twelve commands in-process through ``portopt.cli.main`` on the bundled
+data, each into its own directory under OUTDIR:
+
+* ``ingest``;
+* ``solve --model both --objective both`` in each regime c1-c5;
+* ``frontier --grid 60 --cloud-count 600 --seed 7`` in each regime c1-c5;
+* ``compare``.
+
+It prints ``sha256  path`` for every file written and for each command's
+captured stdout, stderr and exit code (``<stdout>``, ``<stderr>``,
+``<exit>``), with OUTDIR replaced by ``<OUTDIR>`` in the captured text.
+Input paths are given relative to the repository root, so the manifest does
+not depend on where the checkout lives.  Run it once per version (point
+PYTHONPATH at the other version's ``src``) into two new or empty
+directories and diff the two listings: identical listings mean
+byte-identical files, stdout, stderr and exit codes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ["--prices", "data/synthetic_prices.csv", "--riskfree", "data/synthetic_riskfree.csv",
+          "--market-ticker", "MKT"]
+REGIMES = ("c1", "c2", "c3", "c4", "c5")
+COMMANDS = (
+    [("ingest", ["ingest"])]
+    + [(f"solve-{c}", ["solve", "--constraint", c, "--model", "both", "--objective", "both"])
+       for c in REGIMES]
+    + [(f"frontier-{c}", ["frontier", "--constraint", c, "--grid", "60",
+                          "--cloud-count", "600", "--seed", "7"]) for c in REGIMES]
+    + [("compare", ["compare"])]
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 1
+    outdir = Path(args[0]).resolve()
+    if outdir.exists() and any(outdir.iterdir()):
+        print(f"output directory {outdir} is not empty", file=sys.stderr)
+        return 1
+    os.chdir(ROOT)
+    import portopt.cli
+
+    print(f"portopt imported from {Path(portopt.cli.__file__).parent}", file=sys.stderr)
+    for name, argv_ in COMMANDS:
+        out = outdir / name
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = portopt.cli.main([*argv_, *INPUTS, "--output-dir", str(out)])
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            print(f"{_sha256(path.read_bytes())}  {path.relative_to(outdir).as_posix()}")
+        for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
+                             ("exit", f"{code}\n")):
+            text = text.replace(str(outdir), "<OUTDIR>")
+            print(f"{_sha256(text.encode('utf-8'))}  {name}/<{stream}>")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,7 +65,6 @@ from .report import (
 from .solver import OBJECTIVE_MAX_SHARPE, OBJECTIVE_MIN_VARIANCE
 from .svgplot import Series, render_plot
 
-TOOL_VERSION = __version__
 OUTPUT_DIR_ENV = "PORTOPT_OUTPUT_DIR"
 
 _MODEL_CHOICES = ("mm", "im", "both")
@@ -76,6 +75,15 @@ _OBJECTIVE_NAMES = {OBJECTIVE_MIN_VARIANCE: "minvar", OBJECTIVE_MAX_SHARPE: "max
 # matched exactly, since JSON true is a Python bool and bool subclasses int
 _CONFIG_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
                  "None": (type(None),), "tuple[str, ...]": (list, str)}
+
+# (failure classes, exit code, stderr prefix), gravest first: a command
+# that failed several ways exits with the first row any failure matches
+_EXITS = (
+    ((InfeasibleError,), 3, "infeasible"),
+    ((ConvergenceError, DegenerateSharpeError, SamplingError), 2, "solver failure"),
+    ((ParseError, ValidationError, ConfigError, InsufficientDataError, SingularMatrixError,
+      OSError), 1, "error"),
+)
 
 _COLORS = {
     ("frontier", MODEL_MM): "#1f77b4",
@@ -212,12 +220,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         objectives=[o for o, name in _OBJECTIVE_NAMES.items() if cfg.objective in (name, "both")],
     )
     out = _outdir(cfg)
-    failures: list[dict] = []
+    failures: list[tuple[str, str, Exception]] = []
     for cell in report.cells:
         model, obj, sol = cell.model, _OBJECTIVE_NAMES[cell.objective], cell.solution
         if sol is None:
-            failures.append({"model": model, "objective": obj,
-                             "kind": type(cell.error).__name__, "error": str(cell.error)})
+            failures.append((model, obj, cell.error))
             print(f"{model} {obj} {c.regime}: FAILED ({cell.error})", file=sys.stderr)
             continue
         stem = f"solution_{model.lower()}_{obj}_{c.regime}"
@@ -232,21 +239,18 @@ def cmd_solve(cfg: RunConfig) -> int:
                 encoding="utf-8",
             )
         if not sol.converged:
-            failures.append({
-                "model": model, "objective": obj,
-                "kind": "ConvergenceError",
-                "error": f"kkt_residual={sol.kkt_residual:.3e}",
-            })
+            failures.append((model, obj, ConvergenceError(f"kkt_residual={sol.kkt_residual:.3e}")))
         print(
             f"{model} {obj} {c.regime}: return={format_number(sol.stats.ret)} "
             f"stdev={format_number(sol.stats.stdev)} sharpe={format_number(sol.stats.sharpe)}"
         )
     if failures:
+        doc = [{"model": m, "objective": o, "kind": type(e).__name__, "error": str(e)}
+               for m, o, e in failures]
         (out / "diagnostics.json").write_text(
-            _json_text({"failures": failures}), encoding="utf-8"
+            _json_text({"failures": doc}), encoding="utf-8"
         )
-        kinds = {f["kind"] for f in failures}
-        return 3 if "InfeasibleError" in kinds else 2
+        return _exit([e for *_, e in failures])[0]
     return 0
 
 
@@ -344,7 +348,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                 if k not in ("output_dir", "expected_dir")}
     manifest = {
         "tool": "portopt",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "config": cfg_dict,
         "inputs": {
             "prices": {
@@ -411,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="portopt",
         description="Constrained mean-variance / single-index portfolio pipeline",
     )
-    parser.add_argument("--version", action="version", version=f"portopt {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"portopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ingest", help="aggregate daily prices to monthly returns")
@@ -467,6 +471,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _exit(errors) -> tuple[int, str]:
+    """Exit code and stderr prefix of the gravest of ``errors``."""
+    return next((code, prefix) for classes, code, prefix in _EXITS
+                if any(isinstance(e, classes) for e in errors))
+
+
 _HANDLERS = {
     "ingest": cmd_ingest,
     "solve": cmd_solve,
@@ -485,19 +495,10 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         cfg.validate()
         return _HANDLERS[args.command](cfg)
-    except (ParseError, ValidationError, ConfigError, InsufficientDataError,
-            SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except (ConvergenceError, DegenerateSharpeError, SamplingError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(c for classes, _, _ in _EXITS for c in classes) as exc:
+        code, prefix = _exit([exc])
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

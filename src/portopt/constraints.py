@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
+PUBLIC_FEAS_TOL = 1e-7   # the violation ``check_feasible`` and every solution tolerate
 _PARAMETER = {"c1": "leverage_cap", "c2": "weight_bound", "c5": "market_index"}
 
 
@@ -116,9 +117,9 @@ class RegimeModel:
         return self.to_solve(w) @ self.rows.T - self.rhs
 
     def violations(self, w: np.ndarray, tol: float) -> list[tuple[str, float]]:
-        """Every row violated by more than ``tol``, equalities first."""
+        """Every row not within ``tol`` of holding (NaN included), equalities first."""
         amounts = self.excess(w)
-        return [(self.names[k], float(amounts[k])) for k in (amounts > tol).nonzero()[0]]
+        return [(self.names[k], float(amounts[k])) for k in (~(amounts <= tol)).nonzero()[0]]
 
     def centre(self) -> np.ndarray:
         """Equal weights over the free assets, in the solve variables.
@@ -227,8 +228,8 @@ class FeasibilityReport:
     violations: tuple[tuple[str, float], ...]
 
 
-def check_feasible(weights, c: ConstraintSet, tol: float = 1e-7) -> FeasibilityReport:
-    """List every constraint of ``c`` violated by more than ``tol``."""
+def check_feasible(weights, c: ConstraintSet, tol: float = PUBLIC_FEAS_TOL) -> FeasibilityReport:
+    """List every constraint of ``c`` violated by more than ``tol`` or by NaN."""
     w = np.asarray(weights, dtype=float)
     violations = tuple(regime_model(c, len(w)).violations(w, tol))
     return FeasibilityReport(not violations, violations)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .ingest import MonthlyReturnTable
+from .ingest import MonthlyReturnTable, _readonly
 
 MODEL_MM = "MM"
 MODEL_IM = "IM"
@@ -24,46 +24,47 @@ MODE_EXCESS = "excess"
 WEIGHT_SUM_TOL = 1e-9
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class MarkowitzEstimates:
-    """Mean vector, covariance and correlation matrices of monthly returns."""
+    """Mean vector and covariance matrix of monthly returns; the correlation
+    matrix is derived from the covariance."""
 
     tickers: tuple[str, ...]
     mean: np.ndarray        # (N,)
     cov: np.ndarray         # (N, N)
-    corr: np.ndarray        # (N, N)
     sample_size: int
 
     def __post_init__(self):
         n = len(self.tickers)
         mean = _readonly(self.mean)
         cov = _readonly(self.cov)
-        corr = _readonly(self.corr)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "corr", corr)
-        if mean.shape != (n,) or cov.shape != (n, n) or corr.shape != (n, n):
+        if mean.shape != (n,) or cov.shape != (n, n):
             raise ValidationError("estimate shapes inconsistent with ticker count")
         scale = float(np.max(np.abs(cov), initial=0.0))
         if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * max(scale, 1e-30):
             raise ValidationError("covariance matrix is not symmetric")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-10 * max(scale, 1.0):
             raise ValidationError("covariance matrix is not positive semidefinite")
-        if np.max(np.abs(np.diag(corr) - 1.0), initial=0.0) > 1e-12:
-            raise ValidationError("correlation diagonal must be 1")
-        if np.max(np.abs(corr), initial=0.0) > 1.0 + 1e-12:
-            raise ValidationError("correlation entries must lie in [-1, 1]")
+        zero = np.flatnonzero(np.diag(cov) <= 0.0)
+        if zero.size:
+            raise ValidationError(
+                f"zero-variance column {self.tickers[zero[0]]!r}: correlation undefined")
 
     @property
     def n_assets(self) -> int:
         return len(self.tickers)
+
+    @property
+    def corr(self) -> np.ndarray:
+        """``cov`` over the outer product of the standard deviations, clipped
+        to [-1, 1], with a unit diagonal."""
+        sd = np.sqrt(np.diag(self.cov))
+        corr = np.clip(self.cov / np.outer(sd, sd), -1.0, 1.0)
+        np.fill_diagonal(corr, 1.0)
+        return corr
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,17 +169,7 @@ def markowitz_estimates(returns: MonthlyReturnTable, *, ddof: int = 1) -> Markow
     mean = r.mean(axis=0)
     cov = np.cov(r, rowvar=False, ddof=ddof)
     cov = np.atleast_2d(cov)
-    var = np.diag(cov)
-    for i, v in enumerate(var):
-        if v <= 0.0:
-            raise ValidationError(
-                f"zero-variance column {returns.tickers[i]!r}: correlation undefined"
-            )
-    sd = np.sqrt(var)
-    corr = cov / np.outer(sd, sd)
-    corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return MarkowitzEstimates(returns.tickers, mean, cov, corr, t)
+    return MarkowitzEstimates(returns.tickers, mean, cov, t)
 
 
 def index_model_estimates(returns: MonthlyReturnTable, *, mode: str = MODE_RAW,
@@ -228,12 +219,14 @@ def im_covariance(est: IndexModelEstimates) -> np.ndarray:
 
 
 def portfolio_stats(weights, estimates, rf: float = 0.0) -> PortfolioStats:
-    """Return/stdev/Sharpe of fully-invested weights under either model.
+    """Return/stdev/Sharpe of finite, fully-invested weights under either model.
 
     ``weights`` is one portfolio, or one per row; the statistics are then
     arrays with one entry per row.
     """
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("weights must be finite")
     sums = w.sum(axis=-1)
     off = np.abs(sums - 1.0)
     if off.max() > WEIGHT_SUM_TOL:

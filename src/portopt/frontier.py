@@ -190,7 +190,7 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
         if shrunk.any():
             weights[shrunk] = _shrink_to_feasible(weights[shrunk], regime)
 
-    bad = np.flatnonzero((regime.excess(weights) > 1e-9).any(axis=1))
+    bad = np.flatnonzero(~(regime.excess(weights) <= 1e-9).all(axis=1))   # a NaN row fails too
     if len(bad):
         raise SamplingError(
             f"generated infeasible sample {bad[0]}: {regime.violations(weights[bad[0]], 1e-9)}"

@@ -143,35 +143,29 @@ class MonthlyReturnTable:
 
 @dataclass(frozen=True)
 class RiskFreeSeries:
-    """Per-month fixed deposit rates: quoted per annum plus the derived
-    per-month values (annual / 12)."""
+    """Per-month fixed deposit rates quoted per annum; the per-month values
+    are derived (annual / 12)."""
 
     months: tuple[Month, ...]
     annual_rates: np.ndarray
-    monthly_rates: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "months", tuple((int(y), int(m)) for y, m in self.months))
         annual = _readonly(np.atleast_1d(self.annual_rates))
-        monthly = _readonly(np.atleast_1d(self.monthly_rates))
         object.__setattr__(self, "annual_rates", annual)
-        object.__setattr__(self, "monthly_rates", monthly)
-        if annual.shape != (len(self.months),) or monthly.shape != annual.shape:
+        if annual.shape != (len(self.months),):
             raise ValidationError("risk-free series lengths disagree")
-        if not (np.all(np.isfinite(annual)) and np.all(np.isfinite(monthly))):
+        if not np.all(np.isfinite(annual)):
             raise ValidationError("non-finite risk-free rate")
-        if np.max(np.abs(monthly - annual / 12.0), initial=0.0) > 1e-15:
-            raise ValidationError("monthly rates must equal annual rates / 12")
         if len(annual) and (annual.min() < 0.0 or annual.max() > 0.2):
             warnings.warn(
                 "annual risk-free rate outside the typical [0, 0.2] range",
                 stacklevel=2,
             )
 
-    @classmethod
-    def from_annual(cls, months, annual_rates) -> "RiskFreeSeries":
-        annual = np.atleast_1d(np.asarray(annual_rates, dtype=float))
-        return cls(tuple(months), annual, annual / 12.0)
+    @property
+    def monthly_rates(self) -> np.ndarray:
+        return self.annual_rates / 12.0
 
     def __len__(self) -> int:
         return len(self.months)
@@ -284,7 +278,7 @@ def parse_riskfree_table(raw_text: str, *, filename: str = "<string>") -> RiskFr
             )
         months.append((y, m))
         annual.append(rate)
-    return RiskFreeSeries.from_annual(tuple(months), annual)
+    return RiskFreeSeries(tuple(months), annual)
 
 
 def select_bom(prices: DailyPriceTable) -> DailyPriceTable:

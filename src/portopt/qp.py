@@ -25,6 +25,7 @@ from .errors import ConvergenceError, InfeasibleError
 _STALL_LIMIT = 30          # consecutive zero steps before switching to Bland's rule
 _ELASTIC_DELTA = 1e-9      # proximal weight of the elastic phase-1
 _FEAS_TOL = 1e-9           # phase-1 verdict, relative to the right-hand sides
+_MAX_ITER = 10000          # active-set iterations before ``ConvergenceError``
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResult:
+def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
     Every argument is a float array, a matrix without rows has shape
@@ -114,7 +115,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResul
     quiet = 0
     f_prev = np.inf
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         Hx = H @ x
         grad = Hx + g
         act = np.flatnonzero(working)
@@ -190,5 +191,5 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, max_iter: int = 10000) -> QPResul
             quiet = 0 if made_progress else quiet + 1
 
     raise ConvergenceError(
-        f"active-set iteration cap {max_iter} reached ({np.count_nonzero(working)} active rows)"
+        f"active-set iteration cap {_MAX_ITER} reached ({np.count_nonzero(working)} active rows)"
     )

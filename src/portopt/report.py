@@ -119,13 +119,21 @@ def expected_cell_deltas(report: ComparisonReport, expected: dict) -> list[dict]
     ``expected`` maps ``"<constraint>_<model>_<objective>"`` (lowercase model,
     e.g. ``c3_mm_min_variance``) to dicts with any of ``return``, ``stdev``,
     ``sharpe`` and ``weights`` (list ordered like the report tickers).  A key
-    that names no report cell, or a weights list of another length than the
+    that names no report cell, a value that is no dict, any other field, a
+    boolean for a number, or a weights list of another length than the
     tickers, raises ``ValueError``.
     """
     keys = [f"{c.constraint.regime}_{c.model.lower()}_{c.objective}" for c in report.cells]
     for key, exp in expected.items():
         if key not in keys:
             raise ValueError(f"{key!r} names no report cell")
+        if not isinstance(exp, dict):
+            raise ValueError(f"{key!r} holds a {type(exp).__name__}, not an object")
+        for field, value in exp.items():
+            if field not in ("return", "stdev", "sharpe", "weights"):
+                raise ValueError(f"{key!r} has unknown field {field!r}")
+            if any(isinstance(v, bool) for v in (value if field == "weights" else [value])):
+                raise ValueError(f"{key!r} field {field!r} holds a boolean, not a number")
         if "weights" in exp and len(exp["weights"]) != len(report.tickers):
             raise ValueError(f"{key!r} has {len(exp['weights'])} weights "
                              f"for {len(report.tickers)} tickers")

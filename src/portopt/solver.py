@@ -36,7 +36,6 @@ OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
 OBJECTIVE_TARGET_RETURN = "target_return"
 
-PUBLIC_FEAS_TOL = 1e-7
 KKT_TOL = 1e-6
 
 _ACT_TOL = 1e-7          # active-constraint detection in KKT diagnostics
@@ -212,7 +211,7 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None) ->
     return float(max(stationarity, comp, excess.max(initial=0.0)))
 
 
-def kkt_residual(solution: PortfolioSolution, cov, mean=None, rf: float = 0.0) -> float:
+def kkt_residual(solution: PortfolioSolution, cov, mean=None) -> float:
     """Re-verify first-order optimality for a finished solution.
 
     Max-Sharpe solutions are scored as the variance minimizer at their own
@@ -292,7 +291,7 @@ class Problem:
         c = self.regime.constraint
         stats = self.stats(w)
         kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target)
-        rep = check_feasible(w, c, PUBLIC_FEAS_TOL)
+        rep = check_feasible(w, c)
         converged = bool(res.converged and rep.feasible and kkt <= KKT_TOL)
         return PortfolioSolution(
             weights=w, stats=stats, objective=objective, constraint=c,
@@ -312,6 +311,8 @@ class Problem:
         regime's centre) with the return vertex on the target's side.
         """
         r, mean = self.regime, self._mean()
+        if not math.isfinite(target):
+            raise ValidationError(f"target return target must be finite, got {target}")
         lo, hi = r.return_range(mean)
         slack = 1e-9 * (1.0 + abs(target))
         if target < lo - slack or target > hi + slack:
@@ -410,11 +411,10 @@ def solve_objective(objective: str, cov, mean, rf: float, c: ConstraintSet, *,
     raise ValidationError(f"unknown objective {objective!r}")
 
 
-def attainable_return_range(mean, c: ConstraintSet, *, n_assets=None) -> tuple[float, float]:
+def attainable_return_range(mean, c: ConstraintSet) -> tuple[float, float]:
     """Feasible interval of expected returns under ``c`` (inf for unbounded)."""
     mean_v = np.asarray(mean, dtype=float)
-    n = n_assets if n_assets is not None else len(mean_v)
-    return regime_model(c, n).return_range(mean_v)
+    return regime_model(c, len(mean_v)).return_range(mean_v)
 
 
 def _cholesky_solve(cov, rhs: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+WIDTH = 760
+HEIGHT = 520
 MARGIN_LEFT = 78
 MARGIN_RIGHT = 24
 MARGIN_TOP = 40
@@ -62,13 +64,12 @@ def _bounds(series) -> tuple[float, float, float, float]:
     return x0 - xpad, x1 + xpad, y0 - ypad, y1 + ypad
 
 
-def render_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-                width: int = 760, height: int = 520) -> str:
+def render_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render line/scatter series into a standalone SVG document string."""
     series = list(series)
     x0, x1, y0, y1 = _bounds(series)
-    pw = width - MARGIN_LEFT - MARGIN_RIGHT
-    ph = height - MARGIN_TOP - MARGIN_BOTTOM
+    pw = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    ph = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x0) / (x1 - x0) * pw
@@ -81,13 +82,13 @@ def render_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">'
     )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-size="15">{escape(title)}</text>'
         )
 
@@ -117,7 +118,7 @@ def render_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     )
     if xlabel:
         parts.append(
-            f'<text x="{MARGIN_LEFT + pw / 2:.1f}" y="{height - 14}" '
+            f'<text x="{MARGIN_LEFT + pw / 2:.1f}" y="{HEIGHT - 14}" '
             f'text-anchor="middle">{escape(xlabel)}</text>'
         )
     if ylabel:

@@ -8,6 +8,7 @@ import pytest
 import portopt.qp
 import portopt.solver
 from conftest import PRICES_CSV, RISKFREE_CSV, fail_certificate
+from portopt import errors
 from portopt.cli import main
 
 TOY_PRICES = """date,AAA,BBB,MKT
@@ -317,11 +318,18 @@ def test_unknown_config_key_rejected(tmp_path):
      "'c9_mm_min_variance' names no report cell"),
     ("compare", ["--expected", "{exp}"], {"exp/c4_MM_min_variance.json": '{"return": 0.01}'},
      "'c4_MM_min_variance' names no report cell"),
+    ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '[{"return": 0.01}]'},
+     "'c3_mm_min_variance' holds a list, not an object"),
+    ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"retrun": 0.1}'},
+     "'c3_mm_min_variance' has unknown field 'retrun'"),
+    ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"return": true}'},
+     "'c3_mm_min_variance' field 'return' holds a boolean"),
 ], ids=["leverage-cap-nan", "leverage-cap-inf", "weight-bound-inf", "negative-seed", "rf-nan",
         "config-not-json", "config-grid-str", "config-formats-int", "config-leverage-cap-bool",
         "config-seed-bool", "expected-not-json",
         "expected-bad-value", "expected-short-weights", "expected-long-weights",
-        "expected-unknown-regime", "expected-uppercase-model"])
+        "expected-unknown-regime", "expected-uppercase-model", "expected-list",
+        "expected-misspelled-field", "expected-bool"])
 def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
                                               command, flags, files, cause):
     for name, text in files.items():
@@ -393,3 +401,86 @@ def test_failed_cloud_exits_two(tmp_path, capsys, monkeypatch):
                  "--constraint", "c3", "--grid", "10", "--cloud-count", "10"])
     assert code == 2
     assert capsys.readouterr().err.strip() == "solver failure: forced for test"
+
+
+# The README's exit code and stderr prefix for each failure; written out here,
+# not read from the CLI's own table, so that the two are checked against each other.
+EXIT_CODES = {
+    errors.ParseError: (1, "error: "),
+    errors.ValidationError: (1, "error: "),
+    errors.ConfigError: (1, "error: "),
+    errors.InsufficientDataError: (1, "error: "),
+    errors.SingularMatrixError: (1, "error: "),
+    errors.InfeasibleError: (3, "infeasible: "),
+    errors.ConvergenceError: (2, "solver failure: "),
+    errors.DegenerateSharpeError: (2, "solver failure: "),
+    errors.SamplingError: (2, "solver failure: "),
+    OSError: (1, "error: "),
+}
+
+
+def _raiser(cls):
+    def boom(*args, **kwargs):
+        raise cls("forced for test")
+    return boom
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert set(EXIT_CODES) == {*errors.PortoptError.__subclasses__(), OSError}
+
+
+@pytest.mark.parametrize("command", ["ingest", "solve", "frontier", "compare"])
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_load_failure_exit_code_and_prefix(toy_files, tmp_path, capsys, monkeypatch,
+                                           command, cls):
+    monkeypatch.setattr("portopt.cli._load", _raiser(cls))
+    prices, riskfree = toy_files
+    code = main([command, *_base_args(prices, riskfree, tmp_path / "out")])
+    code_expected, prefix = EXIT_CODES[cls]
+    assert (code, capsys.readouterr().err) == (code_expected, f"{prefix}forced for test\n")
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_solve_cell_failure_exit_code(toy_files, tmp_path, capsys, monkeypatch, cls):
+    monkeypatch.setattr("portopt.report.solve_objective", _raiser(cls))
+    prices, riskfree = toy_files
+    out = tmp_path / "out"
+    code = main(["solve", *_base_args(prices, riskfree, out)])
+    err = capsys.readouterr().err
+    code_expected, prefix = EXIT_CODES[cls]
+    assert code == code_expected
+    if cls is OSError:       # not a cell failure: it ends the command
+        assert err == f"{prefix}forced for test\n"
+        assert not (out / "diagnostics.json").exists()
+        return
+    cells = [f"{m} {o} c3" for m in ("MM", "IM") for o in ("minvar", "maxsharpe")]
+    assert err.splitlines() == [f"{cell}: FAILED (forced for test)" for cell in cells]
+    failures = json.loads((out / "diagnostics.json").read_text())["failures"]
+    assert [f["kind"] for f in failures] == [cls.__name__] * 4
+
+
+@pytest.mark.parametrize("first, second, expected", [
+    (errors.ValidationError, errors.InfeasibleError, 3),
+    (errors.ValidationError, errors.ConvergenceError, 2),
+    (errors.InfeasibleError, errors.SamplingError, 3),
+])
+def test_solve_mixed_cell_failures_exit_with_the_gravest(toy_files, tmp_path, monkeypatch,
+                                                         first, second, expected):
+    failures = iter([first, second])
+    monkeypatch.setattr("portopt.report.solve_objective",
+                        lambda *args, **kwargs: _raiser(next(failures))())
+    prices, riskfree = toy_files
+    code = main(["solve", *_base_args(prices, riskfree, tmp_path / "out"), "--model", "mm"])
+    assert code == expected
+
+
+def test_solve_unconverged_solution_exits_two(toy_files, tmp_path, monkeypatch):
+    fail_certificate(monkeypatch, 1)   # the maximum-Sharpe certificate
+    prices, riskfree = toy_files
+    out = tmp_path / "out"
+    code = main(["solve", *_base_args(prices, riskfree, out),
+                 "--model", "mm", "--objective", "maxsharpe"])
+    assert code == 2
+    failures = json.loads((out / "diagnostics.json").read_text())["failures"]
+    assert [f["kind"] for f in failures] == ["ConvergenceError"]
+    assert failures[0]["error"].startswith("kkt_residual=")

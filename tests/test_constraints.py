@@ -51,6 +51,13 @@ def test_full_investment_always_checked():
     assert rep.violations[0][1] == pytest.approx(0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("regime", ["c1", "c2", "c3", "c4", "c5"])
+def test_nan_weight_is_a_violation(regime):
+    rep = check_feasible([np.nan, 0.5, 0.5], ConstraintSet(regime, market_index=0))
+    assert not rep.feasible
+    assert rep.violations[0][0] == "full_investment" and np.isnan(rep.violations[0][1])
+
+
 def test_leverage_magnitude():
     rep = check_feasible([2.0, -1.0], ConstraintSet("c1"), tol=1e-9)
     assert dict(rep.violations)["leverage_cap"] == pytest.approx(1.0, abs=1e-12)

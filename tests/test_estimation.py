@@ -156,6 +156,24 @@ def test_portfolio_stats_weight_sum_contract():
         portfolio_stats(np.array([0.5, 0.5, 0.5]), mm)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_portfolio_stats_rejects_nonfinite_weights(bad):
+    rng = np.random.default_rng(7)
+    table = make_table(factor_returns(rng, 20, 3))
+    for est in (markowitz_estimates(table), index_model_estimates(table)):
+        with pytest.raises(ValidationError, match="finite"):
+            portfolio_stats(np.array([bad, 0.5, 0.5]), est)
+        with pytest.raises(ValidationError, match="finite"):
+            portfolio_stats(np.array([[0.2, 0.3, 0.5], [0.5, bad, 0.5]]), est)
+
+
+def test_zero_variance_column_rejected():
+    col = np.array([0.01, -0.02, 0.03, 0.0])
+    table = make_table(np.column_stack([np.full(4, 0.01), col]))
+    with pytest.raises(ValidationError, match="zero-variance column 'A0'"):
+        markowitz_estimates(table)
+
+
 def test_mm_im_same_return_any_weights():
     rng = np.random.default_rng(8)
     table = make_table(factor_returns(rng, 60, 6))

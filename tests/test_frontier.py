@@ -16,6 +16,7 @@ from portopt import (
     ConstraintSet,
     ConvergenceError,
     PortfolioStats,
+    SamplingError,
     ValidationError,
     average_risk_free,
     capital_allocation_line,
@@ -164,6 +165,13 @@ def test_cloud_box_and_feasibility_reports():
     cloud = sample_cloud(c2, 5, 400, seed=17)
     for w in cloud.weights:
         assert check_feasible(w, c2, tol=1e-9).feasible
+
+
+def test_cloud_nan_portfolio_rejected(monkeypatch):
+    # weight_bound = 1/N leaves only equal weights, so every portfolio is shrunk
+    monkeypatch.setattr("portopt.frontier._shrink_to_feasible", lambda w, regime: w * np.nan)
+    with pytest.raises(SamplingError, match="infeasible sample 0"):
+        sample_cloud(ConstraintSet("c2", weight_bound=0.25), 4, 10, seed=1)
 
 
 def test_cloud_market_exclusion():

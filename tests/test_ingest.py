@@ -162,21 +162,16 @@ def test_annual_to_monthly_values():
 
 
 def test_average_risk_free_simple():
-    s = RiskFreeSeries.from_annual(((2013, 1), (2013, 2)), [0.012, 0.036])
+    s = RiskFreeSeries(((2013, 1), (2013, 2)), [0.012, 0.036])
     assert average_risk_free(s) == pytest.approx(0.002, abs=1e-15)
-    s2 = RiskFreeSeries.from_annual(((2013, 1),), [0.024])
+    s2 = RiskFreeSeries(((2013, 1),), [0.024])
     assert average_risk_free(s2) == pytest.approx(0.002, abs=1e-18)
 
 
 def test_average_risk_free_empty():
-    s = RiskFreeSeries.from_annual((), [])
+    s = RiskFreeSeries((), [])
     with pytest.raises(InsufficientDataError):
         average_risk_free(s)
-
-
-def test_riskfree_derivation_invariant_enforced():
-    with pytest.raises(ValidationError):
-        RiskFreeSeries(((2013, 1),), np.array([0.024]), np.array([0.005]))
 
 
 def test_riskfree_parse_and_warning():

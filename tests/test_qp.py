@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import portopt.qp
 from portopt.errors import ConvergenceError, InfeasibleError
 from portopt.qp import _STALL_LIMIT, find_feasible_point, solve_qp
 
@@ -111,9 +112,10 @@ def _tie_problem():
                 b_eq=np.zeros(0), A_in=np.eye(2), b_in=np.ones(2), x0=np.zeros(2))
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(portopt.qp, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="iteration cap"):
-        solve_qp(**_tie_problem(), max_iter=1)
+        solve_qp(**_tie_problem())
 
 
 def test_exact_tie_blocks_the_lowest_index_first():

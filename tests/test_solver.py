@@ -238,7 +238,15 @@ def test_degenerate_sharpe_under_long_only():
     (lambda cov: solve_max_sharpe(cov, [0.1, np.inf, 0.2], 0.0, ConstraintSet("c1")), "mean"),
     (lambda cov: solve_max_sharpe(cov, [0.1, 0.15, 0.2], np.inf, ConstraintSet("c2")), "rf"),
     (lambda cov: solve_min_variance(cov, C3, mean=[0.1, np.nan, 0.2]), "mean"),
-], ids=["mean-nan-c3", "rf-nan-c4", "mean-inf-c1", "rf-inf-c2", "min-variance-mean-nan"])
+    (lambda cov: solve_target_return(cov, [0.1, 0.15, 0.2], np.nan, ConstraintSet("c1")), "target"),
+    (lambda cov: solve_target_return(cov, [0.1, 0.15, 0.2], np.nan, C3), "target"),
+    (lambda cov: solve_target_return(cov, [0.1, 0.15, 0.2], np.nan, C4), "target"),
+    (lambda cov: solve_target_return(cov, [0.1, 0.15, 0.2], np.inf, ConstraintSet("c1")), "target"),
+    (lambda cov: solve_target_return(cov, [0.1, 0.15, 0.2], -np.inf, C3), "target"),
+    (lambda cov: solve_target_return(cov, [0.1, 0.15, 0.2], np.inf, C4), "target"),
+], ids=["mean-nan-c3", "rf-nan-c4", "mean-inf-c1", "rf-inf-c2", "min-variance-mean-nan",
+        "target-nan-c1", "target-nan-c3", "target-nan-c4", "target-inf-c1", "target-minus-inf-c3",
+        "target-inf-c4"])
 def test_nonfinite_mean_or_rf_rejected(solve, cause):
     with pytest.raises(ValidationError, match=rf"\b{cause}\b"):
         solve(np.diag([0.01, 0.02, 0.04]))
@@ -282,7 +290,7 @@ def test_kkt_residual_public_max_sharpe_path():
     mean = rng.normal(0.01, 0.01, 4)
     mean[0] = 0.02
     sol = solve_max_sharpe(cov, mean, 0.002, C4)
-    assert kkt_residual(sol, cov, mean=mean, rf=0.002) <= 1e-6
+    assert kkt_residual(sol, cov, mean=mean) <= 1e-6
 
 
 def test_variance_convex_in_target():
