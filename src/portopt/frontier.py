@@ -52,9 +52,12 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     ``w_mv + s (w_far - w_mv)`` with ``s = (t - mu0) / (hi - mu0)``.
 
     Every point must pass its KKT certificate, or ``ConvergenceError``
-    names its target and residual.  A two-fund mix is certified through
-    its two ends: its KKT system is linear in ``t``, so mixing the ends'
-    weights and multipliers leaves a residual of at most
+    names its target and residual.  A target point is certified from the
+    multipliers its QP returned, with the NNLS recovery as fallback
+    (``kkt_residual_weights``); the minimum-variance solution by the
+    recovery.  A two-fund mix is certified through its two ends, each
+    certified that way: its KKT system is linear in ``t``, so mixing the
+    ends' weights and multipliers leaves a residual of at most
     ``|1 - s| r_mv + |s| r_far``, no more than the larger end's within
     the span.
     """

@@ -143,8 +143,8 @@ class MonthlyReturnTable:
 
 @dataclass(frozen=True)
 class RiskFreeSeries:
-    """Per-month fixed deposit rates quoted per annum; the per-month values
-    are derived (annual / 12)."""
+    """Per-month fixed deposit rates quoted per annum, each above -1; the
+    per-month values are derived (annual / 12)."""
 
     months: tuple[Month, ...]
     annual_rates: np.ndarray
@@ -157,11 +157,8 @@ class RiskFreeSeries:
             raise ValidationError("risk-free series lengths disagree")
         if not np.all(np.isfinite(annual)):
             raise ValidationError("non-finite risk-free rate")
-        if len(annual) and (annual.min() < 0.0 or annual.max() > 0.2):
-            warnings.warn(
-                "annual risk-free rate outside the typical [0, 0.2] range",
-                stacklevel=2,
-            )
+        if np.any(annual <= -1.0):
+            raise ValidationError("annual risk-free rate must exceed -1")
 
     @property
     def monthly_rates(self) -> np.ndarray:
@@ -272,12 +269,20 @@ def parse_riskfree_table(raw_text: str, *, filename: str = "<string>") -> RiskFr
             ) from None
         if not np.isfinite(rate):
             raise ValidationError(f"non-finite rate ({filename}, row {r})")
+        if rate <= -1.0:
+            raise ValidationError(f"annual rate {rate:g} must exceed -1 ({filename}, row {r})")
         if months and (y, m) <= months[-1]:
             raise ValidationError(
                 f"months must be strictly increasing ({filename}, row {r})"
             )
         months.append((y, m))
         annual.append(rate)
+    unusual = [i for i, rate in enumerate(annual) if not 0.0 <= rate <= 0.2]
+    if unusual:   # shown as file:row at the first one; the header is row 1
+        more = f" (first of {len(unusual)} such rows)" if len(unusual) > 1 else ""
+        warnings.warn_explicit(f"annual risk-free rate {annual[unusual[0]]:g} outside the "
+                               f"typical [0, 0.2] range{more}", UserWarning, filename,
+                               unusual[0] + 2)
     return RiskFreeSeries(tuple(months), annual)
 
 

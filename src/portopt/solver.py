@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,15 +186,25 @@ def _stationarity_residual(grad, E, F, slacks) -> tuple[float, float]:
     return float(np.max(np.abs(r), initial=0.0)), comp
 
 
-def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None) -> float:
+def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
+                         multipliers=None) -> float:
     """First-order optimality residual of ``min w'Cov w`` at ``w``.
 
     Combines the stationarity gap, complementary slackness and primal
     feasibility into a single max-norm.  When ``target`` is given the return
     equality is part of the problem.  Conditions are scored in the regime's
     solve variables (split ``(p, n)`` for the gross-exposure regime), where
-    they are plain QP optimality; a row is active within ``_ACT_TOL`` of
-    its bound.
+    they are plain QP optimality.  The primal part is the excess over the
+    regime's rows; the return row enters through stationarity only.
+
+    ``multipliers`` are the ``(equality, inequality)`` multipliers a solve
+    returned over those rows, the return row last.  They are checked
+    first: stationarity, ``-min(mu)``, ``|mu| * slack`` and the primal
+    excess in one max-norm.  A feasible point of a convex QP with such
+    multipliers is optimal, so when that norm is within ``KKT_TOL`` it is
+    the residual.  Otherwise, and without multipliers, the multipliers are
+    recovered from scratch over the rows active within ``_ACT_TOL`` (NNLS,
+    then least squares), a test independent of the engine's multipliers.
     """
     w = np.asarray(w, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -204,11 +215,20 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None) ->
             raise ValidationError("target-return KKT check requires the mean vector")
         eq = np.vstack([eq, regime.lift(np.asarray(mean, dtype=float))])
     excess = regime.excess(w)              # on the inequality rows, minus the slack
+    primal = excess.max(initial=0.0)
     slacks = -excess[2 * regime.m_eq:]
+    grad = regime.lift(2.0 * (cov @ w))
+    if multipliers is not None:
+        lam, mu = (np.asarray(m, dtype=float) for m in multipliers)
+        residual = max(np.abs(grad + eq.T @ lam + A_in.T @ mu).max(initial=0.0),
+                       -mu.min(initial=0.0),
+                       np.max(np.abs(mu) * np.maximum(slacks, 0.0), initial=0.0),
+                       primal)
+        if residual <= KKT_TOL:
+            return float(residual)
     active = slacks <= _ACT_TOL
-    stationarity, comp = _stationarity_residual(
-        regime.lift(2.0 * (cov @ w)), eq.T, A_in[active].T, slacks[active])
-    return float(max(stationarity, comp, excess.max(initial=0.0)))
+    stationarity, comp = _stationarity_residual(grad, eq.T, A_in[active].T, slacks[active])
+    return float(max(stationarity, comp, primal))
 
 
 def kkt_residual(solution: PortfolioSolution, cov, mean=None) -> float:
@@ -246,6 +266,7 @@ class Problem:
     cov: np.ndarray            # validated and symmetrized
     cov_solve: np.ndarray      # cov plus the ridge applied, factorizable
     ridge: float
+    hessian: np.ndarray        # of the solve variables, from 2 cov_solve
     regime: RegimeModel
     mean: np.ndarray | None
     rf: float
@@ -265,7 +286,8 @@ class Problem:
                 raise ValidationError("mean vector contains non-finite entries")
         if not math.isfinite(rf):
             raise ValidationError(f"risk-free rate rf must be finite, got {rf}")
-        return cls(cov_raw, cov_solve, ridge, regime, mean, float(rf), model)
+        hessian = _hessian(2.0 * cov_solve, regime.split)
+        return cls(cov_raw, cov_solve, ridge, hessian, regime, mean, float(rf), model)
 
     def _mean(self) -> np.ndarray:
         if self.mean is None:
@@ -283,14 +305,20 @@ class Problem:
         sharpe = (ret - self.rf) / stdev if stdev > 0.0 else 0.0
         return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=self.model)
 
-    def _solve(self, A_eq, b_eq, A_in, b_in, x0):
-        H = _hessian(2.0 * self.cov_solve, self.regime.split)
-        return solve_qp(H, np.zeros(H.shape[0]), A_eq, b_eq, A_in, b_in, x0)
+    @cached_property
+    def return_range(self) -> tuple[float, float]:
+        """Attainable interval of expected returns, computed once."""
+        return self.regime.return_range(self._mean())
 
-    def _solution(self, w, res, objective: str, target=None) -> PortfolioSolution:
+    def _solve(self, A_eq, b_eq, A_in, b_in, x0):
+        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0)
+
+    def _solution(self, w, res, objective: str, target=None,
+                  multipliers=None) -> PortfolioSolution:
         c = self.regime.constraint
         stats = self.stats(w)
-        kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target)
+        kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target,
+                                   multipliers=multipliers)
         rep = check_feasible(w, c)
         converged = bool(res.converged and rep.feasible and kkt <= KKT_TOL)
         return PortfolioSolution(
@@ -313,7 +341,7 @@ class Problem:
         r, mean = self.regime, self._mean()
         if not math.isfinite(target):
             raise ValidationError(f"target return target must be finite, got {target}")
-        lo, hi = r.return_range(mean)
+        lo, hi = self.return_range
         slack = 1e-9 * (1.0 + abs(target))
         if target < lo - slack or target > hi + slack:
             raise InfeasibleError(
@@ -329,7 +357,8 @@ class Problem:
         A_eq, b_eq, A_in, b_in = r.system()
         res = self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t),
                           A_in, b_in, r.to_solve(a + s * (v - a)))
-        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t)
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t,
+                              multipliers=(res.eq_multipliers, res.in_multipliers))
 
     def max_sharpe(self) -> PortfolioSolution:
         r, mean = self.regime, self._mean()

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 import portopt.solver
-from portopt import MonthlyReturnTable
+from portopt import (
+    ConstraintSet,
+    MonthlyReturnTable,
+    average_risk_free,
+    compute_monthly_returns,
+    im_covariance,
+    index_model_estimates,
+    markowitz_estimates,
+    parse_price_table,
+    parse_riskfree_table,
+    select_bom,
+)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 PRICES_CSV = DATA_DIR / "synthetic_prices.csv"
@@ -64,6 +75,61 @@ def fail_certificate(monkeypatch, k: int):
         return original(*args, target=target, **kwargs)
 
     monkeypatch.setattr(portopt.solver, "kkt_residual_weights", failing)
+
+
+class CertificateWatch:
+    """Records each certificate given a solve's multipliers and counts the
+    NNLS recoveries (``solver._stationarity_residual``) that fall back from one."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []          # (args, kwargs) of each certificate given multipliers
+        self.fallbacks = 0
+        self.recoveries = 0      # every NNLS recovery, with or without multipliers
+        self._certify = portopt.solver.kkt_residual_weights
+        recover = portopt.solver._stationarity_residual
+
+        def counting(*args):
+            self.recoveries += 1
+            return recover(*args)
+
+        def recording(*args, **kwargs):
+            if kwargs.get("multipliers") is None:
+                return self._certify(*args, **kwargs)
+            self.calls.append((args, kwargs))
+            value, fell_back = self.certify(args, kwargs)
+            self.fallbacks += fell_back
+            return value
+
+        monkeypatch.setattr(portopt.solver, "_stationarity_residual", counting)
+        monkeypatch.setattr(portopt.solver, "kkt_residual_weights", recording)
+
+    def certify(self, args, kwargs, **changes) -> tuple[float, bool]:
+        """A recorded call's certificate with ``changes`` to its keywords,
+        and whether it ran the NNLS recovery."""
+        before = self.recoveries
+        value = self._certify(*args, **{**kwargs, **changes})
+        return value, self.recoveries > before
+
+
+def constraint_for(regime: str, market_index: int) -> ConstraintSet:
+    return ConstraintSet(regime, market_index=market_index if regime == "c5" else None)
+
+
+@pytest.fixture(scope="session")
+def markets():
+    """{label: (cov, mean, rf, market index)}: bundled MM and IM, and a seeded N=30 universe."""
+    table = compute_monthly_returns(select_bom(parse_price_table(
+        PRICES_CSV.read_text(encoding="utf-8"), "MKT")))
+    rf = average_risk_free(parse_riskfree_table(RISKFREE_CSV.read_text(encoding="utf-8")))
+    mm = markowitz_estimates(table)
+    im = index_model_estimates(table, rf=rf)
+    universe = make_table(factor_returns(np.random.default_rng(30), 120, 30))
+    n30 = markowitz_estimates(universe)
+    return {
+        "bundled-mm": (mm.cov, mm.mean, rf, table.market_position),
+        "bundled-im": (im_covariance(im), im.expected_returns(), rf, table.market_position),
+        "n30": (n30.cov, n30.mean, 0.0, universe.market_position),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,136 @@
+"""The target-return certificate: the engine's multipliers first, the NNLS recovery as fallback.
+
+``kkt_residual_weights`` given a solve's multipliers checks them in one
+max-norm and, when they fall short, recovers multipliers from scratch
+(``solver._stationarity_residual``).  These tests hold the two paths to
+the same verdicts: they agree on solved points, a corrupted multiplier
+sends a good point to the fallback, which still certifies it, and a
+wrong point fails under both.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import CertificateWatch, constraint_for, factor_returns, make_table, random_spd
+from portopt import ConstraintSet, markowitz_estimates, trace_frontier
+from portopt.solver import KKT_TOL
+
+REGIMES = ("c1", "c2", "c3", "c4", "c5")
+
+
+def _traced(monkeypatch, cov, mean, rf, c, grid) -> CertificateWatch:
+    watch = CertificateWatch(monkeypatch)
+    trace_frontier(cov, mean, rf, c, grid=grid)
+    return watch
+
+
+def _middle_call(watch: CertificateWatch):
+    return watch.calls[len(watch.calls) // 2]
+
+
+def _other_target(watch: CertificateWatch, kwargs):
+    """The multipliers of the first recorded target other than ``kwargs``'s."""
+    return next(kw["multipliers"] for _, kw in watch.calls if kw["target"] != kwargs["target"])
+
+
+@pytest.mark.parametrize("regime", ["c1", "c2", "c4"])
+def test_certificates_agree_on_n50_curves(monkeypatch, regime):
+    universe = make_table(factor_returns(np.random.default_rng(50), 128, 50))
+    est = markowitz_estimates(universe)
+    watch = _traced(monkeypatch, est.cov, est.mean, 0.0, ConstraintSet(regime), 100)
+    assert len(watch.calls) >= 100 and watch.fallbacks == 0
+    for args, kwargs in watch.calls:
+        fast, fell_back = watch.certify(args, kwargs)
+        nnls, _ = watch.certify(args, kwargs, multipliers=None)
+        assert not fell_back and fast <= KKT_TOL
+        assert abs(fast - nnls) <= 1e-10
+
+
+@pytest.mark.parametrize("regime", ["c1", "c2", "c4"])
+def test_corrupted_multipliers_fall_back_and_still_certify(monkeypatch, markets, regime):
+    cov, mean, rf, _ = markets["bundled-mm"]
+    watch = _traced(monkeypatch, cov, mean, rf, ConstraintSet(regime), 20)
+    # the point with the largest multiplier on an active row
+    args, kwargs = max(watch.calls, key=lambda call: call[1]["multipliers"][1].max())
+    lam, mu = kwargs["multipliers"]
+    nnls, _ = watch.certify(args, kwargs, multipliers=None)
+    assert nnls <= KKT_TOL
+
+    flipped = mu.copy()
+    k = int(np.argmax(mu))
+    assert mu[k] > KKT_TOL
+    flipped[k] = -mu[k]
+    assert watch.certify(args, kwargs, multipliers=(lam, flipped)) == (nnls, True)
+
+    other = _other_target(watch, kwargs)
+    assert watch.certify(args, kwargs, multipliers=other) == (nnls, True)
+
+
+def test_each_multiplier_condition_sends_to_the_fallback(monkeypatch):
+    # at weight_bound 1/N the equal weights are the only point, every upper
+    # bound is active and the multipliers are not unique: the budget's
+    # multiplier can move against the bounds' without breaking stationarity
+    n = 3
+    rng = np.random.default_rng(7)
+    cov, mean = random_spd(rng, n), rng.normal(0.01, 0.02, n)
+    w = np.full(n, 1.0 / n)
+    c = ConstraintSet("c2", weight_bound=1.0 / n)
+    g = 2.0 * cov @ w
+    watch = CertificateWatch(monkeypatch)
+
+    def certify(lam0, mu):
+        kwargs = {"mean": mean, "target": float(mean @ w),
+                  "multipliers": (np.array([lam0, 0.0]), mu)}
+        return watch.certify((w, cov, c), kwargs)
+
+    def upper(lam0):          # closes stationarity on the active upper bounds
+        return np.concatenate([-g - lam0, np.zeros(n)])
+
+    lam0 = -g.max() - 0.01
+    fast, fell_back = certify(lam0, upper(lam0))
+    assert fast <= 1e-15 and not fell_back
+    nnls, _ = watch.certify((w, cov, c), {"mean": mean, "target": float(mean @ w)})
+    assert nnls <= KKT_TOL
+    # a negative multiplier on an active row: only -min(mu) sees it
+    lam0 = -g.min() + 0.01
+    assert certify(lam0, upper(lam0)) == (nnls, True)
+    # a multiplier on an inactive row, cancelled on the same variable's
+    # active bound: only complementary slackness sees it
+    lam0 = -g.max() - 0.01
+    mu = upper(lam0)
+    mu[[0, n]] += 0.01
+    assert certify(lam0, mu) == (nnls, True)
+
+
+@pytest.mark.parametrize("regime", ["c2", "c4"])
+def test_wrong_point_fails_under_both_paths(monkeypatch, markets, regime):
+    cov, mean, rf, _ = markets["bundled-mm"]
+    watch = _traced(monkeypatch, cov, mean, rf, ConstraintSet(regime), 20)
+    (w, *rest), kwargs = _middle_call(watch)
+    # move along a direction that keeps the budget and the return, over
+    # assets far from every bound, so the point stays feasible
+    inner = np.flatnonzero((w > 0.05) & (w < 0.95))
+    assert len(inner) >= 3
+    _, _, vt = np.linalg.svd(np.vstack([np.ones(len(inner)), mean[inner]]))
+    d = np.zeros(len(w))
+    d[inner] = vt[-1]
+    wrong = (w + 0.5 * w[inner].min() / np.abs(d).max() * d, *rest)
+    assert mean @ wrong[0] == pytest.approx(mean @ w, abs=1e-15)
+
+    nnls, _ = watch.certify(wrong, kwargs, multipliers=None)
+    assert nnls > KKT_TOL
+    assert watch.certify(wrong, kwargs) == (nnls, True)
+    other = _other_target(watch, kwargs)
+    assert watch.certify(wrong, kwargs, multipliers=other) == (nnls, True)
+
+
+def test_bundled_target_points_never_fall_back(monkeypatch, markets):
+    # tripwire for the fast path: every target point of the bundled MM and
+    # IM curves is certified by its own multipliers, without an NNLS recovery
+    for label in ("bundled-mm", "bundled-im"):
+        cov, mean, rf, mi = markets[label]
+        for regime in REGIMES:
+            watch = _traced(monkeypatch, cov, mean, rf, constraint_for(regime, mi), 60)
+            monkeypatch.undo()
+            assert watch.calls, (label, regime)
+            assert watch.fallbacks == 0, (label, regime)

@@ -100,6 +100,15 @@ def test_ingest_missing_riskfree_with_override(toy_files, tmp_path):
     assert code == 0
 
 
+def test_ingest_riskfree_rate_below_minus_one_exits_1(toy_files, tmp_path, capsys):
+    prices, _ = toy_files
+    riskfree = tmp_path / "rf.csv"
+    riskfree.write_text("month,annual_rate\n2020-02,0.024\n2020-03,-2.0\n", encoding="utf-8")
+    code = main(["ingest", *_base_args(prices, riskfree, tmp_path / "out")])
+    assert code == 1
+    assert f"annual rate -2 must exceed -1 ({riskfree}, row 3)" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path):
     code = main(["ingest", "--prices", str(tmp_path / "nope.csv"),
                  "--market-ticker", "MKT", "--rf", "0.002",

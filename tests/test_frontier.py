@@ -5,8 +5,7 @@ import pytest
 
 import portopt.solver
 from conftest import (
-    PRICES_CSV,
-    RISKFREE_CSV,
+    constraint_for,
     factor_returns,
     fail_certificate,
     make_table,
@@ -18,18 +17,11 @@ from portopt import (
     PortfolioStats,
     SamplingError,
     ValidationError,
-    average_risk_free,
     capital_allocation_line,
     check_feasible,
     cloud_points,
-    compute_monthly_returns,
-    im_covariance,
-    index_model_estimates,
     markowitz_estimates,
-    parse_price_table,
-    parse_riskfree_table,
     sample_cloud,
-    select_bom,
     solve_target_return,
     trace_frontier,
 )
@@ -242,27 +234,6 @@ def test_frontier_csv_matches_points():
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
 
 
-@pytest.fixture(scope="module")
-def markets():
-    """{label: (cov, mean, rf, market index)}: bundled MM and IM, and a seeded N=30 universe."""
-    table = compute_monthly_returns(select_bom(parse_price_table(
-        PRICES_CSV.read_text(encoding="utf-8"), "MKT")))
-    rf = average_risk_free(parse_riskfree_table(RISKFREE_CSV.read_text(encoding="utf-8")))
-    mm = markowitz_estimates(table)
-    im = index_model_estimates(table, rf=rf)
-    universe = make_table(factor_returns(np.random.default_rng(30), 120, 30))
-    n30 = markowitz_estimates(universe)
-    return {
-        "bundled-mm": (mm.cov, mm.mean, rf, table.market_position),
-        "bundled-im": (im_covariance(im), im.expected_returns(), rf, table.market_position),
-        "n30": (n30.cov, n30.mean, 0.0, universe.market_position),
-    }
-
-
-def _regime(regime: str, market_index: int) -> ConstraintSet:
-    return ConstraintSet(regime, market_index=market_index if regime == "c5" else None)
-
-
 def _trace_counting_qps(monkeypatch, cov, mean, rf, c, grid):
     """The curve, with the number of QPs it ran and their total iterations."""
     original, work = portopt.solver.solve_qp, [0, 0]
@@ -286,7 +257,7 @@ def test_path_points_match_cold_solves(markets, label, regime):
     # the grid from the minimum-variance return to the best feasible one,
     # plus the tangency return
     cov, mean, rf, mi = markets[label]
-    c = _regime(regime, mi)
+    c = constraint_for(regime, mi)
     curve = trace_frontier(cov, mean, rf, c, grid=50)
     mu0, tangency = curve.min_variance.stats.ret, curve.tangency.stats.ret
     best = float(mean @ regime_model(c, len(mean)).vertex(mean, highest=True))
@@ -308,7 +279,8 @@ def test_path_points_match_cold_solves(markets, label, regime):
 def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
     # minimum variance, maximum Sharpe and the one target at the far end
     cov, mean, rf, mi = markets[label]
-    curve, calls, _ = _trace_counting_qps(monkeypatch, cov, mean, rf, _regime(regime, mi), 100)
+    c = constraint_for(regime, mi)
+    curve, calls, _ = _trace_counting_qps(monkeypatch, cov, mean, rf, c, 100)
     assert len(curve.points) >= 100
     assert calls <= 3
 
@@ -321,7 +293,7 @@ def test_bundled_frontier_path_iteration_counts(monkeypatch, markets):
         for label, iterations in zip(("bundled-mm", "bundled-im"), expected):
             cov, mean, rf, mi = markets[label]
             _, calls, total = _trace_counting_qps(monkeypatch, cov, mean, rf,
-                                                  _regime(regime, mi), 100)
+                                                  constraint_for(regime, mi), 100)
             assert (calls, total) == (103, iterations), (regime, label)
 
 
@@ -333,4 +305,4 @@ def test_failed_point_certificate_raises(monkeypatch, markets, regime, k):
     cov, mean, rf, mi = markets["bundled-mm"]
     fail_certificate(monkeypatch, k)
     with pytest.raises(ConvergenceError, match=r"target return -?\d.*residual 1\b"):
-        trace_frontier(cov, mean, rf, _regime(regime, mi), grid=20)
+        trace_frontier(cov, mean, rf, constraint_for(regime, mi), grid=20)

@@ -1,5 +1,6 @@
 """Ingestion: parsing, BOM selection, return computation, rate handling."""
 
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -181,6 +182,32 @@ def test_riskfree_parse_and_warning():
         parse_riskfree_table("month,annual_rate\n2013-13,0.02\n")
     with pytest.warns(UserWarning):
         parse_riskfree_table("month,annual_rate\n2013-01,0.9\n")
+
+
+def test_riskfree_rate_must_exceed_minus_one():
+    # the rule of annual_to_monthly_rate, for a series and for a file
+    for rate in (-1.0, -2.0):
+        with pytest.raises(ValidationError, match="exceed -1"):
+            annual_to_monthly_rate(rate)
+        with pytest.raises(ValidationError, match="exceed -1"):
+            RiskFreeSeries(((2013, 1),), [rate])
+    with pytest.raises(ValidationError, match=r"rate -2 must exceed -1 \(rf\.csv, row 3\)"):
+        parse_riskfree_table("month,annual_rate\n2013-01,0.02\n2013-02,-2.0\n",
+                             filename="rf.csv")
+    assert RiskFreeSeries(((2013, 1),), [-0.5]).monthly_rates[0] == pytest.approx(-0.5 / 12)
+
+
+def test_riskfree_warning_names_file_and_row():
+    text = "month,annual_rate\n2013-01,0.02\n2013-02,0.9\n2013-03,-0.5\n"
+    with pytest.warns(UserWarning) as record:
+        parse_riskfree_table(text, filename="rf.csv")
+    assert len(record) == 1
+    shown = warnings.formatwarning(record[0].message, record[0].category,
+                                   record[0].filename, record[0].lineno)
+    assert shown.startswith("rf.csv:3: UserWarning: annual risk-free rate 0.9 outside the "
+                            "typical [0, 0.2] range (first of 2 such rows)")
+    # the series itself no longer warns (warnings are errors under pytest)
+    RiskFreeSeries(((2013, 1),), [0.9])
 
 
 def test_bundled_riskfree_average(bundled_riskfree_text):

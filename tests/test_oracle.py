@@ -9,7 +9,8 @@ with the QP engine or the regime model.  Because the covariance is
 positive definite, the optimum is unique; and with linear constraints a
 nonnegative multiplier vector on some linearly independent subset of the
 active rows always exists, so skipping rank-deficient subsets loses
-nothing.
+nothing.  On the same cases, the target-return certificate from the
+engine's multipliers is held to the NNLS certificate.
 """
 
 from itertools import combinations, product
@@ -17,8 +18,9 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import random_monthly_cov, random_spd
+from conftest import CertificateWatch, random_monthly_cov, random_spd
 from portopt import ConstraintSet, attainable_return_range, solve_min_variance, solve_target_return
+from portopt.solver import KKT_TOL
 
 
 def _enumerate(H, A_eq, b_eq, A_in, b_in):
@@ -91,6 +93,25 @@ def test_solvers_match_the_enumeration_oracle(seed, n, c):
             sol = solve_target_return(cov, mean, target, c)
             assert sol.converged
             assert np.allclose(sol.weights, oracle(cov, c, mean, target), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed,n,c", list(_cases()),
+                         ids=lambda v: getattr(v, "regime", v))
+def test_multiplier_certificate_matches_nnls(monkeypatch, seed, n, c):
+    # the same target points: the engine's multipliers certify each one
+    # without the NNLS fallback, and both certificates read the same residual
+    rng = np.random.default_rng(100 * seed + n)
+    watch = CertificateWatch(monkeypatch)
+    for cov in (random_monthly_cov(rng, n), random_spd(rng, n)):
+        mean = rng.normal(0.01, 0.02, n)
+        lo, hi = attainable_return_range(mean, c)
+        for frac in (0.1, 0.5, 0.9):
+            solve_target_return(cov, mean, lo + frac * (hi - lo), c)
+    assert len(watch.calls) == 6 and watch.fallbacks == 0
+    for args, kwargs in watch.calls:
+        fast, _ = watch.certify(args, kwargs)
+        nnls, _ = watch.certify(args, kwargs, multipliers=None)
+        assert fast <= KKT_TOL and abs(fast - nnls) <= 1e-10
 
 
 def test_oracle_reads_the_tight_cases():

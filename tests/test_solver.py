@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import portopt.constraints
 import portopt.qp
+import portopt.solver
 from conftest import factor_returns, make_table, random_monthly_cov, random_spd
 from portopt import (
     ConstraintSet,
@@ -20,6 +22,7 @@ from portopt import (
     solve_max_sharpe,
     solve_min_variance,
     solve_target_return,
+    trace_frontier,
 )
 from portopt.solver import kkt_residual_weights, solve_objective
 
@@ -386,3 +389,24 @@ def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
         assert sol.converged and sol.kkt_residual <= 1e-12
         assert sol.iterations == iterations
         assert max(rows) <= 100 + 2
+
+
+def test_curve_builds_hessian_and_return_range_once(monkeypatch):
+    # one Problem per curve: the split Hessian and the attainable return
+    # range are computed once for it, not once per target
+    calls = {"hessian": 0, "return_range": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(portopt.solver, "_hessian", counting("hessian", portopt.solver._hessian))
+    monkeypatch.setattr(portopt.constraints.RegimeModel, "return_range",
+                        counting("return_range", portopt.constraints.RegimeModel.return_range))
+    rng = np.random.default_rng(4)
+    cov, mean = random_monthly_cov(rng, 6), rng.normal(0.01, 0.02, 6)
+    curve = trace_frontier(cov, mean, 0.0, ConstraintSet("c1"), grid=20)
+    assert len(curve.points) >= 20
+    assert calls == {"hessian": 1, "return_range": 1}
