@@ -67,7 +67,7 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     minvar = problem.min_variance()
     tangency = problem.max_sharpe()
     regime, mean_v = problem.regime, problem.mean
-    hi = float(mean_v @ regime.vertex(mean_v, highest=True))
+    hi = float(mean_v @ problem.vertices[1])
     mu0 = minvar.stats.ret
     hi = max(hi, tangency.stats.ret, mu0)
 

@@ -9,10 +9,14 @@ convex QP through the homogenization change of variables ``y = kappa * w``
 with the excess return normalized to one; every regime row rewrites
 exactly because it is linear in the solve variables.
 
-Every solve starts from a closed-form feasible point: the regime's centre,
-a mix of a feasible portfolio with a return vertex, or for maximum Sharpe
-the unconstrained optimum, the long-only fill, the highest-return vertex
-or a zero-investment pair; without one, maximum Sharpe is degenerate.
+Every solve starts from a closed-form feasible point near its answer.
+Minimum variance starts at the unconstrained minimum-variance portfolio,
+clipped to the simplex (long only) or mixed toward the centre as far as
+the rows hold; a target return at a mix of a feasible portfolio with a
+return vertex; maximum Sharpe at the unconstrained optimum, the long-only
+fill (under a two-sided box mixed toward the tangency portfolio), the
+highest-return vertex or a zero-investment pair; without one, maximum
+Sharpe is degenerate.  Each mix is one closed-form step, not a search.
 """
 
 from __future__ import annotations
@@ -92,21 +96,24 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
     if np.max(np.abs(c - c.T), initial=0.0) > 1e-8 * scale:
         raise ValidationError("covariance matrix is not symmetric")
     c = 0.5 * (c + c.T)
-    if float(np.min(np.linalg.eigvalsh(c))) < -1e-8 * scale:
-        raise ValidationError("covariance matrix is not positive semidefinite")
-    ridge = 0.0
-    solve_c = c
+    # a Cholesky factor exists only where the smallest eigenvalue exceeds
+    # about -n eps |c|, far above the threshold below: the spectrum is
+    # needed only when it fails
     try:
         np.linalg.cholesky(c)
+        return c, c, 0.0
     except np.linalg.LinAlgError:
-        ridge = 1e-10 * float(np.trace(c)) / c.shape[0]
-        solve_c = c + ridge * np.eye(c.shape[0])
-        try:
-            np.linalg.cholesky(solve_c)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                "covariance cannot be factorized even after ridge regularization"
-            ) from None
+        pass
+    if float(np.min(np.linalg.eigvalsh(c))) < -1e-8 * scale:
+        raise ValidationError("covariance matrix is not positive semidefinite")
+    ridge = 1e-10 * float(np.trace(c)) / c.shape[0]
+    solve_c = c + ridge * np.eye(c.shape[0])
+    try:
+        np.linalg.cholesky(solve_c)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            "covariance cannot be factorized even after ridge regularization"
+        ) from None
     return c, solve_c, ridge
 
 
@@ -195,7 +202,7 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     equality is part of the problem.  Conditions are scored in the regime's
     solve variables (split ``(p, n)`` for the gross-exposure regime), where
     they are plain QP optimality.  The primal part is the excess over the
-    regime's rows; the return row enters through stationarity only.
+    regime's rows and, given a target, the return gap ``|mean.w - target|``.
 
     ``multipliers`` are the ``(equality, inequality)`` multipliers a solve
     returned over those rows, the return row last.  They are checked
@@ -216,6 +223,8 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
         eq = np.vstack([eq, regime.lift(np.asarray(mean, dtype=float))])
     excess = regime.excess(w)              # on the inequality rows, minus the slack
     primal = excess.max(initial=0.0)
+    if target is not None:
+        primal = max(primal, abs(float(np.asarray(mean, dtype=float) @ w) - target))
     slacks = -excess[2 * regime.m_eq:]
     grad = regime.lift(2.0 * (cov @ w))
     if multipliers is not None:
@@ -306,6 +315,13 @@ class Problem:
         return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=self.model)
 
     @cached_property
+    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of the lowest and of the highest expected return
+        (``RegimeModel.vertex``), built once."""
+        mean = self._mean()
+        return self.regime.vertex(mean, highest=False), self.regime.vertex(mean, highest=True)
+
+    @cached_property
     def return_range(self) -> tuple[float, float]:
         """Attainable interval of expected returns, computed once."""
         return self.regime.return_range(self._mean())
@@ -328,9 +344,57 @@ class Problem:
         )
 
     def min_variance(self) -> PortfolioSolution:
+        """Smallest variance under the regime.
+
+        The solve starts at the unconstrained minimum-variance portfolio of
+        the free assets, ``cov_solve[free, free]^-1 1`` normalized to sum
+        to one, where Goldfarb & Idnani (1983) start their dual method.
+        That point is pulled into the feasible set: clipped to the simplex
+        where the box is long only, else mixed toward the centre as far as
+        the inequality rows hold (``_toward``).  Without inequality rows
+        (c3, c5) it is the answer.
+        """
         r = self.regime
-        res = self._solve(*r.system(), r.centre())
+        centre = r.to_weights(r.centre())           # raises when the set is empty
+        w = np.zeros(r.n)
+        w[r.free] = np.linalg.solve(self.cov_solve[np.ix_(r.free, r.free)],
+                                    np.ones(len(r.free)))
+        w /= w.sum()
+        if r.box[0] == 0.0:                         # long only: onto the simplex
+            w = np.maximum(w, 0.0)
+            w /= w.sum()
+        else:
+            w = self._toward(centre, w)
+        res = self._solve(*r.system(), r.to_solve(w))
         return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
+
+    def _toward(self, anchor: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The point ``anchor + s (w - anchor)`` of largest ``s`` in [0, 1] at
+        which the inequality rows hold, for feasible weights ``anchor``.
+
+        In closed form: a ratio test over the rows, or for the split, whose
+        rows bound ``sum |w_i|``, that piecewise-linear function of ``s``
+        evaluated at its kinks, where a weight changes sign.
+        """
+        r, d = self.regime, w - anchor
+        if r.split:
+            kinks = -anchor[d != 0.0] / d[d != 0.0]
+            at = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]])
+            gross = np.abs(anchor + at[:, None] * d).sum(axis=1)
+            cap = r.constraint.leverage_cap
+            j = int(np.argmax(gross > cap))
+            if gross[j] <= cap:
+                return w
+            if j == 0:
+                return anchor
+            frac = (cap - gross[j - 1]) / (gross[j] - gross[j - 1])   # in [0, 1)
+            return anchor + (at[j - 1] + frac * (at[j] - at[j - 1])) * d
+        _, _, A_in, b_in = r.system()
+        step = A_in @ d
+        up = step > 0.0
+        room = np.maximum(b_in - A_in @ anchor, 0.0)
+        s = float(np.min(room[up] / step[up], initial=1.0))
+        return w if s >= 1.0 else anchor + s * d
 
     def target_return(self, target: float, anchor=None) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -351,7 +415,7 @@ class Problem:
         t = min(max(target, lo), hi)
         a = r.to_weights(r.centre()) if anchor is None else np.asarray(anchor, dtype=float)
         a_ret = float(mean @ a)
-        v = r.vertex(mean, highest=t >= a_ret)
+        v = self.vertices[t >= a_ret]
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
         A_eq, b_eq, A_in, b_in = r.system()
@@ -379,13 +443,17 @@ class Problem:
 
         The unconstrained optimum when it is feasible (it is then optimal);
         else the long-only fill, or failing that the highest-return vertex,
-        scaled to unit excess return.  On a bounded set (c1, c2, c4) that
-        vertex maximizes the excess return, so when it earns none there is
-        no point: ``1'y = 0`` would force ``y = 0``.  On c3 and c5 the
-        zero-investment pair long the best and short the worst free asset
-        is one, unless all their excess returns are equal.
+        scaled to unit excess return.  Where the box bounds the weights on
+        both sides (c2), that point is first mixed toward the unconstrained
+        tangency portfolio as far as the rows hold (``_toward``); on c1 and
+        c4 such a mix measured more iterations, not fewer.  On a bounded
+        set (c1, c2, c4) the vertex maximizes the excess return, so when it
+        earns none there is no point: ``1'y = 0`` would force ``y = 0``.
+        On c3 and c5 the zero-investment pair long the best and short the
+        worst free asset is one, unless all their excess returns are equal.
         """
         r = self.regime
+        tangency = None
         if not r.split:
             z = np.linalg.solve(self.cov_solve, excess)
             denom = float(excess @ z)
@@ -394,10 +462,16 @@ class Problem:
                 if (np.max(np.abs(A_eq @ y - b_eq), initial=0.0) <= 1e-9
                         and np.all(A_in @ y <= b_in + 1e-12)):
                     return y
+                kappa = float(z.sum())
+                if kappa > 0.0 and np.all(np.isfinite(r.box)):
+                    tangency = z / kappa
         order = r.free[np.argsort(-excess[r.free], kind="stable")]
         for w in (r.fill(order, 0.0), r.vertex(excess, highest=True)):
             gain = float(excess @ w)
             if gain > 0.0:
+                if tangency is not None:
+                    w = self._toward(w, tangency)
+                    gain = float(excess @ w)
                 return r.to_solve(w) / gain
         best, worst = order[0], order[-1]
         spread = float(excess[best] - excess[worst])

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import CertificateWatch, constraint_for, factor_returns, make_table, random_spd
 from portopt import ConstraintSet, markowitz_estimates, trace_frontier
-from portopt.solver import KKT_TOL
+from portopt.solver import KKT_TOL, Problem
 
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
 
@@ -134,3 +134,20 @@ def test_bundled_target_points_never_fall_back(monkeypatch, markets):
             monkeypatch.undo()
             assert watch.calls, (label, regime)
             assert watch.fallbacks == 0, (label, regime)
+
+
+def test_point_fails_at_another_target_under_both_paths(monkeypatch, markets):
+    # the point solved at 70% of the bundled MM c4 return range, certified
+    # at 30%: every regime row holds and stationarity closes, so only the
+    # return row itself shows that the point misses the target
+    cov, mean, rf, _ = markets["bundled-mm"]
+    problem = Problem.prepare(cov, ConstraintSet("c4"), mean=mean, rf=rf)
+    lo, hi = problem.return_range
+    watch = CertificateWatch(monkeypatch)
+    problem.target_return(lo + 0.7 * (hi - lo))
+    (args, kwargs), = watch.calls
+    assert watch.certify(args, kwargs)[0] <= 1e-15
+    wrong = lo + 0.3 * (hi - lo)
+    nnls, _ = watch.certify(args, kwargs, target=wrong, multipliers=None)
+    assert nnls > KKT_TOL
+    assert watch.certify(args, kwargs, target=wrong) == (nnls, True)

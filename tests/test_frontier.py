@@ -288,7 +288,7 @@ def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
 def test_bundled_frontier_path_iteration_counts(monkeypatch, markets):
     # pins the warm-started path of every bounded bundled curve at grid 100:
     # cold-starting each target costs 388-1210 iterations per curve
-    counts = {"c1": (239, 246), "c2": (246, 241), "c4": (203, 203)}
+    counts = {"c1": (220, 224), "c2": (245, 240), "c4": (196, 196)}
     for regime, expected in counts.items():
         for label, iterations in zip(("bundled-mm", "bundled-im"), expected):
             cov, mean, rf, mi = markets[label]

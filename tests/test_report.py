@@ -154,8 +154,12 @@ def test_bundled_report_iteration_counts():
     rep = compare_models(markowitz_estimates(table), index_model_estimates(table, rf=rf), rf,
                          all_constraints(table))
     assert len(rep.cells) == 20
-    counts = {"c1": (24, 13), "c2": (3, 10), "c3": (2, 1), "c4": (9, 3), "c5": (2, 2)}
+    counts = {   # (min variance, maximum Sharpe) of MM, then of IM
+        "c1": ((5, 13), (2, 13)), "c2": ((2, 10), (2, 10)), "c3": ((1, 1), (1, 1)),
+        "c4": ((2, 3), (2, 3)), "c5": ((1, 2), (1, 2)),
+    }
     for cell in rep.cells:
+        model = ("MM", "IM").index(cell.model)
         objective = ("min_variance", "max_sharpe").index(cell.objective)
-        assert cell.solution.iterations == counts[cell.constraint.regime][objective], (
+        assert cell.solution.iterations == counts[cell.constraint.regime][model][objective], (
             cell.constraint.regime, cell.model, cell.objective)

@@ -369,10 +369,11 @@ def test_solution_json_shape():
 
 
 def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
-    # c1 and c4 on a seeded N = 100 factor universe: the iteration counts
-    # are the full-space engine's, and since the bounds p, n >= 0 and
-    # w >= 0 fix variables instead of entering the KKT matrix, no matrix
-    # has more than N + 2 rows (the full-space one reached 380-400 on c1)
+    # c1 and c4 on a seeded N = 100 factor universe: minimum variance
+    # starts from the unconstrained optimum (from the centre it took 194
+    # and 81 iterations), and since the bounds p, n >= 0 and w >= 0 fix
+    # variables instead of entering the KKT matrix, no matrix has more
+    # than N + 2 rows (the full-space one reached 380-400 on c1)
     mm = markowitz_estimates(make_table(factor_returns(np.random.default_rng(1), 240, 100)))
     rows, solve_kkt = [], portopt.qp._solve_kkt
 
@@ -381,8 +382,8 @@ def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
         return solve_kkt(K, rhs)
 
     monkeypatch.setattr(portopt.qp, "_solve_kkt", recording)
-    pins = {("c1", "min_variance"): 194, ("c1", "max_sharpe"): 62,
-            ("c4", "min_variance"): 81, ("c4", "max_sharpe"): 15}
+    pins = {("c1", "min_variance"): 43, ("c1", "max_sharpe"): 62,
+            ("c4", "min_variance"): 37, ("c4", "max_sharpe"): 15}
     for (regime, objective), iterations in pins.items():
         rows.clear()
         sol = solve_objective(objective, mm.cov, mm.mean, 0.002, ConstraintSet(regime))
@@ -410,3 +411,24 @@ def test_curve_builds_hessian_and_return_range_once(monkeypatch):
     curve = trace_frontier(cov, mean, 0.0, ConstraintSet("c1"), grid=20)
     assert len(curve.points) >= 20
     assert calls == {"hessian": 1, "return_range": 1}
+
+
+def test_curve_builds_the_return_vertices_once(monkeypatch):
+    # the vertices a target's start mixes toward are built once per
+    # Problem, so a finer grid builds no more of them
+    counts = []
+    for grid in (20, 60):
+        calls = [0]
+        vertex = portopt.constraints.RegimeModel.vertex
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return vertex(*args, **kwargs)
+
+        monkeypatch.setattr(portopt.constraints.RegimeModel, "vertex", counting)
+        rng = np.random.default_rng(4)
+        cov, mean = random_monthly_cov(rng, 6), rng.normal(0.01, 0.02, 6)
+        trace_frontier(cov, mean, 0.0, ConstraintSet("c4"), grid=grid)
+        monkeypatch.undo()
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 5
