@@ -166,12 +166,16 @@ class RegimeModel:
             return w
         return self.fill(order, self.box[0] if self.bounded else 0.0)
 
-    def return_range(self, mean) -> tuple[float, float]:
-        """Attainable interval of expected returns (inf where unbounded)."""
+    def vertices(self, mean) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest- and the highest-return ``vertex``."""
+        return self.vertex(mean, highest=False), self.vertex(mean, highest=True)
+
+    def return_range(self, mean, vertices=None) -> tuple[float, float]:
+        """Attainable interval of expected returns (inf where unbounded),
+        read off ``vertices`` (built from ``mean`` when not given)."""
         self.centre()
         mean = np.asarray(mean, dtype=float)
-        lo = float(mean @ self.vertex(mean, False))
-        hi = float(mean @ self.vertex(mean, True))
+        lo, hi = (float(mean @ v) for v in vertices or self.vertices(mean))
         if not self.bounded and hi > lo:
             return -np.inf, np.inf
         return lo, hi

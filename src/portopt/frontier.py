@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet, RegimeModel, regime_model
-from .errors import ConvergenceError, SamplingError, ValidationError
+from .errors import SamplingError, ValidationError
 from .estimation import MODEL_MM, PortfolioStats, portfolio_stats
 from .ingest import csv_text
 from .solver import PortfolioSolution, Problem
@@ -44,60 +44,40 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     feasible asset anchors it.  The tangency return is always inserted so
     the max-Sharpe point lies exactly on the curve.
 
-    The curve is one path from the minimum-variance solution upward: each
-    target's QP starts from the previous target's solution, a few
-    active-set changes away.  Without inequality rows (c3, c5) the target
-    solutions are affine in the target (two-fund separation, Merton 1972),
-    so one QP at the top target ``hi`` gives every point as the mix
-    ``w_mv + s (w_far - w_mv)`` with ``s = (t - mu0) / (hi - mu0)``.
+    The curve is one corner path from the minimum-variance return upward
+    (``Problem.corner_path``, Markowitz's critical line): between two
+    corners the working set is fixed and the solution affine in the
+    target, so one KKT solve per active-set change gives every point in
+    between.  Without inequality rows (c3, c5) there is no corner and the
+    path is one segment (two-fund separation).  At a degenerate corner,
+    such as a tie of events, a QP at the next target takes over, and the
+    path resumes from its working set.
 
-    Every point must pass its KKT certificate, or ``ConvergenceError``
-    names its target and residual.  A target point is certified from the
-    multipliers its QP returned, with the NNLS recovery as fallback
-    (``kkt_residual_weights``); the minimum-variance solution by the
-    recovery.  A two-fund mix is certified through its two ends, each
-    certified that way: its KKT system is linear in ``t``, so mixing the
-    ends' weights and multipliers leaves a residual of at most
-    ``|1 - s| r_mv + |s| r_far``, no more than the larger end's within
-    the span.
+    Every corner must pass its KKT certificate, checked from the path's
+    multipliers, or ``ConvergenceError`` names its target and residual.  A
+    point between two corners is certified through them: on a segment the
+    KKT system is linear in ``t``, so the point's residual is at most the
+    larger of theirs.
     """
     if grid < 2:
         raise ValidationError("grid must be at least 2")
     problem = Problem.prepare(cov, c, mean=mean, rf=rf, model=model)
     minvar = problem.min_variance()
     tangency = problem.max_sharpe()
-    regime, mean_v = problem.regime, problem.mean
-    hi = float(mean_v @ problem.vertices[1])
+    hi = float(problem.mean @ problem.vertices[1])
     mu0 = minvar.stats.ret
     hi = max(hi, tangency.stats.ret, mu0)
 
-    span = hi - mu0
-    if span <= 1e-12 * (1.0 + abs(mu0)):
+    if hi - mu0 <= 1e-12 * (1.0 + abs(mu0)):
         points = ((minvar.stats.stdev, mu0),)
         return FrontierCurve(points, tangency, minvar, c, model)
 
     targets = list(np.linspace(mu0, hi, grid))
     targets.append(tangency.stats.ret)
     targets = sorted(set(float(t) for t in targets))
-
-    if not len(regime.system()[2]):   # no inequality rows: two funds span the curve
-        w_mv = _certified(minvar, mu0).weights
-        w_far = _certified(problem.target_return(hi, anchor=w_mv), hi).weights
-        stats = [problem.stats(w_mv + (t - mu0) / span * (w_far - w_mv)) for t in targets]
-    else:
-        stats, prev = [], minvar
-        for t in targets:
-            prev = _certified(problem.target_return(t, anchor=prev.weights), t)
-            stats.append(prev.stats)
+    stats = [problem.stats(w) for w in problem.corner_path(targets, minvar.weights)]
     pts = sorted(((s.stdev, s.ret) for s in stats), key=lambda p: p[1])
     return FrontierCurve(tuple(pts), tangency, minvar, c, model)
-
-
-def _certified(sol: PortfolioSolution, target: float) -> PortfolioSolution:
-    if not sol.converged:
-        raise ConvergenceError(f"frontier point at target return {target:.10g} failed its "
-                               f"KKT certificate (residual {sol.kkt_residual:.3g})")
-    return sol
 
 
 def capital_allocation_line(rf: float, tangency: PortfolioStats,

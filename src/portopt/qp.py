@@ -88,28 +88,80 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def bound_rows(A_in) -> tuple[np.ndarray, np.ndarray]:
+    """Which inequality rows are bounds (a single nonzero), and each row's variable."""
+    nonzero = A_in != 0.0
+    return nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1)
+
+
+def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
+    """Solve the KKT system of the working rows ``act`` over the free variables.
+
+    The working bounds fix their variables; the system spans the free
+    ones under the equalities and the working general rows, with right-hand
+    side ``-grad`` on the free variables and ``rows`` (zeros by default) on
+    the equalities, then the working general rows.  Returns ``(p, lam)``:
+    the step, zero on the fixed variables, and the multipliers of the
+    equalities, then of the working rows in ``act`` order.  A bound's
+    multiplier closes the stationarity ``H p + grad + A' lam`` of its
+    variable, and bounds on one variable share it in proportion to their
+    coefficients (the least-norm split).  ``grad`` and ``rows`` may carry a
+    trailing axis of right-hand sides, solved with one factorization.
+    """
+    n, m_eq = H.shape[0], A_eq.shape[0]
+    on_bound = bound[act]
+    general = ~on_bound
+    fixing = act[on_bound]
+    A_gen = np.concatenate([A_eq, A_in[act[general]]])   # equalities, then general rows
+    if fixing.size:
+        free = np.ones(n, dtype=bool)
+        free[var[fixing]] = False
+        free = np.flatnonzero(free)
+        H_f, A_f = H[free[:, None], free], A_gen[:, free]
+    else:
+        free, H_f, A_f = slice(None), H, A_gen
+    nf, m = H_f.shape[0], A_gen.shape[0]
+    tail = grad.shape[1:]
+    K = np.zeros((nf + m,) * 2)
+    K[:nf, :nf] = H_f
+    K[nf:, :nf] = A_f
+    K[:nf, nf:] = A_f.T
+    rhs = np.zeros((m,) + tail) if rows is None else rows
+    sol = _solve_kkt(K, np.concatenate([-grad[free], rhs]))
+    lam = np.empty((m_eq + act.size,) + tail)       # equalities, then the working set
+    lam[:m_eq] = sol[nf:nf + m_eq]
+    mult_in = lam[m_eq:]
+    mult_in[general] = sol[nf + m_eq:]
+    p = np.zeros((n,) + tail)
+    p[free] = sol[:nf]
+    if fixing.size:
+        fixed = var[fixing]
+        r = (H @ p + grad + A_gen.T @ sol[nf:])[fixed]
+        c = A_in[fixing, fixed]
+        share = np.bincount(fixed, c * c, n)[fixed]
+        if tail:
+            c, share = c[:, None], share[:, None]
+        mult_in[on_bound] = -r * c / share
+    return p, lam
+
+
 def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
     Every argument is a float array, a matrix without rows has shape
     ``(0, n)``, and ``x0`` must satisfy every row.  The working set is a
     boolean mask over the inequality rows.  Each iteration solves the KKT
-    system of the free variables under the equalities and the working
-    general rows; the step is zero on the variables the working bounds
-    fix.  A bound's multiplier closes the stationarity of its variable,
-    and bounds on one variable share it in proportion to their
-    coefficients (the least-norm split).  A zero step either returns (no
-    negative multiplier) or drops the most negative working row, and a
-    nonzero step is cut by the ratio test at the nearest blocking row,
-    the lowest index winning an exact tie.
+    system of the working set over the free variables (``reduced_kkt``);
+    the step is zero on the variables the working bounds fix.  A zero step
+    either returns (no negative multiplier) or drops the most negative
+    working row, and a nonzero step is cut by the ratio test at the
+    nearest blocking row, the lowest index winning an exact tie.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
     x = x0
     row_scale = 1.0 + np.abs(A_in).max(axis=1, initial=0.0)
     working = b_in - A_in @ x <= 1e-9 * row_scale
-    nonzero = A_in != 0.0
-    bound = nonzero.sum(axis=1) == 1
-    var = nonzero.argmax(axis=1)                     # a bound row's variable
+    bound, var = bound_rows(A_in)
 
     stall = 0
     quiet = 0
@@ -119,34 +171,8 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
         Hx = H @ x
         grad = Hx + g
         act = np.flatnonzero(working)
-        on_bound = bound[act]
-        general = ~on_bound
-        fixing = act[on_bound]
-        A_gen = np.concatenate([A_eq, A_in[act[general]]])   # equalities, then general rows
-        if fixing.size:
-            free = np.ones(n, dtype=bool)
-            free[var[fixing]] = False
-            free = np.flatnonzero(free)
-            H_f, A_f = H[free[:, None], free], A_gen[:, free]
-        else:
-            free, H_f, A_f = slice(None), H, A_gen
-        nf, m = H_f.shape[0], A_gen.shape[0]
-        K = np.zeros((nf + m,) * 2)
-        K[:nf, :nf] = H_f
-        K[nf:, :nf] = A_f
-        K[:nf, nf:] = A_f.T
-        sol = _solve_kkt(K, np.concatenate([-grad[free], np.zeros(m)]))
-        lam = np.empty(m_eq + act.size)              # equalities, then the working set
-        lam[:m_eq] = sol[nf:nf + m_eq]
+        p, lam = reduced_kkt(H, grad, A_eq, A_in, act, bound, var)
         mult_in = lam[m_eq:]
-        mult_in[general] = sol[nf + m_eq:]
-        p = np.zeros(n)
-        p[free] = sol[:nf]
-        if fixing.size:
-            fixed = var[fixing]
-            r = (H @ p + grad + A_gen.T @ sol[nf:])[fixed]
-            c = A_in[fixing, fixed]
-            mult_in[on_bound] = -r * c / np.bincount(fixed, c * c, n)[fixed]
 
         # KKT solve noise grows with the multiplier scale; steps below it
         # (or steps that have stopped moving the objective) count as zero

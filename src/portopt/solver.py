@@ -17,6 +17,10 @@ return vertex; maximum Sharpe at the unconstrained optimum, the long-only
 fill (under a two-sided box mixed toward the tangency portfolio), the
 highest-return vertex or a zero-investment pair; without one, maximum
 Sharpe is degenerate.  Each mix is one closed-form step, not a search.
+
+A frontier is one corner path (``Problem.corner_path``): between two
+changes of the working set the target-return solution is affine in the
+target, so each change costs one KKT solve, not a QP.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import numpy as np
 
 from .constraints import ConstraintSet, RegimeModel, check_feasible, regime_model
 from .errors import (
+    ConvergenceError,
     DegenerateSharpeError,
     InfeasibleError,
     SingularMatrixError,
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import solve_qp
+from .qp import bound_rows, reduced_kkt, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -98,10 +103,11 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
     c = 0.5 * (c + c.T)
     # a Cholesky factor exists only where the smallest eigenvalue exceeds
     # about -n eps |c|, far above the threshold below: the spectrum is
-    # needed only when it fails
+    # needed only when it fails, or when a pivot is at rounding level (an
+    # exactly duplicated asset), where the matrix is singular all the same
     try:
-        np.linalg.cholesky(c)
-        return c, c, 0.0
+        if np.min(np.diag(np.linalg.cholesky(c))) ** 2 > 1e-12 * scale:
+            return c, c, 0.0
     except np.linalg.LinAlgError:
         pass
     if float(np.min(np.linalg.eigvalsh(c))) < -1e-8 * scale:
@@ -318,27 +324,29 @@ class Problem:
     def vertices(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights of the lowest and of the highest expected return
         (``RegimeModel.vertex``), built once."""
-        mean = self._mean()
-        return self.regime.vertex(mean, highest=False), self.regime.vertex(mean, highest=True)
+        return self.regime.vertices(self._mean())
 
     @cached_property
     def return_range(self) -> tuple[float, float]:
-        """Attainable interval of expected returns, computed once."""
-        return self.regime.return_range(self._mean())
+        """Attainable interval of expected returns, read off ``vertices``."""
+        return self.regime.return_range(self._mean(), self.vertices)
 
     def _solve(self, A_eq, b_eq, A_in, b_in, x0):
         return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0)
 
-    def _solution(self, w, res, objective: str, target=None,
-                  multipliers=None) -> PortfolioSolution:
+    def _check(self, w, target, multipliers) -> tuple[float, bool]:
+        """The KKT certificate of weights ``w`` and whether they are feasible."""
         c = self.regime.constraint
-        stats = self.stats(w)
         kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target,
                                    multipliers=multipliers)
-        rep = check_feasible(w, c)
-        converged = bool(res.converged and rep.feasible and kkt <= KKT_TOL)
+        return kkt, check_feasible(w, c).feasible
+
+    def _solution(self, w, res, objective: str, target=None,
+                  multipliers=None) -> PortfolioSolution:
+        kkt, feasible = self._check(w, target, multipliers)
+        converged = bool(res.converged and feasible and kkt <= KKT_TOL)
         return PortfolioSolution(
-            weights=w, stats=stats, objective=objective, constraint=c,
+            weights=w, stats=self.stats(w), objective=objective, constraint=self.regime.constraint,
             kkt_residual=kkt, iterations=res.iterations, converged=converged,
             regularization=self.ridge,
         )
@@ -396,13 +404,14 @@ class Problem:
         s = float(np.min(room[up] / step[up], initial=1.0))
         return w if s >= 1.0 else anchor + s * d
 
-    def target_return(self, target: float, anchor=None) -> PortfolioSolution:
+    def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
 
-        The start mixes ``anchor`` (feasible weights, by default the
-        regime's centre) with the return vertex on the target's side.
+        The start mixes the regime's centre with the return vertex on the
+        target's side (``_target_qp``).
         """
-        r, mean = self.regime, self._mean()
+        r = self.regime
+        self._mean()                                # raises without a mean
         if not math.isfinite(target):
             raise ValidationError(f"target return target must be finite, got {target}")
         lo, hi = self.return_range
@@ -413,16 +422,167 @@ class Problem:
                 f"[{lo:.10g}, {hi:.10g}]"
             )
         t = min(max(target, lo), hi)
-        a = r.to_weights(r.centre()) if anchor is None else np.asarray(anchor, dtype=float)
-        a_ret = float(mean @ a)
+        res = self._target_qp(t, r.to_weights(r.centre()))
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t,
+                              multipliers=(res.eq_multipliers, res.in_multipliers))
+
+    def _target_qp(self, t: float, anchor: np.ndarray):
+        """The QP at return ``t``, started at the mix of feasible weights
+        ``anchor`` with the return vertex on ``t``'s side that earns ``t``."""
+        r, mean = self.regime, self.mean
+        a_ret = float(mean @ anchor)
         v = self.vertices[t >= a_ret]
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
         A_eq, b_eq, A_in, b_in = r.system()
-        res = self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t),
-                          A_in, b_in, r.to_solve(a + s * (v - a)))
-        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t,
-                              multipliers=(res.eq_multipliers, res.in_multipliers))
+        return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t),
+                           A_in, b_in, r.to_solve(anchor + s * (v - anchor)))
+
+    def corner_path(self, targets, anchor) -> list[np.ndarray]:
+        """Minimum-variance weights at each of the increasing ``targets``,
+        traced as one parametric path from feasible weights ``anchor``.
+
+        While the working set of the return-constrained QP stays fixed, its
+        solution and multipliers are affine in the target return ``t``
+        (Markowitz's critical line).  The path starts with one QP at
+        ``targets[0]``, from ``anchor``.  At each corner one factorization of
+        the working set's reduced KKT system (``qp.reduced_kkt``) re-solves
+        the point and gives the direction ``d(x, lam)/dt``; the next corner
+        is the nearest ``t`` at which an inactive row reaches its bound or
+        a working multiplier reaches zero, where that row joins or leaves
+        the working set.  Each target in between is the mix of the two
+        re-solved corners around it, so an error in the direction moves the
+        corners' returns, not the points.  The return row enters the system
+        centred on the mean return and scaled to unit range: the same row
+        under full investment, but not nearly parallel to it.
+
+        A QP at the next target, started from the corner, takes over at a
+        degenerate corner: a zero-length step, several events within a
+        relative 1e-12 of the return, or working rows that fix the point
+        and leave no direction.  The path resumes from its working set.
+        Where the regime has inequality rows, the last target is such a QP
+        too, from ``anchor``: that start mixes onto the return vertex
+        exactly, and the top of the curve is a face of the attainable set.
+
+        Each corner is certified from its multipliers (``_corner``), and so
+        is a segment's end where a QP takes over; a failure raises
+        ``ConvergenceError`` naming its target and residual.  On a segment
+        every term of the certificate is a max-norm of a function affine in
+        ``t`` (the working rows keep zero slack), so a point between two
+        corners has a residual of at most the larger of theirs.
+        """
+        r, mean, H = self.regime, self.mean, self.hessian
+        A_eq, b_eq, A_in, b_in = r.system()
+        # the return row, last, as ((mean - mid) / sigma) w = (t - mid) / sigma: the same
+        # row under full investment, but not near the full-investment row's span
+        mid = float(mean[r.free].mean())
+        sigma = float(np.abs(mean - mid)[r.free].max()) or 1.0
+        A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
+        m_eq = len(A_eq)
+        bound, var = bound_rows(A_in)
+        row_scale = 1.0 + np.abs(A_in).max(axis=1, initial=0.0)
+        top = targets[-1]
+        tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
+        working = np.zeros(len(b_in), dtype=bool)
+
+        def resolve(x, t):
+            """The working set's point at ``t`` and ``d(x, lam)/dt`` from one
+            factorization; the point is None where it would hold the working
+            rows less well than ``x``, or leave another row by more than
+            ``solve_qp``'s activity tolerance (a nearly singular system)."""
+            act = np.flatnonzero(working)
+            fixing, general = act[bound[act]], act[~bound[act]]
+            x = x.copy()
+            x[var[fixing]] = b_in[fixing] / A_in[fixing, var[fixing]]   # on the bounds exactly
+            rhs = np.append(b_eq, (t - mid) / sigma)
+            rows = np.zeros((m_eq + len(general), 2))
+            rows[:, 0] = np.concatenate([rhs - A_eq @ x, b_in[general] - A_in[general] @ x])
+            rows[m_eq - 1, 1] = 1.0 / sigma
+            p, lam = reduced_kkt(H, np.column_stack([H @ x, np.zeros(len(x))]),
+                                 A_eq, A_in, act, bound, var, rows)
+            x = x + p[:, 0]
+            gap = np.concatenate([rhs - A_eq @ x, b_in[general] - A_in[general] @ x])
+            if (np.abs(gap).max() > max(np.abs(rows[:, 0]).max(), 1e-12)
+                    or np.any(A_in @ x - b_in > 1e-9 * row_scale)):
+                x = None
+            return x, p[:, 1], lam[:, 0], lam[:, 1], act, general
+
+        def split(lam, act):
+            """Multipliers in working-set order as (equality, every inequality row)."""
+            mu = np.zeros(len(b_in))
+            mu[act] = lam[m_eq:]
+            eq = lam[:m_eq].copy()
+            eq[-1] /= sigma
+            eq[0] -= mid * eq[-1]
+            return eq, mu
+
+        weights, i, t0 = [], 0, targets[0]
+
+        def emit(xa, ta, xb, tb):
+            """The targets up to ``tb`` on the segment from ``xa`` at ``ta`` to ``xb`` at ``tb``."""
+            nonlocal i
+            while i < len(targets) and targets[i] <= tb:
+                t = targets[i]
+                weights.append(r.to_weights(xb if t == tb else xa + (t - ta) / (tb - ta) * (xb - xa)))
+                i += 1
+
+        res = self._target_qp(t0, anchor)
+        xa = ta = None                                    # the start of the segment being traced
+        while True:
+            if res is not None:                           # resume from a QP's working set
+                working[:] = False
+                working[list(res.active)] = True
+                x, arrived = res.x, (res.eq_multipliers, res.in_multipliers)
+            x1, dx, lam, dlam, act, general = resolve(x, t0)
+            miss = np.concatenate([A_eq @ dx, A_in[general] @ dx])
+            miss[m_eq - 1] -= 1.0 / sigma
+            # working rows that fix the point leave no direction
+            stuck = np.abs(miss).max() > 1e-9 * (1.0 + np.abs(dx).max())
+            if res is not None:                           # a QP's point and multipliers stand
+                res = None
+            elif x1 is None:                              # the point stays as it came
+                stuck = True
+            elif not stuck:
+                x, arrived = x1, split(lam, act)
+            self._corner(x, *arrived, t0)
+            emit(xa, ta, x, t0)
+            if t0 == top:
+                return weights
+            xa, ta, s, end = x, t0, 0.0, top - t0
+            if not stuck:
+                # the next corner: an inactive row reaching its bound, a multiplier reaching zero
+                rate = A_in @ dx
+                hit = np.flatnonzero(~working & (rate > 1e-13 * row_scale * (1.0 + np.abs(dx).max())))
+                fall = np.flatnonzero(dlam[m_eq:] < -1e-12 * np.abs(dlam).max())
+                steps = np.concatenate([np.maximum(b_in[hit] - A_in[hit] @ x, 0.0) / rate[hit],
+                                        np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
+                s = float(steps.min(initial=end))
+                near = np.concatenate([hit, act[fall]])[steps <= s + tie]
+                if s >= end - tie and not len(b_in):      # no rows: one segment to the top
+                    x, t0, arrived = x + end * dx, top, split(lam + end * dlam, act)
+                    continue
+                if tie < s < end - tie and len(near) == 1:   # one row joins or leaves
+                    working[near[0]] = not working[near[0]]
+                    x, t0, arrived = x + s * dx, t0 + s, split(lam + s * dlam, act)
+                    continue
+            # a degenerate corner, or the top, which is a face of the attainable set:
+            # certify the segment's end, then a QP at the next target (from the path's
+            # anchor at the top, where that start mixes onto the return vertex exactly)
+            if 0.0 < s < end - tie:
+                x1 = resolve(x + s * dx, t0 + s)[0]
+                x1 = x + s * dx if x1 is None else x1
+                self._corner(x1, *split(lam + s * dlam, act), t0 + s)
+                emit(x, t0, x1, t0 + s)
+                xa, ta = x1, t0 + s
+            t0 = top if s >= end - tie else targets[i]
+            res = self._target_qp(t0, anchor if t0 == top else r.to_weights(x + s * dx))
+
+    def _corner(self, x, eq, mu, target: float) -> None:
+        """Certify a point of the corner path from its multipliers, or raise."""
+        kkt, feasible = self._check(self.regime.to_weights(x), target, (eq, mu))
+        if not (feasible and kkt <= KKT_TOL):
+            raise ConvergenceError(f"frontier point at target return {target:.10g} failed its "
+                                   f"KKT certificate (residual {kkt:.3g})")
 
     def max_sharpe(self) -> PortfolioSolution:
         r, mean = self.regime, self._mean()
@@ -466,13 +626,15 @@ class Problem:
                 if kappa > 0.0 and np.all(np.isfinite(r.box)):
                     tangency = z / kappa
         order = r.free[np.argsort(-excess[r.free], kind="stable")]
-        for w in (r.fill(order, 0.0), r.vertex(excess, highest=True)):
-            gain = float(excess @ w)
-            if gain > 0.0:
-                if tangency is not None:
-                    w = self._toward(w, tangency)
-                    gain = float(excess @ w)
-                return r.to_solve(w) / gain
+        w = r.fill(order, 0.0)
+        if float(excess @ w) <= 0.0:
+            w = r.vertex(excess, highest=True)
+        gain = float(excess @ w)
+        if gain > 0.0:
+            if tangency is not None:
+                w = self._toward(w, tangency)
+                gain = float(excess @ w)
+            return r.to_solve(w) / gain
         best, worst = order[0], order[-1]
         spread = float(excess[best] - excess[worst])
         if r.bounded or spread <= 0.0:

@@ -38,7 +38,7 @@ def test_certificates_agree_on_n50_curves(monkeypatch, regime):
     universe = make_table(factor_returns(np.random.default_rng(50), 128, 50))
     est = markowitz_estimates(universe)
     watch = _traced(monkeypatch, est.cov, est.mean, 0.0, ConstraintSet(regime), 100)
-    assert len(watch.calls) >= 100 and watch.fallbacks == 0
+    assert len(watch.calls) >= 10 and watch.fallbacks == 0      # one per corner
     for args, kwargs in watch.calls:
         fast, fell_back = watch.certify(args, kwargs)
         nnls, _ = watch.certify(args, kwargs, multipliers=None)

@@ -24,7 +24,7 @@ from portopt import (
     solve_target_return,
     trace_frontier,
 )
-from portopt.solver import kkt_residual_weights, solve_objective
+from portopt.solver import Problem, kkt_residual_weights, solve_objective
 
 C3 = ConstraintSet("c3")
 C4 = ConstraintSet("c4")
@@ -393,29 +393,34 @@ def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
 
 
 def test_curve_builds_hessian_and_return_range_once(monkeypatch):
-    # one Problem per curve: the split Hessian and the attainable return
-    # range are computed once for it, not once per target
-    calls = {"hessian": 0, "return_range": 0}
+    # one Problem per curve: the split Hessian is computed once for it, and
+    # the attainable return range is read off the two return vertices it
+    # builds once, not once per target or per range
+    calls = {"hessian": 0, "vertex": 0}
 
     def counting(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(portopt.solver, "_hessian", counting("hessian", portopt.solver._hessian))
-    monkeypatch.setattr(portopt.constraints.RegimeModel, "return_range",
-                        counting("return_range", portopt.constraints.RegimeModel.return_range))
+    monkeypatch.setattr(portopt.constraints.RegimeModel, "vertex",
+                        counting("vertex", portopt.constraints.RegimeModel.vertex))
     rng = np.random.default_rng(4)
     cov, mean = random_monthly_cov(rng, 6), rng.normal(0.01, 0.02, 6)
+    problem = Problem.prepare(cov, ConstraintSet("c1"), mean=mean)
+    assert problem.return_range == tuple(float(mean @ v) for v in problem.vertices)
+    assert calls == {"hessian": 1, "vertex": 2}
     curve = trace_frontier(cov, mean, 0.0, ConstraintSet("c1"), grid=20)
     assert len(curve.points) >= 20
-    assert calls == {"hessian": 1, "return_range": 1}
+    assert calls == {"hessian": 2, "vertex": 4}
 
 
 def test_curve_builds_the_return_vertices_once(monkeypatch):
-    # the vertices a target's start mixes toward are built once per
-    # Problem, so a finer grid builds no more of them
+    # the two vertices a target's start mixes toward are built once per
+    # Problem, so a finer grid builds no more of them, and the maximum-Sharpe
+    # start builds none while the long-only fill earns an excess return
     counts = []
     for grid in (20, 60):
         calls = [0]
@@ -431,4 +436,4 @@ def test_curve_builds_the_return_vertices_once(monkeypatch):
         trace_frontier(cov, mean, 0.0, ConstraintSet("c4"), grid=grid)
         monkeypatch.undo()
         counts.append(calls[0])
-    assert counts[0] == counts[1] <= 5
+    assert counts == [2, 2]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import portopt.solver
-from conftest import factor_returns, make_table
+from conftest import factor_returns, make_table, random_spd
 from portopt import ConstraintSet, ValidationError, check_feasible, markowitz_estimates
 from portopt.qp import solve_qp
 from portopt.solver import Problem, _homogenized
@@ -112,3 +112,26 @@ def test_spectrum_only_when_cholesky_fails(monkeypatch):
         with pytest.raises(ValidationError,
                            match=r"^covariance matrix is not positive semidefinite$"):
             Problem.prepare(indefinite, ConstraintSet("c3"))
+
+
+def test_duplicated_asset_takes_the_ridge():
+    # an exact copy of an asset makes the covariance singular, yet its
+    # Cholesky factor can exist with a pivot at rounding level; such a
+    # factor must not leave the matrix without its ridge, where the
+    # minimum-variance start's solve raised numpy's LinAlgError
+    rng = np.random.default_rng(5)
+    factorized = 0
+    for _ in range(20):
+        cov = random_spd(rng, 3, 1e-3)
+        cov[:, -1] = cov[:, 0]
+        cov[-1] = cov[0]
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            continue
+        factorized += 1
+        for regime in ("c1", "c3", "c4"):
+            problem = Problem.prepare(cov, ConstraintSet(regime))
+            assert problem.ridge > 0.0
+            assert problem.min_variance().converged
+    assert factorized >= 3
