@@ -121,6 +121,37 @@ class RegimeModel:
         amounts = self.excess(w)
         return [(self.names[k], float(amounts[k])) for k in (~(amounts <= tol)).nonzero()[0]]
 
+    def toward(self, anchor, w) -> np.ndarray:
+        """The point ``anchor + s (w - anchor)`` of largest ``s`` in [0, 1] at
+        which the inequality rows hold, for feasible weights ``anchor`` and
+        weights ``w`` (one portfolio, or one per row).
+
+        In closed form: a ratio test over the rows, or for the split, whose
+        rows bound ``sum |w_i|``, that piecewise-linear function of ``s``
+        evaluated at its kinks, where a weight changes sign (row by row).
+        """
+        d = w - anchor
+        if self.split:
+            if d.ndim == 2:
+                return np.array([self.toward(anchor, v) for v in w]).reshape(w.shape)
+            kinks = -anchor[d != 0.0] / d[d != 0.0]
+            at = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]])
+            gross = np.abs(anchor + at[:, None] * d).sum(axis=1)
+            cap = self.constraint.leverage_cap
+            j = int(np.argmax(gross > cap))
+            if gross[j] <= cap:
+                return w
+            if j == 0:
+                return anchor
+            frac = (cap - gross[j - 1]) / (gross[j] - gross[j - 1])   # in [0, 1)
+            return anchor + (at[j - 1] + frac * (at[j] - at[j - 1])) * d
+        _, _, A_in, b_in = self.system()
+        step = d @ A_in.T
+        room = np.maximum(b_in - A_in @ anchor, 0.0)
+        s = np.divide(room, step, out=np.full(step.shape, np.inf), where=step > 0.0)
+        s = s.min(axis=-1, initial=1.0)[..., None]
+        return np.where(s >= 1.0, w, anchor + s * d)
+
     def centre(self) -> np.ndarray:
         """Equal weights over the free assets, in the solve variables.
 

@@ -197,9 +197,6 @@ def index_model_estimates(returns: MonthlyReturnTable, *, mode: str = MODE_RAW,
     resid = y - (alpha + np.outer(x, beta))
     resid_var = (resid ** 2).sum(axis=0) / (t - 2)
 
-    alpha = alpha.copy()
-    beta = beta.copy()
-    resid_var = resid_var.copy()
     alpha[mi] = 0.0
     beta[mi] = 1.0
     resid_var[mi] = 0.0

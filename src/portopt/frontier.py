@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, RegimeModel, regime_model
+from .constraints import ConstraintSet, regime_model
 from .errors import SamplingError, ValidationError
 from .estimation import MODEL_MM, PortfolioStats, portfolio_stats
 from .ingest import csv_text
@@ -110,18 +110,6 @@ class CloudSample:
         return self.weights.shape[0]
 
 
-def _shrink_to_feasible(w: np.ndarray, regime: RegimeModel) -> np.ndarray:
-    """Move each row toward equal weights as far as the regime's inequality
-    rows hold for the mix, by 60 bisection steps."""
-    e = np.full(w.shape[1], 1.0 / w.shape[1])
-    lo, hi = np.zeros(len(w)), np.ones(len(w))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = np.all(regime.excess(e + mid[:, None] * (w - e))[:, 2 * regime.m_eq:] <= 0.0, axis=1)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return e + lo[:, None] * (w - e)
-
-
 def _misses(hit: np.ndarray, before: int) -> np.ndarray:
     """Entries since the last hit (0 at a hit), ``before`` misses preceding."""
     i = np.arange(len(hit))
@@ -134,8 +122,9 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
     A long-only regime draws a flat Dirichlet on the simplex.  Every other
     regime draws standard normals, zeroes its pinned assets, normalizes
     them to sum to one and accepts the draw when its inequality rows hold;
-    after 100 rejections the last draw is shrunk toward equal weights.
-    Draws come in blocks, tested at once and given out in stream order.
+    after 100 rejections the last draw is moved toward equal weights to
+    where its rows stop holding (``RegimeModel.toward``).  Draws come in
+    blocks, tested at once and given out in stream order.
     """
     if count < 1:
         raise ValidationError("count must be at least 1")
@@ -171,7 +160,7 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
             if done < count and not live[-1]:
                 raise SamplingError("could not draw a normalizable weight vector")
         if shrunk.any():
-            weights[shrunk] = _shrink_to_feasible(weights[shrunk], regime)
+            weights[shrunk] = regime.toward(np.full(n_assets, 1.0 / n_assets), weights[shrunk])
 
     bad = np.flatnonzero(~(regime.excess(weights) <= 1e-9).all(axis=1))   # a NaN row fails too
     if len(bad):

@@ -35,7 +35,6 @@ class QPResult:
     in_multipliers: np.ndarray   # full length, zero on inactive rows
     active: tuple[int, ...]      # active inequality rows at the solution
     iterations: int
-    converged: bool
 
 
 def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
@@ -157,7 +156,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
     working row, and a nonzero step is cut by the ratio test at the
     nearest blocking row, the lowest index winning an exact tie.
     """
-    n, m_eq = H.shape[0], A_eq.shape[0]
+    m_eq = A_eq.shape[0]
     x = x0
     row_scale = 1.0 + np.abs(A_in).max(axis=1, initial=0.0)
     working = b_in - A_in @ x <= 1e-9 * row_scale
@@ -186,7 +185,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
                 in_mult = np.zeros(working.size)
                 in_mult[act] = np.maximum(mult_in, 0.0)
                 return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()),
-                                iterations, True)
+                                iterations)
             # Bland's rule after a long stall, else the most negative multiplier
             working[act[neg[0] if stall > _STALL_LIMIT else np.argmin(mult_in)]] = False
             stall += 1

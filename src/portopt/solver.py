@@ -344,7 +344,7 @@ class Problem:
     def _solution(self, w, res, objective: str, target=None,
                   multipliers=None) -> PortfolioSolution:
         kkt, feasible = self._check(w, target, multipliers)
-        converged = bool(res.converged and feasible and kkt <= KKT_TOL)
+        converged = bool(feasible and kkt <= KKT_TOL)
         return PortfolioSolution(
             weights=w, stats=self.stats(w), objective=objective, constraint=self.regime.constraint,
             kkt_residual=kkt, iterations=res.iterations, converged=converged,
@@ -359,8 +359,8 @@ class Problem:
         to one, where Goldfarb & Idnani (1983) start their dual method.
         That point is pulled into the feasible set: clipped to the simplex
         where the box is long only, else mixed toward the centre as far as
-        the inequality rows hold (``_toward``).  Without inequality rows
-        (c3, c5) it is the answer.
+        the inequality rows hold (``RegimeModel.toward``).  Without
+        inequality rows (c3, c5) it is the answer.
         """
         r = self.regime
         centre = r.to_weights(r.centre())           # raises when the set is empty
@@ -372,37 +372,9 @@ class Problem:
             w = np.maximum(w, 0.0)
             w /= w.sum()
         else:
-            w = self._toward(centre, w)
+            w = r.toward(centre, w)
         res = self._solve(*r.system(), r.to_solve(w))
         return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
-
-    def _toward(self, anchor: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The point ``anchor + s (w - anchor)`` of largest ``s`` in [0, 1] at
-        which the inequality rows hold, for feasible weights ``anchor``.
-
-        In closed form: a ratio test over the rows, or for the split, whose
-        rows bound ``sum |w_i|``, that piecewise-linear function of ``s``
-        evaluated at its kinks, where a weight changes sign.
-        """
-        r, d = self.regime, w - anchor
-        if r.split:
-            kinks = -anchor[d != 0.0] / d[d != 0.0]
-            at = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]])
-            gross = np.abs(anchor + at[:, None] * d).sum(axis=1)
-            cap = r.constraint.leverage_cap
-            j = int(np.argmax(gross > cap))
-            if gross[j] <= cap:
-                return w
-            if j == 0:
-                return anchor
-            frac = (cap - gross[j - 1]) / (gross[j] - gross[j - 1])   # in [0, 1)
-            return anchor + (at[j - 1] + frac * (at[j] - at[j - 1])) * d
-        _, _, A_in, b_in = r.system()
-        step = A_in @ d
-        up = step > 0.0
-        room = np.maximum(b_in - A_in @ anchor, 0.0)
-        s = float(np.min(room[up] / step[up], initial=1.0))
-        return w if s >= 1.0 else anchor + s * d
 
     def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -605,10 +577,10 @@ class Problem:
         else the long-only fill, or failing that the highest-return vertex,
         scaled to unit excess return.  Where the box bounds the weights on
         both sides (c2), that point is first mixed toward the unconstrained
-        tangency portfolio as far as the rows hold (``_toward``); on c1 and
-        c4 such a mix measured more iterations, not fewer.  On a bounded
-        set (c1, c2, c4) the vertex maximizes the excess return, so when it
-        earns none there is no point: ``1'y = 0`` would force ``y = 0``.
+        tangency portfolio as far as the rows hold (``RegimeModel.toward``);
+        on c1 and c4 such a mix measured more iterations, not fewer.  On a
+        bounded set (c1, c2, c4) the vertex maximizes the excess return, so
+        when it earns none there is no point: ``1'y = 0`` would force ``y = 0``.
         On c3 and c5 the zero-investment pair long the best and short the
         worst free asset is one, unless all their excess returns are equal.
         """
@@ -632,7 +604,7 @@ class Problem:
         gain = float(excess @ w)
         if gain > 0.0:
             if tangency is not None:
-                w = self._toward(w, tangency)
+                w = r.toward(w, tangency)
                 gain = float(excess @ w)
             return r.to_solve(w) / gain
         best, worst = order[0], order[-1]

@@ -316,6 +316,20 @@ def test_unknown_config_key_rejected(tmp_path):
     ("solve", ["--config", "{cfg}"], {"cfg.json": '{"leverage_cap": true, "constraint": "c1"}'},
      "'leverage_cap'"),
     ("frontier", ["--config", "{cfg}"], {"cfg.json": '{"seed": true}'}, "'seed'"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": "[]"}, "must contain a JSON object"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"model": "xx"}'}, "model must be one of"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"objective": "xx"}'},
+     "objective must be one of"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"constraint": "c9"}'},
+     "constraint must be one of"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"covariance_denominator": "n"}'},
+     "covariance denominator must be"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": '{"regression_mode": "log"}'},
+     "regression mode must be"),
+    ("solve", ["--format", "csv,pdf"], {}, "unknown output formats ['pdf']"),
+    ("frontier", ["--config", "{cfg}"], {"cfg.json": '{"grid": 1}'}, "grid must be at least 2"),
+    ("frontier", ["--config", "{cfg}"], {"cfg.json": '{"cloud_count": 0}'},
+     "cloud count must be at least 1"),
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": "{"}, "not valid JSON"),
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"return": "x"}'},
      "malformed expected values"),
@@ -335,7 +349,9 @@ def test_unknown_config_key_rejected(tmp_path):
      "'c3_mm_min_variance' field 'return' holds a boolean"),
 ], ids=["leverage-cap-nan", "leverage-cap-inf", "weight-bound-inf", "negative-seed", "rf-nan",
         "config-not-json", "config-grid-str", "config-formats-int", "config-leverage-cap-bool",
-        "config-seed-bool", "expected-not-json",
+        "config-seed-bool", "config-list", "config-model", "config-objective",
+        "config-constraint", "config-denominator", "config-regression-mode", "format-pdf",
+        "config-grid-one", "config-cloud-count-zero", "expected-not-json",
         "expected-bad-value", "expected-short-weights", "expected-long-weights",
         "expected-unknown-regime", "expected-uppercase-model", "expected-list",
         "expected-misspelled-field", "expected-bool"])
@@ -350,6 +366,30 @@ def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and cause in err
+
+
+@pytest.mark.parametrize("drop, extra, cause", [
+    ("--prices", [], "a prices file is required (--prices)"),
+    ("--market-ticker", [], "the market ticker is required (--market-ticker)"),
+    ("--riskfree", [], "either a risk-free file (--riskfree) or --rf is required"),
+    (None, ["--expected", "{missing}"], "expected-values directory not found: {missing}"),
+], ids=["prices", "market-ticker", "riskfree", "expected-dir"])
+def test_missing_input_exits_one_naming_it(toy_files, tmp_path, capsys, drop, extra, cause):
+    args = _base_args(*toy_files, tmp_path / "out")
+    if drop:
+        del args[args.index(drop):args.index(drop) + 2]
+    missing = tmp_path / "missing"
+    code = main(["compare", *args, *(f.format(missing=missing) for f in extra)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cause.format(missing=missing)}\n"
+
+
+def test_format_flag_writes_only_the_named_formats(toy_files, tmp_path):
+    out = tmp_path / "out"
+    assert main(["frontier", *_base_args(*toy_files, out), "--format", "csv",
+                 "--grid", "5", "--cloud-count", "10"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{kind}_{m}.csv" for kind in ("frontier", "cal", "cloud") for m in ("mm", "im"))
 
 
 def test_usage_error_maps_to_one():

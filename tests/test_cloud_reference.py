@@ -4,27 +4,58 @@
 describes: each portfolio draws standard normals one vector at a time,
 zeroes the pinned assets, normalizes the vector when its sum is at least
 0.05 in size, and takes the first normalized vector whose inequality rows
-hold within 1e-12; after 100 rejections it shrinks the last one toward
-equal weights by 60 bisection steps.  ``sample_cloud`` must give the same
-portfolios from the same stream.
+hold within 1e-12; after 100 rejections it moves the last one toward equal
+weights to the point where its rows stop holding (``reference_shrink``).
+``sample_cloud`` must give the same portfolios from the same stream.
 
-Where the shrink fires under c1, the leverage row's sum of 2N terms may be
-rounded in a different order by a batched product than by a single-vector
-one, and the bisection can then stop one step apart near the boundary, so
-those portfolios agree within 1e-15 instead of bit for bit.  Every other
-product the sampler takes is exact (rows of the identity), so everything
-else must match exactly.
+The shrink is the closed form written out coordinate by coordinate: under
+the box a ratio per coordinate, exact like every other product the sampler
+takes (rows of the identity), so the box clouds match bit for bit.  Under
+c1 the gross exposure is summed exactly here and in floating point by the
+sampler, so the shrunk c1 portfolios agree within 1e-15 instead.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-import portopt.frontier
 from portopt import ConstraintSet, SamplingError, sample_cloud
-from portopt.constraints import regime_model
+from portopt.constraints import RegimeModel, regime_model
 
 COUNT = 120
 SEEDS = (0, 1, 7)
+
+
+def reference_shrink(c: ConstraintSet, w: np.ndarray) -> np.ndarray:
+    """``e + s (w - e)`` for equal weights ``e`` and the largest ``s`` in
+    [0, 1] at which the box (c2) or the gross cap (c1) holds."""
+    n = len(w)
+    e = np.full(n, 1.0 / n)
+    d = w - e
+    s = 1.0
+    if c.regime == "c2":   # a ratio per coordinate
+        b = c.weight_bound
+        for i in range(n):
+            if d[i] > 0.0:
+                s = min(s, (b - e[i]) / d[i])
+            elif d[i] < 0.0:
+                s = min(s, (b + e[i]) / -d[i])
+    else:   # sum |e_i + s d_i| is linear between the kinks where a weight changes sign
+        def gross(t):
+            return math.fsum(abs(e[i] + t * d[i]) for i in range(n))
+
+        cap = c.leverage_cap
+        kinks = sorted(-e[i] / d[i] for i in range(n) if d[i] != 0.0)
+        at = [0.0, *(t for t in kinks if 0.0 < t < 1.0), 1.0]
+        for lo, hi in zip(at, at[1:]):
+            if gross(lo) > cap:   # only at 0, where equal weights are infeasible
+                s = 0.0
+                break
+            if gross(hi) > cap:
+                s = lo + (cap - gross(lo)) / (gross(hi) - gross(lo)) * (hi - lo)
+                break
+    return w if s >= 1.0 else e + s * d
 
 
 def reference_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int):
@@ -53,15 +84,7 @@ def reference_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int):
             if holds(w, 1e-12):
                 break
         else:
-            e = np.full(n_assets, 1.0 / n_assets)
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if holds(e + mid * (w - e), 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            w = e + lo * (w - e)
+            w = reference_shrink(c, w)
             shrunk.append(k)
         weights[k] = w
     return weights, shrunk
@@ -69,14 +92,14 @@ def reference_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int):
 
 def _sample_and_shrunk(monkeypatch, c, n, count, seed):
     """``sample_cloud``'s weights, and the indices of the rows it shrank."""
-    original, made = portopt.frontier._shrink_to_feasible, []
+    original, made = RegimeModel.toward, []
 
     def recording(*args, **kwargs):
         out = original(*args, **kwargs)
         made.extend(np.atleast_2d(out))
         return out
 
-    monkeypatch.setattr(portopt.frontier, "_shrink_to_feasible", recording)
+    monkeypatch.setattr(RegimeModel, "toward", recording)
     w = sample_cloud(c, n, count, seed).weights
     if not made:
         return w, []
@@ -129,3 +152,11 @@ def test_shrunk_leverage_cloud_matches_reference_within_rounding(monkeypatch, n,
         shrunk_any = shrunk_any or bool(shrunk)
         assert np.abs(got - ref).max() <= 1e-15
     assert shrunk_any
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_one_over_n_box_cloud_is_exactly_equal_weights(n):
+    # the box 1/N holds only equal weights, and the shrink stops where the rows do
+    c = ConstraintSet("c2", weight_bound=1.0 / n)
+    for seed in SEEDS:
+        assert np.all(sample_cloud(c, n, 12, seed).weights == 1.0 / n)

@@ -25,7 +25,7 @@ from portopt import (
     solve_target_return,
     trace_frontier,
 )
-from portopt.constraints import regime_model
+from portopt.constraints import RegimeModel, regime_model
 from portopt.frontier import frontier_to_csv, points_to_csv
 
 C3 = ConstraintSet("c3")
@@ -161,7 +161,7 @@ def test_cloud_box_and_feasibility_reports():
 
 def test_cloud_nan_portfolio_rejected(monkeypatch):
     # weight_bound = 1/N leaves only equal weights, so every portfolio is shrunk
-    monkeypatch.setattr("portopt.frontier._shrink_to_feasible", lambda w, regime: w * np.nan)
+    monkeypatch.setattr(RegimeModel, "toward", lambda regime, anchor, w: w * np.nan)
     with pytest.raises(SamplingError, match="infeasible sample 0"):
         sample_cloud(ConstraintSet("c2", weight_bound=0.25), 4, 10, seed=1)
 

@@ -17,7 +17,6 @@ def test_unconstrained_equality_qp():
     g = -2.0 * np.ones(3)
     res = solve_qp(h, g, A_eq=np.ones((1, 3)), b_eq=np.zeros(1),
                    A_in=np.zeros((0, 3)), b_in=np.zeros(0), x0=np.zeros(3))
-    assert res.converged
     assert np.allclose(res.x, 0.0, atol=1e-12)
 
 
@@ -28,7 +27,6 @@ def test_simple_bound_activation():
     a_in[0, 2] = 1.0
     res = solve_qp(h, np.zeros(3), A_eq=np.ones((1, 3)), b_eq=np.ones(1),
                    A_in=a_in, b_in=np.array([0.1]), x0=np.array([0.5, 0.5, 0.0]))
-    assert res.converged
     assert np.allclose(res.x, [0.45, 0.45, 0.1], atol=1e-12)
     assert res.in_multipliers[0] > 0.0
 
@@ -38,7 +36,6 @@ def test_inactive_inequality_multiplier_zero():
     a_in = np.array([[1.0, 0.0]])
     res = solve_qp(h, np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
                    A_in=a_in, b_in=np.array([10.0]), x0=np.array([0.5, 0.5]))
-    assert res.converged
     assert res.in_multipliers[0] == 0.0
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-12)
 
@@ -60,7 +57,6 @@ def test_matches_scipy_on_random_boxes():
             b_in = np.concatenate([b_in, dense.sum(axis=1) / n + rng.uniform(0.0, 0.3, len(dense))])
         res = solve_qp(h, g, A_eq=np.ones((1, n)), b_eq=np.ones(1),
                        A_in=a_in, b_in=b_in, x0=np.full(n, 1.0 / n))
-        assert res.converged
 
         def f(x):
             return 0.5 * x @ h @ x + g @ x
@@ -120,7 +116,6 @@ def test_iteration_cap_raises(monkeypatch):
 
 def test_exact_tie_blocks_the_lowest_index_first():
     res = solve_qp(**_tie_problem())
-    assert res.converged
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
     assert res.active == (0, 1)
     assert res.iterations == 3     # step to row 0, zero step to row 1, optimality
@@ -167,7 +162,6 @@ def test_singular_kkt_and_blands_rule(monkeypatch):
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
         A_in=np.tile([-1.0, 0.0, 0.0], (40, 1)), b_in=np.zeros(40),
         x0=np.array([0.0, 0.5, 0.5]))
-    assert res.converged
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
     assert res.iterations == 42    # 40 drops, one step, optimality
@@ -184,7 +178,6 @@ def test_singular_kkt_of_general_rows_and_blands_rule(monkeypatch):
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
         A_in=np.tile([-1.0, -1.0, 0.0], (40, 1)), b_in=np.zeros(40),
         x0=np.array([0.0, 0.0, 1.0]))
-    assert res.converged
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
     assert res.iterations == 43    # one step, 40 drops, one step, optimality
@@ -212,7 +205,6 @@ def test_multipliers_certify_their_point():
         b_in = np.concatenate([np.full(2 * n, 0.8), np.zeros(len(copies)), dense @ x0 + 0.2])
         a_eq = np.ones((1, n))
         res = solve_qp(h, g, A_eq=a_eq, b_eq=np.ones(1), A_in=a_in, b_in=b_in, x0=x0)
-        assert res.converged
         assert set(range(2 * n, 2 * n + len(copies))) <= set(res.active)
         mu = res.in_multipliers
         stationarity = h @ res.x + g + a_eq.T @ res.eq_multipliers + a_in.T @ mu
