@@ -107,6 +107,8 @@ class MonthlyReturnTable:
                 f"return matrix shape {rets.shape} does not match "
                 f"{len(self.months)} months x {len(self.tickers)} tickers"
             )
+        if len(set(self.tickers)) != len(self.tickers):
+            raise ValidationError("duplicate ticker names")
         if self.market_ticker not in self.tickers:
             raise ConfigError(f"market ticker {self.market_ticker!r} not among tickers")
         for (y0, m0), (y1, m1) in zip(self.months, self.months[1:]):

@@ -158,7 +158,8 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
     """
     m_eq = A_eq.shape[0]
     x = x0
-    row_scale = 1.0 + np.abs(A_in).max(axis=1, initial=0.0)
+    # max |a_ij| per row, without an |A_in| copy
+    row_scale = 1.0 + np.maximum(A_in.max(axis=1, initial=0.0), -A_in.min(axis=1, initial=0.0))
     working = b_in - A_in @ x <= 1e-9 * row_scale
     bound, var = bound_rows(A_in)
 

@@ -210,8 +210,8 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     they are plain QP optimality.  The primal part is the excess over the
     regime's rows and, given a target, the return gap ``|mean.w - target|``.
 
-    ``multipliers`` are the ``(equality, inequality)`` multipliers a solve
-    returned over those rows, the return row last.  They are checked
+    ``multipliers`` are the ``(equality, inequality)`` multipliers of a
+    solve over those rows, the return row last.  They are checked
     first: stationarity, ``-min(mu)``, ``|mu| * slack`` and the primal
     excess in one max-norm.  A feasible point of a convex QP with such
     multipliers is optimal, so when that norm is within ``KKT_TOL`` it is
@@ -270,8 +270,32 @@ def _homogenized(regime: RegimeModel, excess: np.ndarray):
     A_eq, b_eq, A_in, b_in = regime.system()
     kappa = regime.lift(np.ones(regime.n))
     A_eq = np.vstack([regime.lift(excess), A_eq[1:] - b_eq[1:, None] * kappa])
-    A_in = np.vstack([A_in - b_in[:, None] * kappa, -kappa])
-    return A_eq, np.append(1.0, np.zeros(len(A_eq) - 1)), A_in, np.zeros(len(A_in))
+    rows = np.empty((len(A_in) + 1, len(kappa)))      # one array, no temporaries
+    np.multiply(b_in[:, None], kappa, out=rows[:-1])
+    np.subtract(A_in, rows[:-1], out=rows[:-1])
+    rows[-1] = -kappa
+    return A_eq, np.append(1.0, np.zeros(len(A_eq) - 1)), rows, np.zeros(len(rows))
+
+
+def _weight_multipliers(regime: RegimeModel, res, kappa: float, rf: float):
+    """The multipliers of the maximum-Sharpe QP (``_homogenized``) at
+    ``y = kappa w`` as those of minimum variance at ``w``'s own return:
+    ``(equality, inequality)`` over the regime's rows, the return row last.
+
+    With ``1`` the full-investment row, the QP's stationarity reads
+    ``H y + l0 (mean - rf 1) + sum_j lj (a_j - b_j 1) + sum_i mi (a_i - b_i 1)
+    - m_kappa 1 = 0`` (j over the other equalities, i over the inequality
+    rows).  Divided by ``kappa > 0`` it is the stationarity at ``w`` with
+    ``l0 / kappa`` on the return row, ``lj / kappa``, ``mi / kappa`` and
+    ``-(l0 rf + sum_j lj b_j + sum_i mi b_i + m_kappa) / kappa`` on the
+    full-investment row.  Complementary slackness scales the same way:
+    ``mi (a_i y - b_i kappa) = kappa mi (a_i w - b_i)``.
+    """
+    _, b_eq, _, b_in = regime.system()
+    lam, mu = res.eq_multipliers / kappa, res.in_multipliers / kappa
+    mu, m_kappa = mu[:-1], mu[-1]
+    budget = -(lam[0] * rf + lam[1:] @ b_eq[1:] + mu @ b_in + m_kappa)
+    return np.concatenate([[budget], lam[1:], lam[:1]]), mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +398,8 @@ class Problem:
         else:
             w = r.toward(centre, w)
         res = self._solve(*r.system(), r.to_solve(w))
-        return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE,
+                              multipliers=(res.eq_multipliers, res.in_multipliers))
 
     def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -568,7 +593,8 @@ class Problem:
                 "maximum Sharpe is approached only asymptotically (zero normalizer)"
             )
         w = y / kappa
-        return self._solution(w, res, OBJECTIVE_MAX_SHARPE, target=float(mean @ w))
+        return self._solution(w, res, OBJECTIVE_MAX_SHARPE, target=float(mean @ w),
+                              multipliers=_weight_multipliers(r, res, kappa, self.rf))
 
     def _sharpe_start(self, excess, A_eq, b_eq, A_in, b_in) -> np.ndarray:
         """A feasible point of the homogenized problem.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -13,6 +12,12 @@ MARGIN_LEFT = 78
 MARGIN_RIGHT = 24
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 58
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    writes them; that module would load ``urllib.request`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)

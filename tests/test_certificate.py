@@ -1,18 +1,20 @@
-"""The target-return certificate: the engine's multipliers first, the NNLS recovery as fallback.
+"""The certificate of every solve: the engine's multipliers first, the NNLS recovery as fallback.
 
 ``kkt_residual_weights`` given a solve's multipliers checks them in one
 max-norm and, when they fall short, recovers multipliers from scratch
 (``solver._stationarity_residual``).  These tests hold the two paths to
 the same verdicts: they agree on solved points, a corrupted multiplier
 sends a good point to the fallback, which still certifies it, and a
-wrong point fails under both.
+wrong point fails under both.  Target-return points and corners carry
+their QP's multipliers, minimum variance too, and maximum Sharpe those of
+its homogenized QP mapped to the weights (``solver._weight_multipliers``).
 """
 
 import numpy as np
 import pytest
 
 from conftest import CertificateWatch, constraint_for, factor_returns, make_table, random_spd
-from portopt import ConstraintSet, markowitz_estimates, trace_frontier
+from portopt import ConstraintSet, check_feasible, markowitz_estimates, trace_frontier
 from portopt.solver import KKT_TOL, Problem
 
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
@@ -24,13 +26,27 @@ def _traced(monkeypatch, cov, mean, rf, c, grid) -> CertificateWatch:
     return watch
 
 
-def _middle_call(watch: CertificateWatch):
-    return watch.calls[len(watch.calls) // 2]
+def _traced_path(monkeypatch, cov, mean, rf, c, grid):
+    """The certificate calls of a traced curve that carry a target from its
+    corner path, past the minimum-variance and maximum-Sharpe solves."""
+    watch, corner_path, start = CertificateWatch(monkeypatch), Problem.corner_path, []
+
+    def tracing(self, *args):
+        start.append(len(watch.calls))
+        return corner_path(self, *args)
+
+    monkeypatch.setattr(Problem, "corner_path", tracing)
+    trace_frontier(cov, mean, rf, c, grid=grid)
+    return watch, watch.calls[start[0]:]
 
 
-def _other_target(watch: CertificateWatch, kwargs):
+def _middle_call(calls):
+    return calls[len(calls) // 2]
+
+
+def _other_target(calls, kwargs):
     """The multipliers of the first recorded target other than ``kwargs``'s."""
-    return next(kw["multipliers"] for _, kw in watch.calls if kw["target"] != kwargs["target"])
+    return next(kw["multipliers"] for _, kw in calls if kw["target"] != kwargs["target"])
 
 
 @pytest.mark.parametrize("regime", ["c1", "c2", "c4"])
@@ -49,9 +65,9 @@ def test_certificates_agree_on_n50_curves(monkeypatch, regime):
 @pytest.mark.parametrize("regime", ["c1", "c2", "c4"])
 def test_corrupted_multipliers_fall_back_and_still_certify(monkeypatch, markets, regime):
     cov, mean, rf, _ = markets["bundled-mm"]
-    watch = _traced(monkeypatch, cov, mean, rf, ConstraintSet(regime), 20)
+    watch, path = _traced_path(monkeypatch, cov, mean, rf, ConstraintSet(regime), 20)
     # the point with the largest multiplier on an active row
-    args, kwargs = max(watch.calls, key=lambda call: call[1]["multipliers"][1].max())
+    args, kwargs = max(path, key=lambda call: call[1]["multipliers"][1].max())
     lam, mu = kwargs["multipliers"]
     nnls, _ = watch.certify(args, kwargs, multipliers=None)
     assert nnls <= KKT_TOL
@@ -62,7 +78,7 @@ def test_corrupted_multipliers_fall_back_and_still_certify(monkeypatch, markets,
     flipped[k] = -mu[k]
     assert watch.certify(args, kwargs, multipliers=(lam, flipped)) == (nnls, True)
 
-    other = _other_target(watch, kwargs)
+    other = _other_target(path, kwargs)
     assert watch.certify(args, kwargs, multipliers=other) == (nnls, True)
 
 
@@ -102,25 +118,29 @@ def test_each_multiplier_condition_sends_to_the_fallback(monkeypatch):
     assert certify(lam0, mu) == (nnls, True)
 
 
-@pytest.mark.parametrize("regime", ["c2", "c4"])
-def test_wrong_point_fails_under_both_paths(monkeypatch, markets, regime):
-    cov, mean, rf, _ = markets["bundled-mm"]
-    watch = _traced(monkeypatch, cov, mean, rf, ConstraintSet(regime), 20)
-    (w, *rest), kwargs = _middle_call(watch)
-    # move along a direction that keeps the budget and the return, over
-    # assets far from every bound, so the point stays feasible
+def _moved(w, mean):
+    """``w`` moved along a direction that keeps the budget and the return,
+    over assets far from every bound, so the point stays feasible."""
     inner = np.flatnonzero((w > 0.05) & (w < 0.95))
     assert len(inner) >= 3
     _, _, vt = np.linalg.svd(np.vstack([np.ones(len(inner)), mean[inner]]))
     d = np.zeros(len(w))
     d[inner] = vt[-1]
-    wrong = (w + 0.5 * w[inner].min() / np.abs(d).max() * d, *rest)
+    return w + 0.5 * w[inner].min() / np.abs(d).max() * d
+
+
+@pytest.mark.parametrize("regime", ["c2", "c4"])
+def test_wrong_point_fails_under_both_paths(monkeypatch, markets, regime):
+    cov, mean, rf, _ = markets["bundled-mm"]
+    watch, path = _traced_path(monkeypatch, cov, mean, rf, ConstraintSet(regime), 20)
+    (w, *rest), kwargs = _middle_call(path)
+    wrong = (_moved(w, mean), *rest)
     assert mean @ wrong[0] == pytest.approx(mean @ w, abs=1e-15)
 
     nnls, _ = watch.certify(wrong, kwargs, multipliers=None)
     assert nnls > KKT_TOL
     assert watch.certify(wrong, kwargs) == (nnls, True)
-    other = _other_target(watch, kwargs)
+    other = _other_target(path, kwargs)
     assert watch.certify(wrong, kwargs, multipliers=other) == (nnls, True)
 
 
@@ -151,3 +171,66 @@ def test_point_fails_at_another_target_under_both_paths(monkeypatch, markets):
     nnls, _ = watch.certify(args, kwargs, target=wrong, multipliers=None)
     assert nnls > KKT_TOL
     assert watch.certify(args, kwargs, target=wrong) == (nnls, True)
+
+
+def _anchor_markets(markets):
+    """(label, cov, mean, rf, market index): the bundled MM and IM data and a seeded N = 50 universe."""
+    for label in ("bundled-mm", "bundled-im"):
+        yield (label, *markets[label])
+    universe = make_table(factor_returns(np.random.default_rng(50), 128, 50))
+    est = markowitz_estimates(universe)
+    yield "n50", est.cov, est.mean, 0.0, universe.market_position
+
+
+def _anchor_call(monkeypatch, cov, mean, rf, c, objective):
+    """The watch over one minimum-variance or maximum-Sharpe solve, and its one certificate."""
+    problem = Problem.prepare(cov, c, mean=mean, rf=rf)
+    watch = CertificateWatch(monkeypatch)
+    getattr(problem, objective)()
+    (call,) = watch.calls
+    return watch, call
+
+
+def test_anchor_solves_certify_from_their_multipliers(monkeypatch, markets):
+    # every minimum-variance and maximum-Sharpe cell is certified by the
+    # multipliers of its own QP, runs no NNLS recovery, and reads the
+    # residual the NNLS recovery reads
+    for label, cov, mean, rf, mi in _anchor_markets(markets):
+        for regime in REGIMES:
+            for objective in ("min_variance", "max_sharpe"):
+                watch, (args, kwargs) = _anchor_call(
+                    monkeypatch, cov, mean, rf, constraint_for(regime, mi), objective)
+                monkeypatch.undo()
+                case = (label, regime, objective)
+                assert watch.fallbacks == 0 and watch.recoveries == 0, case
+                fast, fell_back = watch.certify(args, kwargs)
+                nnls, _ = watch.certify(args, kwargs, multipliers=None)
+                assert not fell_back and fast <= KKT_TOL, case
+                assert abs(fast - nnls) <= 1e-10, case
+
+
+@pytest.mark.parametrize("regime", ["c1", "c2", "c4"])
+def test_flipped_sharpe_multiplier_falls_back_and_still_certifies(monkeypatch, markets, regime):
+    cov, mean, rf, _ = markets["bundled-mm"]
+    watch, (args, kwargs) = _anchor_call(monkeypatch, cov, mean, rf, ConstraintSet(regime),
+                                         "max_sharpe")
+    lam, mu = kwargs["multipliers"]
+    nnls, _ = watch.certify(args, kwargs, multipliers=None)
+    assert nnls <= KKT_TOL
+    flipped = mu.copy()
+    k = int(np.argmax(mu))
+    assert mu[k] > KKT_TOL
+    flipped[k] = -mu[k]
+    assert watch.certify(args, kwargs, multipliers=(lam, flipped)) == (nnls, True)
+
+
+@pytest.mark.parametrize("objective, regime", [("min_variance", "c4"), ("max_sharpe", "c2")])
+def test_moved_anchor_fails_under_both_paths(monkeypatch, markets, objective, regime):
+    cov, mean, rf, _ = markets["bundled-mm"]
+    watch, ((w, *rest), kwargs) = _anchor_call(monkeypatch, cov, mean, rf,
+                                               ConstraintSet(regime), objective)
+    wrong = (_moved(w, mean), *rest)
+    assert check_feasible(wrong[0], ConstraintSet(regime)).feasible
+    nnls, _ = watch.certify(wrong, kwargs, multipliers=None)
+    assert nnls > KKT_TOL
+    assert watch.certify(wrong, kwargs) == (nnls, True)

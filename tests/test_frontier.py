@@ -288,13 +288,23 @@ def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
 def _path_counts(monkeypatch, cov, mean, rf, c, grid):
     """The curve, the corners its path certified with their multipliers, and
     the QPs the path ran besides minimum variance and maximum Sharpe."""
-    original, corners = portopt.solver.kkt_residual_weights, [0]
+    original, corners, on_path = portopt.solver.kkt_residual_weights, [0], [False]
+    corner_path = portopt.solver.Problem.corner_path
 
     def counting(*args, **kwargs):
-        corners[0] += kwargs.get("multipliers") is not None
+        # minimum variance and maximum Sharpe carry multipliers too
+        corners[0] += on_path[0] and kwargs.get("multipliers") is not None
         return original(*args, **kwargs)
 
+    def tracing(self, *args):
+        on_path[0] = True
+        try:
+            return corner_path(self, *args)
+        finally:
+            on_path[0] = False
+
     monkeypatch.setattr(portopt.solver, "kkt_residual_weights", counting)
+    monkeypatch.setattr(portopt.solver.Problem, "corner_path", tracing)
     curve, calls, _ = _trace_counting_qps(monkeypatch, cov, mean, rf, c, grid)
     return curve, corners[0], calls - 2
 

@@ -78,6 +78,7 @@ def test_daily_price_table_invariants(change, error, fragment):
 @pytest.mark.parametrize("change, error, fragment", [
     ({"returns": [[0.01, 0.02, 0.03]] * 2}, ValidationError,
      "return matrix shape (2, 3) does not match"),
+    ({"tickers": ("MKT", "MKT")}, ValidationError, "duplicate ticker names"),
     ({"market_ticker": "X"}, ConfigError, "market ticker 'X' not among tickers"),
     ({"months": ((2020, 1), (2020, 13))}, ValidationError, "month number outside 1..12"),
     ({"months": ((2020, 2), (2020, 1))}, ValidationError,
@@ -85,8 +86,8 @@ def test_daily_price_table_invariants(change, error, fragment):
     ({"months": ((2020, 1), (2020, 3))}, ValidationError, "gap between 2020-01 and 2020-03"),
     ({"returns": [[0.01, 0.02], [NAN, 0.0]]}, ValidationError, "non-finite return"),
     ({"returns": [[0.01, 0.02], [-1.0, 0.0]]}, ValidationError, "return <= -1 impossible"),
-], ids=["shape", "market-ticker", "month-number", "month-order", "gap", "non-finite",
-        "total-loss"])
+], ids=["shape", "duplicate-ticker", "market-ticker", "month-number", "month-order", "gap",
+        "non-finite", "total-loss"])
 def test_monthly_return_table_invariants(change, error, fragment):
     with _raises(error, fragment):
         MonthlyReturnTable(**{**RETURNS, **change})
