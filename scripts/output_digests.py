@@ -11,6 +11,12 @@ data, each into its own directory under OUTDIR:
 * ``frontier --grid 60 --cloud-count 600 --seed 7`` in each regime c1-c5;
 * ``compare``.
 
+It then writes ``to_json_dict()`` of the minimum-variance and the
+maximum-Sharpe solution in each regime c1-c5 on the benchmark's seeded
+N = 200 universe (``perfbench.universe.make_universe(200, 240, 1)``) to
+``large-n/<regime>_<objective>.json``: the bundled data has N = 11, and
+these ten cells run the engine's large-N path.
+
 It prints ``sha256  path`` for every file written and for each command's
 captured stdout, stderr and exit code (``<stdout>``, ``<stderr>``,
 ``<exit>``), with OUTDIR replaced by ``<OUTDIR>`` in the captured text.
@@ -26,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -44,10 +51,31 @@ COMMANDS = (
                           "--cloud-count", "600", "--seed", "7"]) for c in REGIMES]
     + [("compare", ["compare"])]
 )
+LARGE_N = (200, 240, 1)     # (N, T, seed) of the benchmark universe of the large-N cells
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _large_n_cells(outdir: Path) -> list[Path]:
+    """Write each large-N cell's solution as JSON; the paths, in order."""
+    from perfbench.universe import make_universe
+    from portopt import ConstraintSet, solve_max_sharpe, solve_min_variance
+
+    u = make_universe(*LARGE_N)
+    cov, mean = u.mm.cov, u.mm.mean
+    outdir.mkdir(parents=True)
+    paths = []
+    for regime in REGIMES:
+        c = ConstraintSet(regime, market_index=u.market_index if regime == "c5" else None)
+        for objective, sol in (("min_variance", solve_min_variance(cov, c, mean=mean, rf=u.rf)),
+                               ("max_sharpe", solve_max_sharpe(cov, mean, u.rf, c))):
+            path = outdir / f"{regime}_{objective}.json"
+            path.write_text(json.dumps(sol.to_json_dict(u.table.tickers), indent=2,
+                                       sort_keys=True) + "\n", encoding="utf-8")
+            paths.append(path)
+    return paths
 
 
 def main(argv=None) -> int:
@@ -60,6 +88,8 @@ def main(argv=None) -> int:
         print(f"output directory {outdir} is not empty", file=sys.stderr)
         return 1
     os.chdir(ROOT)
+    if str(ROOT) not in sys.path:           # perfbench, from this checkout
+        sys.path.append(str(ROOT))
     import portopt.cli
 
     print(f"portopt imported from {Path(portopt.cli.__file__).parent}", file=sys.stderr)
@@ -74,6 +104,8 @@ def main(argv=None) -> int:
                              ("exit", f"{code}\n")):
             text = text.replace(str(outdir), "<OUTDIR>")
             print(f"{_sha256(text.encode('utf-8'))}  {name}/<{stream}>")
+    for path in _large_n_cells(outdir / "large-n"):
+        print(f"{_sha256(path.read_bytes())}  {path.relative_to(outdir).as_posix()}")
     return 0
 
 

@@ -5,10 +5,13 @@ Solves ``min 0.5 x'Hx + g'x`` subject to ``A_eq x = b_eq`` and
 while it is in the working set it fixes its variable, so each iteration
 solves the KKT system over the free variables only, with the equalities
 and the working general rows, and reads each bound's multiplier off the
-stationarity of its fixed coordinate.  The returned point satisfies the
-active constraints and first-order conditions to linear-algebra
-precision; ties are broken by smallest index, making the method
-deterministic for fixed inputs.
+stationarity of its fixed coordinate.  The rest of an iteration's array
+work follows the free block too: bounds are read as vectors
+(``InequalityRows``), only the general rows go through a matrix product,
+``H`` is touched only at the free rows, and ``H x`` is recomputed only
+after a step.  The returned point satisfies the active constraints and
+first-order conditions to linear-algebra precision; ties are broken by
+smallest index, making the method deterministic for fixed inputs.
 
 Every call passes all constraint arrays (empty ones included) and a
 feasible start point; the solvers build theirs in closed form.
@@ -93,6 +96,66 @@ def bound_rows(A_in) -> tuple[np.ndarray, np.ndarray]:
     return nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1)
 
 
+class InequalityRows:
+    """The inequality rows ``A_in``, each bound read as a vector.
+
+    ``dot(v)`` is ``A_in @ v``: a bound's product is ``coef * v[var]``,
+    which the dense product equals bit for bit (it only adds exact zeros),
+    and the general rows alone go through a matrix product.  ``scale`` is
+    ``1 + max |a_ij|`` of each row.
+    """
+
+    def __init__(self, A_in):
+        self.bound, self.var = bound_rows(A_in)
+        self.general = (~self.bound).nonzero()[0]
+        self.A_general = A_in[self.general]
+        # a general row's entry here is its first nonzero, overwritten in both uses
+        self.coef = A_in[np.arange(len(A_in)), self.var]
+        self.scale = 1.0 + np.abs(self.coef)
+        if self.general.size:
+            self.scale[self.general] = 1.0 + np.abs(self.A_general).max(axis=1)
+
+    def dot(self, v) -> np.ndarray:
+        out = self.coef * v[self.var]
+        if self.general.size:
+            out[self.general] = self.A_general @ v
+        return out
+
+
+def _independent_start(working, A_eq, A_in, bound, var) -> None:
+    """Drop from the boolean mask ``working`` the general rows that depend on
+    the others, so that the first KKT system is regular.
+
+    Working bounds only fix their variables (``reduced_kkt``), so only the
+    working general rows can make the system singular: in index order, each
+    stays when over the free variables it is independent of the equalities
+    and of the rows kept before it.  Where all of them are (the usual case)
+    one rank test settles it.
+    """
+    general = (working & ~bound).nonzero()[0]
+    if not general.size:
+        return
+    free = np.ones(A_in.shape[1], dtype=bool)
+    free[var[working & bound]] = False
+    kept = A_eq[:, free]
+    rows = np.vstack([kept, A_in[general][:, free]])
+    if _rank(rows) == len(rows):
+        return
+    rank = _rank(kept)
+    for j in general:
+        trial = np.vstack([kept, A_in[j, free]])
+        if _rank(trial) > rank:
+            kept, rank = trial, rank + 1
+        else:
+            working[j] = False
+
+
+def _rank(M) -> int:
+    """``np.linalg.matrix_rank``, and 0 for an empty matrix (numpy 1.x's
+    takes the maximum of an empty spectrum there and raises)."""
+    return int(np.linalg.matrix_rank(M)) if M.size else 0
+
+
 def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     """Solve the KKT system of the working rows ``act`` over the free variables.
 
@@ -113,10 +176,12 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     fixing = act[on_bound]
     A_gen = np.concatenate([A_eq, A_in[act[general]]])   # equalities, then general rows
     if fixing.size:
-        free = np.ones(n, dtype=bool)
-        free[var[fixing]] = False
-        free = np.flatnonzero(free)
-        H_f, A_f = H[free[:, None], free], A_gen[:, free]
+        fixed = var[fixing]
+        free = np.zeros(n, dtype=bool)
+        free[fixed] = True
+        free = (~free).nonzero()[0]
+        H_rows = H[free]                 # rows, then columns: one pass over H's free rows
+        H_f, A_f = H_rows[:, free], A_gen[:, free]
     else:
         free, H_f, A_f = slice(None), H, A_gen
     nf, m = H_f.shape[0], A_gen.shape[0]
@@ -134,8 +199,8 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     p = np.zeros((n,) + tail)
     p[free] = sol[:nf]
     if fixing.size:
-        fixed = var[fixing]
-        r = (H @ p + grad + A_gen.T @ sol[nf:])[fixed]
+        # H p from the free rows alone: H is symmetric and p is zero off them
+        r = (H_rows.T @ sol[:nf] + grad + A_gen.T @ sol[nf:])[fixed]
         c = A_in[fixing, fixed]
         share = np.bincount(fixed, c * c, n)[fixed]
         if tail:
@@ -158,48 +223,52 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
     """
     m_eq = A_eq.shape[0]
     x = x0
-    # max |a_ij| per row, without an |A_in| copy
-    row_scale = 1.0 + np.maximum(A_in.max(axis=1, initial=0.0), -A_in.min(axis=1, initial=0.0))
-    working = b_in - A_in @ x <= 1e-9 * row_scale
-    bound, var = bound_rows(A_in)
+    rows_in = InequalityRows(A_in)
+    bound, var = rows_in.bound, rows_in.var
+    room = np.maximum(b_in - rows_in.dot(x), 0.0)
+    working = room <= 1e-9 * rows_in.scale
+    _independent_start(working, A_eq, A_in, bound, var)
+    blocking = 1e-13 * rows_in.scale
 
     stall = 0
     quiet = 0
     f_prev = np.inf
+    Hx = None                      # H x, the gradient and max |x|: new only after a step
 
     for iterations in range(1, _MAX_ITER + 1):
-        Hx = H @ x
-        grad = Hx + g
-        act = np.flatnonzero(working)
+        if Hx is None:
+            Hx = H @ x
+            grad = Hx + g
+            x_max = np.abs(x).max()
+        act = working.nonzero()[0]
         p, lam = reduced_kkt(H, grad, A_eq, A_in, act, bound, var)
         mult_in = lam[m_eq:]
 
         # KKT solve noise grows with the multiplier scale; steps below it
         # (or steps that have stopped moving the objective) count as zero
-        step_tol = (1e-13 * (1.0 + np.abs(x).max())
+        step_tol = (1e-13 * (1.0 + x_max)
                     + 4e-13 * np.abs(lam).max(initial=0.0))
         p_max = np.abs(p).max()
         if p_max <= step_tol or quiet >= 5:
             gscale = 1.0 + float(np.abs(grad).max())
-            neg = np.flatnonzero(mult_in < -1e-9 * gscale)
+            neg = (mult_in < -1e-9 * gscale).nonzero()[0]
             if not neg.size:
                 in_mult = np.zeros(working.size)
                 in_mult[act] = np.maximum(mult_in, 0.0)
                 return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()),
                                 iterations)
             # Bland's rule after a long stall, else the most negative multiplier
-            working[act[neg[0] if stall > _STALL_LIMIT else np.argmin(mult_in)]] = False
+            working[act[neg[0] if stall > _STALL_LIMIT else mult_in.argmin()]] = False
             stall += 1
             quiet = 0
             continue
 
         f = 0.5 * float(x @ Hx) + float(g @ x)
         # ratio test over the rows outside the working set that p moves toward
-        d = A_in @ p
-        room = np.maximum(b_in - A_in @ x, 0.0)
-        cand = np.flatnonzero(~working & (d > 1e-13 * row_scale * (1.0 + p_max)))
+        d = rows_in.dot(p)
+        cand = (~working & (d > blocking * (1.0 + p_max))).nonzero()[0]
         ratio = np.concatenate([room[cand] / d[cand], (1.0,)])   # last: the full step
-        k = np.argmin(ratio)                            # the lowest index wins an exact tie
+        k = ratio.argmin()                              # the lowest index wins an exact tie
         blocked = ratio[k] < 1.0 - 1e-15
         alpha = ratio[k] if blocked else 1.0
         x = x + alpha * p
@@ -209,12 +278,14 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
             j = cand[k]
             working[j] = True
             if bound[j]:       # land on the bound exactly, not a rounding away
-                x[var[j]] = b_in[j] / A_in[j, var[j]]
+                x[var[j]] = b_in[j] / rows_in.coef[j]
             stall = stall + 1 if alpha <= 1e-14 else 0
             quiet = 0
         else:
             stall = 0
             quiet = 0 if made_progress else quiet + 1
+        room = np.maximum(b_in - rows_in.dot(x), 0.0)
+        Hx = None
 
     raise ConvergenceError(
         f"active-set iteration cap {_MAX_ITER} reached ({np.count_nonzero(working)} active rows)"

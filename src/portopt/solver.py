@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import ConstraintSet, RegimeModel, check_feasible, regime_model
+from .constraints import PUBLIC_FEAS_TOL, ConstraintSet, RegimeModel, regime_model
 from .errors import (
     ConvergenceError,
     DegenerateSharpeError,
@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import bound_rows, reduced_kkt, solve_qp
+from .qp import InequalityRows, reduced_kkt, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -127,10 +127,16 @@ def _hessian(C2: np.ndarray, split: bool) -> np.ndarray:
     if not split:
         return C2
     n = C2.shape[0]
-    H = np.block([[C2, -C2], [-C2, C2]])
+    # [[C2, -C2], [-C2, C2]] + eps I, block by block into one array; C2 + 0 and
+    # 0 - C2 write a zero entry as +0.0, as that sum does
+    H = np.empty((2 * n, 2 * n))
+    np.add(C2, 0.0, out=H[:n, :n])
+    np.subtract(0.0, C2, out=H[:n, n:])
+    H[n:, :n] = H[:n, n:]
+    H[n:, n:] = H[:n, :n]
     # keeps the split Hessian strictly convex; far below contract tolerances
     eps = 1e-12 * max(1.0, float(np.trace(C2)) / n)
-    H += eps * np.eye(2 * n)
+    H.flat[::2 * n + 1] += eps
     return H
 
 
@@ -200,7 +206,7 @@ def _stationarity_residual(grad, E, F, slacks) -> tuple[float, float]:
 
 
 def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
-                         multipliers=None) -> float:
+                         multipliers=None, excess=None) -> float:
     """First-order optimality residual of ``min w'Cov w`` at ``w``.
 
     Combines the stationarity gap, complementary slackness and primal
@@ -218,6 +224,7 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     the residual.  Otherwise, and without multipliers, the multipliers are
     recovered from scratch over the rows active within ``_ACT_TOL`` (NNLS,
     then least squares), a test independent of the engine's multipliers.
+    ``excess`` is ``RegimeModel.excess(w)`` where the caller has it already.
     """
     w = np.asarray(w, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -227,7 +234,8 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
         if mean is None:
             raise ValidationError("target-return KKT check requires the mean vector")
         eq = np.vstack([eq, regime.lift(np.asarray(mean, dtype=float))])
-    excess = regime.excess(w)              # on the inequality rows, minus the slack
+    if excess is None:
+        excess = regime.excess(w)          # on the inequality rows, minus the slack
     primal = excess.max(initial=0.0)
     if target is not None:
         primal = max(primal, abs(float(np.asarray(mean, dtype=float) @ w) - target))
@@ -359,11 +367,12 @@ class Problem:
         return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0)
 
     def _check(self, w, target, multipliers) -> tuple[float, bool]:
-        """The KKT certificate of weights ``w`` and whether they are feasible."""
-        c = self.regime.constraint
-        kkt = kkt_residual_weights(w, self.cov, c, mean=self.mean, target=target,
-                                   multipliers=multipliers)
-        return kkt, check_feasible(w, c).feasible
+        """The KKT certificate of weights ``w`` and whether they are feasible
+        (``check_feasible``'s verdict), from one evaluation of the rows."""
+        excess = self.regime.excess(w)
+        kkt = kkt_residual_weights(w, self.cov, self.regime.constraint, mean=self.mean,
+                                   target=target, multipliers=multipliers, excess=excess)
+        return kkt, bool(np.all(excess <= PUBLIC_FEAS_TOL))
 
     def _solution(self, w, res, objective: str, target=None,
                   multipliers=None) -> PortfolioSolution:
@@ -476,8 +485,8 @@ class Problem:
         sigma = float(np.abs(mean - mid)[r.free].max()) or 1.0
         A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
         m_eq = len(A_eq)
-        bound, var = bound_rows(A_in)
-        row_scale = 1.0 + np.abs(A_in).max(axis=1, initial=0.0)
+        rows_in = InequalityRows(A_in)
+        bound, var, row_scale = rows_in.bound, rows_in.var, rows_in.scale
         top = targets[-1]
         tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
         working = np.zeros(len(b_in), dtype=bool)
@@ -490,7 +499,7 @@ class Problem:
             act = np.flatnonzero(working)
             fixing, general = act[bound[act]], act[~bound[act]]
             x = x.copy()
-            x[var[fixing]] = b_in[fixing] / A_in[fixing, var[fixing]]   # on the bounds exactly
+            x[var[fixing]] = b_in[fixing] / rows_in.coef[fixing]       # on the bounds exactly
             rhs = np.append(b_eq, (t - mid) / sigma)
             rows = np.zeros((m_eq + len(general), 2))
             rows[:, 0] = np.concatenate([rhs - A_eq @ x, b_in[general] - A_in[general] @ x])
@@ -500,7 +509,7 @@ class Problem:
             x = x + p[:, 0]
             gap = np.concatenate([rhs - A_eq @ x, b_in[general] - A_in[general] @ x])
             if (np.abs(gap).max() > max(np.abs(rows[:, 0]).max(), 1e-12)
-                    or np.any(A_in @ x - b_in > 1e-9 * row_scale)):
+                    or np.any(rows_in.dot(x) - b_in > 1e-9 * row_scale)):
                 x = None
             return x, p[:, 1], lam[:, 0], lam[:, 1], act, general
 
@@ -548,10 +557,11 @@ class Problem:
             xa, ta, s, end = x, t0, 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
-                rate = A_in @ dx
+                rate = rows_in.dot(dx)
                 hit = np.flatnonzero(~working & (rate > 1e-13 * row_scale * (1.0 + np.abs(dx).max())))
                 fall = np.flatnonzero(dlam[m_eq:] < -1e-12 * np.abs(dlam).max())
-                steps = np.concatenate([np.maximum(b_in[hit] - A_in[hit] @ x, 0.0) / rate[hit],
+                room = (b_in - rows_in.dot(x))[hit]
+                steps = np.concatenate([np.maximum(room, 0.0) / rate[hit],
                                         np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
                 s = float(steps.min(initial=end))
                 near = np.concatenate([hit, act[fall]])[steps <= s + tie]

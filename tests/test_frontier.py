@@ -14,6 +14,7 @@ from conftest import (
 from portopt import (
     ConstraintSet,
     ConvergenceError,
+    DegenerateSharpeError,
     PortfolioStats,
     SamplingError,
     ValidationError,
@@ -340,13 +341,10 @@ def _small_universes():
 def _small_cases():
     for label, cov, mean, rf in _small_universes():
         n = len(mean)
-        cases = [ConstraintSet("c1"), ConstraintSet("c1", leverage_cap=1.0), ConstraintSet("c2"),
-                 ConstraintSet("c2", weight_bound=1.5 / n), ConstraintSet("c4")]
-        # the single point of weight_bound = 1/N; with near-zero excess returns its
-        # maximum-Sharpe solve is a FOUND of CHANGES.md, not a part of the path
-        if not label.startswith("near-zero"):
-            cases.append(ConstraintSet("c2", weight_bound=1.0 / n))
-        for c in cases:
+        # weight_bound = 1/N leaves the single point of equal weights
+        for c in (ConstraintSet("c1"), ConstraintSet("c1", leverage_cap=1.0), ConstraintSet("c2"),
+                  ConstraintSet("c2", weight_bound=1.5 / n), ConstraintSet("c4"),
+                  ConstraintSet("c2", weight_bound=1.0 / n)):
             yield pytest.param(cov, mean, rf, c,
                                id=f"{label}-{c.regime}-{c.leverage_cap:g}-{c.weight_bound:.3g}")
 
@@ -370,7 +368,12 @@ def _assert_matches_cold_solves(curve, cov, mean, c, grid):
 @pytest.mark.parametrize("cov, mean, rf, c", list(_small_cases()))
 def test_small_universe_path_matches_cold_solves(cov, mean, rf, c):
     # a duplicated asset, the tight bounds and near-zero excess returns: every
-    # path point is the cold solve at its target
+    # path point is the cold solve at its target.  Where equal weights are the
+    # single point and earn no excess return, there is no tangency portfolio
+    if c.weight_bound * len(mean) == 1.0 and float(mean.mean()) <= rf:
+        with pytest.raises(DegenerateSharpeError):
+            trace_frontier(cov, mean, rf, c, grid=15)
+        return
     curve = trace_frontier(cov, mean, rf, c, grid=15)
     _assert_matches_cold_solves(curve, cov, mean, c, 15)
 

@@ -7,8 +7,12 @@ import pytest
 from scipy.optimize import minimize
 
 import portopt.qp
+from conftest import random_spd
+from portopt import ConstraintSet, solve_max_sharpe
+from portopt.constraints import REGIMES, regime_model
 from portopt.errors import ConvergenceError, InfeasibleError
-from portopt.qp import _STALL_LIMIT, find_feasible_point, solve_qp
+from portopt.qp import _STALL_LIMIT, InequalityRows, find_feasible_point, solve_qp
+from portopt.solver import KKT_TOL, _homogenized
 
 
 def test_unconstrained_equality_qp():
@@ -156,7 +160,7 @@ def test_singular_kkt_and_blands_rule(monkeypatch):
     # 40 copies of -x1 <= 0, all active at the start, and dropping them one
     # by one is a run of more than 30 zero steps (Bland's rule).  Bound rows
     # fix their variable instead of entering the KKT matrix, so it stays
-    # regular: no least-squares fallback (the general-row variant below has 40)
+    # regular: no least-squares fallback (general-row copies start as one, below)
     res, fallbacks, stall = _solve_counting(
         monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
@@ -169,10 +173,11 @@ def test_singular_kkt_and_blands_rule(monkeypatch):
     assert stall > _STALL_LIMIT + 1  # some drop was made past the limit
 
 
-def test_singular_kkt_of_general_rows_and_blands_rule(monkeypatch):
+def test_dependent_general_rows_start_as_one(monkeypatch):
     # 40 copies of the general row -x1 - x2 <= 0, all active at the start:
-    # the KKT matrix is singular (least-squares fallback) until one copy is
-    # left, and the 40 drops are a run past the stall limit (Bland's rule)
+    # only the first enters the working set, so the KKT matrix is regular
+    # from the start (no least-squares fallback); the other 39 never block,
+    # since every step keeps the row or leaves it
     res, fallbacks, stall = _solve_counting(
         monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
@@ -180,9 +185,23 @@ def test_singular_kkt_of_general_rows_and_blands_rule(monkeypatch):
         x0=np.array([0.0, 0.0, 1.0]))
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
-    assert res.iterations == 43    # one step, 40 drops, one step, optimality
-    assert fallbacks == 40         # the step and the drops with two or more copies
-    assert stall > _STALL_LIMIT + 1
+    assert res.iterations == 4     # a step along the row, its drop, a step, optimality
+    assert fallbacks == 0
+    assert stall == 1
+
+
+def test_max_sharpe_at_a_one_point_set_terminates():
+    # c2 at weight_bound = 1/N leaves equal weights as the only portfolio;
+    # the homogenized rows y_i - 1'y / 4 <= 0 are all active there and sum
+    # to the zero row, so with all four working every KKT system is
+    # singular: the solve must start from three of them and terminate
+    rng = np.random.default_rng(115)
+    cov = random_spd(rng, 4, 1e-3)
+    mean = 1e-2 * rng.normal(size=4)
+    sol = solve_max_sharpe(cov, mean, 0.0, ConstraintSet("c2", weight_bound=0.25))
+    assert sol.converged and sol.kkt_residual <= KKT_TOL
+    assert np.allclose(sol.weights, 0.25, rtol=0.0, atol=1e-15)
+    assert sol.iterations <= 10
 
 
 def test_multipliers_certify_their_point():
@@ -212,3 +231,29 @@ def test_multipliers_certify_their_point():
         assert np.all(mu >= 0.0)
         assert np.all(np.delete(mu, res.active) == 0.0)
         assert np.abs(mu * (b_in - a_in @ res.x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 50])
+def test_inequality_rows_equal_the_dense_product(n):
+    # every regime's inequality rows and their homogenized (maximum-Sharpe)
+    # rows, read through InequalityRows: a bound's product equals the dense
+    # A_in @ v bit for bit for any v, and so does every row where the sums
+    # are exact (integer v); a general row's own product may sum in another
+    # order than the dense one, so real v gets the two orders' rounding
+    # bound there (2 k eps |a| . |v| over k terms)
+    rng = np.random.default_rng(n)
+    for regime in REGIMES:
+        model = regime_model(ConstraintSet(regime, market_index=0 if regime == "c5" else None), n)
+        for A in (model.system()[2], _homogenized(model, rng.normal(size=n))[2]):
+            rows = InequalityRows(A)
+            assert np.array_equal(rows.scale, 1.0 + np.abs(A).max(axis=1, initial=0.0))
+            for v in (rng.integers(-4, 5, A.shape[1]).astype(float),
+                      rng.normal(size=A.shape[1]) * 10.0 ** rng.integers(-6, 3, A.shape[1])):
+                v[rng.random(len(v)) < 0.3] = 0.0
+                got, dense = rows.dot(v), A @ v
+                assert np.array_equal(got[rows.bound], dense[rows.bound]), regime
+                if np.all(v == np.round(v)):
+                    assert np.array_equal(got, dense), regime
+                else:
+                    room = 2 * A.shape[1] * np.finfo(float).eps * (np.abs(A) @ np.abs(v))
+                    assert np.all(np.abs(got - dense) <= room), regime

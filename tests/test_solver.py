@@ -392,6 +392,76 @@ def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
         assert max(rows) <= 100 + 2
 
 
+def test_large_universe_iteration_counts_at_n200():
+    # the N = 100 pins above on a seeded N = 200 factor universe, where c1's
+    # split has 400 variables and the engine's array work is the widest
+    mm = markowitz_estimates(make_table(factor_returns(np.random.default_rng(1), 240, 200)))
+    pins = {("c1", "min_variance"): 182, ("c1", "max_sharpe"): 95,
+            ("c4", "min_variance"): 108, ("c4", "max_sharpe"): 17}
+    for (regime, objective), iterations in pins.items():
+        sol = solve_objective(objective, mm.cov, mm.mean, 0.002, ConstraintSet(regime))
+        assert sol.converged and sol.kkt_residual <= 1e-12
+        assert sol.iterations == iterations, (regime, objective)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 60])
+def test_split_hessian_written_in_place_bit_for_bit(n):
+    # the split Hessian, block by block, against np.block plus eps I, bit for
+    # bit (signed zeros too): a zero covariance entry, and a -0.0 one
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    c2 = 2.0 * (a @ a.T / n)
+    if n > 1:
+        c2[0, -1] = c2[-1, 0] = 0.0
+        c2[1, 0] = c2[0, 1] = -0.0
+    eps = 1e-12 * max(1.0, float(np.trace(c2)) / n)
+    expected = np.block([[c2, -c2], [-c2, c2]]) + eps * np.eye(2 * n)
+    got = portopt.solver._hessian(c2, True)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert portopt.solver._hessian(c2, False) is c2
+
+
+def test_certificate_and_feasibility_read_one_row_excess(monkeypatch, markets):
+    # each solution's KKT certificate and feasibility verdict come from one
+    # evaluation of the regime's rows, with the values and verdicts that the
+    # two separate evaluations give
+    excess, check, calls, per_check = portopt.constraints.RegimeModel.excess, Problem._check, [0], []
+
+    def counting(self, w):
+        calls[0] += 1
+        return excess(self, w)
+
+    def checking(self, w, target, multipliers):
+        before = calls[0]
+        kkt, feasible = check(self, w, target, multipliers)
+        per_check.append(calls[0] - before)
+        assert kkt == kkt_residual_weights(w, self.cov, self.regime.constraint, mean=self.mean,
+                                           target=target, multipliers=multipliers)
+        assert feasible == check_feasible(w, self.regime.constraint).feasible
+        return kkt, feasible
+
+    monkeypatch.setattr(portopt.constraints.RegimeModel, "excess", counting)
+    monkeypatch.setattr(Problem, "_check", checking)
+    cov, mean, rf, mi = markets["bundled-mm"]
+    for regime in ("c1", "c2", "c3", "c4", "c5"):
+        trace_frontier(cov, mean, rf, ConstraintSet(regime, market_index=mi if regime == "c5"
+                                                    else None), grid=10)
+    assert len(per_check) > 30 and set(per_check) == {1}
+    # a long-only point moved off a zero weight by less, then by more, than
+    # check_feasible's tolerance: the same verdicts, feasible then not
+    problem = Problem.prepare(cov, ConstraintSet("c4"), mean=mean, rf=rf)
+    w = problem.min_variance().weights
+    zero, top = int(np.argmin(w)), int(np.argmax(w))
+    assert w[zero] == 0.0
+    verdicts = []
+    for shift in (1e-9, 1e-6):
+        v = w.copy()
+        v[zero] -= shift
+        v[top] += shift
+        verdicts.append(problem._check(v, None, None)[1])
+    assert verdicts == [True, False]
+
+
 def test_curve_builds_hessian_and_return_range_once(monkeypatch):
     # one Problem per curve: the split Hessian is computed once for it, and
     # the attainable return range is read off the two return vertices it
