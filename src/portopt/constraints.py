@@ -116,6 +116,15 @@ class RegimeModel:
         """How far weights ``w`` (one portfolio, or one per row) exceed each row."""
         return self.to_solve(w) @ self.rows.T - self.rhs
 
+    def holds(self, w, tol: float) -> np.ndarray:
+        """Whether the inequality rows hold within ``tol`` at weights ``w``
+        (one portfolio, or one per row).  The split's bound rows hold by
+        construction (``to_solve`` clips), which leaves its gross cap
+        ``sum |w_i| <= leverage_cap``: no product with the split rows."""
+        if self.split:
+            return np.abs(w).sum(axis=-1) - self.constraint.leverage_cap <= tol
+        return np.all(self.excess(w)[..., 2 * self.m_eq:] <= tol, axis=-1)
+
     def violations(self, w: np.ndarray, tol: float) -> list[tuple[str, float]]:
         """Every row not within ``tol`` of holding (NaN included), equalities first."""
         amounts = self.excess(w)

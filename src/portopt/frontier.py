@@ -150,7 +150,7 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
             run, live = gap[-1], np.logical_and.accumulate(gap < 10000)   # live until a stall
             rows = np.flatnonzero((gap == 0) & live)
             w = z[rows] / s[rows, None]
-            ok = np.all(regime.excess(w)[:, 2 * regime.m_eq:] <= 1e-12, axis=1)   # inequalities
+            ok = regime.holds(w, 1e-12)
             # a portfolio is the first accepted row of its next 100, or else the 100th, shrunk
             since = _misses(ok, rejected)
             pick = np.flatnonzero(since % 100 == 0)[:need]

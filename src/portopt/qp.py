@@ -14,7 +14,8 @@ first-order conditions to linear-algebra precision; ties are broken by
 smallest index, making the method deterministic for fixed inputs.
 
 Every call passes all constraint arrays (empty ones included) and a
-feasible start point; the solvers build theirs in closed form.
+feasible start point; the solvers build theirs near the answer, some
+through ``face_point``, the minimizer on one face of the working rows.
 """
 
 from __future__ import annotations
@@ -129,8 +130,11 @@ def _independent_start(working, A_eq, A_in, bound, var) -> None:
     Working bounds only fix their variables (``reduced_kkt``), so only the
     working general rows can make the system singular: in index order, each
     stays when over the free variables it is independent of the equalities
-    and of the rows kept before it.  Where all of them are (the usual case)
-    one rank test settles it.
+    and of the rows kept before it.  The usual case, all of them plainly
+    independent, needs no rank test: the Cholesky factor ``L`` of the rows'
+    Gram matrix ``G`` bounds their squared condition number by
+    ``trace(G) |L^-1|_F^2``, and below 1e12 that is far inside the rank
+    tolerance of ``matrix_rank``.
     """
     general = (working & ~bound).nonzero()[0]
     if not general.size:
@@ -139,7 +143,14 @@ def _independent_start(working, A_eq, A_in, bound, var) -> None:
     free[var[working & bound]] = False
     kept = A_eq[:, free]
     rows = np.vstack([kept, A_in[general][:, free]])
-    if _rank(rows) == len(rows):
+    gram = rows @ rows.T
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN fails the test
+            inverse = np.linalg.inv(np.linalg.cholesky(gram))
+            plain = np.trace(gram) * (inverse * inverse).sum() < 1e12
+    except np.linalg.LinAlgError:
+        plain = False
+    if plain or _rank(rows) == len(rows):
         return
     rank = _rank(kept)
     for j in general:
@@ -207,6 +218,36 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
             c, share = c[:, None], share[:, None]
         mult_in[on_bound] = -r * c / share
     return p, lam
+
+
+def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=None):
+    """The minimizer of ``0.5 x'Hx`` on the face where the equalities and
+    the working rows ``act`` hold, from ``x``, with one reduced KKT solve.
+
+    The working bounds are set exactly, and the gaps of the equalities and
+    of the working general rows go on the right-hand side of
+    ``reduced_kkt``, under the gradient ``H x``.  Returns ``(x, p, lam)``:
+    the face's point, None where it leaves one of those gaps above 1e-12
+    (the face has no point, or its system is nearly singular), then the
+    step and the multipliers.  Given ``rate``, a second right-hand side over
+    the same rows, ``p`` and ``lam`` get a second column: the solution of
+    that system under a zero gradient, from the same factorization.
+    """
+    fixing, general = act[rows.bound[act]], act[~rows.bound[act]]
+    x = x.copy()
+    x[rows.var[fixing]] = b_in[fixing] / rows.coef[fixing]        # on the bounds exactly
+
+    def gap(x):
+        return np.concatenate([b_eq - A_eq @ x, b_in[general] - A_in[general] @ x])
+
+    grad, rhs = H @ x, gap(x)
+    if rate is not None:
+        grad, rhs = np.column_stack([grad, np.zeros(len(x))]), np.column_stack([rhs, rate])
+    p, lam = reduced_kkt(H, grad, A_eq, A_in, act, rows.bound, rows.var, rhs)
+    x = x + (p if rate is None else p[:, 0])
+    if np.abs(gap(x)).max(initial=0.0) > 1e-12:
+        x = None
+    return x, p, lam
 
 
 def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:

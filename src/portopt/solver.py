@@ -9,14 +9,17 @@ convex QP through the homogenization change of variables ``y = kappa * w``
 with the excess return normalized to one; every regime row rewrites
 exactly because it is linear in the solve variables.
 
-Every solve starts from a closed-form feasible point near its answer.
-Minimum variance starts at the unconstrained minimum-variance portfolio,
-clipped to the simplex (long only) or mixed toward the centre as far as
-the rows hold; a target return at a mix of a feasible portfolio with a
-return vertex; maximum Sharpe at the unconstrained optimum, the long-only
-fill (under a two-sided box mixed toward the tangency portfolio), the
-highest-return vertex or a zero-investment pair; without one, maximum
-Sharpe is degenerate.  Each mix is one closed-form step, not a search.
+Every solve starts from a feasible point near its answer.  Minimum
+variance starts on a block-pivoted face: from the unconstrained
+minimum-variance portfolio, the rows it breaks join a working set at
+their bounds, one KKT solve per round, until the face's minimizer breaks
+none (where a face has no point, that portfolio mixed toward the centre
+as far as the rows hold).  A target return starts at a mix of a feasible
+portfolio with a return vertex; maximum Sharpe at the unconstrained
+optimum, the long-only fill (under a two-sided box mixed toward the
+tangency portfolio), the highest-return vertex or a zero-investment pair;
+without one, maximum Sharpe is degenerate.  Each mix is one closed-form
+step, not a search.
 
 A frontier is one corner path (``Problem.corner_path``): between two
 changes of the working set the target-return solution is affine in the
@@ -40,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import InequalityRows, reduced_kkt, solve_qp
+from .qp import InequalityRows, face_point, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -374,41 +377,57 @@ class Problem:
                                    target=target, multipliers=multipliers, excess=excess)
         return kkt, bool(np.all(excess <= PUBLIC_FEAS_TOL))
 
-    def _solution(self, w, res, objective: str, target=None,
-                  multipliers=None) -> PortfolioSolution:
+    def _solution(self, w, res, objective: str, target=None, multipliers=None,
+                  rounds: int = 0) -> PortfolioSolution:
         kkt, feasible = self._check(w, target, multipliers)
         converged = bool(feasible and kkt <= KKT_TOL)
         return PortfolioSolution(
             weights=w, stats=self.stats(w), objective=objective, constraint=self.regime.constraint,
-            kkt_residual=kkt, iterations=res.iterations, converged=converged,
+            kkt_residual=kkt, iterations=rounds + res.iterations, converged=converged,
             regularization=self.ridge,
         )
 
     def min_variance(self) -> PortfolioSolution:
         """Smallest variance under the regime.
 
-        The solve starts at the unconstrained minimum-variance portfolio of
-        the free assets, ``cov_solve[free, free]^-1 1`` normalized to sum
-        to one, where Goldfarb & Idnani (1983) start their dual method.
-        That point is pulled into the feasible set: clipped to the simplex
-        where the box is long only, else mixed toward the centre as far as
-        the inequality rows hold (``RegimeModel.toward``).  Without
-        inequality rows (c3, c5) it is the answer.
+        The solve starts on a face found by block pivoting (the deletion
+        half of Portugal, Judice & Vicente 1994; Kim & Park 2011).  Its first
+        point is the unconstrained minimum-variance portfolio of the free
+        assets, ``cov_solve[free, free]^-1 1`` normalized to sum to one,
+        where Goldfarb & Idnani (1983) start their dual method.  Every
+        inequality row that point holds tight or breaks joins a working set
+        at its bound, and one KKT solve over that face (``qp.face_point``)
+        moves to the face's minimizer; every row the new point breaks joins
+        too, until the point breaks none.  Rows only join, so this ends
+        within one round per row.  Where a face has no point, the start is
+        the first point mixed toward the centre as far as the rows hold
+        (``RegimeModel.toward``).  Each round is one KKT solve and counts in
+        ``iterations``.  Without inequality rows (c3, c5) the first point is
+        the answer.
         """
-        r = self.regime
+        r, H = self.regime, self.hessian
         centre = r.to_weights(r.centre())           # raises when the set is empty
         w = np.zeros(r.n)
         w[r.free] = np.linalg.solve(self.cov_solve[np.ix_(r.free, r.free)],
                                     np.ones(len(r.free)))
         w /= w.sum()
-        if r.box[0] == 0.0:                         # long only: onto the simplex
-            w = np.maximum(w, 0.0)
-            w /= w.sum()
-        else:
-            w = r.toward(centre, w)
-        res = self._solve(*r.system(), r.to_solve(w))
+        A_eq, b_eq, A_in, b_in = r.system()
+        rows = InequalityRows(A_in)
+        x, working, rounds = r.to_solve(w), np.zeros(len(b_in), dtype=bool), 0
+        while True:
+            excess = rows.dot(x) - b_in
+            if not np.any(~working & (excess > 0.0)):
+                break
+            working |= excess >= 0.0                # every tight or broken row, at its bound
+            rounds += 1
+            x = face_point(H, x, A_eq, b_eq, A_in, b_in, rows, working.nonzero()[0])[0]
+            if x is None:                           # the face has no point
+                x = r.to_solve(r.toward(centre, w))
+                break
+        res = self._solve(A_eq, b_eq, A_in, b_in, x)
         return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE,
-                              multipliers=(res.eq_multipliers, res.in_multipliers))
+                              multipliers=(res.eq_multipliers, res.in_multipliers),
+                              rounds=rounds)
 
     def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -486,30 +505,23 @@ class Problem:
         A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
         m_eq = len(A_eq)
         rows_in = InequalityRows(A_in)
-        bound, var, row_scale = rows_in.bound, rows_in.var, rows_in.scale
+        bound, row_scale = rows_in.bound, rows_in.scale
         top = targets[-1]
         tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
         working = np.zeros(len(b_in), dtype=bool)
 
         def resolve(x, t):
             """The working set's point at ``t`` and ``d(x, lam)/dt`` from one
-            factorization; the point is None where it would hold the working
-            rows less well than ``x``, or leave another row by more than
-            ``solve_qp``'s activity tolerance (a nearly singular system)."""
+            factorization (``qp.face_point``); the point is None where it
+            would not hold the working rows, or leave another row by more
+            than ``solve_qp``'s activity tolerance (a nearly singular system)."""
             act = np.flatnonzero(working)
-            fixing, general = act[bound[act]], act[~bound[act]]
-            x = x.copy()
-            x[var[fixing]] = b_in[fixing] / rows_in.coef[fixing]       # on the bounds exactly
-            rhs = np.append(b_eq, (t - mid) / sigma)
-            rows = np.zeros((m_eq + len(general), 2))
-            rows[:, 0] = np.concatenate([rhs - A_eq @ x, b_in[general] - A_in[general] @ x])
-            rows[m_eq - 1, 1] = 1.0 / sigma
-            p, lam = reduced_kkt(H, np.column_stack([H @ x, np.zeros(len(x))]),
-                                 A_eq, A_in, act, bound, var, rows)
-            x = x + p[:, 0]
-            gap = np.concatenate([rhs - A_eq @ x, b_in[general] - A_in[general] @ x])
-            if (np.abs(gap).max() > max(np.abs(rows[:, 0]).max(), 1e-12)
-                    or np.any(rows_in.dot(x) - b_in > 1e-9 * row_scale)):
+            general = act[~bound[act]]
+            rate = np.zeros(m_eq + len(general))
+            rate[m_eq - 1] = 1.0 / sigma
+            x, p, lam = face_point(H, x, A_eq, np.append(b_eq, (t - mid) / sigma), A_in, b_in,
+                                   rows_in, act, rate)
+            if x is not None and np.any(rows_in.dot(x) - b_in > 1e-9 * row_scale):
                 x = None
             return x, p[:, 1], lam[:, 0], lam[:, 1], act, general
 

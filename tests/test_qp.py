@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import portopt.qp
 from conftest import random_spd
-from portopt import ConstraintSet, solve_max_sharpe
+from portopt import ConstraintSet, solve_max_sharpe, solve_min_variance
 from portopt.constraints import REGIMES, regime_model
 from portopt.errors import ConvergenceError, InfeasibleError
 from portopt.qp import _STALL_LIMIT, InequalityRows, find_feasible_point, solve_qp
@@ -188,6 +188,32 @@ def test_dependent_general_rows_start_as_one(monkeypatch):
     assert res.iterations == 4     # a step along the row, its drop, a step, optimality
     assert fallbacks == 0
     assert stall == 1
+
+
+def test_plainly_independent_start_rows_take_no_rank_test(monkeypatch, markets):
+    # the bundled c2 maximum-Sharpe start has a homogenized box row working,
+    # and the c1 minimum-variance start (a block-pivoted face) the leverage
+    # row: the Cholesky factor of the rows' Gram matrix shows them
+    # independent of the equalities, so no rank test (an SVD) runs
+    ranks, general = [0], []
+    rank, start = portopt.qp._rank, portopt.qp._independent_start
+
+    def counting(M):
+        ranks[0] += 1
+        return rank(M)
+
+    def recording(working, A_eq, A_in, bound, var):
+        general.append(int(np.count_nonzero(working & ~bound)))
+        return start(working, A_eq, A_in, bound, var)
+
+    monkeypatch.setattr(portopt.qp, "_rank", counting)
+    monkeypatch.setattr(portopt.qp, "_independent_start", recording)
+    for key in ("bundled-mm", "bundled-im"):
+        cov, mean, rf, _ = markets[key]
+        assert solve_max_sharpe(cov, mean, rf, ConstraintSet("c2")).converged
+        assert solve_min_variance(cov, ConstraintSet("c1"), mean=mean, rf=rf).converged
+    assert len(general) == 4 and min(general) > 0
+    assert ranks[0] == 0
 
 
 def test_max_sharpe_at_a_one_point_set_terminates():

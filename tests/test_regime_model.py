@@ -234,3 +234,38 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(SRC)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("cap", [1.0, 1.3, 2.0])
+@pytest.mark.parametrize("n", [2, 11, 50, 200])
+def test_split_holds_reads_the_gross_cap_alone(n, cap):
+    # a c1 block is tested as sum |w| - L <= tol: the split's bound rows hold
+    # by construction, so the product with every split row is not needed.
+    # At the cloud's 1e-12 (and at 1e-9) the verdicts are those of that
+    # product, on blocks whose gross exposure is L plus or minus a few ulps,
+    # L + 1e-11, and NaN
+    r = regime_model(ConstraintSet("c1", leverage_cap=cap), n)
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((40, n))
+    w /= w.sum(axis=1, keepdims=True)
+    long, short = np.maximum(w, 0.0).sum(axis=1), np.maximum(-w, 0.0).sum(axis=1)
+    w, long, short = w[short > 0.0], long[short > 0.0], short[short > 0.0]
+
+    def grossed(gross):
+        # longs scaled to (1 + gross) / 2, shorts to (gross - 1) / 2
+        return np.where(w > 0.0, w * ((1.0 + gross) / (2.0 * long))[:, None],
+                        w * ((gross - 1.0) / (2.0 * short))[:, None])
+
+    at_cap, k = grossed(cap), np.abs(w).argmax(axis=1)
+    blocks = [grossed(cap + 1e-11)]
+    for ulps in range(-4, 5):
+        block = at_cap.copy()
+        rows = np.arange(len(block))
+        block[rows, k] += ulps * np.spacing(block[rows, k])
+        blocks.append(block)
+    blocks.append(np.full((1, n), np.nan))
+    for block in blocks:
+        for tol in (1e-12, 1e-9):
+            product = np.all(r.excess(block)[:, 2 * r.m_eq:] <= tol, axis=1)
+            assert np.array_equal(r.holds(block, tol), product)
+    assert r.holds(blocks[5], 1e-12).all() and not r.holds(blocks[0], 1e-12).any()

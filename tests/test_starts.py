@@ -1,19 +1,24 @@
-"""The closed-form starts of minimum variance and maximum Sharpe.
+"""The starts of minimum variance and maximum Sharpe.
 
-Minimum variance starts at the unconstrained minimum-variance portfolio
-of the free assets, clipped to the simplex (long only) or mixed toward the
-centre as far as the rows hold; maximum Sharpe under a two-sided box
-starts at the fill mixed toward the tangency.  Each start must satisfy
-every row of the QP it starts, and each answer must be the one the engine
-reaches from the regime's centre.
+Minimum variance starts on a block-pivoted face: from the unconstrained
+minimum-variance portfolio of the free assets, every row it holds tight or
+breaks joins a working set at its bound, and each round moves to the
+face's minimizer with one KKT solve, until the point breaks no row; where
+a face has no point, the start is that portfolio mixed toward the centre
+as far as the rows hold.  Maximum Sharpe under a two-sided box starts at
+the fill mixed toward the tangency.  Each start must satisfy every row of
+the QP it starts, each answer must be the one the engine reaches from the
+regime's centre, and each round counts in ``iterations``.
 """
 
 import numpy as np
 import pytest
 
+import portopt.qp
 import portopt.solver
 from conftest import factor_returns, make_table, random_spd
 from portopt import ConstraintSet, ValidationError, check_feasible, markowitz_estimates
+from portopt.constraints import RegimeModel
 from portopt.qp import solve_qp
 from portopt.solver import Problem, _homogenized
 
@@ -88,6 +93,58 @@ def test_answers_match_solves_from_the_centre(n, seed):
         assert gain > 0.0
         y = r.to_weights(solve_qp(problem.hessian, zero, *rows, centre / gain).x)
         assert np.abs(problem.max_sharpe().weights - y / y.sum()).max() <= 1e-9, c
+
+
+def test_iterations_count_every_kkt_solve(monkeypatch, markets):
+    # a block-start round is one KKT solve, and it counts in iterations: a
+    # minimum-variance solve's iterations are its KKT solves, rounds included
+    kkt_calls, rounds, solve_kkt = [0], [0], portopt.qp._solve_kkt
+    face_point = portopt.solver.face_point
+
+    def counting(K, rhs):
+        kkt_calls[0] += 1
+        return solve_kkt(K, rhs)
+
+    def counting_rounds(*args):
+        rounds[0] += 1
+        return face_point(*args)
+
+    monkeypatch.setattr(portopt.qp, "_solve_kkt", counting)
+    monkeypatch.setattr(portopt.solver, "face_point", counting_rounds)
+    cov, mean, mi = _universe(50, 120, 3)
+    cases = [(*markets[key][:2], markets[key][3]) for key in ("bundled-mm", "bundled-im")]
+    for cov, mean, mi in cases + [(cov, mean, mi)]:
+        for c in _constraints(len(mean), mi):
+            kkt_calls[0] = 0
+            sol = Problem.prepare(cov, c, mean=mean, rf=RF).min_variance()
+            assert sol.converged, c
+            assert sol.iterations == kkt_calls[0], c
+    assert rounds[0] > 0
+
+
+@pytest.mark.parametrize("n, t, seed", [(20, 120, 21), (30, 20, 3)])
+@pytest.mark.parametrize("bound", [1.0, 1.5])
+def test_face_without_a_point_falls_back_to_the_centre_mix(monkeypatch, n, t, seed, bound):
+    # c2 at weight_bound = 1/N and 1.5/N: the rounds fix every weight at a
+    # bound with the weights not summing to one, so the last face has no
+    # point; the start is then the unconstrained optimum mixed toward the
+    # centre, and the answer is the one reached from the centre
+    cov, mean, _ = _universe(n, t, seed)
+    problem = Problem.prepare(cov, ConstraintSet("c2", weight_bound=bound / n), mean=mean, rf=RF)
+    anchors, toward = [], RegimeModel.toward
+
+    def recording(self, anchor, w):
+        anchors.append(anchor)
+        return toward(self, anchor, w)
+
+    monkeypatch.setattr(RegimeModel, "toward", recording)
+    sol = problem.min_variance()
+    monkeypatch.undo()
+    assert len(anchors) == 1 and np.all(anchors[0] == 1.0 / n)
+    assert sol.converged
+    r = problem.regime
+    ref = solve_qp(problem.hessian, np.zeros(n), *r.system(), r.centre())
+    assert np.abs(sol.weights - r.to_weights(ref.x)).max() <= 1e-9
 
 
 def test_spectrum_only_when_cholesky_fails(monkeypatch):
