@@ -15,7 +15,8 @@ smallest index, making the method deterministic for fixed inputs.
 
 Every call passes all constraint arrays (empty ones included) and a
 feasible start point; the solvers build theirs near the answer, some
-through ``face_point``, the minimizer on one face of the working rows.
+through ``block_start``, which exchanges rows between faces of the working
+rows, each solved by ``face_point`` for its minimizer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _STALL_LIMIT = 30          # consecutive zero steps before switching to Bland's 
 _ELASTIC_DELTA = 1e-9      # proximal weight of the elastic phase-1
 _FEAS_TOL = 1e-9           # phase-1 verdict, relative to the right-hand sides
 _MAX_ITER = 10000          # active-set iterations before ``ConvergenceError``
+_PATIENCE = 3              # block-start rounds without a new best before rows only join
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,77 @@ def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=Non
     if np.abs(gap(x)).max(initial=0.0) > 1e-12:
         x = None
     return x, p, lam
+
+
+def _within_reach(A_eq, b_eq, b_in, rows: InequalityRows, working) -> bool:
+    """Whether every equality row can hold with the working bounds fixing
+    their variables and the other bound rows boxing theirs (to 1e-12): each
+    row's least and greatest value over that box must bracket its
+    right-hand side."""
+    k = rows.bound.nonzero()[0]
+    at, upper, fixed = b_in[k] / rows.coef[k], rows.coef[k] > 0.0, working[k]
+    lo, hi = np.full(A_eq.shape[1], -np.inf), np.full(A_eq.shape[1], np.inf)
+    np.maximum.at(lo, rows.var[k[~upper]], at[~upper])
+    np.minimum.at(hi, rows.var[k[upper]], at[upper])
+    lo[rows.var[k[fixed]]] = hi[rows.var[k[fixed]]] = at[fixed]
+    pos, neg = A_eq > 0.0, A_eq < 0.0          # a zero coefficient adds 0, not 0 * inf
+    least = (A_eq * np.where(pos, lo, np.where(neg, hi, 0.0))).sum(axis=1)
+    most = (A_eq * np.where(pos, hi, np.where(neg, lo, 0.0))).sum(axis=1)
+    return bool(np.all((least <= b_eq + 1e-12) & (most >= b_eq - 1e-12)))
+
+
+def block_start(H, x, A_eq, b_eq, A_in, b_in):
+    """A feasible start for minimizing ``0.5 x'Hx`` by block principal
+    pivoting from ``x``: ``(x, rounds)``, x None where a face has no point
+    of the feasible set.
+
+    The first face holds every row that ``x`` holds tight or breaks, at its
+    bound; each round moves to its face's minimizer (``face_point``, one
+    KKT solve).  Then every row the point breaks joins and every working
+    row whose multiplier is below ``solve_qp``'s ``-1e-9 (1 + |H x|)``
+    leaves, all at once (Judice & Pires 1994; Kim & Park 2011); where a
+    general row's is, only general rows leave, since each bound's
+    multiplier is read off the stationarity that carries it.  A round that
+    does not lower the best count of broken rows plus leaving rows spends
+    one of ``_PATIENCE`` rounds, a new best restores them, and a round that
+    would move a single row spends them all; from then on rows only join,
+    so the point is feasible within one round per row.  Where the first
+    face's bounds leave an equality out of reach of the box the other bound
+    rows allow (``_within_reach``), no face near ``x`` holds a point of the
+    set, and the start ends without a solve.  Where ``x`` breaks an
+    equality, at least one round runs.
+    """
+    m_eq, rows = len(b_eq), InequalityRows(A_in)
+    excess = rows.dot(x) - b_in
+    if np.all(excess <= 0.0) and np.abs(A_eq @ x - b_eq).max(initial=0.0) <= 1e-12:
+        return x, 0
+    working = excess >= 0.0                     # every tight or broken row, at its bound
+    if not _within_reach(A_eq, b_eq, b_in, rows, working):
+        return None, 0
+    best, patience, rounds = np.inf, _PATIENCE, 0
+    while True:
+        act = working.nonzero()[0]
+        rounds += 1
+        x, _, lam = face_point(H, x, A_eq, b_eq, A_in, b_in, rows, act)
+        if x is None:
+            return None, rounds
+        leave = np.zeros(len(b_in), dtype=bool)
+        leave[act[lam[m_eq:] < -1e-9 * (1.0 + np.abs(H @ x).max())]] = True
+        if np.any(leave & ~rows.bound):
+            leave &= ~rows.bound
+        join = ~working & (rows.dot(x) > b_in)
+        moves = np.count_nonzero(join) + np.count_nonzero(leave)
+        if moves < best:
+            best, patience = moves, _PATIENCE
+        else:
+            patience -= 1
+        if moves <= 1:
+            patience = 0
+        if patience <= 0:                       # rows only join
+            if not join.any():
+                return x, rounds
+            leave[:] = False
+        working = (working | join) & ~leave
 
 
 def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:

@@ -10,16 +10,19 @@ with the excess return normalized to one; every regime row rewrites
 exactly because it is linear in the solve variables.
 
 Every solve starts from a feasible point near its answer.  Minimum
-variance starts on a block-pivoted face: from the unconstrained
-minimum-variance portfolio, the rows it breaks join a working set at
-their bounds, one KKT solve per round, until the face's minimizer breaks
-none (where a face has no point, that portfolio mixed toward the centre
-as far as the rows hold).  A target return starts at a mix of a feasible
-portfolio with a return vertex; maximum Sharpe at the unconstrained
-optimum, the long-only fill (under a two-sided box mixed toward the
-tangency portfolio), the highest-return vertex or a zero-investment pair;
-without one, maximum Sharpe is degenerate.  Each mix is one closed-form
-step, not a search.
+variance, and maximum Sharpe under the split (c1) and the long-only box
+(c4), start with a block exchange (``qp.block_start``): from the
+unconstrained optimum, one KKT solve per round, the rows the point breaks
+join a working set at their bounds and the working rows with negative
+multipliers leave it, until the face's minimizer breaks none.  Where a
+face has no point of the set, minimum variance starts at the
+unconstrained portfolio mixed toward the centre as far as the rows hold.
+A target return starts at a mix of a feasible portfolio with a return
+vertex; maximum Sharpe otherwise at the unconstrained optimum, the
+long-only fill (under a two-sided box mixed toward the tangency
+portfolio), the highest-return vertex or a zero-investment pair; without
+one, maximum Sharpe is degenerate.  Each mix is one closed-form step, not
+a search.
 
 A frontier is one corner path (``Problem.corner_path``): between two
 changes of the working set the target-return solution is affine in the
@@ -43,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import InequalityRows, face_point, solve_qp
+from .qp import InequalityRows, block_start, face_point, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -390,20 +393,21 @@ class Problem:
     def min_variance(self) -> PortfolioSolution:
         """Smallest variance under the regime.
 
-        The solve starts on a face found by block pivoting (the deletion
-        half of Portugal, Judice & Vicente 1994; Kim & Park 2011).  Its first
-        point is the unconstrained minimum-variance portfolio of the free
-        assets, ``cov_solve[free, free]^-1 1`` normalized to sum to one,
-        where Goldfarb & Idnani (1983) start their dual method.  Every
+        The solve starts with a block exchange (``qp.block_start``, block
+        principal pivoting after Judice & Pires 1994 and Kim & Park 2011).
+        Its first point is the unconstrained minimum-variance portfolio of
+        the free assets, ``cov_solve[free, free]^-1 1`` normalized to sum to
+        one, where Goldfarb & Idnani (1983) start their dual method.  Every
         inequality row that point holds tight or breaks joins a working set
-        at its bound, and one KKT solve over that face (``qp.face_point``)
-        moves to the face's minimizer; every row the new point breaks joins
-        too, until the point breaks none.  Rows only join, so this ends
-        within one round per row.  Where a face has no point, the start is
-        the first point mixed toward the centre as far as the rows hold
-        (``RegimeModel.toward``).  Each round is one KKT solve and counts in
-        ``iterations``.  Without inequality rows (c3, c5) the first point is
-        the answer.
+        at its bound, and each round moves to the face's minimizer with one
+        KKT solve (``qp.face_point``); then the rows the new point breaks
+        join and the working rows with negative multipliers leave, all at
+        once, until the point breaks none.  The engine then certifies the
+        point, usually in one iteration.  Where a face holds no point of
+        the set, the start is the first point mixed toward the centre as far
+        as the rows hold (``RegimeModel.toward``).  Each round is one KKT
+        solve and counts in ``iterations``.  Without inequality rows (c3,
+        c5) the first point is the answer.
         """
         r, H = self.regime, self.hessian
         centre = r.to_weights(r.centre())           # raises when the set is empty
@@ -412,18 +416,9 @@ class Problem:
                                     np.ones(len(r.free)))
         w /= w.sum()
         A_eq, b_eq, A_in, b_in = r.system()
-        rows = InequalityRows(A_in)
-        x, working, rounds = r.to_solve(w), np.zeros(len(b_in), dtype=bool), 0
-        while True:
-            excess = rows.dot(x) - b_in
-            if not np.any(~working & (excess > 0.0)):
-                break
-            working |= excess >= 0.0                # every tight or broken row, at its bound
-            rounds += 1
-            x = face_point(H, x, A_eq, b_eq, A_in, b_in, rows, working.nonzero()[0])[0]
-            if x is None:                           # the face has no point
-                x = r.to_solve(r.toward(centre, w))
-                break
+        x, rounds = block_start(H, r.to_solve(w), A_eq, b_eq, A_in, b_in)
+        if x is None:                               # a face without a point
+            x = r.to_solve(r.toward(centre, w))
         res = self._solve(A_eq, b_eq, A_in, b_in, x)
         return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE,
                               multipliers=(res.eq_multipliers, res.in_multipliers),
@@ -607,7 +602,8 @@ class Problem:
         r, mean = self.regime, self._mean()
         r.centre()                                  # raises when the set is empty
         rows = _homogenized(r, mean - self.rf)
-        res = self._solve(*rows, self._sharpe_start(mean - self.rf, *rows))
+        y0, rounds = self._sharpe_start(mean - self.rf, *rows)
+        res = self._solve(*rows, y0)
         y = r.to_weights(res.x)
         kappa = float(y.sum())
         if kappa <= 1e-12 * (1.0 + float(np.abs(y).sum())):
@@ -616,35 +612,45 @@ class Problem:
             )
         w = y / kappa
         return self._solution(w, res, OBJECTIVE_MAX_SHARPE, target=float(mean @ w),
-                              multipliers=_weight_multipliers(r, res, kappa, self.rf))
+                              multipliers=_weight_multipliers(r, res, kappa, self.rf),
+                              rounds=rounds)
 
-    def _sharpe_start(self, excess, A_eq, b_eq, A_in, b_in) -> np.ndarray:
-        """A feasible point of the homogenized problem.
+    def _sharpe_start(self, excess, A_eq, b_eq, A_in, b_in) -> tuple[np.ndarray, int]:
+        """A feasible point of the homogenized problem, and the KKT solves
+        spent finding it.
 
-        The unconstrained optimum when it is feasible (it is then optimal);
-        else the long-only fill, or failing that the highest-return vertex,
-        scaled to unit excess return.  Where the box bounds the weights on
-        both sides (c2), that point is first mixed toward the unconstrained
-        tangency portfolio as far as the rows hold (``RegimeModel.toward``);
-        on c1 and c4 such a mix measured more iterations, not fewer.  On a
+        The unconstrained optimum, the tangency ``cov_solve^-1 excess``
+        scaled to unit excess return, when it is feasible (it is then
+        optimal).  Where the box bounds the weights on one side or through
+        the split (c1, c4), the block start from that point
+        (``qp.block_start``).  Else, or where the tangency earns no excess
+        or a face has no point, the long-only fill, or failing that the
+        highest-return vertex, scaled to unit excess return; where the box
+        bounds the weights on both sides (c2), that point is first mixed
+        toward the tangency portfolio as far as the rows hold
+        (``RegimeModel.toward``): a block start there measured more KKT
+        solves, since the homogenized box rows are general rows.  On a
         bounded set (c1, c2, c4) the vertex maximizes the excess return, so
         when it earns none there is no point: ``1'y = 0`` would force ``y = 0``.
         On c3 and c5 the zero-investment pair long the best and short the
         worst free asset is one, unless all their excess returns are equal.
         """
         r = self.regime
-        tangency = None
-        if not r.split:
-            z = np.linalg.solve(self.cov_solve, excess)
-            denom = float(excess @ z)
-            if denom > 0.0:
-                y = z / denom
-                if (np.max(np.abs(A_eq @ y - b_eq), initial=0.0) <= 1e-9
-                        and np.all(A_in @ y <= b_in + 1e-12)):
-                    return y
-                kappa = float(z.sum())
-                if kappa > 0.0 and np.all(np.isfinite(r.box)):
-                    tangency = z / kappa
+        two_sided = np.all(np.isfinite(r.box))
+        tangency, rounds = None, 0
+        z = np.linalg.solve(self.cov_solve, excess)
+        denom, kappa = float(excess @ z), float(z.sum())
+        if denom > 0.0:
+            y = r.to_solve(z / denom)
+            if r.bounded and not two_sided and kappa > 0.0:   # the tangency earns excess
+                start, rounds = block_start(self.hessian, y, A_eq, b_eq, A_in, b_in)
+                if start is not None:
+                    return start, rounds
+            elif (np.max(np.abs(A_eq @ y - b_eq), initial=0.0) <= 1e-9
+                    and np.all(A_in @ y <= b_in + 1e-12)):
+                return y, rounds
+            if kappa > 0.0 and two_sided:
+                tangency = z / kappa
         order = r.free[np.argsort(-excess[r.free], kind="stable")]
         w = r.fill(order, 0.0)
         if float(excess @ w) <= 0.0:
@@ -654,14 +660,14 @@ class Problem:
             if tangency is not None:
                 w = r.toward(w, tangency)
                 gain = float(excess @ w)
-            return r.to_solve(w) / gain
+            return r.to_solve(w) / gain, rounds
         best, worst = order[0], order[-1]
         spread = float(excess[best] - excess[worst])
         if r.bounded or spread <= 0.0:
             raise DegenerateSharpeError("no feasible portfolio earns a positive excess return")
         y = np.zeros(r.n)
         y[best], y[worst] = 1.0 / spread, -1.0 / spread
-        return y
+        return y, rounds
 
 
 def solve_min_variance(cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,

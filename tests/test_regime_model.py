@@ -190,7 +190,7 @@ def test_sharpe_start_verdict_matches_linprog():
                          bounds=[(None, None)] * A_eq.shape[1], method="highs")
             assert lp.status in (0, 2)
             try:
-                y = problem._sharpe_start(excess, A_eq, b_eq, A_in, b_in)
+                y, _ = problem._sharpe_start(excess, A_eq, b_eq, A_in, b_in)
             except DegenerateSharpeError:
                 verdicts[False] += 1
                 assert lp.status == 2, (c, excess)

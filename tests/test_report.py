@@ -155,8 +155,8 @@ def test_bundled_report_iteration_counts():
                          all_constraints(table))
     assert len(rep.cells) == 20
     counts = {   # (min variance, maximum Sharpe) of MM, then of IM
-        "c1": ((2, 13), (2, 13)), "c2": ((2, 10), (2, 10)), "c3": ((1, 1), (1, 1)),
-        "c4": ((2, 3), (2, 3)), "c5": ((1, 2), (1, 2)),
+        "c1": ((2, 6), (2, 5)), "c2": ((2, 10), (2, 10)), "c3": ((1, 1), (1, 1)),
+        "c4": ((2, 4), (2, 3)), "c5": ((1, 2), (1, 2)),
     }
     for cell in rep.cells:
         model = ("MM", "IM").index(cell.model)

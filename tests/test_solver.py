@@ -369,12 +369,14 @@ def test_solution_json_shape():
 
 
 def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
-    # c1 and c4 on a seeded N = 100 factor universe: minimum variance
-    # starts on a block-pivoted face, its rounds counted (from the centre it
-    # took 194 and 81 iterations, from the unconstrained optimum pulled into
-    # the set 43 and 37), and since the bounds p, n >= 0 and w >= 0 fix
-    # variables instead of entering the KKT matrix, no matrix has more
-    # than N + 2 rows (the full-space one reached 380-400 on c1)
+    # c1 and c4 on a seeded N = 100 factor universe: minimum variance starts
+    # with a block exchange, its rounds counted (from the centre it took 194
+    # and 81 iterations, from the unconstrained optimum pulled into the set
+    # 43 and 37, with rows that only join 14 and 11); maximum Sharpe starts
+    # at the fill, since at rf = 0.002 the unconstrained tangency portfolio
+    # earns no excess return; and since the bounds p, n >= 0 and w >= 0 fix
+    # variables instead of entering the KKT matrix, no matrix has more than
+    # N + 2 rows (the full-space one reached 380-400 on c1)
     mm = markowitz_estimates(make_table(factor_returns(np.random.default_rng(1), 240, 100)))
     rows, solve_kkt = [], portopt.qp._solve_kkt
 
@@ -383,8 +385,8 @@ def test_large_universe_iteration_counts_and_reduced_kkt(monkeypatch):
         return solve_kkt(K, rhs)
 
     monkeypatch.setattr(portopt.qp, "_solve_kkt", recording)
-    pins = {("c1", "min_variance"): 14, ("c1", "max_sharpe"): 62,
-            ("c4", "min_variance"): 11, ("c4", "max_sharpe"): 15}
+    pins = {("c1", "min_variance"): 5, ("c1", "max_sharpe"): 62,
+            ("c4", "min_variance"): 6, ("c4", "max_sharpe"): 15}
     for (regime, objective), iterations in pins.items():
         rows.clear()
         sol = solve_objective(objective, mm.cov, mm.mean, 0.002, ConstraintSet(regime))
@@ -397,8 +399,8 @@ def test_large_universe_iteration_counts_at_n200():
     # the N = 100 pins above on a seeded N = 200 factor universe, where c1's
     # split has 400 variables and the engine's array work is the widest
     mm = markowitz_estimates(make_table(factor_returns(np.random.default_rng(1), 240, 200)))
-    pins = {("c1", "min_variance"): 86, ("c1", "max_sharpe"): 95,
-            ("c4", "min_variance"): 20, ("c4", "max_sharpe"): 17}
+    pins = {("c1", "min_variance"): 10, ("c1", "max_sharpe"): 95,
+            ("c4", "min_variance"): 8, ("c4", "max_sharpe"): 17}
     for (regime, objective), iterations in pins.items():
         sol = solve_objective(objective, mm.cov, mm.mean, 0.002, ConstraintSet(regime))
         assert sol.converged and sol.kkt_residual <= 1e-12
