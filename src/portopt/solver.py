@@ -10,19 +10,17 @@ with the excess return normalized to one; every regime row rewrites
 exactly because it is linear in the solve variables.
 
 Every solve starts from a feasible point near its answer.  Minimum
-variance, and maximum Sharpe under the split (c1) and the long-only box
-(c4), start with a block exchange (``qp.block_start``): from the
-unconstrained optimum, one KKT solve per round, the rows the point breaks
-join a working set at their bounds and the working rows with negative
-multipliers leave it, until the face's minimizer breaks none.  Where a
-face has no point of the set, minimum variance starts at the
-unconstrained portfolio mixed toward the centre as far as the rows hold.
-A target return starts at a mix of a feasible portfolio with a return
-vertex; maximum Sharpe otherwise at the unconstrained optimum, the
-long-only fill (under a two-sided box mixed toward the tangency
-portfolio), the highest-return vertex or a zero-investment pair; without
-one, maximum Sharpe is degenerate.  Each mix is one closed-form step, not
-a search.
+variance and maximum Sharpe start, in every regime, with a block exchange
+(``qp.block_start``): from the free assets' unconstrained optimum, one KKT
+solve per round, the rows the point breaks join a working set at their
+bounds and the working rows with negative multipliers leave it, until the
+face's minimizer breaks none.  Where a face has no point of the set,
+minimum variance starts at that optimum mixed toward the centre as far as
+the rows hold, and maximum Sharpe at the long-only fill, the
+highest-return vertex or a zero-investment pair; without one, maximum
+Sharpe is degenerate.  A target return starts at a mix of a feasible
+portfolio with a return vertex.  Each mix is one closed-form step, not a
+search.
 
 A frontier is one corner path (``Problem.corner_path``): between two
 changes of the working set the target-return solution is affine in the
@@ -231,20 +229,28 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     recovered from scratch over the rows active within ``_ACT_TOL`` (NNLS,
     then least squares), a test independent of the engine's multipliers.
     ``excess`` is ``RegimeModel.excess(w)`` where the caller has it already.
+    A ``cov`` or ``mean`` that does not match the weights raises ``ValidationError``.
     """
     w = np.asarray(w, dtype=float)
+    n = len(w)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    regime = regime_model(c, len(w))
+    if cov.shape != (n, n):
+        raise ValidationError(f"covariance of shape {cov.shape} does not match {n} weights")
+    if mean is not None:
+        mean = np.asarray(mean, dtype=float)
+        if mean.shape != (n,):
+            raise ValidationError("mean vector length does not match the weights")
+    regime = regime_model(c, n)
     eq, _, A_in, _ = regime.system()
     if target is not None:
         if mean is None:
             raise ValidationError("target-return KKT check requires the mean vector")
-        eq = np.vstack([eq, regime.lift(np.asarray(mean, dtype=float))])
+        eq = np.vstack([eq, regime.lift(mean)])
     if excess is None:
         excess = regime.excess(w)          # on the inequality rows, minus the slack
     primal = excess.max(initial=0.0)
     if target is not None:
-        primal = max(primal, abs(float(np.asarray(mean, dtype=float) @ w) - target))
+        primal = max(primal, abs(float(mean @ w) - target))
     slacks = -excess[2 * regime.m_eq:]
     grad = regime.lift(2.0 * (cov @ w))
     if multipliers is not None:
@@ -372,6 +378,14 @@ class Problem:
     def _solve(self, A_eq, b_eq, A_in, b_in, x0):
         return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0)
 
+    def _free_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``cov_solve[free, free]^-1 rhs[free]``, zero on the pinned asset: the free
+        assets' unnormalized minimum-variance (``rhs`` ones) or tangency portfolio."""
+        r = self.regime
+        z = np.zeros(r.n)
+        z[r.free] = np.linalg.solve(self.cov_solve[np.ix_(r.free, r.free)], rhs[r.free])
+        return z
+
     def _check(self, w, target, multipliers) -> tuple[float, bool]:
         """The KKT certificate of weights ``w`` and whether they are feasible
         (``check_feasible``'s verdict), from one evaluation of the rows."""
@@ -394,10 +408,10 @@ class Problem:
         """Smallest variance under the regime.
 
         The solve starts with a block exchange (``qp.block_start``, block
-        principal pivoting after Judice & Pires 1994 and Kim & Park 2011).
-        Its first point is the unconstrained minimum-variance portfolio of
-        the free assets, ``cov_solve[free, free]^-1 1`` normalized to sum to
-        one, where Goldfarb & Idnani (1983) start their dual method.  Every
+        principal pivoting after Judice & Pires 1994 and Kim & Park 2011)
+        like maximum Sharpe's, from the free assets' unconstrained optimum
+        ``cov_solve[free, free]^-1 1`` (``_free_solve``) normalized to sum
+        to one, where Goldfarb & Idnani (1983) start their dual method.  Every
         inequality row that point holds tight or breaks joins a working set
         at its bound, and each round moves to the face's minimizer with one
         KKT solve (``qp.face_point``); then the rows the new point breaks
@@ -411,9 +425,7 @@ class Problem:
         """
         r, H = self.regime, self.hessian
         centre = r.to_weights(r.centre())           # raises when the set is empty
-        w = np.zeros(r.n)
-        w[r.free] = np.linalg.solve(self.cov_solve[np.ix_(r.free, r.free)],
-                                    np.ones(len(r.free)))
+        w = self._free_solve(np.ones(r.n))
         w /= w.sum()
         A_eq, b_eq, A_in, b_in = r.system()
         x, rounds = block_start(H, r.to_solve(w), A_eq, b_eq, A_in, b_in)
@@ -619,47 +631,31 @@ class Problem:
         """A feasible point of the homogenized problem, and the KKT solves
         spent finding it.
 
-        The unconstrained optimum, the tangency ``cov_solve^-1 excess``
-        scaled to unit excess return, when it is feasible (it is then
-        optimal).  Where the box bounds the weights on one side or through
-        the split (c1, c4), the block start from that point
-        (``qp.block_start``).  Else, or where the tangency earns no excess
-        or a face has no point, the long-only fill, or failing that the
-        highest-return vertex, scaled to unit excess return; where the box
-        bounds the weights on both sides (c2), that point is first mixed
-        toward the tangency portfolio as far as the rows hold
-        (``RegimeModel.toward``): a block start there measured more KKT
-        solves, since the homogenized box rows are general rows.  On a
-        bounded set (c1, c2, c4) the vertex maximizes the excess return, so
-        when it earns none there is no point: ``1'y = 0`` would force ``y = 0``.
+        In every regime, the block start (``qp.block_start``) from the
+        tangency portfolio of the free assets, ``cov_solve[free, free]^-1
+        excess`` (``_free_solve``) scaled to unit excess return, where that
+        portfolio earns excess; where it breaks no row it is the start (and
+        then optimal), with no round spent.  Else, or where a face has no
+        point, the long-only fill, or failing that the highest-return
+        vertex, scaled to unit excess return.  On a bounded set (c1, c2,
+        c4) the vertex maximizes the excess return, so when it earns none
+        there is no point: ``1'y = 0`` would force ``y = 0``.
         On c3 and c5 the zero-investment pair long the best and short the
         worst free asset is one, unless all their excess returns are equal.
         """
-        r = self.regime
-        two_sided = np.all(np.isfinite(r.box))
-        tangency, rounds = None, 0
-        z = np.linalg.solve(self.cov_solve, excess)
-        denom, kappa = float(excess @ z), float(z.sum())
-        if denom > 0.0:
-            y = r.to_solve(z / denom)
-            if r.bounded and not two_sided and kappa > 0.0:   # the tangency earns excess
-                start, rounds = block_start(self.hessian, y, A_eq, b_eq, A_in, b_in)
-                if start is not None:
-                    return start, rounds
-            elif (np.max(np.abs(A_eq @ y - b_eq), initial=0.0) <= 1e-9
-                    and np.all(A_in @ y <= b_in + 1e-12)):
-                return y, rounds
-            if kappa > 0.0 and two_sided:
-                tangency = z / kappa
+        r, rounds = self.regime, 0
+        z = self._free_solve(excess)
+        denom = float(excess @ z)
+        if denom > 0.0 and z.sum() > 0.0:           # the tangency earns excess
+            start, rounds = block_start(self.hessian, r.to_solve(z / denom), A_eq, b_eq, A_in, b_in)
+            if start is not None:
+                return start, rounds
         order = r.free[np.argsort(-excess[r.free], kind="stable")]
         w = r.fill(order, 0.0)
         if float(excess @ w) <= 0.0:
             w = r.vertex(excess, highest=True)
         gain = float(excess @ w)
         if gain > 0.0:
-            if tangency is not None:
-                w = r.toward(w, tangency)
-                gain = float(excess @ w)
             return r.to_solve(w) / gain, rounds
         best, worst = order[0], order[-1]
         spread = float(excess[best] - excess[worst])

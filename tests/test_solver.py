@@ -287,6 +287,22 @@ def test_kkt_residual_flags_infeasibility():
     assert res >= 1.0 - 1e-12   # full-investment violated by 1.0
 
 
+@pytest.mark.parametrize("cov, mean", [
+    (np.diag([0.01, 0.02, 0.04]), None),
+    (np.diag([0.01, 0.02, 0.04, 0.05])[:, :3], None),
+    (np.diag([0.01, 0.02, 0.04, 0.05]), [0.1, 0.15, 0.2]),
+], ids=["cov-3x3", "cov-4x3", "mean-3"])
+def test_kkt_residual_rejects_mismatched_sizes(cov, mean):
+    # four weights against a covariance or a mean of another size: a
+    # ValidationError, not numpy's matmul ValueError
+    with pytest.raises(ValidationError, match=r"\b(covariance|mean)\b.*\bweights\b"):
+        kkt_residual_weights(np.full(4, 0.25), cov, C3, mean=mean)
+    if mean is None:
+        sol = solve_min_variance(np.diag([0.01, 0.02, 0.04, 0.05]), C3)
+        with pytest.raises(ValidationError):
+            kkt_residual(sol, cov)
+
+
 def test_kkt_residual_public_max_sharpe_path():
     rng = np.random.default_rng(9)
     cov = random_monthly_cov(rng, 4)

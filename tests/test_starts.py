@@ -1,16 +1,15 @@
 """The starts of minimum variance and maximum Sharpe.
 
-Minimum variance, and maximum Sharpe under the split (c1) and the long-only
-box (c4), start with a block exchange (``qp.block_start``): from the
-unconstrained optimum every row it holds tight or breaks joins a working
-set at its bound, each round moves to the face's minimizer with one KKT
-solve, and then every broken row joins and every working row with a
-negative multiplier leaves, until a point breaks no row; where a face holds
-no point of the set, the start falls back to a closed-form mix.  Maximum
-Sharpe under a two-sided box starts at the fill mixed toward the tangency.
-Each start must satisfy every row of the QP it starts, each answer must be
-the one the engine reaches from the regime's centre, and each round counts
-in ``iterations``.
+Both start, in every regime, with a block exchange (``qp.block_start``):
+from the free assets' unconstrained optimum (for maximum Sharpe their
+tangency portfolio, where it earns excess) every row it holds tight or
+breaks joins a working set at its bound, each round moves to the face's
+minimizer with one KKT solve, and then every broken row joins and every
+working row with a negative multiplier leaves, until a point breaks no row;
+where a face holds no point of the set, the start falls back to a
+closed-form point.  Each start must satisfy every row of the QP it
+starts, each answer must be the one the engine reaches from the regime's
+centre, and each round counts in ``iterations``.
 """
 
 import numpy as np
@@ -38,7 +37,7 @@ def _constraints(n: int, market_index: int) -> list[ConstraintSet]:
         ConstraintSet("c1"), ConstraintSet("c1", leverage_cap=1.0),
         ConstraintSet("c1", leverage_cap=1.3),
         ConstraintSet("c2"), ConstraintSet("c2", weight_bound=1.0 / n),
-        ConstraintSet("c2", weight_bound=0.1),
+        ConstraintSet("c2", weight_bound=0.1), ConstraintSet("c2", weight_bound=3.0 / n),
         ConstraintSet("c3"), ConstraintSet("c4"),
         ConstraintSet("c5", market_index=market_index),
     ]
@@ -119,6 +118,19 @@ def test_block_started_answers_match_solves_from_the_centre(n, t, seed):
         constraints = [c for c in constraints
                        if c.regime in ("c1", "c4") or (c.regime == "c2" and c.weight_bound < 1.0)]
     _answers_match_solves_from_the_centre(cov, mean, constraints)
+
+
+@pytest.mark.parametrize("n, seed", [(35, 2), (50, 3)])
+@pytest.mark.parametrize("bound", [lambda n: 0.1, lambda n: 3.0 / n], ids=["0.1", "3/N"])
+def test_tight_box_sharpe_starts_near_its_answer(n, seed, bound):
+    # c2 maximum Sharpe at tight boxes block-exchanges the tangency of the
+    # free assets like every other regime: a few KKT solves, where a fill
+    # mixed toward the tangency took 28 to 60
+    cov, mean, _ = _universe(n, 120, seed)
+    c = ConstraintSet("c2", weight_bound=bound(n))
+    sol = Problem.prepare(cov, c, mean=mean, rf=RF).max_sharpe()
+    assert sol.converged
+    assert sol.iterations <= 12
 
 
 def _counting_kkt(monkeypatch) -> list[int]:
