@@ -13,10 +13,10 @@ after a step.  The returned point satisfies the active constraints and
 first-order conditions to linear-algebra precision; ties are broken by
 smallest index, making the method deterministic for fixed inputs.
 
-Every call passes all constraint arrays (empty ones included) and a
-feasible start point; the solvers build theirs near the answer, some
-through ``block_start``, which exchanges rows between faces of the working
-rows, each solved by ``face_point`` for its minimizer.
+Every call passes all constraint arrays (empty ones included) and a start
+near the answer, which may break rows: ``solve_qp`` exchanges rows between
+faces from it (``face_point`` solves each for its minimizer), and iterates
+only where rows were still leaving or a face had no point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _STALL_LIMIT = 30          # consecutive zero steps before switching to Bland's 
 _ELASTIC_DELTA = 1e-9      # proximal weight of the elastic phase-1
 _FEAS_TOL = 1e-9           # phase-1 verdict, relative to the right-hand sides
 _MAX_ITER = 10000          # active-set iterations before ``ConvergenceError``
-_PATIENCE = 3              # block-start rounds without a new best before rows only join
+_PATIENCE = 3              # block-exchange rounds without a new best before rows only join
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def bound_rows(A_in) -> tuple[np.ndarray, np.ndarray]:
-    """Which inequality rows are bounds (a single nonzero), and each row's variable."""
-    nonzero = A_in != 0.0
-    return nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1)
-
-
 class InequalityRows:
     """The inequality rows ``A_in``, each bound read as a vector.
 
@@ -109,7 +103,8 @@ class InequalityRows:
     """
 
     def __init__(self, A_in):
-        self.bound, self.var = bound_rows(A_in)
+        nonzero = A_in != 0.0                   # a bound has a single nonzero, on its variable
+        self.bound, self.var = nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1)
         self.general = (~self.bound).nonzero()[0]
         self.A_general = A_in[self.general]
         # a general row's entry here is its first nonzero, overwritten in both uses
@@ -222,13 +217,13 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     return p, lam
 
 
-def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=None):
-    """The minimizer of ``0.5 x'Hx`` on the face where the equalities and
+def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=None, g=0.0):
+    """The minimizer of ``0.5 x'Hx + g'x`` on the face where the equalities and
     the working rows ``act`` hold, from ``x``, with one reduced KKT solve.
 
     The working bounds are set exactly, and the gaps of the equalities and
     of the working general rows go on the right-hand side of
-    ``reduced_kkt``, under the gradient ``H x``.  Returns ``(x, p, lam)``:
+    ``reduced_kkt``, under the gradient ``H x + g``.  Returns ``(x, p, lam)``:
     the face's point, None where it leaves one of those gaps above 1e-12
     (the face has no point, or its system is nearly singular), then the
     step and the multipliers.  Given ``rate``, a second right-hand side over
@@ -242,7 +237,7 @@ def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=Non
     def gap(x):
         return np.concatenate([b_eq - A_eq @ x, b_in[general] - A_in[general] @ x])
 
-    grad, rhs = H @ x, gap(x)
+    grad, rhs = H @ x + g, gap(x)
     if rate is not None:
         grad, rhs = np.column_stack([grad, np.zeros(len(x))]), np.column_stack([rhs, rate])
     p, lam = reduced_kkt(H, grad, A_eq, A_in, act, rows.bound, rows.var, rhs)
@@ -269,75 +264,94 @@ def _within_reach(A_eq, b_eq, b_in, rows: InequalityRows, working) -> bool:
     return bool(np.all((least <= b_eq + 1e-12) & (most >= b_eq - 1e-12)))
 
 
-def block_start(H, x, A_eq, b_eq, A_in, b_in):
-    """A feasible start for minimizing ``0.5 x'Hx`` by block principal
-    pivoting from ``x``: ``(x, rounds)``, x None where a face has no point
-    of the feasible set.
+def _block_exchange(H, g, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows):
+    """Block principal pivoting from ``x`` for ``solve_qp``: ``(x, rounds,
+    face)``, x None where a face has no point of the feasible set, and
+    ``face`` the multipliers and working rows of a last round that moved no
+    row, whose point is then the QP's answer (else None).
 
-    The first face holds every row that ``x`` holds tight or breaks, at its
-    bound; each round moves to its face's minimizer (``face_point``, one
-    KKT solve).  Then every row the point breaks joins and every working
-    row whose multiplier is below ``solve_qp``'s ``-1e-9 (1 + |H x|)``
-    leaves, all at once (Judice & Pires 1994; Kim & Park 2011); where a
-    general row's is, only general rows leave, since each bound's
-    multiplier is read off the stationarity that carries it.  A round that
-    does not lower the best count of broken rows plus leaving rows spends
-    one of ``_PATIENCE`` rounds, a new best restores them, and a round that
-    would move a single row spends them all; from then on rows only join,
-    so the point is feasible within one round per row.  Where the first
-    face's bounds leave an equality out of reach of the box the other bound
-    rows allow (``_within_reach``), no face near ``x`` holds a point of the
-    set, and the start ends without a solve.  Where ``x`` breaks an
-    equality, at least one round runs.
+    A start that breaks no row and holds the equalities (to 1e-12) stays,
+    with no round.  Else the first face holds every row that ``x`` holds
+    tight or breaks, at its bound; each round moves to its face's minimizer
+    (``face_point``, one KKT solve).  Then every row the point breaks joins
+    and every working row whose multiplier is below ``solve_qp``'s ``-1e-9
+    (1 + |H x + g|)`` leaves, all at once (Judice & Pires 1994; Kim & Park
+    2011); where a general row's is, only general rows leave, since each
+    bound's multiplier is read off the stationarity that carries it.  A
+    round that does not lower the best count of broken rows plus leaving
+    rows spends one of ``_PATIENCE`` rounds, a new best restores them, and a
+    round that would move a single row spends them all; from then on rows
+    only join, so the point is feasible within one round per row.  Where
+    the first face's bounds leave an equality out of reach of the box the
+    other bound rows allow (``_within_reach``), no face near ``x`` holds a
+    point of the set, and the exchange ends without a solve.
     """
-    m_eq, rows = len(b_eq), InequalityRows(A_in)
     excess = rows.dot(x) - b_in
     if np.all(excess <= 0.0) and np.abs(A_eq @ x - b_eq).max(initial=0.0) <= 1e-12:
-        return x, 0
+        return x, 0, None
     working = excess >= 0.0                     # every tight or broken row, at its bound
     if not _within_reach(A_eq, b_eq, b_in, rows, working):
-        return None, 0
+        return None, 0, None
     best, patience, rounds = np.inf, _PATIENCE, 0
     while True:
         act = working.nonzero()[0]
         rounds += 1
-        x, _, lam = face_point(H, x, A_eq, b_eq, A_in, b_in, rows, act)
+        x, _, lam = face_point(H, x, A_eq, b_eq, A_in, b_in, rows, act, g=g)
         if x is None:
-            return None, rounds
+            return None, rounds, None
         leave = np.zeros(len(b_in), dtype=bool)
-        leave[act[lam[m_eq:] < -1e-9 * (1.0 + np.abs(H @ x).max())]] = True
+        leave[act[lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H @ x + g).max())]] = True
         if np.any(leave & ~rows.bound):
             leave &= ~rows.bound
         join = ~working & (rows.dot(x) > b_in)
         moves = np.count_nonzero(join) + np.count_nonzero(leave)
+        if not moves:
+            return x, rounds, (lam, act)
         if moves < best:
             best, patience = moves, _PATIENCE
         else:
             patience -= 1
-        if moves <= 1:
+        if moves == 1:
             patience = 0
         if patience <= 0:                       # rows only join
             if not join.any():
-                return x, rounds
+                return x, rounds, None
             leave[:] = False
         working = (working | join) & ~leave
 
 
-def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
+def _answer(x, lam, act, m_in: int, iterations: int) -> QPResult:
+    """``x`` with the multipliers ``lam`` of the equalities, then of the working rows ``act``."""
+    m_eq = len(lam) - len(act)
+    in_mult = np.zeros(m_in)
+    in_mult[act] = np.maximum(lam[m_eq:], 0.0)                 # clipped at zero
+    return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()), iterations)
+
+
+def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
-    Every argument is a float array, a matrix without rows has shape
-    ``(0, n)``, and ``x0`` must satisfy every row.  The working set is a
-    boolean mask over the inequality rows.  Each iteration solves the KKT
-    system of the working set over the free variables (``reduced_kkt``);
-    the step is zero on the variables the working bounds fix.  A zero step
-    either returns (no negative multiplier) or drops the most negative
-    working row, and a nonzero step is cut by the ratio test at the
-    nearest blocking row, the lowest index winning an exact tie.
+    Every argument is a float array and a matrix without rows has shape
+    ``(0, n)``.  ``x0`` may break rows: the block exchange runs from it
+    (``_block_exchange``), and the solve returns where its last round moved
+    no row.  Else the active-set loop runs from the exchange's point, or
+    where a face had no point (or ``x0`` is None), from ``fallback()``, a
+    feasible point the caller supplies lazily (else ``x0``).  The loop's
+    working set is a boolean mask over the inequality rows.  Each iteration
+    solves the KKT system of the working set over the free variables
+    (``reduced_kkt``); the step is zero on the variables the working bounds
+    fix.  A zero step either returns (no negative multiplier) or drops the
+    most negative working row, and a nonzero step is cut by the ratio test
+    at the nearest blocking row, the lowest index winning an exact tie.
+    ``iterations`` counts every KKT solve, the exchange's rounds included.
     """
-    m_eq = A_eq.shape[0]
-    x = x0
     rows_in = InequalityRows(A_in)
+    x, rounds, face = (None, 0, None) if x0 is None else _block_exchange(
+        H, g, x0, A_eq, b_eq, A_in, b_in, rows_in)
+    if face is not None:                        # the last round moved no row: the answer
+        return _answer(x, *face, len(b_in), rounds)
+    if x is None:                               # no start, or a face without a point
+        x = x0 if fallback is None else fallback()
     bound, var = rows_in.bound, rows_in.var
     room = np.maximum(b_in - rows_in.dot(x), 0.0)
     working = room <= 1e-9 * rows_in.scale
@@ -349,14 +363,14 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
     f_prev = np.inf
     Hx = None                      # H x, the gradient and max |x|: new only after a step
 
-    for iterations in range(1, _MAX_ITER + 1):
+    for iterations in range(rounds + 1, rounds + _MAX_ITER + 1):
         if Hx is None:
             Hx = H @ x
             grad = Hx + g
             x_max = np.abs(x).max()
         act = working.nonzero()[0]
         p, lam = reduced_kkt(H, grad, A_eq, A_in, act, bound, var)
-        mult_in = lam[m_eq:]
+        mult_in = lam[len(b_eq):]
 
         # KKT solve noise grows with the multiplier scale; steps below it
         # (or steps that have stopped moving the objective) count as zero
@@ -367,10 +381,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0) -> QPResult:
             gscale = 1.0 + float(np.abs(grad).max())
             neg = (mult_in < -1e-9 * gscale).nonzero()[0]
             if not neg.size:
-                in_mult = np.zeros(working.size)
-                in_mult[act] = np.maximum(mult_in, 0.0)
-                return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()),
-                                iterations)
+                return _answer(x, lam, act, working.size, iterations)
             # Bland's rule after a long stall, else the most negative multiplier
             working[act[neg[0] if stall > _STALL_LIMIT else mult_in.argmin()]] = False
             stall += 1

@@ -9,18 +9,15 @@ convex QP through the homogenization change of variables ``y = kappa * w``
 with the excess return normalized to one; every regime row rewrites
 exactly because it is linear in the solve variables.
 
-Every solve starts from a feasible point near its answer.  Minimum
-variance and maximum Sharpe start, in every regime, with a block exchange
-(``qp.block_start``): from the free assets' unconstrained optimum, one KKT
-solve per round, the rows the point breaks join a working set at their
-bounds and the working rows with negative multipliers leave it, until the
-face's minimizer breaks none.  Where a face has no point of the set,
-minimum variance starts at that optimum mixed toward the centre as far as
-the rows hold, and maximum Sharpe at the long-only fill, the
-highest-return vertex or a zero-investment pair; without one, maximum
-Sharpe is degenerate.  A target return starts at a mix of a feasible
-portfolio with a return vertex.  Each mix is one closed-form step, not a
-search.
+Every solve is one engine call (``qp.solve_qp``) from a start near its
+answer.  Minimum variance and maximum Sharpe start, in every regime, at
+the free assets' unconstrained optimum, where the engine's block exchange
+begins; where a face has no point of the set, the engine falls back on
+that optimum mixed toward the centre as far as the rows hold (minimum
+variance) or on the long-only fill, the highest-return vertex or a
+zero-investment pair (maximum Sharpe; without one, it is degenerate).  A
+target return starts at a mix of a feasible portfolio with a return
+vertex.  Each mix is one closed-form step, not a search.
 
 A frontier is one corner path (``Problem.corner_path``): between two
 changes of the working set the target-return solution is affine in the
@@ -44,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import InequalityRows, block_start, face_point, solve_qp
+from .qp import InequalityRows, face_point, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -375,8 +372,9 @@ class Problem:
         """Attainable interval of expected returns, read off ``vertices``."""
         return self.regime.return_range(self._mean(), self.vertices)
 
-    def _solve(self, A_eq, b_eq, A_in, b_in, x0):
-        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0)
+    def _solve(self, A_eq, b_eq, A_in, b_in, x0, fallback=None):
+        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0,
+                        fallback)
 
     def _free_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``cov_solve[free, free]^-1 rhs[free]``, zero on the pinned asset: the free
@@ -394,47 +392,36 @@ class Problem:
                                    target=target, multipliers=multipliers, excess=excess)
         return kkt, bool(np.all(excess <= PUBLIC_FEAS_TOL))
 
-    def _solution(self, w, res, objective: str, target=None, multipliers=None,
-                  rounds: int = 0) -> PortfolioSolution:
+    def _solution(self, w, res, objective: str, target=None, multipliers=None) -> PortfolioSolution:
+        multipliers = multipliers or (res.eq_multipliers, res.in_multipliers)
         kkt, feasible = self._check(w, target, multipliers)
         converged = bool(feasible and kkt <= KKT_TOL)
         return PortfolioSolution(
             weights=w, stats=self.stats(w), objective=objective, constraint=self.regime.constraint,
-            kkt_residual=kkt, iterations=rounds + res.iterations, converged=converged,
+            kkt_residual=kkt, iterations=res.iterations, converged=converged,
             regularization=self.ridge,
         )
 
     def min_variance(self) -> PortfolioSolution:
         """Smallest variance under the regime.
 
-        The solve starts with a block exchange (``qp.block_start``, block
+        The engine (``qp.solve_qp``) runs its block exchange (block
         principal pivoting after Judice & Pires 1994 and Kim & Park 2011)
-        like maximum Sharpe's, from the free assets' unconstrained optimum
-        ``cov_solve[free, free]^-1 1`` (``_free_solve``) normalized to sum
-        to one, where Goldfarb & Idnani (1983) start their dual method.  Every
-        inequality row that point holds tight or breaks joins a working set
-        at its bound, and each round moves to the face's minimizer with one
-        KKT solve (``qp.face_point``); then the rows the new point breaks
-        join and the working rows with negative multipliers leave, all at
-        once, until the point breaks none.  The engine then certifies the
-        point, usually in one iteration.  Where a face holds no point of
-        the set, the start is the first point mixed toward the centre as far
-        as the rows hold (``RegimeModel.toward``).  Each round is one KKT
-        solve and counts in ``iterations``.  Without inequality rows (c3,
-        c5) the first point is the answer.
+        from the free assets' unconstrained optimum ``cov_solve[free,
+        free]^-1 1`` (``_free_solve``) normalized to sum to one, where
+        Goldfarb & Idnani (1983) start their dual method: each round moves
+        to a face's minimizer with one KKT solve, and counts in
+        ``iterations``.  Where a face holds no point of the set, the
+        engine's loop starts from that point mixed toward the centre as far
+        as the rows hold (``RegimeModel.toward``).  Without inequality rows
+        (c3, c5) the first point is the answer.
         """
-        r, H = self.regime, self.hessian
+        r = self.regime
         centre = r.to_weights(r.centre())           # raises when the set is empty
         w = self._free_solve(np.ones(r.n))
         w /= w.sum()
-        A_eq, b_eq, A_in, b_in = r.system()
-        x, rounds = block_start(H, r.to_solve(w), A_eq, b_eq, A_in, b_in)
-        if x is None:                               # a face without a point
-            x = r.to_solve(r.toward(centre, w))
-        res = self._solve(A_eq, b_eq, A_in, b_in, x)
-        return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE,
-                              multipliers=(res.eq_multipliers, res.in_multipliers),
-                              rounds=rounds)
+        res = self._solve(*r.system(), r.to_solve(w), lambda: r.to_solve(r.toward(centre, w)))
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
 
     def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -455,20 +442,20 @@ class Problem:
             )
         t = min(max(target, lo), hi)
         res = self._target_qp(t, r.to_weights(r.centre()))
-        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t,
-                              multipliers=(res.eq_multipliers, res.in_multipliers))
+        return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t)
 
     def _target_qp(self, t: float, anchor: np.ndarray):
-        """The QP at return ``t``, started at the mix of feasible weights
-        ``anchor`` with the return vertex on ``t``'s side that earns ``t``."""
+        """The QP at return ``t``, its loop started at the mix of feasible weights
+        ``anchor`` with the return vertex on ``t``'s side that earns ``t``, with
+        no exchange: the mix may break a row by rounding, which would start one."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
         v = self.vertices[t >= a_ret]
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
         A_eq, b_eq, A_in, b_in = r.system()
-        return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t),
-                           A_in, b_in, r.to_solve(anchor + s * (v - anchor)))
+        return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t), A_in, b_in,
+                           None, lambda: r.to_solve(anchor + s * (v - anchor)))
 
     def corner_path(self, targets, anchor) -> list[np.ndarray]:
         """Minimum-variance weights at each of the increasing ``targets``,
@@ -613,9 +600,8 @@ class Problem:
     def max_sharpe(self) -> PortfolioSolution:
         r, mean = self.regime, self._mean()
         r.centre()                                  # raises when the set is empty
-        rows = _homogenized(r, mean - self.rf)
-        y0, rounds = self._sharpe_start(mean - self.rf, *rows)
-        res = self._solve(*rows, y0)
+        excess = mean - self.rf
+        res = self._solve(*_homogenized(r, excess), *self._sharpe_start(excess))
         y = r.to_weights(res.x)
         kappa = float(y.sum())
         if kappa <= 1e-12 * (1.0 + float(np.abs(y).sum())):
@@ -624,46 +610,47 @@ class Problem:
             )
         w = y / kappa
         return self._solution(w, res, OBJECTIVE_MAX_SHARPE, target=float(mean @ w),
-                              multipliers=_weight_multipliers(r, res, kappa, self.rf),
-                              rounds=rounds)
+                              multipliers=_weight_multipliers(r, res, kappa, self.rf))
 
-    def _sharpe_start(self, excess, A_eq, b_eq, A_in, b_in) -> tuple[np.ndarray, int]:
-        """A feasible point of the homogenized problem, and the KKT solves
-        spent finding it.
+    def _sharpe_start(self, excess):
+        """The start of the homogenized problem and its fallback, for ``qp.solve_qp``.
 
-        In every regime, the block start (``qp.block_start``) from the
-        tangency portfolio of the free assets, ``cov_solve[free, free]^-1
-        excess`` (``_free_solve``) scaled to unit excess return, where that
-        portfolio earns excess; where it breaks no row it is the start (and
-        then optimal), with no round spent.  Else, or where a face has no
-        point, the long-only fill, or failing that the highest-return
-        vertex, scaled to unit excess return.  On a bounded set (c1, c2,
-        c4) the vertex maximizes the excess return, so when it earns none
-        there is no point: ``1'y = 0`` would force ``y = 0``.
-        On c3 and c5 the zero-investment pair long the best and short the
-        worst free asset is one, unless all their excess returns are equal.
+        The start is the free assets' tangency portfolio ``cov_solve[free,
+        free]^-1 excess`` (``_free_solve``) scaled to unit excess return, where
+        it earns excess.  The fallback is the centre where that is the set's
+        only point (c2 at ``weight_bound`` times the free assets equal to one,
+        where there is no start either), else the long-only fill, or failing
+        that the highest-return vertex, scaled to unit excess return.  On a
+        bounded set (c1, c2, c4) the vertex maximizes the excess return, so
+        when it earns none there is no point: ``1'y = 0`` would force ``y =
+        0``.  On c3 and c5 the zero-investment pair long the best and short
+        the worst free asset is one, unless all their excess returns are equal.
         """
-        r, rounds = self.regime, 0
-        z = self._free_solve(excess)
-        denom = float(excess @ z)
-        if denom > 0.0 and z.sum() > 0.0:           # the tangency earns excess
-            start, rounds = block_start(self.hessian, r.to_solve(z / denom), A_eq, b_eq, A_in, b_in)
-            if start is not None:
-                return start, rounds
-        order = r.free[np.argsort(-excess[r.free], kind="stable")]
-        w = r.fill(order, 0.0)
-        if float(excess @ w) <= 0.0:
-            w = r.vertex(excess, highest=True)
-        gain = float(excess @ w)
-        if gain > 0.0:
-            return r.to_solve(w) / gain, rounds
-        best, worst = order[0], order[-1]
-        spread = float(excess[best] - excess[worst])
-        if r.bounded or spread <= 0.0:
-            raise DegenerateSharpeError("no feasible portfolio earns a positive excess return")
-        y = np.zeros(r.n)
-        y[best], y[worst] = 1.0 / spread, -1.0 / spread
-        return y, rounds
+        r = self.regime
+        only = r.box[1] * len(r.free) <= 1.0 + 1e-12     # the centre is the set's only point
+
+        def fallback():
+            order = r.free[np.argsort(-excess[r.free], kind="stable")]
+            w = r.to_weights(r.centre()) if only else r.fill(order, 0.0)
+            if float(excess @ w) <= 0.0:
+                w = r.vertex(excess, highest=True)
+            gain = float(excess @ w)
+            if gain > 0.0:
+                return r.to_solve(w) / gain
+            best, worst = order[0], order[-1]
+            spread = float(excess[best] - excess[worst])
+            if r.bounded or spread <= 0.0:
+                raise DegenerateSharpeError("no feasible portfolio earns a positive excess return")
+            y = np.zeros(r.n)
+            y[best], y[worst] = 1.0 / spread, -1.0 / spread
+            return y
+
+        if not only:
+            z = self._free_solve(excess)
+            denom = float(excess @ z)
+            if denom > 0.0 and z.sum() > 0.0:       # the tangency earns excess
+                return r.to_solve(z / denom), fallback
+        return None, fallback
 
 
 def solve_min_variance(cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,

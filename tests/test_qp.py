@@ -125,6 +125,18 @@ def test_exact_tie_blocks_the_lowest_index_first():
     assert res.iterations == 3     # step to row 0, zero step to row 1, optimality
 
 
+def test_a_start_that_breaks_a_row_is_exchanged_under_the_linear_term():
+    # the tie problem from (3, 0), which breaks row 0: the block exchange's
+    # first face fixes x1 = 1, and its minimizer under g, (1, 2), breaks row
+    # 1, which joins; the next face's point (1, 1) moves no row, so the solve
+    # ends there in two KKT solves, with no loop iteration (under 0.5 x'Hx
+    # alone the first face's point would be (1, 0))
+    res = solve_qp(**{**_tie_problem(), "x0": np.array([3.0, 0.0])})
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
+    assert res.active == (0, 1) and res.iterations == 2
+    assert np.allclose(res.in_multipliers, [2.0, 2.0], atol=1e-12)
+
+
 def _solve_counting(monkeypatch, **problem):
     """Solve, counting least-squares fallbacks and the longest run of zero steps.
 
@@ -191,9 +203,10 @@ def test_dependent_general_rows_start_as_one(monkeypatch):
 
 
 def test_plainly_independent_start_rows_take_no_rank_test(monkeypatch, markets):
-    # the bundled c2 maximum-Sharpe start has a homogenized box row working,
-    # and the c1 minimum-variance start (a block-pivoted face) the leverage
-    # row: the Cholesky factor of the rows' Gram matrix shows them
+    # on the bundled MM data, the engine loop of c1 maximum Sharpe starts
+    # from the block exchange's point with the leverage row working, and at
+    # weight_bound 0.2 that of c2 maximum Sharpe with five homogenized box
+    # rows: the Cholesky factor of the rows' Gram matrix shows them
     # independent of the equalities, so no rank test (an SVD) runs
     ranks, general = [0], []
     rank, start = portopt.qp._rank, portopt.qp._independent_start
@@ -208,11 +221,10 @@ def test_plainly_independent_start_rows_take_no_rank_test(monkeypatch, markets):
 
     monkeypatch.setattr(portopt.qp, "_rank", counting)
     monkeypatch.setattr(portopt.qp, "_independent_start", recording)
-    for key in ("bundled-mm", "bundled-im"):
-        cov, mean, rf, _ = markets[key]
-        assert solve_max_sharpe(cov, mean, rf, ConstraintSet("c2")).converged
-        assert solve_min_variance(cov, ConstraintSet("c1"), mean=mean, rf=rf).converged
-    assert len(general) == 4 and min(general) > 0
+    cov, mean, rf, _ = markets["bundled-mm"]
+    for c in (ConstraintSet("c1"), ConstraintSet("c2", weight_bound=0.2)):
+        assert solve_max_sharpe(cov, mean, rf, c).converged
+    assert general == [1, 5]
     assert ranks[0] == 0
 
 

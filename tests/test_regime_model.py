@@ -21,7 +21,7 @@ from portopt import (
     solve_target_return,
 )
 from portopt.constraints import regime_model
-from portopt.qp import find_feasible_point
+from portopt.qp import find_feasible_point, solve_qp
 from portopt.solver import Problem, _homogenized, _nnls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -172,6 +172,9 @@ def _excess(rng, n, kind):
 
 
 def test_sharpe_start_verdict_matches_linprog():
+    # the maximum-Sharpe start and its fallback, run through the engine as
+    # max_sharpe runs them: DegenerateSharpeError exactly where the
+    # homogenized rows admit no point, else a point that holds them
     rng = np.random.default_rng(14)
     verdicts = {True: 0, False: 0}
     for k in range(60):
@@ -190,7 +193,8 @@ def test_sharpe_start_verdict_matches_linprog():
                          bounds=[(None, None)] * A_eq.shape[1], method="highs")
             assert lp.status in (0, 2)
             try:
-                y, _ = problem._sharpe_start(excess, A_eq, b_eq, A_in, b_in)
+                y = solve_qp(problem.hessian, np.zeros(A_eq.shape[1]), A_eq, b_eq, A_in, b_in,
+                             *problem._sharpe_start(excess)).x
             except DegenerateSharpeError:
                 verdicts[False] += 1
                 assert lp.status == 2, (c, excess)

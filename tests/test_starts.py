@@ -1,15 +1,17 @@
 """The starts of minimum variance and maximum Sharpe.
 
-Both start, in every regime, with a block exchange (``qp.block_start``):
-from the free assets' unconstrained optimum (for maximum Sharpe their
-tangency portfolio, where it earns excess) every row it holds tight or
-breaks joins a working set at its bound, each round moves to the face's
-minimizer with one KKT solve, and then every broken row joins and every
-working row with a negative multiplier leaves, until a point breaks no row;
-where a face holds no point of the set, the start falls back to a
-closed-form point.  Each start must satisfy every row of the QP it
-starts, each answer must be the one the engine reaches from the regime's
-centre, and each round counts in ``iterations``.
+Both are one ``solve_qp`` call, which starts, in every regime, with a block
+exchange (``qp._block_exchange``): from the free assets' unconstrained
+optimum (for maximum Sharpe their tangency portfolio, where it earns
+excess) every row it holds tight or breaks joins a working set at its
+bound, each round moves to the face's minimizer with one KKT solve, and
+then every broken row joins and every working row with a negative
+multiplier leaves; a round that moves no row ends the solve on the answer.
+Where rows were still leaving, the engine's active-set loop runs from the
+exchange's point, and where a face holds no point of the set, from a
+closed-form fallback.  Each point the loop starts from must satisfy every
+row of its QP, each answer must be the one the engine reaches from the
+regime's centre, and each round counts in ``iterations``.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import portopt.solver
 from conftest import factor_returns, make_table, random_spd
 from portopt import ConstraintSet, ValidationError, check_feasible, markowitz_estimates
 from portopt.constraints import RegimeModel
-from portopt.qp import block_start, solve_qp
+from portopt.qp import InequalityRows, _block_exchange, solve_qp
 from portopt.solver import Problem, _homogenized
 
 RF = 0.0
@@ -43,16 +45,35 @@ def _constraints(n: int, market_index: int) -> list[ConstraintSet]:
     ]
 
 
-def _recording(monkeypatch) -> list[tuple]:
-    """The arguments of every QP the solver runs, in order."""
-    calls, original = [], portopt.solver.solve_qp
+def _recording_starts(monkeypatch) -> list[tuple]:
+    """``(A_eq, b_eq, A_in, b_in, x)`` of every QP the solver runs, in order,
+    with ``x`` the point its block exchange ends on, or where the exchange
+    has no point (or no start), the fallback's."""
+    starts, exchange, solve = [], portopt.qp._block_exchange, portopt.solver.solve_qp
 
-    def recording(*args):
-        calls.append(args)
-        return original(*args)
+    def exchanging(H, g, x, A_eq, b_eq, A_in, b_in, rows):
+        out = exchange(H, g, x, A_eq, b_eq, A_in, b_in, rows)
+        if out[0] is not None:
+            starts.append((A_eq, b_eq, A_in, b_in, out[0]))
+        return out
 
-    monkeypatch.setattr(portopt.solver, "solve_qp", recording)
-    return calls
+    def solving(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None):
+        def recorded():
+            x = fallback()
+            starts.append((A_eq, b_eq, A_in, b_in, x))
+            return x
+        return solve(H, g, A_eq, b_eq, A_in, b_in, x0, fallback and recorded)
+
+    monkeypatch.setattr(portopt.qp, "_block_exchange", exchanging)
+    monkeypatch.setattr(portopt.solver, "solve_qp", solving)
+    return starts
+
+
+def _exchange(H, x, A_eq, b_eq, A_in, b_in):
+    """``solve_qp``'s block exchange from ``x``: (point, rounds)."""
+    x, rounds, _ = _block_exchange(H, np.zeros(len(x)), x, A_eq, b_eq, A_in, b_in,
+                                   InequalityRows(A_in))
+    return x, rounds
 
 
 @pytest.mark.parametrize("n, t, seed", [
@@ -62,14 +83,15 @@ def _recording(monkeypatch) -> list[tuple]:
 def test_every_start_is_feasible(monkeypatch, n, t, seed):
     cov, mean, mi = _universe(n, t, seed)
     for c in _constraints(n, mi):
-        calls = _recording(monkeypatch)
+        calls = _recording_starts(monkeypatch)
         problem = Problem.prepare(cov, c, mean=mean, rf=RF)
         assert (problem.ridge > 0.0) == (t < n)
         minvar, sharpe = problem.min_variance(), problem.max_sharpe()
         monkeypatch.undo()
         assert minvar.converged and sharpe.converged, c
+        assert len(calls) == 2, c                      # one start per solve
         r = problem.regime
-        for _, _, A_eq, b_eq, A_in, b_in, x0 in calls:
+        for A_eq, b_eq, A_in, b_in, x0 in calls:
             assert np.abs(A_eq @ x0 - b_eq).max() <= 1e-12, c
             assert np.all(A_in @ x0 <= b_in + 1e-12), c
         assert check_feasible(r.to_weights(calls[0][-1]), c).feasible, c
@@ -146,22 +168,30 @@ def _counting_kkt(monkeypatch) -> list[int]:
 
 
 def _recording_faces(monkeypatch) -> list[np.ndarray]:
-    """The working rows of every face the block start solves, in order."""
+    """The working rows of every face the block exchange solves, in order."""
     faces, face_point = [], portopt.qp.face_point
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         faces.append(args[7])
-        return face_point(*args)
+        return face_point(*args, **kwargs)
 
     monkeypatch.setattr(portopt.qp, "face_point", recording)
     return faces
 
 
 def test_iterations_count_every_kkt_solve(monkeypatch, markets):
-    # a block-start round is one KKT solve, and it counts in iterations: a
+    # a block-exchange round is one KKT solve, and it counts in iterations: a
     # solve's iterations are its KKT solves, rounds included, for minimum
-    # variance and for maximum Sharpe
+    # variance and for maximum Sharpe; each solve is one solve_qp call, whose
+    # own iterations (what a tracer of solve_qp reads) are the same count
     kkt_calls, faces = _counting_kkt(monkeypatch), _recording_faces(monkeypatch)
+    results, solve_qp = [], portopt.solver.solve_qp
+
+    def recording(*args):
+        results.append(solve_qp(*args))
+        return results[-1]
+
+    monkeypatch.setattr(portopt.solver, "solve_qp", recording)
     cov, mean, mi = _universe(50, 120, 3)
     cases = [(*markets[key][:2], markets[key][3]) for key in ("bundled-mm", "bundled-im")]
     for cov, mean, mi in cases + [(cov, mean, mi)]:
@@ -169,11 +199,64 @@ def test_iterations_count_every_kkt_solve(monkeypatch, markets):
             problem = Problem.prepare(cov, c, mean=mean, rf=RF)
             for solve in (problem.min_variance, problem.max_sharpe):
                 kkt_calls[0] = 0
+                results.clear()
                 sol = solve()
                 assert sol.converged, c
                 assert sol.iterations == kkt_calls[0], (c, solve)
+                assert len(results) == 1 and results[0].iterations == sol.iterations, (c, solve)
     assert len(faces) > 0
 
+
+def test_the_engine_loop_runs_only_past_the_exchange(monkeypatch, markets):
+    # solve_qp returns from its block exchange where the last round moved no
+    # row, with no engine iteration; it runs its active-set loop (which
+    # starts with _independent_start) where rows were still leaving, or
+    # where a face had no point and the fallback starts it
+    faces, loops, anchors = _recording_faces(monkeypatch), [], []
+    start, toward = portopt.qp._independent_start, RegimeModel.toward
+
+    def starting(*args):
+        loops.append(args[0])
+        return start(*args)
+
+    def recording(self, anchor, w):
+        anchors.append(anchor)
+        return toward(self, anchor, w)
+
+    monkeypatch.setattr(portopt.qp, "_independent_start", starting)
+    monkeypatch.setattr(RegimeModel, "toward", recording)
+
+    def solve(cov, mean, rf, c, objective):
+        for log in (faces, loops, anchors):
+            log.clear()
+        sol = getattr(Problem.prepare(cov, c, mean=mean, rf=rf), objective)()
+        assert sol.converged
+        return sol.iterations, len(faces), len(loops), len(anchors)
+
+    cov, mean, rf, _ = markets["bundled-mm"]
+    # one round that moves no row is the whole solve
+    assert solve(cov, mean, rf, ConstraintSet("c4"), "min_variance") == (1, 1, 0, 0)
+    # three rounds end with a row still leaving, then three loop iterations
+    assert solve(cov, mean, rf, ConstraintSet("c1"), "max_sharpe") == (6, 3, 1, 0)
+    for n, t, seed in ((20, 120, 21), (30, 20, 3)):
+        # the first face holds no point: no round, the centre mix, the loop
+        cov, mean, _ = _universe(n, t, seed)
+        c = ConstraintSet("c2", weight_bound=1.5 / n)
+        iterations, rounds, runs, mixes = solve(cov, mean, RF, c, "min_variance")
+        assert (rounds, runs, mixes) == (0, 1, 1) and iterations > 1
+
+
+
+def test_a_target_return_starts_its_loop_with_no_exchange(monkeypatch):
+    # the target-return start, the centre mixed onto the lowest-return
+    # vertex, breaks a box row by rounding on this universe: it is handed to
+    # the engine as the fallback, with no start, so no face is solved
+    cov, mean, _ = _universe(20, 120, 21)
+    problem = Problem.prepare(cov, ConstraintSet("c2", weight_bound=0.1), mean=mean, rf=RF)
+    starts, faces = _recording_starts(monkeypatch), _recording_faces(monkeypatch)
+    assert problem.target_return(problem.return_range[0]).converged
+    (_, _, A_in, b_in, x0), = starts
+    assert np.any(A_in @ x0 > b_in) and not faces
 
 @pytest.mark.parametrize("objective", ["min_variance", "max_sharpe"])
 def test_working_rows_leave_the_block_start(monkeypatch, objective):
@@ -218,7 +301,7 @@ def test_split_faces_with_both_parts_free(monkeypatch, n, t, seed, cap):
     w = np.linalg.solve(problem.cov_solve, np.ones(n))
     x0 = r.to_solve(w / w.sum()) + 0.5          # every p_i and n_i positive, w unchanged
     faces = _recording_faces(monkeypatch)
-    x, rounds = block_start(H, x0, A_eq, b_eq, A_in, b_in)
+    x, rounds = _exchange(H, x0, A_eq, b_eq, A_in, b_in)
     monkeypatch.undo()
     assert rounds == len(faces) >= 1
     assert not np.isin(np.arange(2 * n), faces[0]).any()      # both parts free, every asset
@@ -238,8 +321,8 @@ def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
     cov, mean, mi = _universe(20, 120, 1)
     face_point, anchors, toward = portopt.qp.face_point, [], RegimeModel.toward
 
-    def pointless(*args):
-        return (None, *face_point(*args)[1:])
+    def pointless(*args, **kwargs):
+        return (None, *face_point(*args, **kwargs)[1:])
 
     def recording(self, anchor, w):
         anchors.append(anchor)
@@ -262,12 +345,12 @@ def test_a_start_off_an_equality_takes_a_face_solve():
     r, H = problem.regime, problem.hessian
     A_eq, b_eq, A_in, b_in = r.system()
     answer = problem.min_variance().weights
-    x, rounds = block_start(H, answer.copy(), A_eq, b_eq, A_in, b_in)
+    x, rounds = _exchange(H, answer.copy(), A_eq, b_eq, A_in, b_in)
     assert rounds == 0 and np.array_equal(x, answer)
     w = np.linalg.solve(problem.cov_solve, np.ones(20))
     w /= w.sum()
     assert abs(w[mi]) > 1e-3                        # off the market-exclusion row
-    x, rounds = block_start(H, w, A_eq, b_eq, A_in, b_in)
+    x, rounds = _exchange(H, w, A_eq, b_eq, A_in, b_in)
     assert rounds >= 1
     assert np.abs(A_eq @ x - b_eq).max() <= 1e-12
     assert np.abs(x - answer).max() <= 1e-9
@@ -276,7 +359,7 @@ def test_a_start_off_an_equality_takes_a_face_solve():
     A_eq, b_eq, A_in, b_in = _homogenized(split.regime, mean - RF)
     y0 = split.regime.centre()                      # breaks no row, but earns no unit excess
     assert abs(A_eq[0] @ y0 - 1.0) > 1e-3
-    y, rounds = block_start(split.hessian, y0, A_eq, b_eq, A_in, b_in)
+    y, rounds = _exchange(split.hessian, y0, A_eq, b_eq, A_in, b_in)
     assert rounds >= 1
     assert np.abs(A_eq @ y - b_eq).max() <= 1e-12
     assert np.all(A_in @ y <= b_in + 1e-12)
