@@ -16,7 +16,8 @@ smallest index, making the method deterministic for fixed inputs.
 Every call passes all constraint arrays (empty ones included) and a start
 near the answer, which may break rows: ``solve_qp`` exchanges rows between
 faces from it (``face_point`` solves each for its minimizer), and iterates
-only where rows were still leaving or a face had no point.
+only where rows were still leaving or a face had no point.  The loop and
+``solver``'s corner path share one ratio test, ``InequalityRows.reach``.
 """
 
 from __future__ import annotations
@@ -94,15 +95,18 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class InequalityRows:
-    """The inequality rows ``A_in``, each bound read as a vector.
+    """The inequality rows ``A x <= b``, each bound read as a vector.
 
-    ``dot(v)`` is ``A_in @ v``: a bound's product is ``coef * v[var]``,
+    ``dot(v)`` is ``A @ v``: a bound's product is ``coef * v[var]``,
     which the dense product equals bit for bit (it only adds exact zeros),
     and the general rows alone go through a matrix product.  ``scale`` is
-    ``1 + max |a_ij|`` of each row.
+    ``1 + max |a_ij|`` of each row.  ``reach(x, p, working)`` is the ratio
+    test: the rows off the mask that ``p`` moves toward by over ``1e-13 scale
+    (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each (room >= 0).
     """
 
-    def __init__(self, A_in):
+    def __init__(self, A_in, b_in):
+        self.A, self.b = A_in, b_in
         nonzero = A_in != 0.0                   # a bound has a single nonzero, on its variable
         self.bound, self.var = nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1)
         self.general = (~self.bound).nonzero()[0]
@@ -119,8 +123,13 @@ class InequalityRows:
             out[self.general] = self.A_general @ v
         return out
 
+    def reach(self, x, p, working):
+        d = self.dot(p)
+        cand = (~working & (d > 1e-13 * self.scale * (1.0 + np.abs(p).max()))).nonzero()[0]
+        return cand, np.maximum(self.b - self.dot(x), 0.0)[cand] / d[cand]
 
-def _independent_start(working, A_eq, A_in, bound, var) -> None:
+
+def _independent_start(working, A_eq, rows: InequalityRows) -> None:
     """Drop from the boolean mask ``working`` the general rows that depend on
     the others, so that the first KKT system is regular.
 
@@ -133,25 +142,25 @@ def _independent_start(working, A_eq, A_in, bound, var) -> None:
     ``trace(G) |L^-1|_F^2``, and below 1e12 that is far inside the rank
     tolerance of ``matrix_rank``.
     """
-    general = (working & ~bound).nonzero()[0]
+    general = (working & ~rows.bound).nonzero()[0]
     if not general.size:
         return
-    free = np.ones(A_in.shape[1], dtype=bool)
-    free[var[working & bound]] = False
+    free = np.ones(rows.A.shape[1], dtype=bool)
+    free[rows.var[working & rows.bound]] = False
     kept = A_eq[:, free]
-    rows = np.vstack([kept, A_in[general][:, free]])
-    gram = rows @ rows.T
+    system = np.vstack([kept, rows.A[general][:, free]])
+    gram = system @ system.T
     try:
         with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN fails the test
             inverse = np.linalg.inv(np.linalg.cholesky(gram))
             plain = np.trace(gram) * (inverse * inverse).sum() < 1e12
     except np.linalg.LinAlgError:
         plain = False
-    if plain or _rank(rows) == len(rows):
+    if plain or _rank(system) == len(system):
         return
     rank = _rank(kept)
     for j in general:
-        trial = np.vstack([kept, A_in[j, free]])
+        trial = np.vstack([kept, rows.A[j, free]])
         if _rank(trial) > rank:
             kept, rank = trial, rank + 1
         else:
@@ -164,27 +173,27 @@ def _rank(M) -> int:
     return int(np.linalg.matrix_rank(M)) if M.size else 0
 
 
-def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
+def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
     """Solve the KKT system of the working rows ``act`` over the free variables.
 
     The working bounds fix their variables; the system spans the free
     ones under the equalities and the working general rows, with right-hand
-    side ``-grad`` on the free variables and ``rows`` (zeros by default) on
+    side ``-grad`` on the free variables and ``rhs`` (zeros by default) on
     the equalities, then the working general rows.  Returns ``(p, lam)``:
     the step, zero on the fixed variables, and the multipliers of the
     equalities, then of the working rows in ``act`` order.  A bound's
     multiplier closes the stationarity ``H p + grad + A' lam`` of its
     variable, and bounds on one variable share it in proportion to their
-    coefficients (the least-norm split).  ``grad`` and ``rows`` may carry a
+    coefficients (the least-norm split).  ``grad`` and ``rhs`` may carry a
     trailing axis of right-hand sides, solved with one factorization.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
-    on_bound = bound[act]
+    on_bound = rows.bound[act]
     general = ~on_bound
     fixing = act[on_bound]
-    A_gen = np.concatenate([A_eq, A_in[act[general]]])   # equalities, then general rows
+    A_gen = np.concatenate([A_eq, rows.A[act[general]]])   # equalities, then general rows
     if fixing.size:
-        fixed = var[fixing]
+        fixed = rows.var[fixing]
         free = np.zeros(n, dtype=bool)
         free[fixed] = True
         free = (~free).nonzero()[0]
@@ -198,7 +207,7 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     K[:nf, :nf] = H_f
     K[nf:, :nf] = A_f
     K[:nf, nf:] = A_f.T
-    rhs = np.zeros((m,) + tail) if rows is None else rows
+    rhs = np.zeros((m,) + tail) if rhs is None else rhs
     sol = _solve_kkt(K, np.concatenate([-grad[free], rhs]))
     lam = np.empty((m_eq + act.size,) + tail)       # equalities, then the working set
     lam[:m_eq] = sol[nf:nf + m_eq]
@@ -209,7 +218,7 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     if fixing.size:
         # H p from the free rows alone: H is symmetric and p is zero off them
         r = (H_rows.T @ sol[:nf] + grad + A_gen.T @ sol[nf:])[fixed]
-        c = A_in[fixing, fixed]
+        c = rows.coef[fixing]
         share = np.bincount(fixed, c * c, n)[fixed]
         if tail:
             c, share = c[:, None], share[:, None]
@@ -217,7 +226,7 @@ def reduced_kkt(H, grad, A_eq, A_in, act, bound, var, rows=None):
     return p, lam
 
 
-def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=None, g=0.0):
+def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0):
     """The minimizer of ``0.5 x'Hx + g'x`` on the face where the equalities and
     the working rows ``act`` hold, from ``x``, with one reduced KKT solve.
 
@@ -232,28 +241,28 @@ def face_point(H, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows, act, rate=Non
     """
     fixing, general = act[rows.bound[act]], act[~rows.bound[act]]
     x = x.copy()
-    x[rows.var[fixing]] = b_in[fixing] / rows.coef[fixing]        # on the bounds exactly
+    x[rows.var[fixing]] = rows.b[fixing] / rows.coef[fixing]        # on the bounds exactly
 
     def gap(x):
-        return np.concatenate([b_eq - A_eq @ x, b_in[general] - A_in[general] @ x])
+        return np.concatenate([b_eq - A_eq @ x, rows.b[general] - rows.A[general] @ x])
 
     grad, rhs = H @ x + g, gap(x)
     if rate is not None:
         grad, rhs = np.column_stack([grad, np.zeros(len(x))]), np.column_stack([rhs, rate])
-    p, lam = reduced_kkt(H, grad, A_eq, A_in, act, rows.bound, rows.var, rhs)
+    p, lam = reduced_kkt(H, grad, A_eq, rows, act, rhs)
     x = x + (p if rate is None else p[:, 0])
     if np.abs(gap(x)).max(initial=0.0) > 1e-12:
         x = None
     return x, p, lam
 
 
-def _within_reach(A_eq, b_eq, b_in, rows: InequalityRows, working) -> bool:
+def _within_reach(A_eq, b_eq, rows: InequalityRows, working) -> bool:
     """Whether every equality row can hold with the working bounds fixing
     their variables and the other bound rows boxing theirs (to 1e-12): each
     row's least and greatest value over that box must bracket its
     right-hand side."""
     k = rows.bound.nonzero()[0]
-    at, upper, fixed = b_in[k] / rows.coef[k], rows.coef[k] > 0.0, working[k]
+    at, upper, fixed = rows.b[k] / rows.coef[k], rows.coef[k] > 0.0, working[k]
     lo, hi = np.full(A_eq.shape[1], -np.inf), np.full(A_eq.shape[1], np.inf)
     np.maximum.at(lo, rows.var[k[~upper]], at[~upper])
     np.minimum.at(hi, rows.var[k[upper]], at[upper])
@@ -264,7 +273,7 @@ def _within_reach(A_eq, b_eq, b_in, rows: InequalityRows, working) -> bool:
     return bool(np.all((least <= b_eq + 1e-12) & (most >= b_eq - 1e-12)))
 
 
-def _block_exchange(H, g, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows):
+def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     """Block principal pivoting from ``x`` for ``solve_qp``: ``(x, rounds,
     face)``, x None where a face has no point of the feasible set, and
     ``face`` the multipliers and working rows of a last round that moved no
@@ -286,24 +295,24 @@ def _block_exchange(H, g, x, A_eq, b_eq, A_in, b_in, rows: InequalityRows):
     other bound rows allow (``_within_reach``), no face near ``x`` holds a
     point of the set, and the exchange ends without a solve.
     """
-    excess = rows.dot(x) - b_in
+    excess = rows.dot(x) - rows.b
     if np.all(excess <= 0.0) and np.abs(A_eq @ x - b_eq).max(initial=0.0) <= 1e-12:
         return x, 0, None
     working = excess >= 0.0                     # every tight or broken row, at its bound
-    if not _within_reach(A_eq, b_eq, b_in, rows, working):
+    if not _within_reach(A_eq, b_eq, rows, working):
         return None, 0, None
     best, patience, rounds = np.inf, _PATIENCE, 0
     while True:
         act = working.nonzero()[0]
         rounds += 1
-        x, _, lam = face_point(H, x, A_eq, b_eq, A_in, b_in, rows, act, g=g)
+        x, _, lam = face_point(H, x, A_eq, b_eq, rows, act, g=g)
         if x is None:
             return None, rounds, None
-        leave = np.zeros(len(b_in), dtype=bool)
+        leave = np.zeros(len(rows.b), dtype=bool)
         leave[act[lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H @ x + g).max())]] = True
         if np.any(leave & ~rows.bound):
             leave &= ~rows.bound
-        join = ~working & (rows.dot(x) > b_in)
+        join = ~working & (rows.dot(x) > rows.b)
         moves = np.count_nonzero(join) + np.count_nonzero(leave)
         if not moves:
             return x, rounds, (lam, act)
@@ -345,18 +354,15 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     at the nearest blocking row, the lowest index winning an exact tie.
     ``iterations`` counts every KKT solve, the exchange's rounds included.
     """
-    rows_in = InequalityRows(A_in)
+    rows_in = InequalityRows(A_in, b_in)
     x, rounds, face = (None, 0, None) if x0 is None else _block_exchange(
-        H, g, x0, A_eq, b_eq, A_in, b_in, rows_in)
+        H, g, x0, A_eq, b_eq, rows_in)
     if face is not None:                        # the last round moved no row: the answer
         return _answer(x, *face, len(b_in), rounds)
     if x is None:                               # no start, or a face without a point
         x = x0 if fallback is None else fallback()
-    bound, var = rows_in.bound, rows_in.var
-    room = np.maximum(b_in - rows_in.dot(x), 0.0)
-    working = room <= 1e-9 * rows_in.scale
-    _independent_start(working, A_eq, A_in, bound, var)
-    blocking = 1e-13 * rows_in.scale
+    working = rows_in.dot(x) - b_in >= -1e-9 * rows_in.scale
+    _independent_start(working, A_eq, rows_in)
 
     stall = 0
     quiet = 0
@@ -369,7 +375,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
             grad = Hx + g
             x_max = np.abs(x).max()
         act = working.nonzero()[0]
-        p, lam = reduced_kkt(H, grad, A_eq, A_in, act, bound, var)
+        p, lam = reduced_kkt(H, grad, A_eq, rows_in, act)
         mult_in = lam[len(b_eq):]
 
         # KKT solve noise grows with the multiplier scale; steps below it
@@ -390,9 +396,8 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
 
         f = 0.5 * float(x @ Hx) + float(g @ x)
         # ratio test over the rows outside the working set that p moves toward
-        d = rows_in.dot(p)
-        cand = (~working & (d > blocking * (1.0 + p_max))).nonzero()[0]
-        ratio = np.concatenate([room[cand] / d[cand], (1.0,)])   # last: the full step
+        cand, ratio = rows_in.reach(x, p, working)
+        ratio = np.append(ratio, 1.0)                   # last: the full step
         k = ratio.argmin()                              # the lowest index wins an exact tie
         blocked = ratio[k] < 1.0 - 1e-15
         alpha = ratio[k] if blocked else 1.0
@@ -402,14 +407,13 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
         if blocked:
             j = cand[k]
             working[j] = True
-            if bound[j]:       # land on the bound exactly, not a rounding away
-                x[var[j]] = b_in[j] / rows_in.coef[j]
+            if rows_in.bound[j]:       # land on the bound exactly, not a rounding away
+                x[rows_in.var[j]] = b_in[j] / rows_in.coef[j]
             stall = stall + 1 if alpha <= 1e-14 else 0
             quiet = 0
         else:
             stall = 0
             quiet = 0 if made_progress else quiet + 1
-        room = np.maximum(b_in - rows_in.dot(x), 0.0)
         Hx = None
 
     raise ConvergenceError(

@@ -440,7 +440,7 @@ class Problem:
                 f"target return {target:.10g} outside attainable interval "
                 f"[{lo:.10g}, {hi:.10g}]"
             )
-        t = min(max(target, lo), hi)
+        t = min(max(float(target), lo), hi)           # a float32 target would compute in float32
         res = self._target_qp(t, r.to_weights(r.centre()))
         return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t)
 
@@ -450,7 +450,7 @@ class Problem:
         no exchange: the mix may break a row by rounding, which would start one."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
-        v = self.vertices[t >= a_ret]
+        v = self.vertices[int(t >= a_ret)]              # a numpy bool is no tuple index
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
         A_eq, b_eq, A_in, b_in = r.system()
@@ -498,8 +498,7 @@ class Problem:
         sigma = float(np.abs(mean - mid)[r.free].max()) or 1.0
         A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
         m_eq = len(A_eq)
-        rows_in = InequalityRows(A_in)
-        bound, row_scale = rows_in.bound, rows_in.scale
+        rows_in = InequalityRows(A_in, b_in)
         top = targets[-1]
         tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
         working = np.zeros(len(b_in), dtype=bool)
@@ -510,12 +509,11 @@ class Problem:
             would not hold the working rows, or leave another row by more
             than ``solve_qp``'s activity tolerance (a nearly singular system)."""
             act = np.flatnonzero(working)
-            general = act[~bound[act]]
+            general = act[~rows_in.bound[act]]
             rate = np.zeros(m_eq + len(general))
             rate[m_eq - 1] = 1.0 / sigma
-            x, p, lam = face_point(H, x, A_eq, np.append(b_eq, (t - mid) / sigma), A_in, b_in,
-                                   rows_in, act, rate)
-            if x is not None and np.any(rows_in.dot(x) - b_in > 1e-9 * row_scale):
+            x, p, lam = face_point(H, x, A_eq, np.append(b_eq, (t - mid) / sigma), rows_in, act, rate)
+            if x is not None and np.any(rows_in.dot(x) - b_in > 1e-9 * rows_in.scale):
                 x = None
             return x, p[:, 1], lam[:, 0], lam[:, 1], act, general
 
@@ -563,12 +561,9 @@ class Problem:
             xa, ta, s, end = x, t0, 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
-                rate = rows_in.dot(dx)
-                hit = np.flatnonzero(~working & (rate > 1e-13 * row_scale * (1.0 + np.abs(dx).max())))
+                hit, ahead = rows_in.reach(x, dx, working)
                 fall = np.flatnonzero(dlam[m_eq:] < -1e-12 * np.abs(dlam).max())
-                room = (b_in - rows_in.dot(x))[hit]
-                steps = np.concatenate([np.maximum(room, 0.0) / rate[hit],
-                                        np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
+                steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
                 s = float(steps.min(initial=end))
                 near = np.concatenate([hit, act[fall]])[steps <= s + tie]
                 if s >= end - tie and not len(b_in):      # no rows: one segment to the top

@@ -52,8 +52,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def _bounds(series) -> tuple[float, float, float, float]:
-    xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series if len(s.x)])
-    ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series if len(s.y)])
+    xs = np.concatenate([np.empty(0)] + [np.asarray(s.x, dtype=float) for s in series])
+    ys = np.concatenate([np.empty(0)] + [np.asarray(s.y, dtype=float) for s in series])
     xs = xs[np.isfinite(xs)]
     ys = ys[np.isfinite(ys)]
     if xs.size == 0 or ys.size == 0:

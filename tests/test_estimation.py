@@ -298,3 +298,15 @@ def test_im_covariance_psd(panel):
 def test_sharpe_identity(ret, stdev, rf):
     s = sharpe_ratio(ret, stdev, rf)
     assert s * stdev == pytest.approx(ret - rf, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda t: index_model_estimates(t, mode="log"), "unknown regression mode 'log'"),
+    (lambda t: sharpe_ratio(np.nan, 0.1, 0.0), "sharpe_ratio requires finite inputs"),
+    (lambda t: sharpe_ratio(0.01, np.inf, 0.0), "sharpe_ratio requires finite inputs"),
+    (lambda t: sharpe_ratio(0.01, 0.1, -np.inf), "sharpe_ratio requires finite inputs"),
+], ids=["im-mode", "sharpe-ret-nan", "sharpe-stdev-inf", "sharpe-rf-inf"])
+def test_estimation_rejects_invalid_arguments(call, fragment):
+    table = make_table(factor_returns(np.random.default_rng(7), 20, 3))
+    with pytest.raises(ValidationError, match=fragment):
+        call(table)

@@ -402,3 +402,8 @@ def test_failed_point_certificate_raises(monkeypatch, markets, regime, k):
     fail_certificate(monkeypatch, k)
     with pytest.raises(ConvergenceError, match=r"target return -?\d.*residual 1\b"):
         trace_frontier(cov, mean, rf, constraint_for(regime, mi), grid=20)
+
+
+def test_cloud_sample_length_is_its_count():
+    for regime in ("c1", "c4"):
+        assert len(sample_cloud(ConstraintSet(regime), 4, 37, seed=3)) == 37

@@ -273,3 +273,10 @@ def test_rate_conversion_linear(a, b):
     lhs = annual_to_monthly_rate(a + b)
     rhs = annual_to_monthly_rate(a) + annual_to_monthly_rate(b)
     assert lhs == pytest.approx(rhs, abs=1e-15)
+
+
+def test_select_bom_rejects_an_empty_table():
+    empty = DailyPriceTable(dates=(), tickers=("A", "MKT"), closes=np.zeros((0, 2)),
+                            market_ticker="MKT")
+    with pytest.raises(InsufficientDataError, match="empty price table"):
+        select_bom(empty)

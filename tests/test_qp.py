@@ -215,9 +215,9 @@ def test_plainly_independent_start_rows_take_no_rank_test(monkeypatch, markets):
         ranks[0] += 1
         return rank(M)
 
-    def recording(working, A_eq, A_in, bound, var):
-        general.append(int(np.count_nonzero(working & ~bound)))
-        return start(working, A_eq, A_in, bound, var)
+    def recording(working, A_eq, rows):
+        general.append(int(np.count_nonzero(working & ~rows.bound)))
+        return start(working, A_eq, rows)
 
     monkeypatch.setattr(portopt.qp, "_rank", counting)
     monkeypatch.setattr(portopt.qp, "_independent_start", recording)
@@ -271,6 +271,13 @@ def test_multipliers_certify_their_point():
         assert np.abs(mu * (b_in - a_in @ res.x)).max() <= 1e-12
 
 
+def _dense_reach(A, b, x, p, working, scale):
+    """The ratio test over the dense products ``A @ p`` and ``b - A @ x``."""
+    d = A @ p
+    cand = (~working & (d > 1e-13 * scale * (1.0 + np.abs(p).max()))).nonzero()[0]
+    return cand, np.maximum(b - A @ x, 0.0)[cand] / d[cand]
+
+
 @pytest.mark.parametrize("n", [1, 2, 11, 50])
 def test_inequality_rows_equal_the_dense_product(n):
     # every regime's inequality rows and their homogenized (maximum-Sharpe)
@@ -278,12 +285,15 @@ def test_inequality_rows_equal_the_dense_product(n):
     # A_in @ v bit for bit for any v, and so does every row where the sums
     # are exact (integer v); a general row's own product may sum in another
     # order than the dense one, so real v gets the two orders' rounding
-    # bound there (2 k eps |a| . |v| over k terms)
+    # bound there (2 k eps |a| . |v| over k terms).  The ratio test reach
+    # returns the dense test's rows and ratios bit for bit where the sums
+    # are exact, under random working masks, and for real x and p it is bit
+    # for bit the test over rows.dot that the loop and the corner path ran
     rng = np.random.default_rng(n)
     for regime in REGIMES:
         model = regime_model(ConstraintSet(regime, market_index=0 if regime == "c5" else None), n)
-        for A in (model.system()[2], _homogenized(model, rng.normal(size=n))[2]):
-            rows = InequalityRows(A)
+        for A, b in (model.system()[2:], _homogenized(model, rng.normal(size=n))[2:]):
+            rows = InequalityRows(A, b)
             assert np.array_equal(rows.scale, 1.0 + np.abs(A).max(axis=1, initial=0.0))
             for v in (rng.integers(-4, 5, A.shape[1]).astype(float),
                       rng.normal(size=A.shape[1]) * 10.0 ** rng.integers(-6, 3, A.shape[1])):
@@ -295,3 +305,17 @@ def test_inequality_rows_equal_the_dense_product(n):
                 else:
                     room = 2 * A.shape[1] * np.finfo(float).eps * (np.abs(A) @ np.abs(v))
                     assert np.all(np.abs(got - dense) <= room), regime
+            for _ in range(4):
+                working = rng.random(len(b)) < 0.3
+                x, p = (rng.integers(-3, 4, A.shape[1]).astype(float) for _ in range(2))
+                cand, ratio = rows.reach(x, p, working)
+                ref_cand, ref_ratio = _dense_reach(A, b, x, p, working, rows.scale)
+                assert np.array_equal(cand, ref_cand) and np.array_equal(ratio, ref_ratio), regime
+                # p's entries spread across the threshold 1e-13 scale (1 + |p|)
+                x, p = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[1])
+                p *= 10.0 ** rng.integers(-15, 1, A.shape[1])
+                d, room = rows.dot(p), np.maximum(b - rows.dot(x), 0.0)
+                ref_cand = (~working & (d > 1e-13 * rows.scale * (1.0 + np.abs(p).max()))).nonzero()[0]
+                cand, ratio = rows.reach(x, p, working)
+                assert np.array_equal(cand, ref_cand), regime
+                assert np.array_equal(ratio, room[cand] / d[cand]), regime

@@ -273,3 +273,16 @@ def test_split_holds_reads_the_gross_cap_alone(n, cap):
             product = np.all(r.excess(block)[:, 2 * r.m_eq:] <= tol, axis=1)
             assert np.array_equal(r.holds(block, tol), product)
     assert r.holds(blocks[5], 1e-12).all() and not r.holds(blocks[0], 1e-12).any()
+
+
+def test_split_toward_keeps_a_segment_that_holds_the_cap():
+    # on the c1 split the gross exposure is convex along a segment, so where
+    # both ends hold the cap the whole segment does, and toward returns w
+    # itself; a w past the cap stops on it
+    r = regime_model(ConstraintSet("c1", leverage_cap=1.3), 5)
+    anchor = np.full(5, 0.2)
+    inside = np.array([0.55, 0.3, 0.2, 0.05, -0.1])            # gross 1.2
+    assert np.array_equal(r.toward(anchor, inside), inside)
+    batch = r.toward(anchor, np.array([inside, [1.0, 0.5, 0.0, 0.0, -0.5]]))   # gross 1.2, 2
+    assert np.array_equal(batch[0], inside)
+    assert np.abs(batch[1]).sum() == pytest.approx(1.3, abs=1e-15)

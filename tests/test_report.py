@@ -83,6 +83,19 @@ def test_report_csv_marks_failed_cells(estimates):
         assert "excess return" in ln   # error message carried in the last column
 
 
+def test_report_json_marks_failed_cells(estimates):
+    # the JSON twin of the CSV's error column: a failed cell carries its
+    # message under "error" and no solution
+    table, mm, im = estimates
+    rep = compare_models(mm, im, 10.0, [ConstraintSet("c4")])
+    cells = report_to_json_dict(rep)["cells"]
+    failed = [cell for cell in cells if cell["objective"] == "max_sharpe"]
+    assert len(failed) == 2
+    for cell in failed:
+        assert "solution" not in cell and "excess return" in cell["error"]
+    assert all("error" not in cell for cell in cells if cell["objective"] == "min_variance")
+
+
 def test_report_mismatched_universes_rejected(estimates):
     table, mm, im = estimates
     rng = np.random.default_rng(1)

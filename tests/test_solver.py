@@ -1,5 +1,7 @@
 """Portfolio solvers: closed forms, grid oracles, KKT diagnostics, edge cases."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -529,3 +531,38 @@ def test_curve_builds_the_return_vertices_once(monkeypatch):
         monkeypatch.undo()
         counts.append(calls[0])
     assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("c", [ConstraintSet("c2", weight_bound=0.6), C4], ids=["c2", "c4"])
+@pytest.mark.parametrize("target", [0.012, np.float64(0.012), np.float32(0.012), 0],
+                         ids=["float", "float64", "float32", "int"])
+def test_target_return_accepts_numpy_and_int_targets(c, target):
+    # the start picks the return vertex on the target's side: a numpy target
+    # compares to a numpy bool, which must not index the vertex pair.  Each
+    # target solves as its float value (a float32 one not in float32), and
+    # the corner path takes numpy targets too
+    cov, mean = np.diag([0.01, 0.02, 0.04]), np.array([-0.01, 0.005, 0.02])
+    sol = solve_target_return(cov, mean, target, c)
+    assert sol.converged and sol.weights.dtype == np.float64
+    assert np.array_equal(sol.weights, solve_target_return(cov, mean, float(target), c).weights)
+    assert sol.stats.ret == pytest.approx(float(target), abs=1e-12)
+    problem = Problem.prepare(cov, c, mean=mean, rf=0.0)
+    targets = np.linspace(float(target), problem.return_range[1], 4)
+    path = problem.corner_path(targets, problem.min_variance().weights)
+    assert [float(mean @ w) for w in path] == pytest.approx([float(t) for t in targets], abs=1e-12)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: solve_objective("max_return", np.diag([0.01, 0.04]), [0.01, 0.02], 0.0, C3),
+     ValidationError, "unknown objective 'max_return'"),
+    (lambda: kkt_residual_weights(np.array([0.5, 0.5]), np.diag([0.01, 0.04]), C3, target=0.01),
+     ValidationError, "target-return KKT check requires the mean vector"),
+    (lambda: Problem.prepare(np.diag([0.01, 0.04]), C3).max_sharpe(),
+     ValidationError, "this objective requires the mean vector"),
+    # within the semidefinite tolerance, yet negative past the ridge (about 5e-11)
+    (lambda: solve_min_variance(np.array([[1.0, 0.0], [0.0, -1e-9]]), C3),
+     SingularMatrixError, "covariance cannot be factorized even after ridge regularization"),
+], ids=["unknown-objective", "target-without-mean", "sharpe-without-mean", "ridge-singular"])
+def test_solver_rejects_with_its_documented_class(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

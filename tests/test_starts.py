@@ -51,10 +51,10 @@ def _recording_starts(monkeypatch) -> list[tuple]:
     has no point (or no start), the fallback's."""
     starts, exchange, solve = [], portopt.qp._block_exchange, portopt.solver.solve_qp
 
-    def exchanging(H, g, x, A_eq, b_eq, A_in, b_in, rows):
-        out = exchange(H, g, x, A_eq, b_eq, A_in, b_in, rows)
+    def exchanging(H, g, x, A_eq, b_eq, rows):
+        out = exchange(H, g, x, A_eq, b_eq, rows)
         if out[0] is not None:
-            starts.append((A_eq, b_eq, A_in, b_in, out[0]))
+            starts.append((A_eq, b_eq, rows.A, rows.b, out[0]))
         return out
 
     def solving(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None):
@@ -71,8 +71,8 @@ def _recording_starts(monkeypatch) -> list[tuple]:
 
 def _exchange(H, x, A_eq, b_eq, A_in, b_in):
     """``solve_qp``'s block exchange from ``x``: (point, rounds)."""
-    x, rounds, _ = _block_exchange(H, np.zeros(len(x)), x, A_eq, b_eq, A_in, b_in,
-                                   InequalityRows(A_in))
+    x, rounds, _ = _block_exchange(H, np.zeros(len(x)), x, A_eq, b_eq,
+                                   InequalityRows(A_in, b_in))
     return x, rounds
 
 
@@ -172,7 +172,7 @@ def _recording_faces(monkeypatch) -> list[np.ndarray]:
     faces, face_point = [], portopt.qp.face_point
 
     def recording(*args, **kwargs):
-        faces.append(args[7])
+        faces.append(args[5])
         return face_point(*args, **kwargs)
 
     monkeypatch.setattr(portopt.qp, "face_point", recording)

@@ -8,7 +8,7 @@ from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 
-from portopt.svgplot import Series, escape, render_plot
+from portopt.svgplot import Series, _bounds, _nice_ticks, escape, render_plot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -49,6 +49,29 @@ def test_nonfinite_points_dropped():
     ET.fromstring(svg)
     poly = [ln for ln in svg.split("\n") if "<polyline" in ln][0]
     assert poly.count(",") == 2   # two surviving points
+
+
+@pytest.mark.parametrize("series", [
+    [], [Series(x=(), y=(), label="empty")],
+    [Series(x=(float("nan"),), y=(1.0,), label="no finite x")],
+], ids=["no-series", "empty-series", "no-finite-point"])
+def test_a_plot_without_points_gets_the_unit_box(series):
+    # no finite point reaches the default bounds, and the plot still renders
+    assert _bounds(series) == (0.0, 1.0, 0.0, 1.0)
+    ET.fromstring(render_plot(series))
+
+
+def test_a_flat_range_widens_by_one_each_way():
+    # one point has no x or y range: each widens to +-1 around it, then pads
+    x0, x1, y0, y1 = _bounds([Series(x=(2.0, 2.0), y=(3.0, 3.0), label="one point")])
+    assert (x0, x1) == pytest.approx((1.0 - 0.08, 3.0 + 0.08))
+    assert (y0, y1) == pytest.approx((2.0 - 0.12, 4.0 + 0.12))
+    ET.fromstring(render_plot([Series(x=(2.0,), y=(3.0,), label="dot", kind="scatter")]))
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -1.0)])
+def test_nice_ticks_of_an_empty_range_is_its_low_end(lo, hi):
+    assert _nice_ticks(lo, hi) == [lo]
 
 
 @pytest.mark.parametrize("text", [
