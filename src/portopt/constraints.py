@@ -126,9 +126,16 @@ class RegimeModel:
         return np.all(self.excess(w)[..., 2 * self.m_eq:] <= tol, axis=-1)
 
     def violations(self, w: np.ndarray, tol: float) -> list[tuple[str, float]]:
-        """Every row not within ``tol`` of holding (NaN included), equalities first."""
-        amounts = self.excess(w)
-        return [(self.names[k], float(amounts[k])) for k in (~(amounts <= tol)).nonzero()[0]]
+        """Every row not within ``tol`` of holding, in row order, each equality
+        once (by how far it misses); NaN on exactly the rows with a nonzero
+        coefficient on a NaN weight."""
+        x, m = self.to_solve(w), self.m_eq
+        nan = np.isnan(x)
+        amounts = np.where(nan, 0.0, x) @ self.rows.T - self.rhs
+        amounts[self.rows[:, nan].any(axis=1)] = np.nan
+        amounts = np.concatenate([np.maximum(amounts[:m], amounts[m:2 * m]), amounts[2 * m:]])
+        names = self.names[:m] + self.names[2 * m:]
+        return [(names[k], float(amounts[k])) for k in (~(amounts <= tol)).nonzero()[0]]
 
     def toward(self, anchor, w) -> np.ndarray:
         """The point ``anchor + s (w - anchor)`` of largest ``s`` in [0, 1] at
@@ -169,7 +176,7 @@ class RegimeModel:
         """
         w = np.zeros(self.n)
         w[self.free] = 1.0 / max(len(self.free), 1)
-        if self.violations(w, 1e-12):
+        if not np.all(self.excess(w) <= 1e-12):
             c = self.constraint
             raise InfeasibleError(f"no portfolio of {self.n} assets satisfies {c.describe()} "
                                   f"({', '.join(f'{k}={v:g}' for k, v in c._parameters().items())})")

@@ -14,10 +14,10 @@ first-order conditions to linear-algebra precision; ties are broken by
 smallest index, making the method deterministic for fixed inputs.
 
 Every call passes all constraint arrays (empty ones included) and a start
-near the answer, which may break rows: ``solve_qp`` exchanges rows between
-faces from it (``face_point`` solves each for its minimizer), and iterates
-only where rows were still leaving or a face had no point.  The loop and
-``solver``'s corner path share one ratio test, ``InequalityRows.reach``.
+near the answer that may break rows: ``solve_qp`` exchanges rows between
+faces from it (``face_point``), at least one round, and iterates only
+where rows were still leaving, a face had no point or there was no start.
+The loop and ``solver``'s corner path share one ratio test, ``reach``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
     unbounded feasible sets.  The arrays are as for ``solve_qp``.  The
     library no longer calls this: every solve starts in closed form.
     """
+    A_eq, b_eq, A_in, b_in = (np.asarray(a, dtype=float) for a in (A_eq, b_eq, A_in, b_in))
     m_eq, m_in = A_eq.shape[0], A_in.shape[0]
     x = np.zeros(n)
     if m_eq:
@@ -279,26 +280,23 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     ``face`` the multipliers and working rows of a last round that moved no
     row, whose point is then the QP's answer (else None).
 
-    A start that breaks no row and holds the equalities (to 1e-12) stays,
-    with no round.  Else the first face holds every row that ``x`` holds
-    tight or breaks, at its bound; each round moves to its face's minimizer
-    (``face_point``, one KKT solve).  Then every row the point breaks joins
-    and every working row whose multiplier is below ``solve_qp``'s ``-1e-9
-    (1 + |H x + g|)`` leaves, all at once (Judice & Pires 1994; Kim & Park
-    2011); where a general row's is, only general rows leave, since each
-    bound's multiplier is read off the stationarity that carries it.  A
-    round that does not lower the best count of broken rows plus leaving
-    rows spends one of ``_PATIENCE`` rounds, a new best restores them, and a
-    round that would move a single row spends them all; from then on rows
-    only join, so the point is feasible within one round per row.  Where
-    the first face's bounds leave an equality out of reach of the box the
-    other bound rows allow (``_within_reach``), no face near ``x`` holds a
-    point of the set, and the exchange ends without a solve.
+    Every start takes a round: the first face holds every row that ``x`` holds
+    tight or breaks, at its bound, and each round moves to its face's minimizer
+    (``face_point``, one KKT solve); a point off a working row by over 1e-9
+    scale (two bounds on one side of a variable) counts as none.  Then every
+    row the point breaks joins and every working row whose multiplier is below
+    ``solve_qp``'s ``-1e-9 (1 + |H x + g|)`` leaves, all at once (Judice &
+    Pires 1994; Kim & Park 2011); where a general row's is, only general rows
+    leave, since each bound's multiplier is read off the stationarity that
+    carries it.  A round that does not lower the best count of broken rows plus
+    leaving rows spends one of ``_PATIENCE`` rounds, a new best restores them,
+    and a round that would move a single row spends them all; from then on rows
+    only join, so the point is feasible within one round per row.  Where the
+    first face's bounds leave an equality out of reach of the box the other
+    bound rows allow (``_within_reach``), no face near ``x`` holds a point of
+    the set, and the exchange ends without a solve.
     """
-    excess = rows.dot(x) - rows.b
-    if np.all(excess <= 0.0) and np.abs(A_eq @ x - b_eq).max(initial=0.0) <= 1e-12:
-        return x, 0, None
-    working = excess >= 0.0                     # every tight or broken row, at its bound
+    working = rows.dot(x) >= rows.b             # every tight or broken row, at its bound
     if not _within_reach(A_eq, b_eq, rows, working):
         return None, 0, None
     best, patience, rounds = np.inf, _PATIENCE, 0
@@ -306,13 +304,14 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
         act = working.nonzero()[0]
         rounds += 1
         x, _, lam = face_point(H, x, A_eq, b_eq, rows, act, g=g)
-        if x is None:
+        Ax = None if x is None else rows.dot(x)
+        if x is None or np.any(np.abs(Ax - rows.b)[act] > 1e-9 * rows.scale[act]):
             return None, rounds, None
         leave = np.zeros(len(rows.b), dtype=bool)
         leave[act[lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H @ x + g).max())]] = True
         if np.any(leave & ~rows.bound):
             leave &= ~rows.bound
-        join = ~working & (rows.dot(x) > rows.b)
+        join = ~working & (Ax > rows.b)
         moves = np.count_nonzero(join) + np.count_nonzero(leave)
         if not moves:
             return x, rounds, (lam, act)
@@ -341,10 +340,10 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
     Every argument is a float array and a matrix without rows has shape
-    ``(0, n)``.  ``x0`` may break rows: the block exchange runs from it
-    (``_block_exchange``), and the solve returns where its last round moved
-    no row.  Else the active-set loop runs from the exchange's point, or
-    where a face had no point (or ``x0`` is None), from ``fallback()``, a
+    ``(0, n)``.  ``x0`` may break rows: the block exchange runs from it, at
+    least one round (``_block_exchange``), and the solve returns where its
+    last round moved no row.  Else the active-set loop runs from its point,
+    or where a face had no point (or ``x0`` is None), from ``fallback()``, a
     feasible point the caller supplies lazily (else ``x0``).  The loop's
     working set is a boolean mask over the inequality rows.  Each iteration
     solves the KKT system of the working set over the free variables

@@ -414,7 +414,8 @@ class Problem:
         ``iterations``.  Where a face holds no point of the set, the
         engine's loop starts from that point mixed toward the centre as far
         as the rows hold (``RegimeModel.toward``).  Without inequality rows
-        (c3, c5) the first point is the answer.
+        (c3, c5) the first round's face is the equalities alone, and its
+        point the answer: one KKT solve.
         """
         r = self.regime
         centre = r.to_weights(r.centre())           # raises when the set is empty
@@ -430,19 +431,30 @@ class Problem:
         target's side (``_target_qp``).
         """
         r = self.regime
-        self._mean()                                # raises without a mean
-        if not math.isfinite(target):
-            raise ValidationError(f"target return target must be finite, got {target}")
-        lo, hi = self.return_range
-        slack = 1e-9 * (1.0 + abs(target))
-        if target < lo - slack or target > hi + slack:
-            raise InfeasibleError(
-                f"target return {target:.10g} outside attainable interval "
-                f"[{lo:.10g}, {hi:.10g}]"
-            )
-        t = min(max(float(target), lo), hi)           # a float32 target would compute in float32
+        t, = self._targets([target])
         res = self._target_qp(t, r.to_weights(r.centre()))
         return self._solution(r.to_weights(res.x), res, OBJECTIVE_TARGET_RETURN, target=t)
+
+    def _targets(self, targets) -> list[float]:
+        """``targets`` as floats clipped into ``return_range``, or
+        ``ValidationError`` for the first that is not finite and
+        ``InfeasibleError`` for the first outside the range by more than
+        ``1e-9 (1 + |target|)``.  The floats come first: a float32 target
+        would round ``hi + slack`` to float32 and trace the path in float32."""
+        self._mean()                                # raises without a mean
+        t = np.asarray(targets, dtype=float)
+        bad = ~np.isfinite(t)
+        if bad.any():
+            raise ValidationError(f"target return target must be finite, got {t[bad][0]}")
+        lo, hi = self.return_range
+        slack = 1e-9 * (1.0 + np.abs(t))
+        bad = (t < lo - slack) | (t > hi + slack)
+        if bad.any():
+            raise InfeasibleError(
+                f"target return {t[bad][0]:.10g} outside attainable interval "
+                f"[{lo:.10g}, {hi:.10g}]"
+            )
+        return np.minimum(np.maximum(t, lo), hi).tolist()
 
     def _target_qp(self, t: float, anchor: np.ndarray):
         """The QP at return ``t``, its loop started at the mix of feasible weights
@@ -450,7 +462,7 @@ class Problem:
         no exchange: the mix may break a row by rounding, which would start one."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
-        v = self.vertices[int(t >= a_ret)]              # a numpy bool is no tuple index
+        v = self.vertices[t >= a_ret]
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
         A_eq, b_eq, A_in, b_in = r.system()
@@ -459,7 +471,8 @@ class Problem:
 
     def corner_path(self, targets, anchor) -> list[np.ndarray]:
         """Minimum-variance weights at each of the increasing ``targets``,
-        traced as one parametric path from feasible weights ``anchor``.
+        traced as one parametric path from feasible weights ``anchor``; each
+        target is taken as ``target_return`` takes it (``_targets``).
 
         While the working set of the return-constrained QP stays fixed, its
         solution and multipliers are affine in the target return ``t``
@@ -491,6 +504,7 @@ class Problem:
         corners has a residual of at most the larger of theirs.
         """
         r, mean, H = self.regime, self.mean, self.hessian
+        targets = self._targets(targets)
         A_eq, b_eq, A_in, b_in = r.system()
         # the return row, last, as ((mean - mid) / sigma) w = (t - mid) / sigma: the same
         # row under full investment, but not near the full-investment row's span
@@ -612,14 +626,16 @@ class Problem:
 
         The start is the free assets' tangency portfolio ``cov_solve[free,
         free]^-1 excess`` (``_free_solve``) scaled to unit excess return, where
-        it earns excess.  The fallback is the centre where that is the set's
-        only point (c2 at ``weight_bound`` times the free assets equal to one,
-        where there is no start either), else the long-only fill, or failing
-        that the highest-return vertex, scaled to unit excess return.  On a
-        bounded set (c1, c2, c4) the vertex maximizes the excess return, so
-        when it earns none there is no point: ``1'y = 0`` would force ``y =
-        0``.  On c3 and c5 the zero-investment pair long the best and short
-        the worst free asset is one, unless all their excess returns are equal.
+        it earns excess; the engine's block exchange runs from it, and in c3
+        and c5 its one round lands on the answer.  The fallback is the centre
+        where that is the set's only point (c2 at ``weight_bound`` times the
+        free assets equal to one, where there is no start either), else the
+        long-only fill, or failing that the highest-return vertex, scaled to
+        unit excess return.  On a bounded set (c1, c2, c4) the vertex
+        maximizes the excess return, so when it earns none there is no point:
+        ``1'y = 0`` would force ``y = 0``.  On c3 and c5 the zero-investment
+        pair long the best and short the worst free asset is one, unless all
+        their excess returns are equal.
         """
         r = self.regime
         only = r.box[1] * len(r.free) <= 1.0 + 1e-12     # the centre is the set's only point

@@ -58,6 +58,34 @@ def test_nan_weight_is_a_violation(regime):
     assert rep.violations[0][0] == "full_investment" and np.isnan(rep.violations[0][1])
 
 
+@pytest.mark.parametrize("regime, market_index, expected", [
+    ("c1", None, ["full_investment", "split_part[0]", "split_part[3]", "leverage_cap"]),
+    ("c2", None, ["full_investment", "weight_bound[0]", "weight_bound[0]"]),
+    ("c3", None, ["full_investment"]),
+    ("c4", None, ["full_investment", "long_only[0]"]),
+    ("c5", 0, ["full_investment", "market_excluded"]),
+])
+def test_nan_weight_marks_only_its_own_rows(regime, market_index, expected):
+    # every equality is reported once, and a NaN weight makes NaN only the
+    # rows with a nonzero coefficient on it: the dense product's 0 * NaN is
+    # no violation of a row that does not read that weight
+    rep = check_feasible([np.nan, 0.5, 0.5], ConstraintSet(regime, market_index=market_index))
+    assert [name for name, _ in rep.violations] == expected
+    assert all(np.isnan(amount) for _, amount in rep.violations)
+
+
+def test_each_equality_reported_once_in_row_order():
+    # weights summing to 0.5 miss full investment from below, and 0.1 on
+    # the market misses its exclusion from above: each equality is listed
+    # once, by how far it misses, full investment first
+    rep = check_feasible([0.1, 0.2, 0.2], ConstraintSet("c5", market_index=0), tol=1e-9)
+    assert rep.violations == (("full_investment", pytest.approx(0.5)),
+                              ("market_excluded", pytest.approx(0.1)))
+    rep = check_feasible([np.nan, 0.5, 0.5], ConstraintSet("c5", market_index=1))
+    assert [name for name, _ in rep.violations] == ["full_investment", "market_excluded"]
+    assert np.isnan(rep.violations[0][1]) and rep.violations[1][1] == 0.5
+
+
 def test_leverage_magnitude():
     rep = check_feasible([2.0, -1.0], ConstraintSet("c1"), tol=1e-9)
     assert dict(rep.violations)["leverage_cap"] == pytest.approx(1.0, abs=1e-12)

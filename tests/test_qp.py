@@ -107,9 +107,11 @@ def test_determinism_same_inputs_same_output():
 
 
 def _tie_problem():
-    # min |x - (2, 2)|^2 with x1 <= 1 and x2 <= 1: from 0 both rows block at alpha = 0.5
+    # min |x - (2, 2)|^2 with x1 <= 1 and x2 <= 1: from 0 both rows block at alpha = 0.5;
+    # the loop starts there through the fallback, as a start would be exchanged first
     return dict(H=2.0 * np.eye(2), g=np.array([-4.0, -4.0]), A_eq=np.zeros((0, 2)),
-                b_eq=np.zeros(0), A_in=np.eye(2), b_in=np.ones(2), x0=np.zeros(2))
+                b_eq=np.zeros(0), A_in=np.eye(2), b_in=np.ones(2), x0=None,
+                fallback=lambda: np.zeros(2))
 
 
 def test_iteration_cap_raises(monkeypatch):
@@ -177,7 +179,7 @@ def test_singular_kkt_and_blands_rule(monkeypatch):
         monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
         A_in=np.tile([-1.0, 0.0, 0.0], (40, 1)), b_in=np.zeros(40),
-        x0=np.array([0.0, 0.5, 0.5]))
+        x0=None, fallback=lambda: np.array([0.0, 0.5, 0.5]))
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
     assert res.iterations == 42    # 40 drops, one step, optimality
@@ -194,7 +196,7 @@ def test_dependent_general_rows_start_as_one(monkeypatch):
         monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
         A_in=np.tile([-1.0, -1.0, 0.0], (40, 1)), b_in=np.zeros(40),
-        x0=np.array([0.0, 0.0, 1.0]))
+        x0=None, fallback=lambda: np.array([0.0, 0.0, 1.0]))
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
     assert res.iterations == 4     # a step along the row, its drop, a step, optimality
@@ -269,6 +271,24 @@ def test_multipliers_certify_their_point():
         assert np.all(mu >= 0.0)
         assert np.all(np.delete(mu, res.active) == 0.0)
         assert np.abs(mu * (b_in - a_in @ res.x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order", [(0.0, 0.8), (0.8, 0.0)], ids=["tight-first", "tight-last"])
+def test_bounds_on_one_side_of_a_variable_keep_the_answer(order):
+    # x0 >= 0 and x0 >= -0.8 in a box |x_i| <= 5, sum x = 1: the start
+    # (-2, 1.5, 1.5) breaks both, so both join the first face, which can fix
+    # x0 at only one of them; a face point off a working row ends the
+    # exchange like a face without a point, and the loop runs from the
+    # fallback to the answer (0, 0.5, 0.5), where x0 >= 0 carries 9.5
+    a_in = np.vstack([-np.eye(3)[:1], -np.eye(3)[:1], np.eye(3), -np.eye(3)])
+    b_in = np.concatenate([order, np.full(6, 5.0)])
+    res = solve_qp(np.eye(3), np.array([10.0, 0.0, 0.0]), np.ones((1, 3)), np.ones(1),
+                   a_in, b_in, x0=np.array([-2.0, 1.5, 1.5]), fallback=lambda: np.full(3, 1.0 / 3))
+    assert np.allclose(res.x, [0.0, 0.5, 0.5], atol=1e-12)
+    assert np.all(a_in @ res.x <= b_in + 1e-12)
+    mu = res.in_multipliers
+    assert np.abs(mu * (b_in - a_in @ res.x)).max() <= 1e-12
+    assert np.isclose(mu[order.index(0.0)], 9.5, atol=1e-12)
 
 
 def _dense_reach(A, b, x, p, working, scale):

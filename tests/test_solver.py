@@ -552,6 +552,47 @@ def test_target_return_accepts_numpy_and_int_targets(c, target):
     assert [float(mean @ w) for w in path] == pytest.approx([float(t) for t in targets], abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [ConstraintSet("c1"), ConstraintSet("c2", weight_bound=0.6), C4],
+                         ids=["c1", "c2", "c4"])
+@pytest.mark.parametrize("kind", [np.float32, np.float64, list], ids=["float32", "float64", "list"])
+def test_corner_path_checks_its_targets_as_target_return_does(c, kind):
+    # the corner path takes each target as target_return does: its float
+    # value, clipped into the return range, and InfeasibleError past the
+    # range's 1e-9 slack (float32 targets once ran the path's event
+    # arithmetic in float32 and missed the top, and a target above the range
+    # failed its certificate, a solver failure)
+    cov, mean = np.diag([0.01, 0.02, 0.04]), np.array([-0.01, 0.005, 0.02])
+    problem = Problem.prepare(cov, c, mean=mean, rf=0.0)
+    anchor = problem.min_variance().weights
+    lo, hi = problem.return_range
+
+    def as_kind(targets):
+        return [float(t) for t in targets] if kind is list else np.asarray(targets, dtype=kind)
+
+    targets = as_kind(np.linspace(float(mean @ anchor), hi, 4))
+    path = problem.corner_path(targets, anchor)
+    assert all(w.dtype == np.float64 for w in path)
+    expected = [min(max(float(t), lo), hi) for t in targets]
+    assert [float(mean @ w) for w in path] == pytest.approx(expected, abs=1e-12)
+    for w, t in zip(path, targets):
+        assert np.abs(w - problem.target_return(t).weights).max() <= 1e-9
+    with pytest.raises(InfeasibleError, match="outside attainable interval"):
+        problem.corner_path(as_kind(np.linspace(float(mean @ anchor), hi + 0.003, 4)), anchor)
+
+
+def test_float32_target_past_the_slack_is_refused():
+    # the best asset returns just under float32(0.02): the float32 target
+    # lies 1.2e-9 above the range, past its 1.02e-9 slack, but in float32
+    # the range's top plus the slack rounds up to the target itself
+    target = np.float32(0.02)
+    mean = np.array([-0.01, 0.005, float(target) - 1.2e-9])
+    problem = Problem.prepare(np.diag([0.01, 0.02, 0.04]), C4, mean=mean, rf=0.0)
+    for call in (lambda: problem.target_return(target),
+                 lambda: problem.corner_path([0.0, target], problem.min_variance().weights)):
+        with pytest.raises(InfeasibleError, match="outside attainable interval"):
+            call()
+
+
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda: solve_objective("max_return", np.diag([0.01, 0.04]), [0.01, 0.02], 0.0, C3),
      ValidationError, "unknown objective 'max_return'"),

@@ -97,8 +97,8 @@ def test_every_start_is_feasible(monkeypatch, n, t, seed):
         assert check_feasible(r.to_weights(calls[0][-1]), c).feasible, c
         y = r.to_weights(calls[1][-1])
         assert check_feasible(y / y.sum(), c).feasible, c
-        if not len(r.system()[2]) and t > n:   # c3, c5: the start is the answer
-            assert minvar.iterations == 1, c
+        if not len(r.system()[2]):             # c3, c5: the start is the answer
+            assert minvar.iterations == sharpe.iterations == 1, c
 
 
 def _answers_match_solves_from_the_centre(cov, mean, constraints) -> None:
@@ -335,18 +335,37 @@ def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
     assert len(anchors) == len(constraints)            # one centre mix per minimum variance
 
 
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_free_regimes_take_one_kkt_solve_on_the_benchmark_universes(monkeypatch, seed):
+    # c3 and c5 have no inequality rows, so the free assets' unconstrained
+    # minimum-variance and tangency portfolios are the answers: the block
+    # exchange's one face solve lands on them and moves no row, so no
+    # engine iteration steps at rounding noise after it
+    from perfbench.universe import make_universe
+
+    u = make_universe(200, 240, seed)
+    kkt_calls = _counting_kkt(monkeypatch)
+    for c in (ConstraintSet("c3"), ConstraintSet("c5", market_index=u.market_index)):
+        problem = Problem.prepare(u.mm.cov, c, mean=u.mm.mean, rf=u.rf)
+        for solve in (problem.min_variance, problem.max_sharpe):
+            kkt_calls[0] = 0
+            sol = solve()
+            assert sol.converged and sol.iterations == kkt_calls[0] == 1, (c, solve)
+
+
 def test_a_start_off_an_equality_takes_a_face_solve():
-    # c5 has no inequality rows, so a start that breaks no row returns at once;
-    # one that breaks the market-exclusion row must take at least one face
-    # solve, which lands on the equalities and, without inequality rows, on
-    # the answer; the same holds off the unit-excess row of maximum Sharpe
+    # c5 has no inequality rows, so a start that breaks no row takes one face
+    # solve, which lands back on it; one that breaks the market-exclusion row
+    # must take at least one face solve, which lands on the equalities and,
+    # without inequality rows, on the answer; the same holds off the
+    # unit-excess row of maximum Sharpe
     cov, mean, mi = _universe(20, 120, 1)
     problem = Problem.prepare(cov, ConstraintSet("c5", market_index=mi), mean=mean, rf=RF)
     r, H = problem.regime, problem.hessian
     A_eq, b_eq, A_in, b_in = r.system()
     answer = problem.min_variance().weights
     x, rounds = _exchange(H, answer.copy(), A_eq, b_eq, A_in, b_in)
-    assert rounds == 0 and np.array_equal(x, answer)
+    assert rounds == 1 and np.abs(x - answer).max() <= 1e-12
     w = np.linalg.solve(problem.cov_solve, np.ones(20))
     w /= w.sum()
     assert abs(w[mi]) > 1e-3                        # off the market-exclusion row
