@@ -250,7 +250,7 @@ def regime_model(c: ConstraintSet, n: int) -> RegimeModel:
     elif c.regime == "c2":
         A_in = np.vstack([np.eye(n), -np.eye(n)])
         b_in = np.full(2 * n, c.weight_bound)
-        in_names = [f"weight_bound[{i}]" for i in range(n)] * 2
+        in_names = [f"weight_{side}[{i}]" for side in ("upper", "lower") for i in range(n)]
         box = (-c.weight_bound, c.weight_bound)
     elif c.regime == "c4":
         A_in, b_in = -np.eye(n), np.zeros(n)

@@ -131,47 +131,33 @@ class InequalityRows:
 
 
 def _independent_start(working, A_eq, rows: InequalityRows) -> None:
-    """Drop from the boolean mask ``working`` the general rows that depend on
+    """Clear from the boolean mask ``working`` the general rows that depend on
     the others, so that the first KKT system is regular.
 
-    Working bounds only fix their variables (``reduced_kkt``), so only the
-    working general rows can make the system singular: in index order, each
-    stays when over the free variables it is independent of the equalities
-    and of the rows kept before it.  The usual case, all of them plainly
-    independent, needs no rank test: the Cholesky factor ``L`` of the rows'
-    Gram matrix ``G`` bounds their squared condition number by
-    ``trace(G) |L^-1|_F^2``, and below 1e12 that is far inside the rank
-    tolerance of ``matrix_rank``.
+    Working bounds only fix their variables (``reduced_kkt``), so one sweep in
+    index order over the equalities, then the working general rows, over the
+    free variables, projects each row twice off the orthonormal rows kept
+    before it (classical Gram-Schmidt run twice: Giraud, Langou & Rozloznik
+    2005).  A row whose remainder exceeds ``1e3 max(m, n) eps`` times its norm
+    (``m`` rows, ``n`` variables) is kept; a general row not kept leaves the mask.
     """
     general = (working & ~rows.bound).nonzero()[0]
     if not general.size:
         return
     free = np.ones(rows.A.shape[1], dtype=bool)
     free[rows.var[working & rows.bound]] = False
-    kept = A_eq[:, free]
-    system = np.vstack([kept, rows.A[general][:, free]])
-    gram = system @ system.T
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN fails the test
-            inverse = np.linalg.inv(np.linalg.cholesky(gram))
-            plain = np.trace(gram) * (inverse * inverse).sum() < 1e12
-    except np.linalg.LinAlgError:
-        plain = False
-    if plain or _rank(system) == len(system):
-        return
-    rank = _rank(kept)
-    for j in general:
-        trial = np.vstack([kept, rows.A[j, free]])
-        if _rank(trial) > rank:
-            kept, rank = trial, rank + 1
-        else:
-            working[j] = False
-
-
-def _rank(M) -> int:
-    """``np.linalg.matrix_rank``, and 0 for an empty matrix (numpy 1.x's
-    takes the maximum of an empty spectrum there and raises)."""
-    return int(np.linalg.matrix_rank(M)) if M.size else 0
+    system = np.vstack([A_eq[:, free], rows.A[general][:, free]])
+    tol = 1e3 * max(system.shape) * np.finfo(float).eps
+    Q, k = np.empty_like(system), 0             # the orthonormal rows kept, Q[:k]
+    for i, r in enumerate(system):
+        v = r - Q[:k].T @ (Q[:k] @ r)
+        v -= Q[:k].T @ (Q[:k] @ v)
+        norm = np.linalg.norm(v)
+        if norm > tol * np.linalg.norm(r):
+            Q[k] = v / norm
+            k += 1
+        elif i >= len(A_eq):
+            working[general[i - len(A_eq)]] = False
 
 
 def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
@@ -261,8 +247,11 @@ def _within_reach(A_eq, b_eq, rows: InequalityRows, working) -> bool:
     """Whether every equality row can hold with the working bounds fixing
     their variables and the other bound rows boxing theirs (to 1e-12): each
     row's least and greatest value over that box must bracket its
-    right-hand side."""
+    right-hand side.  Without bound rows only an all-zero row could miss,
+    and ``face_point`` finds that face without a point."""
     k = rows.bound.nonzero()[0]
+    if not k.size:
+        return True
     at, upper, fixed = rows.b[k] / rows.coef[k], rows.coef[k] > 0.0, working[k]
     lo, hi = np.full(A_eq.shape[1], -np.inf), np.full(A_eq.shape[1], np.inf)
     np.maximum.at(lo, rows.var[k[~upper]], at[~upper])

@@ -60,7 +60,7 @@ def test_nan_weight_is_a_violation(regime):
 
 @pytest.mark.parametrize("regime, market_index, expected", [
     ("c1", None, ["full_investment", "split_part[0]", "split_part[3]", "leverage_cap"]),
-    ("c2", None, ["full_investment", "weight_bound[0]", "weight_bound[0]"]),
+    ("c2", None, ["full_investment", "weight_upper[0]", "weight_lower[0]"]),
     ("c3", None, ["full_investment"]),
     ("c4", None, ["full_investment", "long_only[0]"]),
     ("c5", 0, ["full_investment", "market_excluded"]),
@@ -93,9 +93,13 @@ def test_leverage_magnitude():
 
 def test_box_and_market_exclusion():
     rep = check_feasible([1.4, -0.4], ConstraintSet("c2"), tol=1e-6)
-    assert ("weight_bound[0]", pytest.approx(0.4)) in [
+    assert ("weight_upper[0]", pytest.approx(0.4)) in [
         (n, pytest.approx(v)) for n, v in rep.violations
     ]
+    # each side of a box is named apart: -1.4 breaks the lower bound
+    rep = check_feasible([2.4, -1.4], ConstraintSet("c2"), tol=1e-6)
+    assert [(n, pytest.approx(v)) for n, v in rep.violations] == [
+        ("weight_upper[0]", pytest.approx(1.4)), ("weight_lower[1]", pytest.approx(0.4))]
     rep = check_feasible([0.9, 0.1], ConstraintSet("c5", market_index=1), tol=1e-6)
     assert dict(rep.violations)["market_excluded"] == pytest.approx(0.1)
 

@@ -208,26 +208,118 @@ def test_plainly_independent_start_rows_take_no_rank_test(monkeypatch, markets):
     # on the bundled MM data, the engine loop of c1 maximum Sharpe starts
     # from the block exchange's point with the leverage row working, and at
     # weight_bound 0.2 that of c2 maximum Sharpe with five homogenized box
-    # rows: the Cholesky factor of the rows' Gram matrix shows them
-    # independent of the equalities, so no rank test (an SVD) runs
-    ranks, general = [0], []
-    rank, start = portopt.qp._rank, portopt.qp._independent_start
+    # rows; the independence sweep takes no SVD there, nor where all N
+    # homogenized rows of c2 at 1/N start working (N = 100)
+    from perfbench.universe import make_universe
 
-    def counting(M):
-        ranks[0] += 1
-        return rank(M)
+    svds, general = [0], []
+    start = portopt.qp._independent_start
 
     def recording(working, A_eq, rows):
         general.append(int(np.count_nonzero(working & ~rows.bound)))
         return start(working, A_eq, rows)
 
-    monkeypatch.setattr(portopt.qp, "_rank", counting)
+    def counting(f):
+        def call(*args, **kwargs):
+            svds[0] += 1
+            return f(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(portopt.qp, "_independent_start", recording)
+    for name in ("svd", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     cov, mean, rf, _ = markets["bundled-mm"]
     for c in (ConstraintSet("c1"), ConstraintSet("c2", weight_bound=0.2)):
         assert solve_max_sharpe(cov, mean, rf, c).converged
     assert general == [1, 5]
-    assert ranks[0] == 0
+    u = make_universe(100, 240, 1)
+    assert solve_max_sharpe(u.mm.cov, u.mm.mean, u.rf,
+                            ConstraintSet("c2", weight_bound=0.01)).converged
+    assert general[2:] == [100]
+    assert svds[0] == 0
+
+
+def _reference_start(working, A_eq, A_in):
+    """The greedy rank test, as the oracle of ``_independent_start``: in
+    index order, a working general row stays when, over the variables no
+    working bound fixes, it raises the rank of the equalities and of the
+    rows kept before it (one SVD per row)."""
+    def rank(M):
+        return int(np.linalg.matrix_rank(M)) if M.size else 0
+
+    nonzero = A_in != 0.0
+    bound = nonzero.sum(axis=1) == 1
+    free = ~nonzero[working & bound].any(axis=0)
+    kept = A_eq[:, free]
+    for j in (working & ~bound).nonzero()[0]:
+        trial = np.vstack([kept, A_in[j, free]])
+        if rank(trial) > rank(kept):
+            kept = trial
+        else:
+            working[j] = False
+
+
+def _start_systems():
+    """Seeded ``(A_eq, A_in, working)`` systems whose rows are dependent
+    exactly or independent by a clear margin."""
+    rng = np.random.default_rng(27)
+    for _ in range(6):
+        n = int(rng.integers(4, 12))
+        # duplicated rows and scaled copies, with a working bound on x0
+        base = rng.standard_normal((3, n))
+        A_in = np.vstack([base[0], np.eye(n)[0], base[1], -2.5 * base[0], base[0],
+                          base[2], 1e3 * base[1], 1e-3 * base[2]])
+        yield np.ones((1, n)), A_in, np.ones(len(A_in), dtype=bool)
+        # rows that sum to zero: c2's homogenized boxes y_i - 1'y / n <= 0
+        # at weight bound 1/n, under a unit-excess row
+        yield (rng.standard_normal((1, n)), np.eye(n) - 1.0 / n,
+               np.ones(n, dtype=bool))
+        # rows in the span of the equalities, a zero row, rows that differ
+        # only on a variable a working bound fixes, and a row off the mask
+        A_eq = rng.standard_normal((2, n))
+        r = rng.standard_normal(n)
+        shifted = r.copy()
+        shifted[1] += 3.0
+        A_in = np.vstack([rng.standard_normal(2) @ A_eq, np.zeros(n), r,
+                          -np.eye(n)[1], shifted, 4.0 * A_eq[1] - A_eq[0], r + A_eq[0]])
+        working = np.ones(len(A_in), dtype=bool)
+        working[-1] = False
+        yield A_eq, A_in, working
+        # no equalities at all
+        A_in = rng.standard_normal((n + 2, n))
+        A_in[3] = A_in[0] - 2.0 * A_in[1]
+        yield np.zeros((0, n)), A_in, np.ones(n + 2, dtype=bool)
+        # rows independent of those before them by 1e-6 relative, or
+        # dependent exactly, at row scales from 1e-3 to 1e3
+        m = n - 1
+        A_eq = rng.standard_normal((1, n))
+        A_in = rng.standard_normal((m, n))
+        for j in range(1, m):
+            span = np.vstack([A_eq, A_in[:j]])
+            combo = rng.standard_normal(len(span)) @ span
+            if rng.random() < 0.5:
+                q, _ = np.linalg.qr(span.T)
+                z = rng.standard_normal(n)
+                z -= q @ (q.T @ z)
+                combo += 1e-6 * np.linalg.norm(combo) * z / np.linalg.norm(z)
+            A_in[j] = combo
+        A_in *= 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+        yield A_eq, A_in, np.ones(m, dtype=bool)
+
+
+def test_independent_start_keeps_the_rows_the_rank_test_keeps():
+    # the one-sweep independence test and the greedy rank test give the same
+    # mask wherever the rows are dependent exactly or independent clearly,
+    # and each of the five kinds of system has rows cleared
+    cleared = np.zeros(5, dtype=int)
+    for i, (A_eq, A_in, working) in enumerate(_start_systems()):
+        expected = working.copy()
+        _reference_start(expected, A_eq, A_in)
+        got = working.copy()
+        portopt.qp._independent_start(got, A_eq, InequalityRows(A_in, np.zeros(len(A_in))))
+        assert np.array_equal(got, expected), (A_eq, A_in)
+        cleared[i % 5] += np.count_nonzero(working & ~got)
+    assert cleared.all()
 
 
 def test_max_sharpe_at_a_one_point_set_terminates():
