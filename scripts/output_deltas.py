@@ -8,9 +8,11 @@ two ``scripts/output_digests.py`` runs (one per version).  Files identical
 byte for byte are not listed.  For every other file it prints, tab
 separated:
 
-* ``<path>  floats  <max |a - b|>  <changed>/<compared>`` for a JSON or CSV
-  file: the largest absolute change over the numbers that are floats on
-  either side, and how many of them changed;
+* ``<path>  floats  <max |a - b|>  <changed>/<compared>  <fields>`` for a
+  JSON or CSV file: the largest absolute change over the numbers that are
+  floats on either side, how many of them changed, and the fields they
+  changed in, in order of first change: CSV column headers, or JSON key
+  paths with list indices written as ``[]`` (``cells[].solution.kkt_residual``);
 * ``<path>  <where>  <a> -> <b>`` for each change that is not a float
   change: an integer such as ``iterations``, a string, a missing key or
   row, a NaN on one side only.  ``<where>`` is a JSON path
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -50,9 +53,10 @@ class _Deltas:
         self.compared = 0
         self.changed = 0
         self.largest = 0.0
+        self.fields: dict[str, None] = {}    # the fields of the changed floats, in order
         self.other: list[tuple[str, object, object]] = []
 
-    def value(self, where: str, a, b) -> None:
+    def value(self, where: str, field: str, a, b) -> None:
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
         if numbers and (isinstance(a, float) or isinstance(b, float)):
             if math.isfinite(a) and math.isfinite(b):
@@ -60,6 +64,7 @@ class _Deltas:
                 if a != b:
                     self.changed += 1
                     self.largest = max(self.largest, abs(a - b))
+                    self.fields[field] = None
                 return
             if a == b or (math.isnan(a) and math.isnan(b)):
                 return
@@ -76,7 +81,7 @@ class _Deltas:
                 self.json(f"{where}[{i}]", a[i] if i < len(a) else _ABSENT,
                           b[i] if i < len(b) else _ABSENT)
         else:
-            self.value(where, a, b)
+            self.value(where, re.sub(r"\[\d+\]", "[]", where), a, b)
 
     def csv(self, a: list[list[str]], b: list[list[str]]) -> None:
         header = a[0] if a else []
@@ -86,17 +91,19 @@ class _Deltas:
             for j in range(max(len(row_a), len(row_b))):
                 cell_a = row_a[j] if j < len(row_a) else _ABSENT
                 cell_b = row_b[j] if j < len(row_b) else _ABSENT
-                where = f"row {i + 1} {header[j] if j < len(header) else f'column {j + 1}'}"
+                field = header[j] if j < len(header) else f"column {j + 1}"
+                where = f"row {i + 1} {field}"
                 num_a, num_b = _number(cell_a), _number(cell_b)
                 if num_a is None or num_b is None:
-                    self.value(where, cell_a, cell_b)
+                    self.value(where, field, cell_a, cell_b)
                 else:
-                    self.value(where, num_a, num_b)
+                    self.value(where, field, num_a, num_b)
 
     def lines(self, path: str) -> list[str]:
         out = []
         if self.compared:
-            out.append(f"{path}\tfloats\t{self.largest:.3g}\t{self.changed}/{self.compared}")
+            out.append(f"{path}\tfloats\t{self.largest:.3g}\t{self.changed}/{self.compared}"
+                       f"\t{', '.join(self.fields)}")
         out += [f"{path}\t{where}\t{a!r} -> {b!r}" for where, a, b in self.other]
         return out
 

@@ -76,9 +76,9 @@ class ConstraintSet:
 class RegimeModel:
     """One regime on ``n`` assets, every row over the solve variables.
 
-    ``rows @ x <= rhs`` holds each equality twice, as ``a.x <= b`` and
-    ``-a.x <= -b``, then the inequalities; row 0 is full investment.  The
-    arrays are read-only and shared.
+    ``rows`` and ``rhs`` hold each row once: the ``m_eq`` equalities
+    ``a.x = b``, then the inequalities ``a.x <= b``; row 0 is full
+    investment.  The arrays are read-only and shared.
     """
 
     constraint: ConstraintSet
@@ -96,7 +96,7 @@ class RegimeModel:
     def system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(A_eq, b_eq, A_in, b_in)``, each equality once."""
         m = self.m_eq
-        return self.rows[:m], self.rhs[:m], self.rows[2 * m:], self.rhs[2 * m:]
+        return self.rows[:m], self.rhs[:m], self.rows[m:], self.rhs[m:]
 
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Rows over the weights as rows over the solve variables."""
@@ -113,8 +113,12 @@ class RegimeModel:
         return w
 
     def excess(self, w) -> np.ndarray:
-        """How far weights ``w`` (one portfolio, or one per row) exceed each row."""
-        return self.to_solve(w) @ self.rows.T - self.rhs
+        """How far weights ``w`` (one portfolio, or one per row) miss each
+        row: ``|a.x - b|`` for an equality, ``a.x - b`` for an inequality
+        (negative where it holds with room)."""
+        e = self.to_solve(w) @ self.rows.T - self.rhs
+        np.abs(e[..., :self.m_eq], out=e[..., :self.m_eq])
+        return e
 
     def holds(self, w, tol: float) -> np.ndarray:
         """Whether the inequality rows hold within ``tol`` at weights ``w``
@@ -123,19 +127,14 @@ class RegimeModel:
         ``sum |w_i| <= leverage_cap``: no product with the split rows."""
         if self.split:
             return np.abs(w).sum(axis=-1) - self.constraint.leverage_cap <= tol
-        return np.all(self.excess(w)[..., 2 * self.m_eq:] <= tol, axis=-1)
+        return np.all(self.excess(w)[..., self.m_eq:] <= tol, axis=-1)
 
     def violations(self, w: np.ndarray, tol: float) -> list[tuple[str, float]]:
-        """Every row not within ``tol`` of holding, in row order, each equality
-        once (by how far it misses); NaN on exactly the rows with a nonzero
-        coefficient on a NaN weight."""
-        x, m = self.to_solve(w), self.m_eq
-        nan = np.isnan(x)
-        amounts = np.where(nan, 0.0, x) @ self.rows.T - self.rhs
-        amounts[self.rows[:, nan].any(axis=1)] = np.nan
-        amounts = np.concatenate([np.maximum(amounts[:m], amounts[m:2 * m]), amounts[2 * m:]])
-        names = self.names[:m] + self.names[2 * m:]
-        return [(names[k], float(amounts[k])) for k in (~(amounts <= tol)).nonzero()[0]]
+        """Every row whose ``excess`` is not within ``tol``, in row order; NaN
+        on exactly the rows with a nonzero coefficient on a NaN weight."""
+        amounts = self.excess(np.where(np.isnan(w), 0.0, w))
+        amounts[self.rows[:, np.isnan(self.to_solve(w))].any(axis=1)] = np.nan
+        return [(self.names[k], float(amounts[k])) for k in (~(amounts <= tol)).nonzero()[0]]
 
     def toward(self, anchor, w) -> np.ndarray:
         """The point ``anchor + s (w - anchor)`` of largest ``s`` in [0, 1] at
@@ -260,14 +259,12 @@ def regime_model(c: ConstraintSet, n: int) -> RegimeModel:
         A_in, b_in, in_names = np.zeros((0, n)), np.zeros(0), []
 
     A_eq = np.vstack(eq_rows)
-    A_eq = np.hstack([A_eq, -A_eq]) if split else A_eq
-    b_eq = np.array(b_eq)
-    rows = np.vstack([A_eq, -A_eq, A_in])
-    rhs = np.concatenate([b_eq, -b_eq, b_in])
+    rows = np.vstack([np.hstack([A_eq, -A_eq]) if split else A_eq, A_in])
+    rhs = np.concatenate([b_eq, b_in])
     for a in (rows, rhs, free, pinned):
         a.setflags(write=False)
     return RegimeModel(
-        constraint=c, n=n, rows=rows, rhs=rhs, names=tuple(eq_names * 2 + in_names),
+        constraint=c, n=n, rows=rows, rhs=rhs, names=tuple(eq_names + in_names),
         m_eq=len(b_eq), split=split, free=free, pinned=pinned, box=box,
         bounded=c.regime in ("c1", "c2", "c4"),
     )

@@ -244,11 +244,11 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
             raise ValidationError("target-return KKT check requires the mean vector")
         eq = np.vstack([eq, regime.lift(mean)])
     if excess is None:
-        excess = regime.excess(w)          # on the inequality rows, minus the slack
+        excess = regime.excess(w)          # on every row; an inequality's is minus its slack
     primal = excess.max(initial=0.0)
     if target is not None:
         primal = max(primal, abs(float(mean @ w) - target))
-    slacks = -excess[2 * regime.m_eq:]
+    slacks = -excess[regime.m_eq:]
     grad = regime.lift(2.0 * (cov @ w))
     if multipliers is not None:
         lam, mu = (np.asarray(m, dtype=float) for m in multipliers)

@@ -35,6 +35,34 @@ def random_monthly_cov(rng, n: int) -> np.ndarray:
     return loadings @ loadings.T + np.diag(rng.uniform(2e-4, 2e-3, n))
 
 
+def _small_universes():
+    """(label, cov, mean, rf) of seeded N <= 6 universes: plain, with the
+    first asset duplicated in the last, and with near-zero excess returns."""
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        n = 4 + seed % 3
+        cov, mean = random_monthly_cov(rng, n), rng.normal(0.01, 0.02, n)
+        yield f"plain-{seed}", cov, mean, -0.1
+        dup, dup_mean = cov.copy(), mean.copy()
+        dup[:, -1], dup_mean[-1] = dup[:, 0], mean[0]
+        dup[-1] = dup[0]
+        yield f"duplicate-{seed}", dup, dup_mean, -0.1
+        yield f"near-zero-{seed}", cov, 0.002 + 1e-6 * rng.standard_normal(n), 0.002
+
+
+def small_cases():
+    """``pytest.param(cov, mean, rf, c)`` of the small universes under wide
+    and tight c1 and c2 bounds and under c4."""
+    for label, cov, mean, rf in _small_universes():
+        n = len(mean)
+        # weight_bound = 1/N leaves the single point of equal weights
+        for c in (ConstraintSet("c1"), ConstraintSet("c1", leverage_cap=1.0), ConstraintSet("c2"),
+                  ConstraintSet("c2", weight_bound=1.5 / n), ConstraintSet("c4"),
+                  ConstraintSet("c2", weight_bound=1.0 / n)):
+            yield pytest.param(cov, mean, rf, c,
+                               id=f"{label}-{c.regime}-{c.leverage_cap:g}-{c.weight_bound:.3g}")
+
+
 def make_table(returns, market_ticker="MKT", start=(2015, 1)) -> MonthlyReturnTable:
     """Wrap a (T, N) return array in a table; market is the last column."""
     r = np.asarray(returns, dtype=float)

@@ -66,7 +66,7 @@ def reference_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int):
         return rng.dirichlet(np.ones(n_assets), size=count), []
 
     def holds(w, tol):
-        return np.all(regime.excess(w)[2 * regime.m_eq:] <= tol)
+        return np.all(regime.excess(w)[regime.m_eq:] <= tol)
 
     def normalized():
         for _ in range(10000):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import constraint_for
 from portopt import ConstraintSet, ValidationError, check_feasible
+from portopt.constraints import REGIMES, regime_model
 from reference_rows import BOUND_HIT_LONG, MARKET, ROWS
 
 
@@ -142,3 +144,25 @@ def test_reference_market_exclusion_rows():
 def test_all_reference_rows_sum_to_one():
     for row in ROWS:
         assert abs(sum(row.weights) - 1.0) < 5e-7, (row.regime, row.model, row.objective)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_each_row_is_held_once(regime):
+    # an equality is one row, not a pair a.x <= b, -a.x <= -b: its excess
+    # is how far a portfolio misses it from either side, and check_feasible
+    # lists it once; the split's own rows never show for a weight vector
+    c = constraint_for(regime, 4)
+    r = regime_model(c, 5)
+    _, _, _, b_in = r.system()
+    assert len(r.rows) == len(r.rhs) == len(r.names) == r.m_eq + len(b_in)
+    assert len(set(r.names)) == len(r.names) and r.names[0] == "full_investment"
+    w = np.array([0.6, -0.2, 0.3, 0.3, 0.0])
+    for total in (1.3, 0.7):
+        assert r.excess(total * w)[0] == pytest.approx(0.3, abs=1e-12)
+        rep = check_feasible(total * w, c, tol=1e-9)
+        amounts = [amount for name, amount in rep.violations if name == "full_investment"]
+        assert amounts == [pytest.approx(0.3, abs=1e-12)]
+    if regime == "c1":
+        for v in (1.3 * w, 0.7 * w, w, np.array([2.0, -1.5, 0.5, 0.0, 0.0])):
+            assert not any(name.startswith("split_part") for name, _ in
+                           check_feasible(v, c, tol=1e-9).violations)

@@ -10,6 +10,7 @@ from conftest import (
     fail_certificate,
     make_table,
     random_monthly_cov,
+    small_cases,
 )
 from portopt import (
     ConstraintSet,
@@ -323,32 +324,6 @@ def test_bundled_frontier_corner_counts(monkeypatch, markets):
             assert path == [corners, 2], (regime, label)
 
 
-def _small_universes():
-    """(label, cov, mean, rf) of seeded N <= 6 universes: plain, with the
-    first asset duplicated in the last, and with near-zero excess returns."""
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        n = 4 + seed % 3
-        cov, mean = random_monthly_cov(rng, n), rng.normal(0.01, 0.02, n)
-        yield f"plain-{seed}", cov, mean, -0.1
-        dup, dup_mean = cov.copy(), mean.copy()
-        dup[:, -1], dup_mean[-1] = dup[:, 0], mean[0]
-        dup[-1] = dup[0]
-        yield f"duplicate-{seed}", dup, dup_mean, -0.1
-        yield f"near-zero-{seed}", cov, 0.002 + 1e-6 * rng.standard_normal(n), 0.002
-
-
-def _small_cases():
-    for label, cov, mean, rf in _small_universes():
-        n = len(mean)
-        # weight_bound = 1/N leaves the single point of equal weights
-        for c in (ConstraintSet("c1"), ConstraintSet("c1", leverage_cap=1.0), ConstraintSet("c2"),
-                  ConstraintSet("c2", weight_bound=1.5 / n), ConstraintSet("c4"),
-                  ConstraintSet("c2", weight_bound=1.0 / n)):
-            yield pytest.param(cov, mean, rf, c,
-                               id=f"{label}-{c.regime}-{c.leverage_cap:g}-{c.weight_bound:.3g}")
-
-
 def _assert_matches_cold_solves(curve, cov, mean, c, grid):
     mu0, tangency = curve.min_variance.stats.ret, curve.tangency.stats.ret
     best = float(mean @ regime_model(c, len(mean)).vertex(mean, highest=True))
@@ -365,7 +340,7 @@ def _assert_matches_cold_solves(curve, cov, mean, c, grid):
         assert ret == pytest.approx(sol.stats.ret, rel=1e-10, abs=1e-15), t
 
 
-@pytest.mark.parametrize("cov, mean, rf, c", list(_small_cases()))
+@pytest.mark.parametrize("cov, mean, rf, c", list(small_cases()))
 def test_small_universe_path_matches_cold_solves(cov, mean, rf, c):
     # a duplicated asset, the tight bounds and near-zero excess returns: every
     # path point is the cold solve at its target.  Where equal weights are the

@@ -40,16 +40,30 @@ def test_listing_of_two_small_trees(tmp_path, capsys):
     assert _script().main([str(a), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "compare/comparison.csv\tfloats\t2e-17\t1/2",
+        "compare/comparison.csv\tfloats\t2e-17\t1/2\tkkt_residual",
         "compare/comparison.csv\trow 2 iterations\t9 -> 4",
         "frontier/plot.svg\tbytes differ",
         "new.txt\tonly in B",
         "old.txt\tonly in A",
-        "solve/solution.json\tfloats\t8.88e-16\t3/3",
+        "solve/solution.json\tfloats\t8.88e-16\t3/3\tweights.A, weights.B, kkt_residual",
         "solve/solution.json\titerations\t9 -> 2",
         "solve/solution.json\tcells[0].error\tNone -> 'failed'",
         "solve/solution.json\tcells[1]\t'<absent>' -> {}",
         "6 files, 1 identical",
+    ]
+
+
+def test_float_fields_name_list_entries_once(tmp_path, capsys):
+    # a float that moved in several entries of a list is one field, its
+    # indices written as []; a float that moved nowhere is no field
+    cells = [{"solution": {"kkt_residual": r, "stdev": 0.5}} for r in (1e-16, 2e-16)]
+    moved = [{"solution": {"kkt_residual": r, "stdev": 0.5}} for r in (5e-19, 4e-16)]
+    a = _tree(tmp_path / "a", {"comparison.json": {"cells": cells}})
+    b = _tree(tmp_path / "b", {"comparison.json": {"cells": moved}})
+    assert _script().main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "comparison.json\tfloats\t2e-16\t2/4\tcells[].solution.kkt_residual",
+        "1 files, 0 identical",
     ]
 
 
