@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""In-process A/B timing of the frontier-grid curve set on two source trees.
+
+Usage: python scripts/frontier_ab.py BASE_SRC HEAD_SRC [--rounds N] [--seed S]
+
+BASE_SRC and HEAD_SRC are two ``src`` directories, each holding a
+``portopt`` package.  Both packages are loaded into this one process under
+their own module names, and one pass traces the curves the benchmark's
+``frontier-grid`` workload traces: ``trace_frontier(grid=100)`` of the
+bundled data under both models and of the seeded N = 50 universe
+(``perfbench.universe.make_universe(50, 128, seed)``), in each regime c1-c5.
+
+The process is pinned to one CPU and runs one BLAS thread.  After one
+untimed pass per side, each round times one base and one head pass, the
+side that goes first alternating.  Machine speed drifts between fresh
+processes far more than between two passes a few milliseconds apart, so the
+ratio of each round's pair is steady where single timings are not.  It
+prints each side's median pass time, the median of the rounds' head/base
+time ratios with its quartiles, and whether every curve's points are
+bit-identical between the two trees.  The exit code is 0 unless a tree
+fails to load or a trace raises; a slower head or a moved point is reported,
+not failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+REGIMES = ("c1", "c2", "c3", "c4", "c5")
+GRID = 100
+UNIVERSE = (50, 128)        # (N, T) of the frontier-grid universe
+
+
+def _load(src: Path, name: str):
+    """The ``portopt`` package under ``src``, imported as module ``name``."""
+    init = src / "portopt" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no portopt package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module              # the package imports its modules relatively
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unload(name: str) -> None:
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+
+
+def _markets(po, seed: int):
+    """``(cov, mean, rf, market index, model)`` of each frontier-grid market,
+    estimated with the package ``po``."""
+    from perfbench.universe import make_universe
+
+    daily = po.parse_price_table((ROOT / "data/synthetic_prices.csv").read_text("utf-8"), "MKT")
+    table = po.compute_monthly_returns(po.select_bom(daily))
+    rf = po.average_risk_free(po.parse_riskfree_table(
+        (ROOT / "data/synthetic_riskfree.csv").read_text("utf-8")))
+    mm, im = po.markowitz_estimates(table), po.index_model_estimates(table, rf=rf)
+    mi = table.market_position
+    u = make_universe(*UNIVERSE, seed)
+    return [(mm.cov, mm.mean, rf, mi, "MM"),
+            (po.im_covariance(im), im.expected_returns(), rf, mi, "IM"),
+            (u.mm.cov, u.mm.mean, u.rf, u.market_index, "MM")]
+
+
+def _pass(po, markets) -> tuple[float, list[bytes]]:
+    """Seconds to trace every curve, and each curve's points as bytes."""
+    gc.collect()
+    curves = []
+    start = time.perf_counter()
+    for regime in REGIMES:
+        for cov, mean, rf, mi, model in markets:
+            c = po.ConstraintSet(regime, market_index=mi if regime == "c5" else None)
+            curves.append(po.trace_frontier(cov, mean, rf, c, grid=GRID, model=model))
+    elapsed = time.perf_counter() - start
+    return elapsed, [np.array(curve.points).tobytes() for curve in curves]
+
+
+def _quartiles(values) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_src", type=Path)
+    parser.add_argument("head_src", type=Path)
+    parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if str(ROOT) not in sys.path:           # perfbench, from this checkout
+        sys.path.append(str(ROOT))
+    names = {side: f"_frontier_ab_{side}" for side in ("base", "head")}
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    bare = "portopt" not in sys.modules     # perfbench.universe imports ``portopt``
+    try:
+        if affinity:
+            os.sched_setaffinity(0, {min(affinity)})
+        trees = {side: _load(getattr(args, f"{side}_src").resolve(), name)
+                 for side, name in names.items()}
+        if bare:
+            sys.modules["portopt"] = trees["head"]
+        markets = _markets(trees["head"], args.seed)
+        points = {side: _pass(po, markets)[1] for side, po in trees.items()}   # untimed
+        times = {"base": [], "head": []}
+        for k in range(args.rounds):
+            for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
+                elapsed, pts = _pass(trees[side], markets)
+                times[side].append(elapsed)
+                if pts != points[side]:
+                    raise SystemExit(f"{side}: a pass traced other points than the first")
+    finally:
+        if affinity:
+            os.sched_setaffinity(0, affinity)
+        for name in (*names.values(), *(("portopt",) if bare else ())):
+            _unload(name)
+    ratios = [h / b for b, h in zip(times["base"], times["head"])]
+    q1, med, q3 = _quartiles(ratios)
+    moved = sum(a != b for a, b in zip(points["base"], points["head"]))
+    print(f"curves per pass: {len(points['base'])} (seed {args.seed}, {args.rounds} rounds)")
+    for side in ("base", "head"):
+        print(f"{side}: median pass {1e3 * statistics.median(times[side]):.1f} ms"
+              f"  ({getattr(args, f'{side}_src')})")
+    print(f"head/base time ratio: median {med:.3f}  quartiles {q1:.3f} - {q3:.3f}")
+    print("points bit-identical: " + ("yes" if not moved else f"no, {moved} curves differ"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

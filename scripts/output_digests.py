@@ -15,7 +15,12 @@ It then writes ``to_json_dict()`` of the minimum-variance and the
 maximum-Sharpe solution in each regime c1-c5 on the benchmark's seeded
 N = 200 universe (``perfbench.universe.make_universe(200, 240, 1)``) to
 ``large-n/<regime>_<objective>.json``: the bundled data has N = 11, and
-these ten cells run the engine's large-N path.
+these ten cells run the engine's large-N path.  Last, it writes the five
+grid-100 frontiers of the benchmark's frontier universe
+(``make_universe(50, 128, 1)``, c5 at its market index) to
+``frontier-n50/<regime>.json``, each the curve's points and both anchors'
+``to_json_dict()``: the points are exact floats, so any change to the
+corner path's arithmetic shows.
 
 It prints ``sha256  path`` for every file written and for each command's
 captured stdout, stderr and exit code (``<stdout>``, ``<stderr>``,
@@ -52,10 +57,16 @@ COMMANDS = (
     + [("compare", ["compare"])]
 )
 LARGE_N = (200, 240, 1)     # (N, T, seed) of the benchmark universe of the large-N cells
+FRONTIER_N = (50, 128, 1)   # (N, T, seed) of the benchmark universe of the frontier cells
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _write_json(path: Path, data: dict) -> Path:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def _large_n_cells(outdir: Path) -> list[Path]:
@@ -71,10 +82,27 @@ def _large_n_cells(outdir: Path) -> list[Path]:
         c = ConstraintSet(regime, market_index=u.market_index if regime == "c5" else None)
         for objective, sol in (("min_variance", solve_min_variance(cov, c, mean=mean, rf=u.rf)),
                                ("max_sharpe", solve_max_sharpe(cov, mean, u.rf, c))):
-            path = outdir / f"{regime}_{objective}.json"
-            path.write_text(json.dumps(sol.to_json_dict(u.table.tickers), indent=2,
-                                       sort_keys=True) + "\n", encoding="utf-8")
-            paths.append(path)
+            paths.append(_write_json(outdir / f"{regime}_{objective}.json",
+                                     sol.to_json_dict(u.table.tickers)))
+    return paths
+
+
+def _frontier_cells(outdir: Path) -> list[Path]:
+    """Write each frontier of the N = 50 universe as JSON; the paths, in order."""
+    from perfbench.universe import make_universe
+    from portopt import ConstraintSet, trace_frontier
+
+    u = make_universe(*FRONTIER_N)
+    outdir.mkdir(parents=True)
+    paths = []
+    for regime in REGIMES:
+        c = ConstraintSet(regime, market_index=u.market_index if regime == "c5" else None)
+        curve = trace_frontier(u.mm.cov, u.mm.mean, u.rf, c, grid=100)
+        paths.append(_write_json(outdir / f"{regime}.json", {
+            "points": [list(p) for p in curve.points],
+            "min_variance": curve.min_variance.to_json_dict(u.table.tickers),
+            "tangency": curve.tangency.to_json_dict(u.table.tickers),
+        }))
     return paths
 
 
@@ -104,7 +132,7 @@ def main(argv=None) -> int:
                              ("exit", f"{code}\n")):
             text = text.replace(str(outdir), "<OUTDIR>")
             print(f"{_sha256(text.encode('utf-8'))}  {name}/<{stream}>")
-    for path in _large_n_cells(outdir / "large-n"):
+    for path in [*_large_n_cells(outdir / "large-n"), *_frontier_cells(outdir / "frontier-n50")]:
         print(f"{_sha256(path.read_bytes())}  {path.relative_to(outdir).as_posix()}")
     return 0
 

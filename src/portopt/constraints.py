@@ -100,7 +100,7 @@ class RegimeModel:
 
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Rows over the weights as rows over the solve variables."""
-        return np.hstack([rows, -rows]) if self.split else rows
+        return np.concatenate([rows, -rows], axis=-1) if self.split else rows
 
     def to_solve(self, w) -> np.ndarray:
         """Weights (one portfolio, or one per row) in the solve variables."""
@@ -108,15 +108,16 @@ class RegimeModel:
         return np.maximum(np.concatenate([w, -w], axis=-1), 0.0) if self.split else w
 
     def to_weights(self, x) -> np.ndarray:
-        w = x[:self.n] - x[self.n:] if self.split else np.array(x, dtype=float)
-        w[self.pinned] = 0.0
+        """Solve variables (one point, or one per row) as weights."""
+        w = x[..., :self.n] - x[..., self.n:] if self.split else np.array(x, dtype=float)
+        w[..., self.pinned] = 0.0
         return w
 
     def excess(self, w) -> np.ndarray:
         """How far weights ``w`` (one portfolio, or one per row) miss each
         row: ``|a.x - b|`` for an equality, ``a.x - b`` for an inequality
         (negative where it holds with room)."""
-        e = self.to_solve(w) @ self.rows.T - self.rhs
+        e = self.to_solve(w).dot(self.rows.T) - self.rhs
         np.abs(e[..., :self.m_eq], out=e[..., :self.m_eq])
         return e
 

@@ -148,7 +148,8 @@ class IndexModelEstimates:
 @dataclass(frozen=True)
 class PortfolioStats:
     """Expected return, standard deviation and Sharpe ratio of a portfolio
-    (arrays, one entry per portfolio, from ``portfolio_stats`` on rows)."""
+    (arrays, one entry per portfolio, from ``portfolio_stats`` or
+    ``solver.Problem.stats`` on rows)."""
 
     ret: float
     stdev: float

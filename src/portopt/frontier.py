@@ -72,11 +72,9 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
         points = ((minvar.stats.stdev, mu0),)
         return FrontierCurve(points, tangency, minvar, c, model)
 
-    targets = list(np.linspace(mu0, hi, grid))
-    targets.append(tangency.stats.ret)
-    targets = sorted(set(float(t) for t in targets))
-    stats = [problem.stats(w) for w in problem.corner_path(targets, minvar.weights)]
-    pts = sorted(((s.stdev, s.ret) for s in stats), key=lambda p: p[1])
+    targets = sorted(set(np.linspace(mu0, hi, grid).tolist() + [tangency.stats.ret]))
+    stats = problem.stats(problem.corner_path(targets, minvar.weights))
+    pts = sorted(zip(stats.stdev.tolist(), stats.ret.tolist()), key=lambda p: p[1])
     return FrontierCurve(tuple(pts), tangency, minvar, c, model)
 
 

@@ -87,7 +87,7 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     try:
         sol = np.linalg.solve(K, rhs)
-        if np.abs(K @ sol - rhs).max(initial=0.0) <= 1e-7 * scale:
+        if np.abs(K.dot(sol) - rhs).max(initial=0.0) <= 1e-7 * scale:
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -121,13 +121,13 @@ class InequalityRows:
     def dot(self, v) -> np.ndarray:
         out = self.coef * v[self.var]
         if self.general.size:
-            out[self.general] = self.A_general @ v
+            out[self.general] = self.A_general.dot(v)
         return out
 
     def reach(self, x, p, working):
         d = self.dot(p)
         cand = (~working & (d > 1e-13 * self.scale * (1.0 + np.abs(p).max()))).nonzero()[0]
-        return cand, np.maximum(self.b - self.dot(x), 0.0)[cand] / d[cand]
+        return cand, np.maximum(self.b[cand] - self.dot(x)[cand], 0.0) / d[cand]
 
 
 def _independent_start(working, A_eq, rows: InequalityRows) -> None:
@@ -177,17 +177,17 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
     n, m_eq = H.shape[0], A_eq.shape[0]
     on_bound = rows.bound[act]
     general = ~on_bound
-    fixing = act[on_bound]
-    A_gen = np.concatenate([A_eq, rows.A[act[general]]])   # equalities, then general rows
+    fixing, gen = act[on_bound], act[general]
+    A_gen = np.concatenate([A_eq, rows.A.take(gen, 0)]) if gen.size else A_eq   # the equalities first
     if fixing.size:
         fixed = rows.var[fixing]
-        free = np.zeros(n, dtype=bool)
-        free[fixed] = True
-        free = (~free).nonzero()[0]
-        H_rows = H[free]                 # rows, then columns: one pass over H's free rows
-        H_f, A_f = H_rows[:, free], A_gen[:, free]
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        free = free.nonzero()[0]
+        H_rows = H.take(free, 0)         # rows, then columns: one pass over H's free rows
+        H_f, A_f, g_f = H_rows.take(free, 1), A_gen.take(free, 1), grad.take(free, 0)
     else:
-        free, H_f, A_f = slice(None), H, A_gen
+        free, H_f, A_f, g_f = slice(None), H, A_gen, grad
     nf, m = H_f.shape[0], A_gen.shape[0]
     tail = grad.shape[1:]
     K = np.zeros((nf + m,) * 2)
@@ -195,21 +195,22 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
     K[nf:, :nf] = A_f
     K[:nf, nf:] = A_f.T
     rhs = np.zeros((m,) + tail) if rhs is None else rhs
-    sol = _solve_kkt(K, np.concatenate([-grad[free], rhs]))
+    sol = _solve_kkt(K, np.concatenate([-g_f, rhs]))
     lam = np.empty((m_eq + act.size,) + tail)       # equalities, then the working set
     lam[:m_eq] = sol[nf:nf + m_eq]
     mult_in = lam[m_eq:]
-    mult_in[general] = sol[nf + m_eq:]
+    if gen.size:
+        mult_in[general] = sol[nf + m_eq:]
     p = np.zeros((n,) + tail)
     p[free] = sol[:nf]
     if fixing.size:
         # H p from the free rows alone: H is symmetric and p is zero off them
-        r = (H_rows.T @ sol[:nf] + grad + A_gen.T @ sol[nf:])[fixed]
+        r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
         c = rows.coef[fixing]
         share = np.bincount(fixed, c * c, n)[fixed]
         if tail:
             c, share = c[:, None], share[:, None]
-        mult_in[on_bound] = -r * c / share
+        mult_in[on_bound if gen.size else ...] = -r * c / share   # no general row: all of them
     return p, lam
 
 
@@ -226,16 +227,18 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0):
     the same rows, ``p`` and ``lam`` get a second column: the solution of
     that system under a zero gradient, from the same factorization.
     """
-    fixing, general = act[rows.bound[act]], act[~rows.bound[act]]
+    on_bound = rows.bound[act]
+    fixing, general = act[on_bound], act[~on_bound]
     x = x.copy()
     x[rows.var[fixing]] = rows.b[fixing] / rows.coef[fixing]        # on the bounds exactly
+    A_G, b_G = rows.A.take(general, 0), rows.b[general]             # the working general rows
 
     def gap(x):
-        return np.concatenate([b_eq - A_eq @ x, rows.b[general] - rows.A[general] @ x])
+        return np.concatenate([b_eq - A_eq.dot(x), b_G - A_G.dot(x)]) if general.size else b_eq - A_eq.dot(x)
 
-    grad, rhs = H @ x + g, gap(x)
-    if rate is not None:
-        grad, rhs = np.column_stack([grad, np.zeros(len(x))]), np.column_stack([rhs, rate])
+    grad, rhs = H.dot(x) + g, gap(x)
+    if rate is not None:                        # a second column: zero gradient, right-hand side rate
+        grad, rhs = np.array([grad, np.zeros(len(x))]).T, np.array([rhs, rate]).T
     p, lam = reduced_kkt(H, grad, A_eq, rows, act, rhs)
     x = x + (p if rate is None else p[:, 0])
     if np.abs(gap(x)).max(initial=0.0) > 1e-12:
@@ -294,11 +297,11 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
         rounds += 1
         x, _, lam = face_point(H, x, A_eq, b_eq, rows, act, g=g)
         Ax = None if x is None else rows.dot(x)
-        if x is None or np.any(np.abs(Ax - rows.b)[act] > 1e-9 * rows.scale[act]):
+        if x is None or (np.abs(Ax - rows.b)[act] > 1e-9 * rows.scale[act]).any():
             return None, rounds, None
         leave = np.zeros(len(rows.b), dtype=bool)
-        leave[act[lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H @ x + g).max())]] = True
-        if np.any(leave & ~rows.bound):
+        leave[act[lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H.dot(x) + g).max())]] = True
+        if (leave & ~rows.bound).any():
             leave &= ~rows.bound
         join = ~working & (Ax > rows.b)
         moves = np.count_nonzero(join) + np.count_nonzero(leave)
@@ -359,7 +362,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
 
     for iterations in range(rounds + 1, rounds + _MAX_ITER + 1):
         if Hx is None:
-            Hx = H @ x
+            Hx = H.dot(x)
             grad = Hx + g
             x_max = np.abs(x).max()
         act = working.nonzero()[0]
@@ -382,7 +385,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
             quiet = 0
             continue
 
-        f = 0.5 * float(x @ Hx) + float(g @ x)
+        f = 0.5 * float(x.dot(Hx)) + float(g.dot(x))
         # ratio test over the rows outside the working set that p moves toward
         cand, ratio = rows_in.reach(x, p, working)
         ratio = np.append(ratio, 1.0)                   # last: the full step

@@ -242,19 +242,19 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     if target is not None:
         if mean is None:
             raise ValidationError("target-return KKT check requires the mean vector")
-        eq = np.vstack([eq, regime.lift(mean)])
+        eq = np.concatenate([eq, regime.lift(mean)[None]])
     if excess is None:
         excess = regime.excess(w)          # on every row; an inequality's is minus its slack
     primal = excess.max(initial=0.0)
     if target is not None:
-        primal = max(primal, abs(float(mean @ w) - target))
+        primal = max(primal, abs(float(mean.dot(w)) - target))
     slacks = -excess[regime.m_eq:]
-    grad = regime.lift(2.0 * (cov @ w))
+    grad = regime.lift(2.0 * cov.dot(w))
     if multipliers is not None:
         lam, mu = (np.asarray(m, dtype=float) for m in multipliers)
-        residual = max(np.abs(grad + eq.T @ lam + A_in.T @ mu).max(initial=0.0),
+        residual = max(np.abs(grad + eq.T.dot(lam) + A_in.T.dot(mu)).max(initial=0.0),
                        -mu.min(initial=0.0),
-                       np.max(np.abs(mu) * np.maximum(slacks, 0.0), initial=0.0),
+                       (np.abs(mu) * np.maximum(slacks, 0.0)).max(initial=0.0),
                        primal)
         if residual <= KKT_TOL:
             return float(residual)
@@ -351,14 +351,19 @@ class Problem:
         return self.mean
 
     def stats(self, w) -> PortfolioStats:
-        """Return, stdev and Sharpe of weights ``w``, as every solution reports them."""
-        var = float(w @ self.cov @ w)
-        stdev = float(np.sqrt(max(var, 0.0)))
-        if self.mean is None:
-            return PortfolioStats(ret=float("nan"), stdev=stdev, sharpe=float("nan"),
-                                  model=self.model)
-        ret = float(self.mean @ w)
-        sharpe = (ret - self.rf) / stdev if stdev > 0.0 else 0.0
+        """Return, stdev and Sharpe of weights ``w`` (one portfolio, or one per row:
+        the statistics are then arrays), as every solution reports them.  Each
+        product is a stack of one-row matrix products, which numpy hands to BLAS
+        a row at a time as it would one portfolio's vector: a row's statistics
+        are bit for bit those of that portfolio alone (a matrix product is not)."""
+        row = w[..., None, :]
+        stdev = np.sqrt(np.maximum((row @ self.cov @ w[..., None])[..., 0, 0], 0.0))
+        ret = sharpe = np.full_like(stdev, np.nan)
+        if self.mean is not None:
+            ret = (row @ self.mean[:, None])[..., 0, 0]
+            sharpe = np.divide(ret - self.rf, stdev, out=np.zeros_like(stdev), where=stdev > 0.0)
+        if w.ndim == 1:
+            ret, stdev, sharpe = float(ret), float(stdev), float(sharpe)
         return PortfolioStats(ret=ret, stdev=stdev, sharpe=sharpe, model=self.model)
 
     @cached_property
@@ -381,7 +386,7 @@ class Problem:
         assets' unnormalized minimum-variance (``rhs`` ones) or tangency portfolio."""
         r = self.regime
         z = np.zeros(r.n)
-        z[r.free] = np.linalg.solve(self.cov_solve[np.ix_(r.free, r.free)], rhs[r.free])
+        z[r.free] = np.linalg.solve(self.cov_solve.take(r.free, 0).take(r.free, 1), rhs[r.free])
         return z
 
     def _check(self, w, target, multipliers) -> tuple[float, bool]:
@@ -390,7 +395,7 @@ class Problem:
         excess = self.regime.excess(w)
         kkt = kkt_residual_weights(w, self.cov, self.regime.constraint, mean=self.mean,
                                    target=target, multipliers=multipliers, excess=excess)
-        return kkt, bool(np.all(excess <= PUBLIC_FEAS_TOL))
+        return kkt, bool(excess.max() <= PUBLIC_FEAS_TOL)
 
     def _solution(self, w, res, objective: str, target=None, multipliers=None) -> PortfolioSolution:
         multipliers = multipliers or (res.eq_multipliers, res.in_multipliers)
@@ -469,10 +474,10 @@ class Problem:
         return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t), A_in, b_in,
                            None, lambda: r.to_solve(anchor + s * (v - anchor)))
 
-    def corner_path(self, targets, anchor) -> list[np.ndarray]:
-        """Minimum-variance weights at each of the increasing ``targets``,
-        traced as one parametric path from feasible weights ``anchor``; each
-        target is taken as ``target_return`` takes it (``_targets``).
+    def corner_path(self, targets, anchor) -> np.ndarray:
+        """Minimum-variance weights at each of the increasing ``targets``, a row
+        each, traced as one parametric path from feasible weights ``anchor``;
+        each target is taken as ``target_return`` takes it (``_targets``).
 
         While the working set of the return-constrained QP stays fixed, its
         solution and multipliers are affine in the target return ``t``
@@ -511,7 +516,7 @@ class Problem:
         mid = float(mean[r.free].mean())
         sigma = float(np.abs(mean - mid)[r.free].max()) or 1.0
         A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
-        m_eq = len(A_eq)
+        m_eq, b_t = len(A_eq), np.append(b_eq, 0.0)      # b_t[-1]: the return row's (t - mid) / sigma
         rows_in = InequalityRows(A_in, b_in)
         top = targets[-1]
         tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
@@ -522,12 +527,13 @@ class Problem:
             factorization (``qp.face_point``); the point is None where it
             would not hold the working rows, or leave another row by more
             than ``solve_qp``'s activity tolerance (a nearly singular system)."""
-            act = np.flatnonzero(working)
+            act = working.nonzero()[0]
             general = act[~rows_in.bound[act]]
             rate = np.zeros(m_eq + len(general))
             rate[m_eq - 1] = 1.0 / sigma
-            x, p, lam = face_point(H, x, A_eq, np.append(b_eq, (t - mid) / sigma), rows_in, act, rate)
-            if x is not None and np.any(rows_in.dot(x) - b_in > 1e-9 * rows_in.scale):
+            b_t[-1] = (t - mid) / sigma
+            x, p, lam = face_point(H, x, A_eq, b_t, rows_in, act, rate)
+            if x is not None and (rows_in.dot(x) - b_in > 1e-9 * rows_in.scale).any():
                 x = None
             return x, p[:, 1], lam[:, 0], lam[:, 1], act, general
 
@@ -540,15 +546,20 @@ class Problem:
             eq[0] -= mid * eq[-1]
             return eq, mu
 
-        weights, i, t0 = [], 0, targets[0]
+        blocks, i, t0 = [], 0, targets[0]
 
         def emit(xa, ta, xb, tb):
-            """The targets up to ``tb`` on the segment from ``xa`` at ``ta`` to ``xb`` at ``tb``."""
+            """The targets up to ``tb`` on the segment from ``xa`` at ``ta`` to ``xb`` at ``tb``,
+            mixed as one array expression: elementwise, so each as if mixed alone."""
             nonlocal i
-            while i < len(targets) and targets[i] <= tb:
-                t = targets[i]
-                weights.append(r.to_weights(xb if t == tb else xa + (t - ta) / (tb - ta) * (xb - xa)))
-                i += 1
+            j = i
+            while j < len(targets) and targets[j] <= tb:
+                j += 1
+            t, i = np.array(targets[i:j]), j
+            on = t == tb                              # all of them where the segment starts at None
+            x = np.empty((len(t), len(xb))) if on.all() else xa + ((t - ta) / (tb - ta))[:, None] * (xb - xa)
+            x[on] = xb
+            blocks.append(r.to_weights(x))
 
         res = self._target_qp(t0, anchor)
         xa = ta = None                                    # the start of the segment being traced
@@ -556,36 +567,36 @@ class Problem:
             if res is not None:                           # resume from a QP's working set
                 working[:] = False
                 working[list(res.active)] = True
-                x, arrived = res.x, (res.eq_multipliers, res.in_multipliers)
+                x = res.x
             x1, dx, lam, dlam, act, general = resolve(x, t0)
-            miss = np.concatenate([A_eq @ dx, A_in[general] @ dx])
+            miss = np.concatenate([A_eq.dot(dx), A_in[general].dot(dx)])
             miss[m_eq - 1] -= 1.0 / sigma
             # working rows that fix the point leave no direction
             stuck = np.abs(miss).max() > 1e-9 * (1.0 + np.abs(dx).max())
             if res is not None:                           # a QP's point and multipliers stand
-                res = None
-            elif x1 is None:                              # the point stays as it came
-                stuck = True
-            elif not stuck:
+                arrived, res = (res.eq_multipliers, res.in_multipliers), None
+            elif x1 is None or stuck:                     # the point stays as the event left it
+                arrived, stuck = split(*event), True
+            else:
                 x, arrived = x1, split(lam, act)
             self._corner(x, *arrived, t0)
             emit(xa, ta, x, t0)
             if t0 == top:
-                return weights
+                return np.concatenate(blocks)
             xa, ta, s, end = x, t0, 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
                 hit, ahead = rows_in.reach(x, dx, working)
-                fall = np.flatnonzero(dlam[m_eq:] < -1e-12 * np.abs(dlam).max())
+                fall = (dlam[m_eq:] < -1e-12 * np.abs(dlam).max()).nonzero()[0]
                 steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
                 s = float(steps.min(initial=end))
                 near = np.concatenate([hit, act[fall]])[steps <= s + tie]
                 if s >= end - tie and not len(b_in):      # no rows: one segment to the top
-                    x, t0, arrived = x + end * dx, top, split(lam + end * dlam, act)
+                    x, t0, event = x + end * dx, top, (lam + end * dlam, act)
                     continue
                 if tie < s < end - tie and len(near) == 1:   # one row joins or leaves
                     working[near[0]] = not working[near[0]]
-                    x, t0, arrived = x + s * dx, t0 + s, split(lam + s * dlam, act)
+                    x, t0, event = x + s * dx, t0 + s, (lam + s * dlam, act)
                     continue
             # a degenerate corner, or the top, which is a face of the attainable set:
             # certify the segment's end, then a QP at the next target (from the path's

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import portopt.qp
 import portopt.solver
 from conftest import (
     constraint_for,
@@ -288,15 +289,20 @@ def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
 
 
 def _path_counts(monkeypatch, cov, mean, rf, c, grid):
-    """The curve, the corners its path certified with their multipliers, and
-    the QPs the path ran besides minimum variance and maximum Sharpe."""
+    """The curve, the corners its path certified with their multipliers, the
+    QPs the path ran besides minimum variance and maximum Sharpe, and the KKT
+    solves (``qp._solve_kkt``) inside the path, those of its QPs included."""
     original, corners, on_path = portopt.solver.kkt_residual_weights, [0], [False]
-    corner_path = portopt.solver.Problem.corner_path
+    corner_path, solve_kkt, solves = portopt.solver.Problem.corner_path, portopt.qp._solve_kkt, [0]
 
     def counting(*args, **kwargs):
         # minimum variance and maximum Sharpe carry multipliers too
         corners[0] += on_path[0] and kwargs.get("multipliers") is not None
         return original(*args, **kwargs)
+
+    def solving(K, rhs):
+        solves[0] += on_path[0]
+        return solve_kkt(K, rhs)
 
     def tracing(self, *args):
         on_path[0] = True
@@ -307,8 +313,9 @@ def _path_counts(monkeypatch, cov, mean, rf, c, grid):
 
     monkeypatch.setattr(portopt.solver, "kkt_residual_weights", counting)
     monkeypatch.setattr(portopt.solver.Problem, "corner_path", tracing)
+    monkeypatch.setattr(portopt.qp, "_solve_kkt", solving)
     curve, calls, _ = _trace_counting_qps(monkeypatch, cov, mean, rf, c, grid)
-    return curve, corners[0], calls - 2
+    return curve, corners[0], calls - 2, solves[0]
 
 
 def test_bundled_frontier_corner_counts(monkeypatch, markets):
@@ -320,8 +327,21 @@ def test_bundled_frontier_corner_counts(monkeypatch, markets):
     for regime, expected in counts.items():
         for label, corners in zip(("bundled-mm", "bundled-im"), expected):
             cov, mean, rf, mi = markets[label]
-            _, *path = _path_counts(monkeypatch, cov, mean, rf, constraint_for(regime, mi), 100)
+            _, *path, _ = _path_counts(monkeypatch, cov, mean, rf, constraint_for(regime, mi), 100)
             assert path == [corners, 2], (regime, label)
+
+
+def test_n50_frontier_corner_counts(monkeypatch):
+    # pins the corner path of the bounded curves of the frontier benchmark's
+    # universe at grid 100: its corners, the two QPs, and the KKT solves inside
+    # the path, one per corner plus those of the two QPs
+    from perfbench.universe import make_universe
+
+    u = make_universe(50, 128, 1)
+    counts = {"c1": (54, 2, 58), "c2": (52, 2, 57), "c4": (22, 2, 27)}
+    for regime, expected in counts.items():
+        _, *path = _path_counts(monkeypatch, u.mm.cov, u.mm.mean, u.rf, ConstraintSet(regime), 100)
+        assert tuple(path) == expected, regime
 
 
 def _assert_matches_cold_solves(curve, cov, mean, c, grid):
@@ -360,7 +380,7 @@ def test_zero_crossing_under_slack_leverage_falls_back(monkeypatch):
     rng = np.random.default_rng(1)
     cov, mean = random_monthly_cov(rng, 4), rng.normal(0.01, 0.01, 4)
     c = ConstraintSet("c1", leverage_cap=50.0)
-    curve, corners, qps = _path_counts(monkeypatch, cov, mean, 0.0, c, 20)
+    curve, corners, qps, _ = _path_counts(monkeypatch, cov, mean, 0.0, c, 20)
     assert qps >= 3 and corners >= 2 * (qps - 2)    # past the start and the top
     weights = [solve_target_return(cov, mean, r, c).weights for _, r in curve.points[::19]]
     assert np.sign(weights[0]).tolist() != np.sign(weights[-1]).tolist()

@@ -29,9 +29,10 @@ def test_listing_is_independent_of_the_output_directory(tmp_path, capsys, monkey
             assert f"{name}/<{stream}>" in names
     assert "compare/manifest.json" in names and "frontier-c5/frontier_c5.svg" in names
     assert len(script.COMMANDS) == 12 and len(names) == len(set(names))
-    # the ten large-N cells, after the commands
-    assert names[-10:] == [f"large-n/{regime}_{objective}.json" for regime in script.REGIMES
-                           for objective in ("min_variance", "max_sharpe")]
+    # the ten large-N cells after the commands, then the five N = 50 frontiers
+    assert names[-15:] == [f"large-n/{regime}_{objective}.json" for regime in script.REGIMES
+                           for objective in ("min_variance", "max_sharpe")] + [
+        f"frontier-n50/{regime}.json" for regime in script.REGIMES]
 
 
 def test_nonempty_output_directory_refused(tmp_path, capsys):

@@ -607,3 +607,26 @@ def test_float32_target_past_the_slack_is_refused():
 def test_solver_rejects_with_its_documented_class(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+def test_stats_of_rows_are_each_portfolio_alone():
+    # Problem.stats on one portfolio per row (trace_frontier's points, as one
+    # block) equals, bit for bit, the products of each portfolio alone: a
+    # matrix product of the rows would round differently
+    rng = np.random.default_rng(8)
+    cov, mean = random_spd(rng, 30), rng.normal(0.01, 0.02, 30)
+    weights = rng.standard_normal((40, 30))
+    weights[0] = 0.0                            # no variance: a zero Sharpe ratio
+    for m in (mean, None):
+        problem = Problem.prepare(cov, C3, mean=m, rf=0.002)
+        rows = problem.stats(weights)
+        for k, w in enumerate(weights):
+            stdev = float(np.sqrt(max(float(w @ problem.cov @ w), 0.0)))
+            one = problem.stats(w)
+            assert rows.stdev[k] == one.stdev == stdev
+            if m is None:
+                assert np.isnan([rows.ret[k], rows.sharpe[k], one.ret, one.sharpe]).all()
+            else:
+                ret = float(m @ w)
+                sharpe = (ret - 0.002) / stdev if stdev > 0.0 else 0.0
+                assert rows.ret[k] == one.ret == ret and rows.sharpe[k] == one.sharpe == sharpe
