@@ -15,11 +15,14 @@ untimed pass per side, each round times one base and one head pass, the
 side that goes first alternating.  Machine speed drifts between fresh
 processes far more than between two passes a few milliseconds apart, so the
 ratio of each round's pair is steady where single timings are not.  It
-prints each side's median pass time, the median of the rounds' head/base
+prints each side's median pass time, each side's KKT solves per pass (the
+calls of its ``qp._solve_kkt``, counted in the untimed pass only, so no
+timed pass runs the counting wrapper), the median of the rounds' head/base
 time ratios with its quartiles, and whether every curve's points are
-bit-identical between the two trees.  The exit code is 0 unless a tree
-fails to load or a trace raises; a slower head or a moved point is reported,
-not failed.
+bit-identical between the two trees; where they are not, the largest
+relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
+The exit code is 0 unless a tree fails to load or a trace raises; a slower
+head or a moved point is reported, not failed.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ def _markets(po, seed: int):
             (u.mm.cov, u.mm.mean, u.rf, u.market_index, "MM")]
 
 
-def _pass(po, markets) -> tuple[float, list[bytes]]:
-    """Seconds to trace every curve, and each curve's points as bytes."""
+def _pass(po, markets) -> tuple[float, list[np.ndarray]]:
+    """Seconds to trace every curve, and each curve's points."""
     gc.collect()
     curves = []
     start = time.perf_counter()
@@ -88,7 +91,37 @@ def _pass(po, markets) -> tuple[float, list[bytes]]:
             c = po.ConstraintSet(regime, market_index=mi if regime == "c5" else None)
             curves.append(po.trace_frontier(cov, mean, rf, c, grid=GRID, model=model))
     elapsed = time.perf_counter() - start
-    return elapsed, [np.array(curve.points).tobytes() for curve in curves]
+    return elapsed, [np.array(curve.points) for curve in curves]
+
+
+def _counted_pass(po, markets) -> tuple[int, list[np.ndarray]]:
+    """One pass with every call of the tree's ``qp._solve_kkt`` counted: the
+    calls, and each curve's points."""
+    qp, solves = sys.modules[po.__name__ + ".qp"], [0]
+    solve_kkt = qp._solve_kkt
+
+    def counting(K, rhs):
+        solves[0] += 1
+        return solve_kkt(K, rhs)
+
+    qp._solve_kkt = counting
+    try:
+        curves = _pass(po, markets)[1]
+    finally:
+        qp._solve_kkt = solve_kkt
+    return solves[0], curves
+
+
+def _largest_move(base: list[np.ndarray], head: list[np.ndarray]) -> float:
+    """The largest ``|head - base| / max(|head|, |base|)`` over the points of
+    the curves whose shapes agree; 0 where both are 0."""
+    move = 0.0
+    for a, b in zip(base, head):
+        if a.shape == b.shape and a.size:
+            scale = np.maximum(np.abs(a), np.abs(b))
+            rel = np.divide(np.abs(b - a), scale, out=np.zeros_like(scale), where=scale > 0.0)
+            move = max(move, float(rel.max()))
+    return move
 
 
 def _quartiles(values) -> tuple[float, float, float]:
@@ -120,13 +153,15 @@ def main(argv=None) -> int:
         if bare:
             sys.modules["portopt"] = trees["head"]
         markets = _markets(trees["head"], args.seed)
-        points = {side: _pass(po, markets)[1] for side, po in trees.items()}   # untimed
+        solves, points = {}, {}
+        for side, po in trees.items():                                  # untimed
+            solves[side], points[side] = _counted_pass(po, markets)
         times = {"base": [], "head": []}
         for k in range(args.rounds):
             for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
                 elapsed, pts = _pass(trees[side], markets)
                 times[side].append(elapsed)
-                if pts != points[side]:
+                if [p.tobytes() for p in pts] != [p.tobytes() for p in points[side]]:
                     raise SystemExit(f"{side}: a pass traced other points than the first")
     finally:
         if affinity:
@@ -135,13 +170,16 @@ def main(argv=None) -> int:
             _unload(name)
     ratios = [h / b for b, h in zip(times["base"], times["head"])]
     q1, med, q3 = _quartiles(ratios)
-    moved = sum(a != b for a, b in zip(points["base"], points["head"]))
+    moved = sum(a.tobytes() != b.tobytes() for a, b in zip(points["base"], points["head"]))
     print(f"curves per pass: {len(points['base'])} (seed {args.seed}, {args.rounds} rounds)")
     for side in ("base", "head"):
         print(f"{side}: median pass {1e3 * statistics.median(times[side]):.1f} ms"
               f"  ({getattr(args, f'{side}_src')})")
+    print(f"KKT solves per pass: base {solves['base']}, head {solves['head']}")
     print(f"head/base time ratio: median {med:.3f}  quartiles {q1:.3f} - {q3:.3f}")
-    print("points bit-identical: " + ("yes" if not moved else f"no, {moved} curves differ"))
+    print("points bit-identical: " + ("yes" if not moved else
+          f"no, {moved} curves differ, largest relative move "
+          f"{_largest_move(points['base'], points['head']):.3g}"))
     return 0
 
 

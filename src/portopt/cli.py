@@ -150,7 +150,11 @@ def _read_text(path) -> str:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"input file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"input file {path} is not UTF-8 text: byte "
+                          f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
 
 
 def _outdir(cfg: RunConfig) -> Path:

@@ -86,6 +86,14 @@ class DailyPriceTable:
         return len(self.dates)
 
 
+def _months(months) -> tuple[Month, ...]:
+    """``months`` as ``(year, month)`` integer pairs, each month in 1..12."""
+    months = tuple((int(y), int(m)) for y, m in months)
+    if any(not 1 <= m <= 12 for _, m in months):
+        raise ValidationError("month number outside 1..12")
+    return months
+
+
 @dataclass(frozen=True)
 class MonthlyReturnTable:
     """T x N matrix of simple monthly returns; each row labelled by the month
@@ -98,7 +106,7 @@ class MonthlyReturnTable:
     allow_gaps: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "months", tuple((int(y), int(m)) for y, m in self.months))
+        object.__setattr__(self, "months", _months(self.months))
         object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
         rets = np.atleast_2d(np.asarray(self.returns, dtype=float))
         object.__setattr__(self, "returns", _readonly(rets))
@@ -112,8 +120,6 @@ class MonthlyReturnTable:
         if self.market_ticker not in self.tickers:
             raise ConfigError(f"market ticker {self.market_ticker!r} not among tickers")
         for (y0, m0), (y1, m1) in zip(self.months, self.months[1:]):
-            if not (1 <= m0 <= 12 and 1 <= m1 <= 12):
-                raise ValidationError("month number outside 1..12")
             step = (y1 * 12 + m1) - (y0 * 12 + m0)
             if step <= 0:
                 raise ValidationError(
@@ -152,7 +158,7 @@ class RiskFreeSeries:
     annual_rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "months", tuple((int(y), int(m)) for y, m in self.months))
+        object.__setattr__(self, "months", _months(self.months))
         annual = _readonly(np.atleast_1d(self.annual_rates))
         object.__setattr__(self, "annual_rates", annual)
         if annual.shape != (len(self.months),):

@@ -464,7 +464,10 @@ class Problem:
     def _target_qp(self, t: float, anchor: np.ndarray):
         """The QP at return ``t``, its loop started at the mix of feasible weights
         ``anchor`` with the return vertex on ``t``'s side that earns ``t``, with
-        no exchange: the mix may break a row by rounding, which would start one."""
+        no exchange: the mix may break a row by rounding, which would start one.
+        ``target_return`` anchors it at the regime's centre, and ``corner_path``
+        at its own anchor for the first target and at a degenerate corner for
+        the next one."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
         v = self.vertices[t >= a_ret]
@@ -497,9 +500,11 @@ class Problem:
         degenerate corner: a zero-length step, several events within a
         relative 1e-12 of the return, or working rows that fix the point
         and leave no direction.  The path resumes from its working set.
-        Where the regime has inequality rows, the last target is such a QP
-        too, from ``anchor``: that start mixes onto the return vertex
-        exactly, and the top of the curve is a face of the attainable set.
+        Where no event comes before the last target, the last segment ends
+        there and the top is one more corner: on that segment every working
+        row stays tight and every working multiplier nonnegative, so the
+        working set's point and multipliers at the top satisfy KKT.  So a
+        QP runs only at ``targets[0]`` and at degenerate corners.
 
         Each corner is certified from its multipliers (``_corner``), and so
         is a segment's end where a QP takes over; a failure raises
@@ -591,24 +596,23 @@ class Problem:
                 steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
                 s = float(steps.min(initial=end))
                 near = np.concatenate([hit, act[fall]])[steps <= s + tie]
-                if s >= end - tie and not len(b_in):      # no rows: one segment to the top
+                if s >= end - tie:                        # no event before the top: the path ends there
                     x, t0, event = x + end * dx, top, (lam + end * dlam, act)
                     continue
-                if tie < s < end - tie and len(near) == 1:   # one row joins or leaves
+                if tie < s and len(near) == 1:            # one row joins or leaves
                     working[near[0]] = not working[near[0]]
                     x, t0, event = x + s * dx, t0 + s, (lam + s * dlam, act)
                     continue
-            # a degenerate corner, or the top, which is a face of the attainable set:
-            # certify the segment's end, then a QP at the next target (from the path's
-            # anchor at the top, where that start mixes onto the return vertex exactly)
-            if 0.0 < s < end - tie:
+            # a degenerate corner: certify the segment's end, then a QP at the next
+            # target, started from that end
+            if 0.0 < s:
                 x1 = resolve(x + s * dx, t0 + s)[0]
                 x1 = x + s * dx if x1 is None else x1
                 self._corner(x1, *split(lam + s * dlam, act), t0 + s)
                 emit(x, t0, x1, t0 + s)
                 xa, ta = x1, t0 + s
-            t0 = top if s >= end - tie else targets[i]
-            res = self._target_qp(t0, anchor if t0 == top else r.to_weights(x + s * dx))
+            t0 = targets[i]
+            res = self._target_qp(t0, r.to_weights(x + s * dx))
 
     def _corner(self, x, eq, mu, target: float) -> None:
         """Certify a point of the corner path from its multipliers, or raise."""

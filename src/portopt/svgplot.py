@@ -35,10 +35,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         return [lo]
     raw = (hi - lo) / max(target - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    step = next((mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag), 0.0)
+    if step <= np.spacing(max(abs(lo), abs(hi))):
+        return [lo]                 # a range a few ulps wide: t + step would not move t
     first = np.ceil(lo / step) * step
     ticks = []
     t = first

@@ -347,6 +347,10 @@ def test_unknown_config_key_rejected(tmp_path):
      "'c3_mm_min_variance' has unknown field 'retrun'"),
     ("compare", ["--expected", "{exp}"], {"exp/c3_mm_min_variance.json": '{"return": true}'},
      "'c3_mm_min_variance' field 'return' holds a boolean"),
+    ("ingest", ["--prices", "{prices}"], {"prices.csv": b"date,A,MKT\n2020-01-02,1.0,\xff\n"},
+     "prices.csv is not UTF-8 text: byte 0xff at offset 26"),
+    ("solve", ["--config", "{cfg}"], {"cfg.json": b'{"grid": 5}\xff'},
+     "cfg.json is not UTF-8 text: byte 0xff at offset 11"),
 ], ids=["leverage-cap-nan", "leverage-cap-inf", "weight-bound-inf", "negative-seed", "rf-nan",
         "config-not-json", "config-grid-str", "config-formats-int", "config-leverage-cap-bool",
         "config-seed-bool", "config-list", "config-model", "config-objective",
@@ -354,13 +358,17 @@ def test_unknown_config_key_rejected(tmp_path):
         "config-grid-one", "config-cloud-count-zero", "expected-not-json",
         "expected-bad-value", "expected-short-weights", "expected-long-weights",
         "expected-unknown-regime", "expected-uppercase-model", "expected-list",
-        "expected-misspelled-field", "expected-bool"])
+        "expected-misspelled-field", "expected-bool", "prices-not-utf8", "config-not-utf8"])
 def test_bad_input_exits_one_naming_the_cause(toy_files, tmp_path, capsys,
                                               command, flags, files, cause):
-    for name, text in files.items():
+    for name, content in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    flags = [f.format(cfg=tmp_path / "cfg.json", exp=tmp_path / "exp") for f in flags]
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content, encoding="utf-8")
+    flags = [f.format(cfg=tmp_path / "cfg.json", exp=tmp_path / "exp",
+                      prices=tmp_path / "prices.csv") for f in flags]
     prices, riskfree = toy_files
     code = main([command, *_base_args(prices, riskfree, tmp_path / "out"), *flags])
     err = capsys.readouterr().err

@@ -290,10 +290,13 @@ def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
 
 def _path_counts(monkeypatch, cov, mean, rf, c, grid):
     """The curve, the corners its path certified with their multipliers, the
-    QPs the path ran besides minimum variance and maximum Sharpe, and the KKT
-    solves (``qp._solve_kkt``) inside the path, those of its QPs included."""
+    QPs the path ran besides minimum variance and maximum Sharpe, the KKT
+    solves (``qp._solve_kkt``) inside the path, those of its QPs included, and
+    the ``np.linalg.lstsq`` calls inside the path: a singular KKT system or a
+    certificate recovered without the path's multipliers."""
     original, corners, on_path = portopt.solver.kkt_residual_weights, [0], [False]
     corner_path, solve_kkt, solves = portopt.solver.Problem.corner_path, portopt.qp._solve_kkt, [0]
+    lstsq, fallbacks = np.linalg.lstsq, [0]
 
     def counting(*args, **kwargs):
         # minimum variance and maximum Sharpe carry multipliers too
@@ -303,6 +306,10 @@ def _path_counts(monkeypatch, cov, mean, rf, c, grid):
     def solving(K, rhs):
         solves[0] += on_path[0]
         return solve_kkt(K, rhs)
+
+    def least_squares(*args, **kwargs):
+        fallbacks[0] += on_path[0]
+        return lstsq(*args, **kwargs)
 
     def tracing(self, *args):
         on_path[0] = True
@@ -314,34 +321,37 @@ def _path_counts(monkeypatch, cov, mean, rf, c, grid):
     monkeypatch.setattr(portopt.solver, "kkt_residual_weights", counting)
     monkeypatch.setattr(portopt.solver.Problem, "corner_path", tracing)
     monkeypatch.setattr(portopt.qp, "_solve_kkt", solving)
+    monkeypatch.setattr(np.linalg, "lstsq", least_squares)
     curve, calls, _ = _trace_counting_qps(monkeypatch, cov, mean, rf, c, grid)
-    return curve, corners[0], calls - 2, solves[0]
+    return curve, corners[0], calls - 2, solves[0], fallbacks[0]
 
 
 def test_bundled_frontier_corner_counts(monkeypatch, markets):
     # pins the corner path of every bounded bundled curve at grid 100: its
-    # corners, each certified once, and two QPs, at the start and at the top,
-    # so no degenerate corner; one QP per target took 196-245 active-set
-    # iterations per curve
+    # corners, each certified once, and one QP, at the start, so no degenerate
+    # corner, and the top is the end of the last segment; no least-squares
+    # fallback.  One QP per target took 196-245 active-set iterations per curve
     counts = {"c1": (14, 16), "c2": (12, 12), "c4": (8, 8)}
     for regime, expected in counts.items():
         for label, corners in zip(("bundled-mm", "bundled-im"), expected):
             cov, mean, rf, mi = markets[label]
-            _, *path, _ = _path_counts(monkeypatch, cov, mean, rf, constraint_for(regime, mi), 100)
-            assert path == [corners, 2], (regime, label)
+            _, *path, _, fallbacks = _path_counts(monkeypatch, cov, mean, rf,
+                                                  constraint_for(regime, mi), 100)
+            assert (*path, fallbacks) == (corners, 1, 0), (regime, label)
 
 
 def test_n50_frontier_corner_counts(monkeypatch):
     # pins the corner path of the bounded curves of the frontier benchmark's
-    # universe at grid 100: its corners, the two QPs, and the KKT solves inside
-    # the path, one per corner plus those of the two QPs
+    # universe at grid 100: its corners, the one QP, and the KKT solves inside
+    # the path, one per corner plus the QP's one; no least-squares fallback
     from perfbench.universe import make_universe
 
     u = make_universe(50, 128, 1)
-    counts = {"c1": (54, 2, 58), "c2": (52, 2, 57), "c4": (22, 2, 27)}
+    counts = {"c1": (54, 1, 55), "c2": (52, 1, 53), "c4": (22, 1, 23)}
     for regime, expected in counts.items():
-        _, *path = _path_counts(monkeypatch, u.mm.cov, u.mm.mean, u.rf, ConstraintSet(regime), 100)
-        assert tuple(path) == expected, regime
+        _, *path, fallbacks = _path_counts(monkeypatch, u.mm.cov, u.mm.mean, u.rf,
+                                           ConstraintSet(regime), 100)
+        assert (tuple(path), fallbacks) == (expected, 0), regime
 
 
 def _assert_matches_cold_solves(curve, cov, mean, c, grid):
@@ -380,8 +390,8 @@ def test_zero_crossing_under_slack_leverage_falls_back(monkeypatch):
     rng = np.random.default_rng(1)
     cov, mean = random_monthly_cov(rng, 4), rng.normal(0.01, 0.01, 4)
     c = ConstraintSet("c1", leverage_cap=50.0)
-    curve, corners, qps, _ = _path_counts(monkeypatch, cov, mean, 0.0, c, 20)
-    assert qps >= 3 and corners >= 2 * (qps - 2)    # past the start and the top
+    curve, corners, qps, _, _ = _path_counts(monkeypatch, cov, mean, 0.0, c, 20)
+    assert qps >= 2 and corners >= 2 * (qps - 1)    # past the start
     weights = [solve_target_return(cov, mean, r, c).weights for _, r in curve.points[::19]]
     assert np.sign(weights[0]).tolist() != np.sign(weights[-1]).tolist()
     assert np.abs(weights[-1]).sum() < 50.0

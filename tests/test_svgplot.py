@@ -69,9 +69,20 @@ def test_a_flat_range_widens_by_one_each_way():
     ET.fromstring(render_plot([Series(x=(2.0,), y=(3.0,), label="dot", kind="scatter")]))
 
 
-@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -1.0)])
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, 1.0), (2.0, -1.0),
+    # ranges a few ulps wide, where a step would not move the tick
+    (1.0, 1.0 + 4e-16), (-1.0 - 4e-16, -1.0), (0.9999999999999999, 1.0000000000000004),
+    (5e-324, 2e-323),
+])
 def test_nice_ticks_of_an_empty_range_is_its_low_end(lo, hi):
     assert _nice_ticks(lo, hi) == [lo]
+
+
+def test_a_range_a_few_ulps_wide_renders():
+    svg = render_plot([Series((1.0, 1.0 + 4e-16), (0.0, 1.0), "a")])
+    ET.fromstring(svg)
+    assert svg.count('text-anchor="middle">1</text>') == 1     # the one x tick
 
 
 @pytest.mark.parametrize("text", [
