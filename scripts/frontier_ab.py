@@ -16,9 +16,10 @@ side that goes first alternating.  Machine speed drifts between fresh
 processes far more than between two passes a few milliseconds apart, so the
 ratio of each round's pair is steady where single timings are not.  It
 prints each side's median pass time, each side's KKT solves per pass (the
-calls of its ``qp._solve_kkt``, counted in the untimed pass only, so no
-timed pass runs the counting wrapper), the median of the rounds' head/base
-time ratios with its quartiles, and whether every curve's points are
+calls of its ``qp._solve_kkt``) and path QPs per pass (its ``solve_qp``
+calls inside ``Problem.corner_path``), both counted in the untimed pass
+only, so no timed pass runs a counting wrapper, the median of the rounds'
+head/base time ratios with its quartiles, and whether every curve's points are
 bit-identical between the two trees; where they are not, the largest
 relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
 The exit code is 0 unless a tree fails to load or a trace raises; a slower
@@ -94,22 +95,35 @@ def _pass(po, markets) -> tuple[float, list[np.ndarray]]:
     return elapsed, [np.array(curve.points) for curve in curves]
 
 
-def _counted_pass(po, markets) -> tuple[int, list[np.ndarray]]:
-    """One pass with every call of the tree's ``qp._solve_kkt`` counted: the
-    calls, and each curve's points."""
-    qp, solves = sys.modules[po.__name__ + ".qp"], [0]
-    solve_kkt = qp._solve_kkt
+def _counted_pass(po, markets) -> tuple[int, int, list[np.ndarray]]:
+    """One pass with every call of the tree's ``qp._solve_kkt`` counted, and
+    every ``solve_qp`` call its solver makes inside ``Problem.corner_path``:
+    the KKT solves, the path QPs, and each curve's points."""
+    qp, solver = (sys.modules[f"{po.__name__}.{name}"] for name in ("qp", "solver"))
+    solve_kkt, solve_qp, corner_path = qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path
+    solves, qps, on_path = [0], [0], [False]
 
     def counting(K, rhs):
         solves[0] += 1
         return solve_kkt(K, rhs)
 
-    qp._solve_kkt = counting
+    def solving(*args):
+        qps[0] += on_path[0]
+        return solve_qp(*args)
+
+    def tracing(self, *args):
+        on_path[0] = True
+        try:
+            return corner_path(self, *args)
+        finally:
+            on_path[0] = False
+
+    qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = counting, solving, tracing
     try:
         curves = _pass(po, markets)[1]
     finally:
-        qp._solve_kkt = solve_kkt
-    return solves[0], curves
+        qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = solve_kkt, solve_qp, corner_path
+    return solves[0], qps[0], curves
 
 
 def _largest_move(base: list[np.ndarray], head: list[np.ndarray]) -> float:
@@ -153,9 +167,9 @@ def main(argv=None) -> int:
         if bare:
             sys.modules["portopt"] = trees["head"]
         markets = _markets(trees["head"], args.seed)
-        solves, points = {}, {}
+        solves, qps, points = {}, {}, {}
         for side, po in trees.items():                                  # untimed
-            solves[side], points[side] = _counted_pass(po, markets)
+            solves[side], qps[side], points[side] = _counted_pass(po, markets)
         times = {"base": [], "head": []}
         for k in range(args.rounds):
             for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
@@ -176,6 +190,7 @@ def main(argv=None) -> int:
         print(f"{side}: median pass {1e3 * statistics.median(times[side]):.1f} ms"
               f"  ({getattr(args, f'{side}_src')})")
     print(f"KKT solves per pass: base {solves['base']}, head {solves['head']}")
+    print(f"path QPs per pass: base {qps['base']}, head {qps['head']}")
     print(f"head/base time ratio: median {med:.3f}  quartiles {q1:.3f} - {q3:.3f}")
     print("points bit-identical: " + ("yes" if not moved else
           f"no, {moved} curves differ, largest relative move "

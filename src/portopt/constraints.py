@@ -113,11 +113,15 @@ class RegimeModel:
         w[..., self.pinned] = 0.0
         return w
 
-    def excess(self, w) -> np.ndarray:
+    def excess(self, w, alone: bool = False) -> np.ndarray:
         """How far weights ``w`` (one portfolio, or one per row) miss each
         row: ``|a.x - b|`` for an equality, ``a.x - b`` for an inequality
-        (negative where it holds with room)."""
-        e = self.to_solve(w).dot(self.rows.T) - self.rhs
+        (negative where it holds with room).  Given ``alone``, each row's
+        product is taken alone, bit for bit as that portfolio's own; one
+        matrix product over many rows is faster but rounds differently."""
+        x = self.to_solve(w)
+        alone = alone and x.ndim > 1                  # one portfolio's product is its own
+        e = (self.rows @ x[..., None])[..., 0] - self.rhs if alone else x.dot(self.rows.T) - self.rhs
         np.abs(e[..., :self.m_eq], out=e[..., :self.m_eq])
         return e
 

@@ -44,20 +44,20 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
     feasible asset anchors it.  The tangency return is always inserted so
     the max-Sharpe point lies exactly on the curve.
 
-    The curve is one corner path from the minimum-variance return upward
+    The curve is one corner path from the minimum-variance solve upward
     (``Problem.corner_path``, Markowitz's critical line): between two
     corners the working set is fixed and the solution affine in the
     target, so one KKT solve per active-set change gives every point in
     between.  Without inequality rows (c3, c5) there is no corner and the
-    path is one segment (two-fund separation).  At a degenerate corner,
-    such as a tie of events, a QP at the next target takes over, and the
-    path resumes from its working set.
+    path is one segment (two-fund separation).  A QP runs only at a
+    degenerate corner, such as a tie of events: at the next target, and
+    the path resumes from its working set.
 
     Every corner must pass its KKT certificate, checked from the path's
-    multipliers, or ``ConvergenceError`` names its target and residual.  A
-    point between two corners is certified through them: on a segment the
-    KKT system is linear in ``t``, so the point's residual is at most the
-    larger of theirs.
+    multipliers as one batch, or ``ConvergenceError`` names the first
+    failing target and its residual.  A point between two corners is
+    certified through them: on a segment the KKT system is linear in
+    ``t``, so the point's residual is at most the larger of theirs.
     """
     if grid < 2:
         raise ValidationError("grid must be at least 2")
@@ -73,7 +73,7 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
         return FrontierCurve(points, tangency, minvar, c, model)
 
     targets = sorted(set(np.linspace(mu0, hi, grid).tolist() + [tangency.stats.ret]))
-    stats = problem.stats(problem.corner_path(targets, minvar.weights))
+    stats = problem.stats(problem.corner_path(targets))
     pts = sorted(zip(stats.stdev.tolist(), stats.ret.tolist()), key=lambda p: p[1])
     return FrontierCurve(tuple(pts), tangency, minvar, c, model)
 

@@ -87,10 +87,15 @@ class DailyPriceTable:
 
 
 def _months(months) -> tuple[Month, ...]:
-    """``months`` as ``(year, month)`` integer pairs, each month in 1..12."""
+    """``months`` as ``(year, month)`` integer pairs, each month in 1..12,
+    strictly increasing."""
     months = tuple((int(y), int(m)) for y, m in months)
     if any(not 1 <= m <= 12 for _, m in months):
         raise ValidationError("month number outside 1..12")
+    for prev, cur in zip(months, months[1:]):
+        if cur <= prev:
+            raise ValidationError(f"months must be strictly increasing; saw "
+                                  f"{month_label(prev)} then {month_label(cur)}")
     return months
 
 
@@ -120,13 +125,7 @@ class MonthlyReturnTable:
         if self.market_ticker not in self.tickers:
             raise ConfigError(f"market ticker {self.market_ticker!r} not among tickers")
         for (y0, m0), (y1, m1) in zip(self.months, self.months[1:]):
-            step = (y1 * 12 + m1) - (y0 * 12 + m0)
-            if step <= 0:
-                raise ValidationError(
-                    f"months must be strictly increasing; saw {month_label((y0, m0))} "
-                    f"then {month_label((y1, m1))}"
-                )
-            if step > 1 and not self.allow_gaps:
+            if (y1 * 12 + m1) - (y0 * 12 + m0) > 1 and not self.allow_gaps:
                 raise ValidationError(
                     f"gap between {month_label((y0, m0))} and {month_label((y1, m1))}; "
                     "pass allow_gaps=True to accept"

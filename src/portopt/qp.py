@@ -84,10 +84,11 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
 
 
 def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     try:
         sol = np.linalg.solve(K, rhs)
-        if np.abs(K.dot(sol) - rhs).max(initial=0.0) <= 1e-7 * scale:
+        miss = np.abs(K.dot(sol) - rhs).max(initial=0.0)
+        # within 1e-7 (1 + |rhs|); a miss of at most 1e-7 is, whatever rhs is
+        if miss <= 1e-7 or miss <= 1e-7 * (1.0 + float(np.abs(rhs).max(initial=0.0))):
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -101,9 +102,10 @@ class InequalityRows:
     ``dot(v)`` is ``A @ v``: a bound's product is ``coef * v[var]``,
     which the dense product equals bit for bit (it only adds exact zeros),
     and the general rows alone go through a matrix product.  ``scale`` is
-    ``1 + max |a_ij|`` of each row.  ``reach(x, p, working)`` is the ratio
-    test: the rows off the mask that ``p`` moves toward by over ``1e-13 scale
-    (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each (room >= 0).
+    ``1 + max |a_ij|`` of each row.  ``reach(x, p, working, values)`` is the
+    ratio test: the rows off the mask that ``p`` moves toward by over ``1e-13
+    scale (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each (room >=
+    0), ``values`` being ``dot(x)`` where the caller has it.
     """
 
     def __init__(self, A_in, b_in):
@@ -118,16 +120,25 @@ class InequalityRows:
         if self.general.size:
             self.scale[self.general] = 1.0 + np.abs(self.A_general).max(axis=1)
 
+    def face(self, act, A_eq):
+        """The working rows ``act`` split: which are bounds, the bound rows, the general
+        rows, and the face's system rows (``A_eq``, then the working general rows)."""
+        on_bound = self.bound[act]
+        general = act[~on_bound]
+        return on_bound, act[on_bound], general, (
+            np.concatenate([A_eq, self.A.take(general, 0)]) if general.size else A_eq)
+
     def dot(self, v) -> np.ndarray:
         out = self.coef * v[self.var]
         if self.general.size:
             out[self.general] = self.A_general.dot(v)
         return out
 
-    def reach(self, x, p, working):
+    def reach(self, x, p, working, values=None):
         d = self.dot(p)
         cand = (~working & (d > 1e-13 * self.scale * (1.0 + np.abs(p).max()))).nonzero()[0]
-        return cand, np.maximum(self.b[cand] - self.dot(x)[cand], 0.0) / d[cand]
+        values = self.dot(x) if values is None else values
+        return cand, np.maximum(self.b[cand] - values[cand], 0.0) / d[cand]
 
 
 def _independent_start(working, A_eq, rows: InequalityRows) -> None:
@@ -160,7 +171,7 @@ def _independent_start(working, A_eq, rows: InequalityRows) -> None:
             working[general[i - len(A_eq)]] = False
 
 
-def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
+def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     """Solve the KKT system of the working rows ``act`` over the free variables.
 
     The working bounds fix their variables; the system spans the free
@@ -173,12 +184,10 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
     variable, and bounds on one variable share it in proportion to their
     coefficients (the least-norm split).  ``grad`` and ``rhs`` may carry a
     trailing axis of right-hand sides, solved with one factorization.
+    ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
-    on_bound = rows.bound[act]
-    general = ~on_bound
-    fixing, gen = act[on_bound], act[general]
-    A_gen = np.concatenate([A_eq, rows.A.take(gen, 0)]) if gen.size else A_eq   # the equalities first
+    on_bound, fixing, gen, A_gen = rows.face(act, A_eq) if face is None else face
     if fixing.size:
         fixed = rows.var[fixing]
         free = np.ones(n, dtype=bool)
@@ -196,25 +205,26 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None):
     K[:nf, nf:] = A_f.T
     rhs = np.zeros((m,) + tail) if rhs is None else rhs
     sol = _solve_kkt(K, np.concatenate([-g_f, rhs]))
+    p = np.zeros((n,) + tail)
+    p[free] = sol[:nf]
+    if not fixing.size:                 # the working rows are the general ones, in order
+        return p, sol[nf:]
     lam = np.empty((m_eq + act.size,) + tail)       # equalities, then the working set
     lam[:m_eq] = sol[nf:nf + m_eq]
     mult_in = lam[m_eq:]
     if gen.size:
-        mult_in[general] = sol[nf + m_eq:]
-    p = np.zeros((n,) + tail)
-    p[free] = sol[:nf]
-    if fixing.size:
-        # H p from the free rows alone: H is symmetric and p is zero off them
-        r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
-        c = rows.coef[fixing]
-        share = np.bincount(fixed, c * c, n)[fixed]
-        if tail:
-            c, share = c[:, None], share[:, None]
-        mult_in[on_bound if gen.size else ...] = -r * c / share   # no general row: all of them
+        mult_in[~on_bound] = sol[nf + m_eq:]
+    # H p from the free rows alone: H is symmetric and p is zero off them
+    r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
+    c = rows.coef[fixing]
+    share = np.bincount(fixed, c * c, n)[fixed]
+    if tail:
+        c, share = c[:, None], share[:, None]
+    mult_in[on_bound if gen.size else ...] = -r * c / share   # no general row: all of them
     return p, lam
 
 
-def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0):
+def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0, face=None):
     """The minimizer of ``0.5 x'Hx + g'x`` on the face where the equalities and
     the working rows ``act`` hold, from ``x``, with one reduced KKT solve.
 
@@ -226,12 +236,13 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0):
     step and the multipliers.  Given ``rate``, a second right-hand side over
     the same rows, ``p`` and ``lam`` get a second column: the solution of
     that system under a zero gradient, from the same factorization.
+    ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
     """
-    on_bound = rows.bound[act]
-    fixing, general = act[on_bound], act[~on_bound]
+    face = rows.face(act, A_eq) if face is None else face
+    _, fixing, general, A_gen = face
     x = x.copy()
     x[rows.var[fixing]] = rows.b[fixing] / rows.coef[fixing]        # on the bounds exactly
-    A_G, b_G = rows.A.take(general, 0), rows.b[general]             # the working general rows
+    A_G, b_G = A_gen[len(A_eq):], rows.b[general]                   # the working general rows
 
     def gap(x):
         return np.concatenate([b_eq - A_eq.dot(x), b_G - A_G.dot(x)]) if general.size else b_eq - A_eq.dot(x)
@@ -239,7 +250,7 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0):
     grad, rhs = H.dot(x) + g, gap(x)
     if rate is not None:                        # a second column: zero gradient, right-hand side rate
         grad, rhs = np.array([grad, np.zeros(len(x))]).T, np.array([rhs, rate]).T
-    p, lam = reduced_kkt(H, grad, A_eq, rows, act, rhs)
+    p, lam = reduced_kkt(H, grad, A_eq, rows, act, rhs, face)
     x = x + (p if rate is None else p[:, 0])
     if np.abs(gap(x)).max(initial=0.0) > 1e-12:
         x = None

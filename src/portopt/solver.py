@@ -27,7 +27,8 @@ target, so each change costs one KKT solve, not a QP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -206,6 +207,12 @@ def _stationarity_residual(grad, E, F, slacks) -> tuple[float, float]:
     return float(np.max(np.abs(r), initial=0.0)), comp
 
 
+def _each(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``A @ w`` for each row ``w`` of ``W``, one matrix-vector product per row: bit
+    for bit that row's own, which one matrix product over the rows is not."""
+    return A.dot(W[0])[None] if len(W) == 1 else (A @ W[..., None])[..., 0]
+
+
 def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
                          multipliers=None, excess=None) -> float:
     """First-order optimality residual of ``min w'Cov w`` at ``w``.
@@ -226,10 +233,12 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     recovered from scratch over the rows active within ``_ACT_TOL`` (NNLS,
     then least squares), a test independent of the engine's multipliers.
     ``excess`` is ``RegimeModel.excess(w)`` where the caller has it already.
-    A ``cov`` or ``mean`` that does not match the weights raises ``ValidationError``.
+    ``w`` may be a stack, a portfolio per row with its own target and
+    multipliers: the residual is the largest row's, each bit for bit as
+    checked alone.  Weights that ``cov`` or ``mean`` do not match raise ``ValidationError``.
     """
-    w = np.asarray(w, dtype=float)
-    n = len(w)
+    n = np.shape(w)[-1]
+    W = np.asarray(w, dtype=float).reshape(-1, n)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if cov.shape != (n, n):
         raise ValidationError(f"covariance of shape {cov.shape} does not match {n} weights")
@@ -244,23 +253,29 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
             raise ValidationError("target-return KKT check requires the mean vector")
         eq = np.concatenate([eq, regime.lift(mean)[None]])
     if excess is None:
-        excess = regime.excess(w)          # on every row; an inequality's is minus its slack
-    primal = excess.max(initial=0.0)
+        excess = regime.excess(W, alone=True)   # on every row; an inequality's is minus its slack
+    excess = excess.reshape(len(W), -1)
+    primal = excess.max(axis=1, initial=0.0)
     if target is not None:
-        primal = max(primal, abs(float(mean.dot(w)) - target))
-    slacks = -excess[regime.m_eq:]
-    grad = regime.lift(2.0 * cov.dot(w))
-    if multipliers is not None:
-        lam, mu = (np.asarray(m, dtype=float) for m in multipliers)
-        residual = max(np.abs(grad + eq.T.dot(lam) + A_in.T.dot(mu)).max(initial=0.0),
-                       -mu.min(initial=0.0),
-                       (np.abs(mu) * np.maximum(slacks, 0.0)).max(initial=0.0),
-                       primal)
-        if residual <= KKT_TOL:
-            return float(residual)
-    active = slacks <= _ACT_TOL
-    stationarity, comp = _stationarity_residual(grad, eq.T, A_in[active].T, slacks[active])
-    return float(max(stationarity, comp, primal))
+        primal = np.maximum(primal, np.abs((W[:, None] @ mean[:, None])[:, 0, 0] - target))
+    slacks = -excess[:, regime.m_eq:]
+    grad = regime.lift(2.0 * _each(cov, W))
+    if multipliers is None:
+        residual = np.full(len(W), np.inf)
+    else:
+        lam, mu = (np.asarray(m, dtype=float).reshape(len(W), -1) for m in multipliers)
+        stationarity = grad + _each(eq.T, lam) + _each(A_in.T, mu)
+        terms = np.concatenate([np.abs(stationarity), -mu, np.abs(mu) * np.maximum(slacks, 0.0),
+                                primal[:, None]], axis=1)
+        worst = terms.max(initial=0.0)
+        if worst <= KKT_TOL:
+            return float(worst)
+        residual = terms.max(axis=1, initial=0.0)
+    for i in (~(residual <= KKT_TOL)).nonzero()[0]:
+        active = slacks[i] <= _ACT_TOL
+        stationarity, comp = _stationarity_residual(grad[i], eq.T, A_in[active].T, slacks[i][active])
+        residual[i] = max(stationarity, comp, primal[i])
+    return float(residual.max())
 
 
 def kkt_residual(solution: PortfolioSolution, cov, mean=None) -> float:
@@ -390,9 +405,9 @@ class Problem:
         return z
 
     def _check(self, w, target, multipliers) -> tuple[float, bool]:
-        """The KKT certificate of weights ``w`` and whether they are feasible
-        (``check_feasible``'s verdict), from one evaluation of the rows."""
-        excess = self.regime.excess(w)
+        """The KKT certificate of weights ``w`` (one portfolio, or a stack) and whether they
+        are feasible (``check_feasible``'s verdict), from one evaluation of the rows."""
+        excess = self.regime.excess(w, alone=True)
         kkt = kkt_residual_weights(w, self.cov, self.regime.constraint, mean=self.mean,
                                    target=target, multipliers=multipliers, excess=excess)
         return kkt, bool(excess.max() <= PUBLIC_FEAS_TOL)
@@ -422,12 +437,17 @@ class Problem:
         (c3, c5) the first round's face is the equalities alone, and its
         point the answer: one KKT solve.
         """
+        res = self._min_variance_qp
+        return self._solution(self.regime.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
+
+    @cached_property
+    def _min_variance_qp(self):
+        """The QP result of ``min_variance``, solved once: ``corner_path`` starts from it."""
         r = self.regime
         centre = r.to_weights(r.centre())           # raises when the set is empty
         w = self._free_solve(np.ones(r.n))
         w /= w.sum()
-        res = self._solve(*r.system(), r.to_solve(w), lambda: r.to_solve(r.toward(centre, w)))
-        return self._solution(r.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
+        return self._solve(*r.system(), r.to_solve(w), lambda: r.to_solve(r.toward(centre, w)))
 
     def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -465,9 +485,8 @@ class Problem:
         """The QP at return ``t``, its loop started at the mix of feasible weights
         ``anchor`` with the return vertex on ``t``'s side that earns ``t``, with
         no exchange: the mix may break a row by rounding, which would start one.
-        ``target_return`` anchors it at the regime's centre, and ``corner_path``
-        at its own anchor for the first target and at a degenerate corner for
-        the next one."""
+        ``target_return`` anchors it at the regime's centre, and ``corner_path`` at a
+        degenerate corner, or at ``targets[0]`` off the minimum-variance start."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
         v = self.vertices[t >= a_ret]
@@ -477,24 +496,27 @@ class Problem:
         return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t), A_in, b_in,
                            None, lambda: r.to_solve(anchor + s * (v - anchor)))
 
-    def corner_path(self, targets, anchor) -> np.ndarray:
+    def corner_path(self, targets, anchor=None) -> np.ndarray:
         """Minimum-variance weights at each of the increasing ``targets``, a row
-        each, traced as one parametric path from feasible weights ``anchor``;
-        each target is taken as ``target_return`` takes it (``_targets``).
+        each, traced as one parametric path; each target is taken as
+        ``target_return`` takes it (``_targets``).
 
         While the working set of the return-constrained QP stays fixed, its
         solution and multipliers are affine in the target return ``t``
-        (Markowitz's critical line).  The path starts with one QP at
-        ``targets[0]``, from ``anchor``.  At each corner one factorization of
-        the working set's reduced KKT system (``qp.reduced_kkt``) re-solves
-        the point and gives the direction ``d(x, lam)/dt``; the next corner
-        is the nearest ``t`` at which an inactive row reaches its bound or
-        a working multiplier reaches zero, where that row joins or leaves
-        the working set.  Each target in between is the mix of the two
-        re-solved corners around it, so an error in the direction moves the
-        corners' returns, not the points.  The return row enters the system
-        centred on the mean return and scaled to unit range: the same row
-        under full investment, but not nearly parallel to it.
+        (Markowitz's critical line).  Without ``anchor``, where ``targets[0]``
+        is the minimum-variance return, the path starts from that solve's
+        point and working set (``_min_variance_qp``), the return row's
+        multiplier zero; else with a QP at ``targets[0]`` (``_target_qp``)
+        from ``anchor``, or the minimum-variance weights.  At each corner one
+        factorization of the working set's reduced KKT system re-solves the
+        point and gives ``d(x, lam)/dt``; the next corner is the nearest
+        ``t`` at which an inactive row reaches its bound or a working
+        multiplier reaches zero, where that row joins or leaves the working
+        set.  Each target in between is the mix of the two re-solved corners
+        around it, all mixed as one array expression at the end.  The return
+        row enters the system centred on the mean return and scaled to unit
+        range: the same row under full investment, but not nearly parallel
+        to it.
 
         A QP at the next target, started from the corner, takes over at a
         degenerate corner: a zero-length step, several events within a
@@ -503,15 +525,15 @@ class Problem:
         Where no event comes before the last target, the last segment ends
         there and the top is one more corner: on that segment every working
         row stays tight and every working multiplier nonnegative, so the
-        working set's point and multipliers at the top satisfy KKT.  So a
-        QP runs only at ``targets[0]`` and at degenerate corners.
+        working set's point and multipliers at the top satisfy KKT.
 
-        Each corner is certified from its multipliers (``_corner``), and so
-        is a segment's end where a QP takes over; a failure raises
-        ``ConvergenceError`` naming its target and residual.  On a segment
-        every term of the certificate is a max-norm of a function affine in
-        ``t`` (the working rows keep zero slack), so a point between two
-        corners has a residual of at most the larger of theirs.
+        Each corner, and a segment's end where a QP takes over, is certified
+        from its multipliers, queued and checked as one stack before each QP
+        and at the top; the first that fails raises ``ConvergenceError``
+        naming its target and residual.  On a segment every term of the
+        certificate is a max-norm of a function affine in ``t`` (the working
+        rows keep zero slack), so a point between two corners has a residual
+        of at most the larger of theirs.
         """
         r, mean, H = self.regime, self.mean, self.hessian
         targets = self._targets(targets)
@@ -526,100 +548,111 @@ class Problem:
         top = targets[-1]
         tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
         working = np.zeros(len(b_in), dtype=bool)
+        rate = np.zeros(m_eq + len(rows_in.general))      # d b_t / dt, then the general rows' zeros
+        rate[m_eq - 1] = 1.0 / sigma
 
         def resolve(x, t):
-            """The working set's point at ``t`` and ``d(x, lam)/dt`` from one
-            factorization (``qp.face_point``); the point is None where it
-            would not hold the working rows, or leave another row by more
-            than ``solve_qp``'s activity tolerance (a nearly singular system)."""
+            """The working set's point at ``t`` (None where it would not hold the working
+            rows, or leaves another by over ``solve_qp``'s activity tolerance), its rows'
+            values, ``d(x, lam)/dt`` from the same factorization, and the working general rows."""
             act = working.nonzero()[0]
-            general = act[~rows_in.bound[act]]
-            rate = np.zeros(m_eq + len(general))
-            rate[m_eq - 1] = 1.0 / sigma
+            face = rows_in.face(act, A_eq)
             b_t[-1] = (t - mid) / sigma
-            x, p, lam = face_point(H, x, A_eq, b_t, rows_in, act, rate)
-            if x is not None and (rows_in.dot(x) - b_in > 1e-9 * rows_in.scale).any():
+            x, p, lam = face_point(H, x, A_eq, b_t, rows_in, act, rate[:len(face[3])], face=face)
+            values = None if x is None else rows_in.dot(x)
+            if x is not None and np.count_nonzero(values - b_in > 1e-9 * rows_in.scale):
                 x = None
-            return x, p[:, 1], lam[:, 0], lam[:, 1], act, general
+            return x, values, p[:, 1], lam[:, 0], lam[:, 1], act, face[3][m_eq:]
 
-        def split(lam, act):
-            """Multipliers in working-set order as (equality, every inequality row)."""
-            mu = np.zeros(len(b_in))
-            mu[act] = lam[m_eq:]
-            eq = lam[:m_eq].copy()
-            eq[-1] /= sigma
-            eq[0] -= mid * eq[-1]
-            return eq, mu
+        # every corner, in order: (point, target, multipliers of the equalities then of
+        # the rows ``act``, ``act``, whether in the path's scaling of the return row)
+        corners, checked, every = [], 0, np.arange(len(b_in))
 
-        blocks, i, t0 = [], 0, targets[0]
+        def certify():
+            """Certify the corners since the last call as one stack (``_check``), their
+            multipliers split as one batch; where it fails, the first corner failing
+            alone raises."""
+            nonlocal checked
+            x, t, lam, act, own = zip(*corners[checked:])
+            checked = len(corners)
+            w, t, own = r.to_weights(np.array(x)), np.array(t), np.array(own)
+            eq, mu = np.array([v[:m_eq] for v in lam]), np.zeros((len(t), len(b_in)))
+            eq[own, -1] /= sigma
+            eq[own, 0] -= mid * eq[own, -1]
+            mu[np.repeat(np.arange(len(t)), [len(a) for a in act]), np.concatenate(act)] = \
+                np.concatenate([v[m_eq:] for v in lam])
+            kkt, feasible = self._check(w, t, (eq, mu))
+            if feasible and kkt <= KKT_TOL:
+                return
+            for k, target in enumerate(t.tolist()):
+                kkt, feasible = self._check(w[k], target, (eq[k], mu[k]))
+                if not (feasible and kkt <= KKT_TOL):
+                    raise ConvergenceError(f"frontier point at target return {target:.10g} failed "
+                                           f"its KKT certificate (residual {kkt:.3g})")
 
-        def emit(xa, ta, xb, tb):
-            """The targets up to ``tb`` on the segment from ``xa`` at ``ta`` to ``xb`` at ``tb``,
-            mixed as one array expression: elementwise, so each as if mixed alone."""
-            nonlocal i
-            j = i
-            while j < len(targets) and targets[j] <= tb:
-                j += 1
-            t, i = np.array(targets[i:j]), j
-            on = t == tb                              # all of them where the segment starts at None
-            x = np.empty((len(t), len(xb))) if on.all() else xa + ((t - ta) / (tb - ta))[:, None] * (xb - xa)
-            x[on] = xb
-            blocks.append(r.to_weights(x))
+        def mix():
+            """Every target's point, mixed from the first corner at or above it and the
+            one before as one elementwise array expression, so each as if mixed alone."""
+            x, t = np.array([c[0] for c in corners]), np.array([c[1] for c in corners])
+            tt = np.array(targets)
+            b = np.searchsorted(t, tt)
+            a = np.maximum(b - 1, 0)
+            on = tt == t[b]                               # a corner's own target
+            s = np.divide(tt - t[a], t[b] - t[a], out=np.zeros(len(tt)), where=~on)
+            w = x[a] + s[:, None] * (x[b] - x[a])
+            w[on] = x[b][on]
+            return w
 
-        res = self._target_qp(t0, anchor)
-        xa = ta = None                                    # the start of the segment being traced
+        t0, res = targets[0], (self._min_variance_qp if anchor is None else None)
+        if res is not None and t0 == float(mean @ r.to_weights(res.x)):   # bit for bit as stats
+            res = replace(res, eq_multipliers=np.append(res.eq_multipliers, 0.0))
+        else:
+            res = self._target_qp(t0, r.to_weights(res.x) if anchor is None else anchor)
         while True:
             if res is not None:                           # resume from a QP's working set
                 working[:] = False
                 working[list(res.active)] = True
                 x = res.x
-            x1, dx, lam, dlam, act, general = resolve(x, t0)
-            miss = np.concatenate([A_eq.dot(dx), A_in[general].dot(dx)])
+            x1, values, dx, lam, dlam, act, A_G = resolve(x, t0)
+            miss = np.concatenate([A_eq.dot(dx), A_G.dot(dx)])
             miss[m_eq - 1] -= 1.0 / sigma
             # working rows that fix the point leave no direction
             stuck = np.abs(miss).max() > 1e-9 * (1.0 + np.abs(dx).max())
             if res is not None:                           # a QP's point and multipliers stand
-                arrived, res = (res.eq_multipliers, res.in_multipliers), None
+                corners.append((x, t0, np.append(res.eq_multipliers, res.in_multipliers), every, False))
+                res = values = None
             elif x1 is None or stuck:                     # the point stays as the event left it
-                arrived, stuck = split(*event), True
+                corners.append((x, t0, event[0] + event[2] * event[1], event[3], True))
+                stuck = True
             else:
-                x, arrived = x1, split(lam, act)
-            self._corner(x, *arrived, t0)
-            emit(xa, ta, x, t0)
+                x = x1
+                corners.append((x, t0, lam, act, True))
             if t0 == top:
-                return np.concatenate(blocks)
-            xa, ta, s, end = x, t0, 0.0, top - t0
+                certify()
+                return r.to_weights(mix())
+            s, end = 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
-                hit, ahead = rows_in.reach(x, dx, working)
+                hit, ahead = rows_in.reach(x, dx, working, values)
                 fall = (dlam[m_eq:] < -1e-12 * np.abs(dlam).max()).nonzero()[0]
                 steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
                 s = float(steps.min(initial=end))
                 near = np.concatenate([hit, act[fall]])[steps <= s + tie]
                 if s >= end - tie:                        # no event before the top: the path ends there
-                    x, t0, event = x + end * dx, top, (lam + end * dlam, act)
+                    x, t0, event = x + end * dx, top, (lam, dlam, end, act)
                     continue
                 if tie < s and len(near) == 1:            # one row joins or leaves
                     working[near[0]] = not working[near[0]]
-                    x, t0, event = x + s * dx, t0 + s, (lam + s * dlam, act)
+                    x, t0, event = x + s * dx, t0 + s, (lam, dlam, s, act)
                     continue
-            # a degenerate corner: certify the segment's end, then a QP at the next
-            # target, started from that end
+            # a degenerate corner: the segment's end is one more corner; certify them all,
+            # then a QP at the next target, started from that end
             if 0.0 < s:
                 x1 = resolve(x + s * dx, t0 + s)[0]
-                x1 = x + s * dx if x1 is None else x1
-                self._corner(x1, *split(lam + s * dlam, act), t0 + s)
-                emit(x, t0, x1, t0 + s)
-                xa, ta = x1, t0 + s
-            t0 = targets[i]
+                corners.append((x + s * dx if x1 is None else x1, t0 + s, lam + s * dlam, act, True))
+            certify()
+            t0 = targets[bisect_right(targets, corners[-1][1])]
             res = self._target_qp(t0, r.to_weights(x + s * dx))
-
-    def _corner(self, x, eq, mu, target: float) -> None:
-        """Certify a point of the corner path from its multipliers, or raise."""
-        kkt, feasible = self._check(self.regime.to_weights(x), target, (eq, mu))
-        if not (feasible and kkt <= KKT_TOL):
-            raise ConvergenceError(f"frontier point at target return {target:.10g} failed its "
-                                   f"KKT certificate (residual {kkt:.3g})")
 
     def max_sharpe(self) -> PortfolioSolution:
         r, mean = self.regime, self._mean()

@@ -63,6 +63,14 @@ def small_cases():
                                id=f"{label}-{c.regime}-{c.leverage_cap:g}-{c.weight_bound:.3g}")
 
 
+def zero_crossing_universe():
+    """``(cov, mean, c)`` of N = 4 under c1 with its leverage row slack, where a
+    weight crossing zero makes a degenerate corner of the frontier path."""
+    rng = np.random.default_rng(1)
+    cov, mean = random_monthly_cov(rng, 4), rng.normal(0.01, 0.01, 4)
+    return cov, mean, ConstraintSet("c1", leverage_cap=50.0)
+
+
 def make_table(returns, market_ticker="MKT", start=(2015, 1)) -> MonthlyReturnTable:
     """Wrap a (T, N) return array in a table; market is the last column."""
     r = np.asarray(returns, dtype=float)
@@ -89,28 +97,48 @@ def factor_returns(rng, t: int, n: int):
 
 
 def fail_certificate(monkeypatch, k: int):
-    """Make the ``k``-th certificate at a return level report a residual of 1.
+    """Make the ``k``-th point certified at a return level report a residual of 1.
 
+    Points count one per row: a frontier's corners are certified as a stack,
+    and a stack that fails again row by row, where that point fails too.
     Maximum Sharpe checks the first; a frontier's points come after it.
     """
-    original, seen = portopt.solver.kkt_residual_weights, [0]
+    original, seen, failed = portopt.solver.kkt_residual_weights, [0], []
 
-    def failing(*args, target=None, **kwargs):
+    def failing(w, *args, target=None, **kwargs):
         if target is not None:
-            seen[0] += 1
-            if seen[0] == k:
+            rows, targets = np.reshape(w, (-1, np.shape(w)[-1])), np.atleast_1d(target)
+            if not failed and seen[0] + len(rows) >= k:
+                failed.append((rows[k - seen[0] - 1].copy(), targets[k - seen[0] - 1]))
+            seen[0] += len(rows)
+            if failed and any(np.array_equal(row, failed[0][0]) and t == failed[0][1]
+                              for row, t in zip(rows, targets)):
                 return 1.0
-        return original(*args, target=target, **kwargs)
+        return original(w, *args, target=target, **kwargs)
 
     monkeypatch.setattr(portopt.solver, "kkt_residual_weights", failing)
 
 
+def one_per_row(args, kwargs):
+    """A certificate call as one call per portfolio: each row of a stack with
+    its own target, multipliers and excess."""
+    w, *rest = args
+    if np.ndim(w) == 1:
+        return [(args, kwargs)]
+    lam, mu = kwargs["multipliers"]
+    own = {key: kwargs[key] for key in ("target", "excess") if kwargs.get(key) is not None}
+    return [((w[i], *rest), {**kwargs, **{key: v[i] for key, v in own.items()},
+                             "multipliers": (lam[i], mu[i])}) for i in range(len(w))]
+
+
 class CertificateWatch:
-    """Records each certificate given a solve's multipliers and counts the
-    NNLS recoveries (``solver._stationarity_residual``) that fall back from one."""
+    """Records each point certified given a solve's multipliers, one call per
+    point (a stack's rows apart), and counts the NNLS recoveries
+    (``solver._stationarity_residual``) that fall back from one."""
 
     def __init__(self, monkeypatch):
-        self.calls = []          # (args, kwargs) of each certificate given multipliers
+        self.calls = []          # (args, kwargs) of each point certified given multipliers
+        self.stacks = []         # (args, kwargs, residual) of each call given several points
         self.fallbacks = 0
         self.recoveries = 0      # every NNLS recovery, with or without multipliers
         self._certify = portopt.solver.kkt_residual_weights
@@ -123,9 +151,12 @@ class CertificateWatch:
         def recording(*args, **kwargs):
             if kwargs.get("multipliers") is None:
                 return self._certify(*args, **kwargs)
-            self.calls.append((args, kwargs))
-            value, fell_back = self.certify(args, kwargs)
-            self.fallbacks += fell_back
+            self.calls.extend(one_per_row(args, kwargs))
+            before = self.recoveries
+            value = self._certify(*args, **kwargs)
+            self.fallbacks += self.recoveries - before      # a recovery per row that falls back
+            if np.ndim(args[0]) == 2:
+                self.stacks.append((args, kwargs, value))
             return value
 
         monkeypatch.setattr(portopt.solver, "_stationarity_residual", counting)

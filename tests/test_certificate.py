@@ -8,13 +8,33 @@ sends a good point to the fallback, which still certifies it, and a
 wrong point fails under both.  Target-return points and corners carry
 their QP's multipliers, minimum variance too, and maximum Sharpe those of
 its homogenized QP mapped to the weights (``solver._weight_multipliers``).
+A frontier's corners are certified as one stack per path, and a stack
+that fails again row by row, so that the first failing corner names
+itself.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from conftest import CertificateWatch, constraint_for, factor_returns, make_table, random_spd
-from portopt import ConstraintSet, check_feasible, markowitz_estimates, trace_frontier
+from conftest import (
+    CertificateWatch,
+    constraint_for,
+    factor_returns,
+    fail_certificate,
+    make_table,
+    one_per_row,
+    random_spd,
+    zero_crossing_universe,
+)
+from portopt import (
+    ConstraintSet,
+    ConvergenceError,
+    check_feasible,
+    markowitz_estimates,
+    trace_frontier,
+)
 from portopt.solver import KKT_TOL, Problem
 
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
@@ -234,3 +254,85 @@ def test_moved_anchor_fails_under_both_paths(monkeypatch, markets, objective, re
     nnls, _ = watch.certify(wrong, kwargs, multipliers=None)
     assert nnls > KKT_TOL
     assert watch.certify(wrong, kwargs) == (nnls, True)
+
+
+def _rows_of(args, kwargs, keep):
+    """A stacked certificate call cut to the rows ``keep``."""
+    (w, *rest), lam, mu = args, *kwargs["multipliers"]
+    return ((w[keep], *rest), {**kwargs, "target": kwargs["target"][keep],
+                               "excess": kwargs["excess"][keep], "multipliers": (lam[keep], mu[keep])})
+
+
+def test_stacked_certificate_is_the_largest_row_certificate(monkeypatch, markets):
+    # every grid-100 curve of the bundled MM and IM data and of the N = 50
+    # universe certifies its corners in stacks, and each stack's residual is
+    # bit for bit the largest of its rows' residuals, each row certified
+    # alone; so is the residual of the stack cut to the rows whose own
+    # residual is at most any one row's, so every row of a stack reads as alone
+    stacks = 0
+    for label, cov, mean, rf, mi in _anchor_markets(markets):
+        for regime in REGIMES:
+            watch = _traced(monkeypatch, cov, mean, rf, constraint_for(regime, mi), 100)
+            monkeypatch.undo()
+            for args, kwargs, value in watch.stacks:
+                alone = np.array([watch.certify(*call)[0] for call in one_per_row(args, kwargs)])
+                assert isinstance(value, float) and value.hex() == alone.max().hex(), (label, regime)
+                for r in alone:
+                    cut = watch.certify(*_rows_of(args, kwargs, alone <= r))[0]
+                    assert cut.hex() == r.hex(), (label, regime)
+                stacks += 1
+    assert stacks >= 3 * len(REGIMES)
+
+
+def _corner_targets(monkeypatch, cov, mean, rf, c, grid):
+    """The target of each corner a traced curve's path certified, one per
+    point in certificate order, and how many it had certified when each of
+    its QPs started."""
+    watch, start, before_qp = CertificateWatch(monkeypatch), [], []
+    corner_path, target_qp = Problem.corner_path, Problem._target_qp
+
+    def tracing(self, *args):
+        start.append(len(watch.calls))
+        return corner_path(self, *args)
+
+    def solving(self, *args):
+        before_qp.append(len(watch.calls) - start[0])
+        return target_qp(self, *args)
+
+    monkeypatch.setattr(Problem, "corner_path", tracing)
+    monkeypatch.setattr(Problem, "_target_qp", solving)
+    trace_frontier(cov, mean, rf, c, grid=grid)
+    monkeypatch.undo()
+    return [float(kwargs["target"]) for _, kwargs in watch.calls[start[0]:]], before_qp
+
+
+@pytest.mark.parametrize("where", ["mid-path", "before-qp"])
+def test_corrupted_corner_names_its_own_target(monkeypatch, markets, where):
+    # the corner whose certificate reads 1 raises, naming its own target: one
+    # in the middle of the bundled MM c4 path, and the segment's end certified
+    # just before the zero-crossing path's first degenerate-corner QP, which
+    # then never runs.  Maximum Sharpe is the first point certified at a
+    # return level, so the path's corner j is the (j + 2)-th
+    if where == "mid-path":
+        cov, mean, rf, _ = markets["bundled-mm"]
+        curve = (cov, mean, rf, ConstraintSet("c4"), 100)
+    else:
+        cov, mean, c = zero_crossing_universe()
+        curve = (cov, mean, 0.0, c, 20)
+    targets, before_qp = _corner_targets(monkeypatch, *curve)
+    j = len(targets) // 2 if where == "mid-path" else before_qp[0] - 1
+    assert 0 < j < len(targets) - 1
+    qps = []
+    target_qp = Problem._target_qp
+
+    def solving(self, *args):
+        qps.append(args[0])
+        return target_qp(self, *args)
+
+    monkeypatch.setattr(Problem, "_target_qp", solving)
+    fail_certificate(monkeypatch, j + 2)
+    message = (f"frontier point at target return {targets[j]:.10g} failed its KKT "
+               f"certificate (residual 1)")
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        trace_frontier(*curve[:4], grid=curve[4])
+    assert len(qps) == sum(b <= j for b in before_qp)

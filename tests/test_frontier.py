@@ -12,6 +12,7 @@ from conftest import (
     make_table,
     random_monthly_cov,
     small_cases,
+    zero_crossing_universe,
 )
 from portopt import (
     ConstraintSet,
@@ -289,19 +290,21 @@ def test_two_fund_curve_runs_three_qps(monkeypatch, markets, label, regime):
 
 
 def _path_counts(monkeypatch, cov, mean, rf, c, grid):
-    """The curve, the corners its path certified with their multipliers, the
-    QPs the path ran besides minimum variance and maximum Sharpe, the KKT
-    solves (``qp._solve_kkt``) inside the path, those of its QPs included, and
-    the ``np.linalg.lstsq`` calls inside the path: a singular KKT system or a
-    certificate recovered without the path's multipliers."""
+    """The curve, the corners its path certified with their multipliers (one
+    per row of each stacked certificate), the QPs the path ran besides
+    minimum variance and maximum Sharpe, the KKT solves (``qp._solve_kkt``)
+    inside the path, those of its QPs included, and the ``np.linalg.lstsq``
+    calls inside the path: a singular KKT system or a certificate recovered
+    without the path's multipliers."""
     original, corners, on_path = portopt.solver.kkt_residual_weights, [0], [False]
     corner_path, solve_kkt, solves = portopt.solver.Problem.corner_path, portopt.qp._solve_kkt, [0]
     lstsq, fallbacks = np.linalg.lstsq, [0]
 
-    def counting(*args, **kwargs):
+    def counting(w, *args, **kwargs):
         # minimum variance and maximum Sharpe carry multipliers too
-        corners[0] += on_path[0] and kwargs.get("multipliers") is not None
-        return original(*args, **kwargs)
+        if on_path[0] and kwargs.get("multipliers") is not None:
+            corners[0] += len(np.reshape(w, (-1, np.shape(w)[-1])))
+        return original(w, *args, **kwargs)
 
     def solving(K, rhs):
         solves[0] += on_path[0]
@@ -328,26 +331,27 @@ def _path_counts(monkeypatch, cov, mean, rf, c, grid):
 
 def test_bundled_frontier_corner_counts(monkeypatch, markets):
     # pins the corner path of every bounded bundled curve at grid 100: its
-    # corners, each certified once, and one QP, at the start, so no degenerate
-    # corner, and the top is the end of the last segment; no least-squares
-    # fallback.  One QP per target took 196-245 active-set iterations per curve
+    # corners, each certified once, and no QP: the path starts from the
+    # minimum-variance solve, no corner is degenerate, and the top is the end
+    # of the last segment; no least-squares fallback.  One QP per target took
+    # 196-245 active-set iterations per curve
     counts = {"c1": (14, 16), "c2": (12, 12), "c4": (8, 8)}
     for regime, expected in counts.items():
         for label, corners in zip(("bundled-mm", "bundled-im"), expected):
             cov, mean, rf, mi = markets[label]
             _, *path, _, fallbacks = _path_counts(monkeypatch, cov, mean, rf,
                                                   constraint_for(regime, mi), 100)
-            assert (*path, fallbacks) == (corners, 1, 0), (regime, label)
+            assert (*path, fallbacks) == (corners, 0, 0), (regime, label)
 
 
 def test_n50_frontier_corner_counts(monkeypatch):
     # pins the corner path of the bounded curves of the frontier benchmark's
-    # universe at grid 100: its corners, the one QP, and the KKT solves inside
-    # the path, one per corner plus the QP's one; no least-squares fallback
+    # universe at grid 100: its corners, no QP, and the KKT solves inside the
+    # path, one per corner; no least-squares fallback
     from perfbench.universe import make_universe
 
     u = make_universe(50, 128, 1)
-    counts = {"c1": (54, 1, 55), "c2": (52, 1, 53), "c4": (22, 1, 23)}
+    counts = {"c1": (54, 0, 54), "c2": (52, 0, 52), "c4": (22, 0, 22)}
     for regime, expected in counts.items():
         _, *path, fallbacks = _path_counts(monkeypatch, u.mm.cov, u.mm.mean, u.rf,
                                            ConstraintSet(regime), 100)
@@ -387,11 +391,9 @@ def test_zero_crossing_under_slack_leverage_falls_back(monkeypatch):
     # with the leverage row slack, a weight crossing zero moves its split
     # part onto its bound as the other part's multiplier, only the split
     # Hessian's 1e-12 diagonal, reaches zero: a degenerate corner, re-solved
-    rng = np.random.default_rng(1)
-    cov, mean = random_monthly_cov(rng, 4), rng.normal(0.01, 0.01, 4)
-    c = ConstraintSet("c1", leverage_cap=50.0)
+    cov, mean, c = zero_crossing_universe()
     curve, corners, qps, _, _ = _path_counts(monkeypatch, cov, mean, 0.0, c, 20)
-    assert qps >= 2 and corners >= 2 * (qps - 1)    # past the start
+    assert qps >= 1 and corners >= 2 * qps      # none at the start
     weights = [solve_target_return(cov, mean, r, c).weights for _, r in curve.points[::19]]
     assert np.sign(weights[0]).tolist() != np.sign(weights[-1]).tolist()
     assert np.abs(weights[-1]).sum() < 50.0

@@ -29,18 +29,43 @@ def test_one_tree_against_itself(capsys):
     assert "points bit-identical: yes" in out
     base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
     assert base == head > 0
+    # every path starts from its minimum-variance solve, and no frontier-grid
+    # curve has a degenerate corner
+    assert "path QPs per pass: base 0, head 0" in out
+
+
+def _copy(tmp_path):
+    """A copy of this tree's portopt package under ``tmp_path``."""
+    shutil.copytree(ROOT / "src" / "portopt", tmp_path / "portopt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "portopt"
+
+
+def test_a_start_qp_shows_in_the_path_qps(tmp_path, capsys):
+    # a head whose curves start their paths with a QP from the minimum-variance
+    # weights: one path QP per curve, each one KKT solve more, the same points
+    frontier = _copy(tmp_path) / "frontier.py"
+    text = frontier.read_text(encoding="utf-8")
+    assert text.count("problem.corner_path(targets)") == 1
+    frontier.write_text(text.replace("problem.corner_path(targets)",
+                                     "problem.corner_path(targets, minvar.weights)"),
+                        encoding="utf-8")
+    assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "path QPs per pass: base 0, head 15" in out
+    base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
+    assert head == base + 15
+    assert "points bit-identical: yes" in out
 
 
 def test_a_moved_point_reports_its_relative_move(tmp_path, capsys):
     # a head whose corner paths scale every weight by 1 + 2e-12: each curve's
     # points move by about that much, and the KKT solves stay the same
-    shutil.copytree(ROOT / "src" / "portopt", tmp_path / "portopt",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    solver = tmp_path / "portopt" / "solver.py"
+    solver = _copy(tmp_path) / "solver.py"
     text = solver.read_text(encoding="utf-8")
-    assert text.count("return np.concatenate(blocks)") == 1
-    solver.write_text(text.replace("return np.concatenate(blocks)",
-                                   "return np.concatenate(blocks) * (1.0 + 2e-12)"),
+    assert text.count("return r.to_weights(mix())") == 1
+    solver.write_text(text.replace("return r.to_weights(mix())",
+                                   "return r.to_weights(mix()) * (1.0 + 2e-12)"),
                       encoding="utf-8")
     assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
     out = capsys.readouterr().out

@@ -85,11 +85,13 @@ def test_daily_price_table_invariants(change, error, fragment):
      "month number outside 1..12"),
     ({"months": ((2020, 2), (2020, 1))}, ValidationError,
      "months must be strictly increasing; saw 2020-02 then 2020-01"),
+    ({"months": ((2020, 1), (2020, 1))}, ValidationError,
+     "months must be strictly increasing; saw 2020-01 then 2020-01"),
     ({"months": ((2020, 1), (2020, 3))}, ValidationError, "gap between 2020-01 and 2020-03"),
     ({"returns": [[0.01, 0.02], [NAN, 0.0]]}, ValidationError, "non-finite return"),
     ({"returns": [[0.01, 0.02], [-1.0, 0.0]]}, ValidationError, "return <= -1 impossible"),
 ], ids=["shape", "duplicate-ticker", "market-ticker", "month-number", "one-month-number",
-        "month-order", "gap", "non-finite", "total-loss"])
+        "month-order", "month-repeat", "gap", "non-finite", "total-loss"])
 def test_monthly_return_table_invariants(change, error, fragment):
     with _raises(error, fragment):
         MonthlyReturnTable(**{**RETURNS, **change})
@@ -100,7 +102,10 @@ def test_monthly_return_table_invariants(change, error, fragment):
     ({"annual_rates": [0.02, NAN]}, "non-finite risk-free rate"),
     ({"annual_rates": [0.02, -1.0]}, "annual risk-free rate must exceed -1"),
     ({"months": ((2020, 0), (2020, 14))}, "month number outside 1..12"),
-], ids=["length", "non-finite", "below-minus-one", "month-number"])
+    ({"months": ((2020, 2), (2020, 2), (2019, 1)), "annual_rates": [0.01, 0.02, 0.03]},
+     "months must be strictly increasing; saw 2020-02 then 2020-02"),
+    ({"months": ((2020, 2), (2020, 1))}, "months must be strictly increasing; saw 2020-02 then 2020-01"),
+], ids=["length", "non-finite", "below-minus-one", "month-number", "month-repeat", "month-order"])
 def test_risk_free_series_invariants(change, fragment):
     with _raises(ValidationError, fragment):
         RiskFreeSeries(**{**RISKFREE, **change})

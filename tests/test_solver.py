@@ -446,14 +446,16 @@ def test_split_hessian_written_in_place_bit_for_bit(n):
 
 
 def test_certificate_and_feasibility_read_one_row_excess(monkeypatch, markets):
-    # each solution's KKT certificate and feasibility verdict come from one
-    # evaluation of the regime's rows, with the values and verdicts that the
-    # two separate evaluations give
+    # each solution's KKT certificate and feasibility verdict, and those of
+    # each stack of frontier corners, come from one evaluation of the
+    # regime's rows, with the values and verdicts that the two separate
+    # evaluations give; the checked points are counted one per row
     excess, check, calls, per_check = portopt.constraints.RegimeModel.excess, Problem._check, [0], []
+    points = [0]
 
-    def counting(self, w):
+    def counting(self, w, alone=False):
         calls[0] += 1
-        return excess(self, w)
+        return excess(self, w, alone)
 
     def checking(self, w, target, multipliers):
         before = calls[0]
@@ -461,7 +463,9 @@ def test_certificate_and_feasibility_read_one_row_excess(monkeypatch, markets):
         per_check.append(calls[0] - before)
         assert kkt == kkt_residual_weights(w, self.cov, self.regime.constraint, mean=self.mean,
                                            target=target, multipliers=multipliers)
-        assert feasible == check_feasible(w, self.regime.constraint).feasible
+        rows = np.reshape(w, (-1, len(self.cov)))
+        points[0] += len(rows)
+        assert feasible == all(check_feasible(v, self.regime.constraint).feasible for v in rows)
         return kkt, feasible
 
     monkeypatch.setattr(portopt.constraints.RegimeModel, "excess", counting)
@@ -470,7 +474,7 @@ def test_certificate_and_feasibility_read_one_row_excess(monkeypatch, markets):
     for regime in ("c1", "c2", "c3", "c4", "c5"):
         trace_frontier(cov, mean, rf, ConstraintSet(regime, market_index=mi if regime == "c5"
                                                     else None), grid=10)
-    assert len(per_check) > 30 and set(per_check) == {1}
+    assert points[0] > 30 and set(per_check) == {1}
     # a long-only point moved off a zero weight by less, then by more, than
     # check_feasible's tolerance: the same verdicts, feasible then not
     problem = Problem.prepare(cov, ConstraintSet("c4"), mean=mean, rf=rf)
@@ -550,6 +554,9 @@ def test_target_return_accepts_numpy_and_int_targets(c, target):
     targets = np.linspace(float(target), problem.return_range[1], 4)
     path = problem.corner_path(targets, problem.min_variance().weights)
     assert [float(mean @ w) for w in path] == pytest.approx([float(t) for t in targets], abs=1e-12)
+    # without an anchor, a first target off the minimum-variance return starts
+    # the path with the same QP, from the minimum-variance weights
+    assert np.array_equal(problem.corner_path(targets), path)
 
 
 @pytest.mark.parametrize("c", [ConstraintSet("c1"), ConstraintSet("c2", weight_bound=0.6), C4],
@@ -572,6 +579,9 @@ def test_corner_path_checks_its_targets_as_target_return_does(c, kind):
     targets = as_kind(np.linspace(float(mean @ anchor), hi, 4))
     path = problem.corner_path(targets, anchor)
     assert all(w.dtype == np.float64 for w in path)
+    # without an anchor the path starts from the minimum-variance solve with no
+    # QP (a float32 first target is off its return: the same QP), to the same points
+    assert np.array_equal(problem.corner_path(targets), path)
     expected = [min(max(float(t), lo), hi) for t in targets]
     assert [float(mean @ w) for w in path] == pytest.approx(expected, abs=1e-12)
     for w, t in zip(path, targets):
