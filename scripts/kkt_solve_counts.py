@@ -4,9 +4,9 @@
 Usage: PYTHONPATH=src python scripts/kkt_solve_counts.py [GROUP ...]
 
 A family is one constraint set solved on one group of five universes, for
-minimum variance and for maximum Sharpe.  The nine constraint sets are
-c1 at leverage caps 2, 1 and 1.3; c2 at weight bounds 1, 1/N and 0.1; c3,
-c4 and c5.  The five groups (45 families):
+minimum variance and for maximum Sharpe.  The eleven constraint sets are
+c1 at leverage caps 2, 1 and 1.3; c2 at weight bounds 1, 1/N, 0.1, 1.5/N
+and 2/N; c3, c4 and c5.  The five groups (55 families):
 
 * ``starts`` -- the factor universes of tests/test_starts.py, (N, T, seed)
   = (20, 120, 21), (30, 20, 3) with N > T, (20, 120, 1), (35, 120, 2) and
@@ -42,6 +42,8 @@ CONSTRAINTS = (    # (label, regime, parameters given N)
     ("c2", "c2", lambda n: {}),
     ("c2 weight_bound=1/N", "c2", lambda n: {"weight_bound": 1.0 / n}),
     ("c2 weight_bound=0.1", "c2", lambda n: {"weight_bound": 0.1}),
+    ("c2 weight_bound=1.5/N", "c2", lambda n: {"weight_bound": 1.5 / n}),
+    ("c2 weight_bound=2/N", "c2", lambda n: {"weight_bound": 2.0 / n}),
     ("c3", "c3", lambda n: {}),
     ("c4", "c4", lambda n: {}),
     ("c5", "c5", lambda n: {}),

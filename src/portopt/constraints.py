@@ -93,6 +93,11 @@ class RegimeModel:
     box: tuple[float, float]      # bounds every free weight shares
     bounded: bool                 # the expected return is bounded on the set
 
+    @property
+    def one_point(self) -> bool:
+        """Whether the centre is the set's only point: c2 at ``weight_bound * N <= 1``."""
+        return self.box[1] * len(self.free) <= 1.0 + 1e-12
+
     def system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(A_eq, b_eq, A_in, b_in)``, each equality once."""
         m = self.m_eq

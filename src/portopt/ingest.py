@@ -26,8 +26,8 @@ from .errors import (
 Month = tuple[int, int]
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 

@@ -257,26 +257,6 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0, fa
     return x, p, lam
 
 
-def _within_reach(A_eq, b_eq, rows: InequalityRows, working) -> bool:
-    """Whether every equality row can hold with the working bounds fixing
-    their variables and the other bound rows boxing theirs (to 1e-12): each
-    row's least and greatest value over that box must bracket its
-    right-hand side.  Without bound rows only an all-zero row could miss,
-    and ``face_point`` finds that face without a point."""
-    k = rows.bound.nonzero()[0]
-    if not k.size:
-        return True
-    at, upper, fixed = rows.b[k] / rows.coef[k], rows.coef[k] > 0.0, working[k]
-    lo, hi = np.full(A_eq.shape[1], -np.inf), np.full(A_eq.shape[1], np.inf)
-    np.maximum.at(lo, rows.var[k[~upper]], at[~upper])
-    np.minimum.at(hi, rows.var[k[upper]], at[upper])
-    lo[rows.var[k[fixed]]] = hi[rows.var[k[fixed]]] = at[fixed]
-    pos, neg = A_eq > 0.0, A_eq < 0.0          # a zero coefficient adds 0, not 0 * inf
-    least = (A_eq * np.where(pos, lo, np.where(neg, hi, 0.0))).sum(axis=1)
-    most = (A_eq * np.where(pos, hi, np.where(neg, lo, 0.0))).sum(axis=1)
-    return bool(np.all((least <= b_eq + 1e-12) & (most >= b_eq - 1e-12)))
-
-
 def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     """Block principal pivoting from ``x`` for ``solve_qp``: ``(x, rounds,
     face)``, x None where a face has no point of the feasible set, and
@@ -294,14 +274,11 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     carries it.  A round that does not lower the best count of broken rows plus
     leaving rows spends one of ``_PATIENCE`` rounds, a new best restores them,
     and a round that would move a single row spends them all; from then on rows
-    only join, so the point is feasible within one round per row.  Where the
-    first face's bounds leave an equality out of reach of the box the other
-    bound rows allow (``_within_reach``), no face near ``x`` holds a point of
-    the set, and the exchange ends without a solve.
+    only join, so the point is feasible within one round per row.  A first
+    face whose bounds put an equality out of the box's reach still has a
+    point: it breaks the bounds of free variables, and they join.
     """
     working = rows.dot(x) >= rows.b             # every tight or broken row, at its bound
-    if not _within_reach(A_eq, b_eq, rows, working):
-        return None, 0, None
     best, patience, rounds = np.inf, _PATIENCE, 0
     while True:
         act = working.nonzero()[0]

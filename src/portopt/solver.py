@@ -392,7 +392,7 @@ class Problem:
         """Attainable interval of expected returns, read off ``vertices``."""
         return self.regime.return_range(self._mean(), self.vertices)
 
-    def _solve(self, A_eq, b_eq, A_in, b_in, x0, fallback=None):
+    def _solve(self, A_eq, b_eq, A_in, b_in, x0, fallback):
         return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0,
                         fallback)
 
@@ -431,11 +431,13 @@ class Problem:
         free]^-1 1`` (``_free_solve``) normalized to sum to one, where
         Goldfarb & Idnani (1983) start their dual method: each round moves
         to a face's minimizer with one KKT solve, and counts in
-        ``iterations``.  Where a face holds no point of the set, the
-        engine's loop starts from that point mixed toward the centre as far
-        as the rows hold (``RegimeModel.toward``).  Without inequality rows
-        (c3, c5) the first round's face is the equalities alone, and its
-        point the answer: one KKT solve.
+        ``iterations``.  It runs on however far the start lies outside the
+        set.  Where a face holds no point of the set, the engine's loop
+        starts from that point mixed toward the centre as far as the rows
+        hold (``RegimeModel.toward``).  Where the centre is the set's only
+        point (``RegimeModel.one_point``), the loop starts there with no
+        exchange.  Without inequality rows (c3, c5) the first round's face
+        is the equalities alone, and its point the answer: one KKT solve.
         """
         res = self._min_variance_qp
         return self._solution(self.regime.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
@@ -445,6 +447,8 @@ class Problem:
         """The QP result of ``min_variance``, solved once: ``corner_path`` starts from it."""
         r = self.regime
         centre = r.to_weights(r.centre())           # raises when the set is empty
+        if r.one_point:                             # the loop starts at the answer
+            return self._solve(*r.system(), None, r.centre)
         w = self._free_solve(np.ones(r.n))
         w /= w.sum()
         return self._solve(*r.system(), r.to_solve(w), lambda: r.to_solve(r.toward(centre, w)))
@@ -496,27 +500,26 @@ class Problem:
         return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t), A_in, b_in,
                            None, lambda: r.to_solve(anchor + s * (v - anchor)))
 
-    def corner_path(self, targets, anchor=None) -> np.ndarray:
+    def corner_path(self, targets) -> np.ndarray:
         """Minimum-variance weights at each of the increasing ``targets``, a row
         each, traced as one parametric path; each target is taken as
         ``target_return`` takes it (``_targets``).
 
         While the working set of the return-constrained QP stays fixed, its
         solution and multipliers are affine in the target return ``t``
-        (Markowitz's critical line).  Without ``anchor``, where ``targets[0]``
-        is the minimum-variance return, the path starts from that solve's
-        point and working set (``_min_variance_qp``), the return row's
-        multiplier zero; else with a QP at ``targets[0]`` (``_target_qp``)
-        from ``anchor``, or the minimum-variance weights.  At each corner one
-        factorization of the working set's reduced KKT system re-solves the
-        point and gives ``d(x, lam)/dt``; the next corner is the nearest
-        ``t`` at which an inactive row reaches its bound or a working
-        multiplier reaches zero, where that row joins or leaves the working
-        set.  Each target in between is the mix of the two re-solved corners
-        around it, all mixed as one array expression at the end.  The return
-        row enters the system centred on the mean return and scaled to unit
-        range: the same row under full investment, but not nearly parallel
-        to it.
+        (Markowitz's critical line).  Where ``targets[0]`` is the
+        minimum-variance return, the path starts from that solve's point and
+        working set (``_min_variance_qp``), the return row's multiplier zero;
+        else with a QP at ``targets[0]`` (``_target_qp``) from the
+        minimum-variance weights.  At each corner one factorization of the
+        working set's reduced KKT system re-solves the point and gives
+        ``d(x, lam)/dt``; the next corner is the nearest ``t`` at which an
+        inactive row reaches its bound or a working multiplier reaches zero,
+        where that row joins or leaves the working set.  Each target in
+        between is the mix of the two re-solved corners around it, all mixed
+        as one array expression at the end.  The return row enters the system
+        centred on the mean return and scaled to unit range: the same row
+        under full investment, but not nearly parallel to it.
 
         A QP at the next target, started from the corner, takes over at a
         degenerate corner: a zero-length step, several events within a
@@ -603,11 +606,11 @@ class Problem:
             w[on] = x[b][on]
             return w
 
-        t0, res = targets[0], (self._min_variance_qp if anchor is None else None)
-        if res is not None and t0 == float(mean @ r.to_weights(res.x)):   # bit for bit as stats
+        t0, res = targets[0], self._min_variance_qp
+        if t0 == float(mean @ r.to_weights(res.x)):       # bit for bit as stats
             res = replace(res, eq_multipliers=np.append(res.eq_multipliers, 0.0))
         else:
-            res = self._target_qp(t0, r.to_weights(res.x) if anchor is None else anchor)
+            res = self._target_qp(t0, r.to_weights(res.x))
         while True:
             if res is not None:                           # resume from a QP's working set
                 working[:] = False
@@ -673,24 +676,23 @@ class Problem:
         """The start of the homogenized problem and its fallback, for ``qp.solve_qp``.
 
         The start is the free assets' tangency portfolio ``cov_solve[free,
-        free]^-1 excess`` (``_free_solve``) scaled to unit excess return, where
-        it earns excess; the engine's block exchange runs from it, and in c3
-        and c5 its one round lands on the answer.  The fallback is the centre
-        where that is the set's only point (c2 at ``weight_bound`` times the
-        free assets equal to one, where there is no start either), else the
-        long-only fill, or failing that the highest-return vertex, scaled to
-        unit excess return.  On a bounded set (c1, c2, c4) the vertex
-        maximizes the excess return, so when it earns none there is no point:
-        ``1'y = 0`` would force ``y = 0``.  On c3 and c5 the zero-investment
-        pair long the best and short the worst free asset is one, unless all
-        their excess returns are equal.
+        free]^-1 excess`` (``_free_solve``) scaled to unit excess return,
+        where it earns excess; the engine's block exchange runs from it, and
+        in c3 and c5 its one round lands on the answer.  The fallback is the
+        centre where that is the set's only point (``RegimeModel.one_point``,
+        where there is no start either), else the long-only fill, or failing
+        that the highest-return vertex, scaled to unit excess return.  On a
+        bounded set (c1, c2, c4) the vertex maximizes the excess return, so
+        when it earns none there is no point: ``1'y = 0`` would force
+        ``y = 0``.  On c3 and c5 the zero-investment pair long the best and
+        short the worst free asset is one, unless all their excess returns are
+        equal.
         """
         r = self.regime
-        only = r.box[1] * len(r.free) <= 1.0 + 1e-12     # the centre is the set's only point
 
         def fallback():
             order = r.free[np.argsort(-excess[r.free], kind="stable")]
-            w = r.to_weights(r.centre()) if only else r.fill(order, 0.0)
+            w = r.to_weights(r.centre()) if r.one_point else r.fill(order, 0.0)
             if float(excess @ w) <= 0.0:
                 w = r.vertex(excess, highest=True)
             gain = float(excess @ w)
@@ -704,7 +706,7 @@ class Problem:
             y[best], y[worst] = 1.0 / spread, -1.0 / spread
             return y
 
-        if not only:
+        if not r.one_point:
             z = self._free_solve(excess)
             denom = float(excess @ z)
             if denom > 0.0 and z.sum() > 0.0:       # the tangency earns excess

@@ -30,10 +30,10 @@ class Series:
     css_class: str = ""
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 5.0               # about six ticks
     mag = 10.0 ** np.floor(np.log10(raw))
     step = next((mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag), 0.0)
     if step <= np.spacing(max(abs(lo), abs(hi))):

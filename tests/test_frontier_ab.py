@@ -42,14 +42,14 @@ def _copy(tmp_path):
 
 
 def test_a_start_qp_shows_in_the_path_qps(tmp_path, capsys):
-    # a head whose curves start their paths with a QP from the minimum-variance
-    # weights: one path QP per curve, each one KKT solve more, the same points
-    frontier = _copy(tmp_path) / "frontier.py"
-    text = frontier.read_text(encoding="utf-8")
-    assert text.count("problem.corner_path(targets)") == 1
-    frontier.write_text(text.replace("problem.corner_path(targets)",
-                                     "problem.corner_path(targets, minvar.weights)"),
-                        encoding="utf-8")
+    # a head whose paths take every first target as off the minimum-variance
+    # return, and so start with a QP from the minimum-variance weights: one
+    # path QP per curve, each one KKT solve more, the same points
+    solver = _copy(tmp_path) / "solver.py"
+    text = solver.read_text(encoding="utf-8")
+    start = "if t0 == float(mean @ r.to_weights(res.x)):"
+    assert text.count(start) == 1
+    solver.write_text(text.replace(start, "if False:"), encoding="utf-8")
     assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
     out = capsys.readouterr().out
     assert "path QPs per pass: base 0, head 15" in out

@@ -16,12 +16,12 @@ def _script():
 
 
 def test_counts_are_the_summed_iterations_of_each_family(capsys):
-    # the N = 11 group: nine families, each line the KKT solves summed over
+    # the N = 11 group: eleven families, each line the KKT solves summed over
     # five universes, which a solution's iterations count
     script = _script()
     assert script.main(["n11"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(script.CONSTRAINTS) == 9
+    assert len(lines) == len(script.CONSTRAINTS) == 11
     universes = script.universes("n11")
     assert len(universes) == 5
     for line, (label, regime, parameters) in zip(lines, script.CONSTRAINTS):

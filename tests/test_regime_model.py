@@ -85,6 +85,8 @@ def test_return_range_and_vertices_match_linprog():
                 lo, hi = attainable_return_range(mean, c)
                 assert np.allclose((lo, hi), expected, rtol=0.0, atol=1e-12), (c, n)
                 model = regime_model(c, n)
+                if model.one_point:                 # the centre alone: one return
+                    assert expected[1] - expected[0] <= 1e-12, (c, n)
                 for highest, value in ((False, expected[0]), (True, expected[1])):
                     v = model.vertex(mean, highest)
                     assert check_feasible(v, c, tol=1e-12).feasible, (c, v)

@@ -54,7 +54,7 @@ def _assert_tangency_is_best_on_chords(cov, mean, rf, c, grid):
     mu0, top = minvar.stats.ret, tangency.stats.ret
     best = float(mean @ regime_model(c, len(mean)).vertex(mean, highest=True))
     targets = sorted({float(t) for t in (*np.linspace(mu0, max(best, top, mu0), grid), top)})
-    weights = problem.corner_path(targets, minvar.weights)
+    weights = problem.corner_path(targets)
     x = mean - rf
     expected = _sharpe(cov, x, tangency.weights)
     assert _best_on_chords(cov, x, weights) == pytest.approx(expected, rel=1e-12, abs=0.0)

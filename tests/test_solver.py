@@ -552,11 +552,8 @@ def test_target_return_accepts_numpy_and_int_targets(c, target):
     assert sol.stats.ret == pytest.approx(float(target), abs=1e-12)
     problem = Problem.prepare(cov, c, mean=mean, rf=0.0)
     targets = np.linspace(float(target), problem.return_range[1], 4)
-    path = problem.corner_path(targets, problem.min_variance().weights)
+    path = problem.corner_path(targets)
     assert [float(mean @ w) for w in path] == pytest.approx([float(t) for t in targets], abs=1e-12)
-    # without an anchor, a first target off the minimum-variance return starts
-    # the path with the same QP, from the minimum-variance weights
-    assert np.array_equal(problem.corner_path(targets), path)
 
 
 @pytest.mark.parametrize("c", [ConstraintSet("c1"), ConstraintSet("c2", weight_bound=0.6), C4],
@@ -570,24 +567,23 @@ def test_corner_path_checks_its_targets_as_target_return_does(c, kind):
     # failed its certificate, a solver failure)
     cov, mean = np.diag([0.01, 0.02, 0.04]), np.array([-0.01, 0.005, 0.02])
     problem = Problem.prepare(cov, c, mean=mean, rf=0.0)
-    anchor = problem.min_variance().weights
+    mu0 = problem.min_variance().stats.ret
     lo, hi = problem.return_range
 
     def as_kind(targets):
         return [float(t) for t in targets] if kind is list else np.asarray(targets, dtype=kind)
 
-    targets = as_kind(np.linspace(float(mean @ anchor), hi, 4))
-    path = problem.corner_path(targets, anchor)
+    # the path starts from the minimum-variance solve with no QP, or where a
+    # float32 first target is off its return, with a QP from its weights
+    targets = as_kind(np.linspace(mu0, hi, 4))
+    path = problem.corner_path(targets)
     assert all(w.dtype == np.float64 for w in path)
-    # without an anchor the path starts from the minimum-variance solve with no
-    # QP (a float32 first target is off its return: the same QP), to the same points
-    assert np.array_equal(problem.corner_path(targets), path)
     expected = [min(max(float(t), lo), hi) for t in targets]
     assert [float(mean @ w) for w in path] == pytest.approx(expected, abs=1e-12)
     for w, t in zip(path, targets):
         assert np.abs(w - problem.target_return(t).weights).max() <= 1e-9
     with pytest.raises(InfeasibleError, match="outside attainable interval"):
-        problem.corner_path(as_kind(np.linspace(float(mean @ anchor), hi + 0.003, 4)), anchor)
+        problem.corner_path(as_kind(np.linspace(mu0, hi + 0.003, 4)))
 
 
 def test_float32_target_past_the_slack_is_refused():
@@ -598,7 +594,7 @@ def test_float32_target_past_the_slack_is_refused():
     mean = np.array([-0.01, 0.005, float(target) - 1.2e-9])
     problem = Problem.prepare(np.diag([0.01, 0.02, 0.04]), C4, mean=mean, rf=0.0)
     for call in (lambda: problem.target_return(target),
-                 lambda: problem.corner_path([0.0, target], problem.min_variance().weights)):
+                 lambda: problem.corner_path([0.0, target])):
         with pytest.raises(InfeasibleError, match="outside attainable interval"):
             call()
 

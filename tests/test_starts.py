@@ -9,7 +9,8 @@ then every broken row joins and every working row with a negative
 multiplier leaves; a round that moves no row ends the solve on the answer.
 Where rows were still leaving, the engine's active-set loop runs from the
 exchange's point, and where a face holds no point of the set, from a
-closed-form fallback.  Each point the loop starts from must satisfy every
+closed-form fallback; where the centre is the set's only point, it starts
+there with no exchange.  Each point the loop starts from must satisfy every
 row of its QP, each answer must be the one the engine reaches from the
 regime's centre, and each round counts in ``iterations``.
 """
@@ -207,12 +208,11 @@ def test_iterations_count_every_kkt_solve(monkeypatch, markets):
     assert len(faces) > 0
 
 
-def test_the_engine_loop_runs_only_past_the_exchange(monkeypatch, markets):
-    # solve_qp returns from its block exchange where the last round moved no
-    # row, with no engine iteration; it runs its active-set loop (which
-    # starts with _independent_start) where rows were still leaving, or
-    # where a face had no point and the fallback starts it
-    faces, loops, anchors = _recording_faces(monkeypatch), [], []
+def _recording_loops(monkeypatch) -> tuple[list, list]:
+    """The working set of every engine loop (each starts with
+    ``qp._independent_start``) and the anchor of every ``RegimeModel.toward``
+    mix, in order."""
+    loops, anchors = [], []
     start, toward = portopt.qp._independent_start, RegimeModel.toward
 
     def starting(*args):
@@ -225,6 +225,15 @@ def test_the_engine_loop_runs_only_past_the_exchange(monkeypatch, markets):
 
     monkeypatch.setattr(portopt.qp, "_independent_start", starting)
     monkeypatch.setattr(RegimeModel, "toward", recording)
+    return loops, anchors
+
+
+def test_the_engine_loop_runs_only_past_the_exchange(monkeypatch, markets):
+    # solve_qp returns from its block exchange where the last round moved no
+    # row, with no engine iteration; it runs its active-set loop (which
+    # starts with _independent_start) where rows were still leaving, or
+    # where a face had no point and the fallback starts it
+    faces, (loops, anchors) = _recording_faces(monkeypatch), _recording_loops(monkeypatch)
 
     def solve(cov, mean, rf, c, objective):
         for log in (faces, loops, anchors):
@@ -239,11 +248,15 @@ def test_the_engine_loop_runs_only_past_the_exchange(monkeypatch, markets):
     # three rounds end with a row still leaving, then three loop iterations
     assert solve(cov, mean, rf, ConstraintSet("c1"), "max_sharpe") == (6, 3, 1, 0)
     for n, t, seed in ((20, 120, 21), (30, 20, 3)):
-        # the first face holds no point: no round, the centre mix, the loop
+        # the first face's bounds put full investment out of the box's reach,
+        # yet the exchange runs on, with no centre mix: to the answer, or on
+        # the N > T universe to a feasible point once patience runs out,
+        # from which the loop takes three iterations
         cov, mean, _ = _universe(n, t, seed)
         c = ConstraintSet("c2", weight_bound=1.5 / n)
         iterations, rounds, runs, mixes = solve(cov, mean, RF, c, "min_variance")
-        assert (rounds, runs, mixes) == (0, 1, 1) and iterations > 1
+        assert (runs, mixes) == (int(t < n), 0) and rounds > 1
+        assert iterations == rounds + 3 * runs
 
 
 
@@ -319,17 +332,12 @@ def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
     # ends: minimum variance mixes toward the centre, maximum Sharpe starts
     # at the fill, and both answers are still the ones reached from the centre
     cov, mean, mi = _universe(20, 120, 1)
-    face_point, anchors, toward = portopt.qp.face_point, [], RegimeModel.toward
+    face_point, (_, anchors) = portopt.qp.face_point, _recording_loops(monkeypatch)
 
     def pointless(*args, **kwargs):
         return (None, *face_point(*args, **kwargs)[1:])
 
-    def recording(self, anchor, w):
-        anchors.append(anchor)
-        return toward(self, anchor, w)
-
     monkeypatch.setattr(portopt.qp, "face_point", pointless)
-    monkeypatch.setattr(RegimeModel, "toward", recording)
     constraints = [c for c in _constraints(20, mi) if c.regime == regime]
     _answers_match_solves_from_the_centre(cov, mean, constraints)
     assert len(anchors) == len(constraints)            # one centre mix per minimum variance
@@ -386,28 +394,29 @@ def test_a_start_off_an_equality_takes_a_face_solve():
 
 @pytest.mark.parametrize("n, t, seed", [(20, 120, 21), (30, 20, 3)])
 @pytest.mark.parametrize("bound", [1.0, 1.5])
-def test_face_without_a_point_falls_back_to_the_centre_mix(monkeypatch, n, t, seed, bound):
-    # c2 at weight_bound = 1/N and 1.5/N: the first face fixes every weight
-    # the unconstrained optimum puts past a bound at that bound, and so many
-    # sit at -b that the weights cannot sum to one within the box: that face
-    # holds no point of the set, and the start is the unconstrained optimum
-    # mixed toward the centre, with no KKT solve before it; the answer is the
-    # one reached from the centre
+def test_tight_boxes_exchange_on_and_the_one_point_set_starts_at_the_centre(
+        monkeypatch, n, t, seed, bound):
+    # c2 at weight_bound = 1.5/N: the first face fixes every weight the
+    # unconstrained optimum puts past a bound at that bound, and so many sit
+    # at -b that the other weights cannot make full investment within the
+    # box; the face's point breaks their bounds, they join, and the exchange
+    # runs on, with no centre mix: to the answer, or at N > T to a feasible
+    # point from which the engine loop finishes.  At 1/N the centre is the
+    # set's only point: the loop starts there, with no face solved.  Either
+    # answer is the one reached from the centre
     cov, mean, _ = _universe(n, t, seed)
     problem = Problem.prepare(cov, ConstraintSet("c2", weight_bound=bound / n), mean=mean, rf=RF)
-    anchors, toward = [], RegimeModel.toward
-
-    def recording(self, anchor, w):
-        anchors.append(anchor)
-        return toward(self, anchor, w)
-
-    monkeypatch.setattr(RegimeModel, "toward", recording)
-    faces = _recording_faces(monkeypatch)
+    starts, faces = _recording_starts(monkeypatch), _recording_faces(monkeypatch)
+    loops, anchors = _recording_loops(monkeypatch)
     sol = problem.min_variance()
     monkeypatch.undo()
-    assert len(anchors) == 1 and np.all(anchors[0] == 1.0 / n)
-    assert not faces
-    assert sol.converged
+    assert sol.converged and not anchors
+    (*_, x0), = starts
+    if bound == 1.0:
+        assert not faces and len(loops) == 1 and np.all(x0 == 1.0 / n)
+    else:
+        assert len(faces) > 1 and len(loops) == int(t < n)
+        assert loops or np.all(x0 == sol.weights)     # no loop: the exchange's point
     r = problem.regime
     ref = solve_qp(problem.hessian, np.zeros(n), *r.system(), r.centre())
     assert np.abs(sol.weights - r.to_weights(ref.x)).max() <= 1e-9
