@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B timing of the frontier-grid curve set on two source trees.
 
-Usage: python scripts/frontier_ab.py BASE_SRC HEAD_SRC [--rounds N] [--seed S]
+Usage: python scripts/frontier_ab.py BASE_SRC HEAD_SRC [--rounds N] [--seed S] [--wide]
 
 BASE_SRC and HEAD_SRC are two ``src`` directories, each holding a
 ``portopt`` package.  Both packages are loaded into this one process under
@@ -24,6 +24,13 @@ bit-identical between the two trees; where they are not, the largest
 relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
 The exit code is 0 unless a tree fails to load or a trace raises; a slower
 head or a moved point is reported, not failed.
+
+With ``--wide`` it times nothing: it traces a wider, untimed curve set on
+both trees, ``trace_frontier(grid=100)`` of the Markowitz estimates of
+``make_universe(N, 240, seed)`` at N = 100 and 200, under c1, c2 at weight
+bounds 3/N and 1.2/N, and c4, and prints for each curve the largest
+relative move of a point coordinate and each tree's path QPs and KKT
+solves, the curve's minimum-variance and maximum-Sharpe solves included.
 """
 
 from __future__ import annotations
@@ -31,10 +38,12 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import math
 import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -45,6 +54,13 @@ ROOT = Path(__file__).resolve().parents[1]
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
 GRID = 100
 UNIVERSE = (50, 128)        # (N, T) of the frontier-grid universe
+WIDE_SIZES, WIDE_T = (100, 200), 240        # the --wide universes' N, and their T
+WIDE = (                    # the --wide constraint sets: (label, regime, parameters given N)
+    ("c1", "c1", lambda n: {}),
+    ("c2 weight_bound=3/N", "c2", lambda n: {"weight_bound": 3.0 / n}),
+    ("c2 weight_bound=1.2/N", "c2", lambda n: {"weight_bound": 1.2 / n}),
+    ("c4", "c4", lambda n: {}),
+)
 
 
 def _load(src: Path, name: str):
@@ -95,20 +111,21 @@ def _pass(po, markets) -> tuple[float, list[np.ndarray]]:
     return elapsed, [np.array(curve.points) for curve in curves]
 
 
-def _counted_pass(po, markets) -> tuple[int, int, list[np.ndarray]]:
-    """One pass with every call of the tree's ``qp._solve_kkt`` counted, and
-    every ``solve_qp`` call its solver makes inside ``Problem.corner_path``:
-    the KKT solves, the path QPs, and each curve's points."""
+@contextmanager
+def _counting(po):
+    """While open, count every call of the tree's ``qp._solve_kkt`` and every
+    ``solve_qp`` call its solver makes inside ``Problem.corner_path``: yields
+    ``[KKT solves, path QPs]``."""
     qp, solver = (sys.modules[f"{po.__name__}.{name}"] for name in ("qp", "solver"))
     solve_kkt, solve_qp, corner_path = qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path
-    solves, qps, on_path = [0], [0], [False]
+    counts, on_path = [0, 0], [False]
 
     def counting(K, rhs):
-        solves[0] += 1
+        counts[0] += 1
         return solve_kkt(K, rhs)
 
     def solving(*args):
-        qps[0] += on_path[0]
+        counts[1] += on_path[0]
         return solve_qp(*args)
 
     def tracing(self, *args):
@@ -120,10 +137,46 @@ def _counted_pass(po, markets) -> tuple[int, int, list[np.ndarray]]:
 
     qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = counting, solving, tracing
     try:
-        curves = _pass(po, markets)[1]
+        yield counts
     finally:
         qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = solve_kkt, solve_qp, corner_path
-    return solves[0], qps[0], curves
+
+
+def _counted_pass(po, markets) -> tuple[int, int, list[np.ndarray]]:
+    """One pass, counted (``_counting``): the KKT solves, the path QPs, and
+    each curve's points."""
+    with _counting(po) as counts:
+        curves = _pass(po, markets)[1]
+    return *counts, curves
+
+
+def _wide_curves(po, seed: int) -> list[tuple[str, int, int, np.ndarray]]:
+    """Each ``--wide`` curve traced with the package ``po``, counted
+    (``_counting``): its label, KKT solves, path QPs and points."""
+    from perfbench.universe import make_universe
+
+    out = []
+    for n in WIDE_SIZES:
+        u = make_universe(n, WIDE_T, seed)
+        for label, regime, parameters in WIDE:
+            c = po.ConstraintSet(regime, **parameters(n))
+            with _counting(po) as counts:
+                curve = po.trace_frontier(u.mm.cov, u.mm.mean, u.rf, c, grid=GRID)
+            out.append((f"n{n} {label}", *counts, np.array(curve.points)))
+    return out
+
+
+def _report_wide(base, head) -> None:
+    """One line per ``--wide`` curve: its largest relative move (inf where the
+    trees trace a different number of points), then base and head path QPs
+    and KKT solves; then the largest move over the set."""
+    largest = 0.0
+    for (label, solves_b, qps_b, a), (_, solves_h, qps_h, b) in zip(base, head):
+        move = _largest_move([a], [b]) if a.shape == b.shape else math.inf
+        largest = max(largest, move)
+        print(f"{label:<27} move {move:<9.3g} path QPs base {qps_b}, head {qps_h}"
+              f"  KKT solves base {solves_b}, head {solves_h}")
+    print(f"largest relative move over {len(base)} curves: {largest:.3g}")
 
 
 def _largest_move(base: list[np.ndarray], head: list[np.ndarray]) -> float:
@@ -151,6 +204,8 @@ def main(argv=None) -> int:
     parser.add_argument("head_src", type=Path)
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--wide", action="store_true",
+                        help="trace the wider untimed curve set instead of timing")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -166,6 +221,10 @@ def main(argv=None) -> int:
                  for side, name in names.items()}
         if bare:
             sys.modules["portopt"] = trees["head"]
+        if args.wide:
+            print(f"wide curves: make_universe(N, {WIDE_T}, {args.seed}), grid {GRID}")
+            _report_wide(*(_wide_curves(po, args.seed) for po in trees.values()))
+            return 0
         markets = _markets(trees["head"], args.seed)
         solves, qps, points = {}, {}, {}
         for side, po in trees.items():                                  # untimed

@@ -46,12 +46,13 @@ def trace_frontier(cov, mean, rf: float, c: ConstraintSet, grid: int = 100, *,
 
     The curve is one corner path from the minimum-variance solve upward
     (``Problem.corner_path``, Markowitz's critical line): between two
-    corners the working set is fixed and the solution affine in the
-    target, so one KKT solve per active-set change gives every point in
-    between.  Without inequality rows (c3, c5) there is no corner and the
-    path is one segment (two-fund separation).  A QP runs only at a
-    degenerate corner, such as a tie of events: at the next target, and
-    the path resumes from its working set.
+    corners the working set is fixed and the solution and multipliers
+    affine in the target, so each segment costs one KKT solve, for their
+    direction alone, and the path carries the point along it.  Without
+    inequality rows (c3, c5) there is no corner and the path is one
+    segment (two-fund separation).  A QP runs only at a degenerate corner,
+    such as a tie of events: at the next target, and the path resumes from
+    its point, multipliers and working set.
 
     Every corner must pass its KKT certificate, checked from the path's
     multipliers as one batch, or ``ConvergenceError`` names the first

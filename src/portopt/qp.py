@@ -102,10 +102,9 @@ class InequalityRows:
     ``dot(v)`` is ``A @ v``: a bound's product is ``coef * v[var]``,
     which the dense product equals bit for bit (it only adds exact zeros),
     and the general rows alone go through a matrix product.  ``scale`` is
-    ``1 + max |a_ij|`` of each row.  ``reach(x, p, working, values)`` is the
-    ratio test: the rows off the mask that ``p`` moves toward by over ``1e-13
-    scale (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each (room >=
-    0), ``values`` being ``dot(x)`` where the caller has it.
+    ``1 + max |a_ij|`` of each row.  ``reach(x, p, working)`` is the ratio
+    test: the rows off the mask that ``p`` moves toward by over ``1e-13 scale
+    (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each (room >= 0).
     """
 
     def __init__(self, A_in, b_in):
@@ -134,11 +133,10 @@ class InequalityRows:
             out[self.general] = self.A_general.dot(v)
         return out
 
-    def reach(self, x, p, working, values=None):
+    def reach(self, x, p, working):
         d = self.dot(p)
         cand = (~working & (d > 1e-13 * self.scale * (1.0 + np.abs(p).max()))).nonzero()[0]
-        values = self.dot(x) if values is None else values
-        return cand, np.maximum(self.b[cand] - values[cand], 0.0) / d[cand]
+        return cand, np.maximum(self.b[cand] - self.dot(x)[cand], 0.0) / d[cand]
 
 
 def _independent_start(working, A_eq, rows: InequalityRows) -> None:
@@ -182,9 +180,10 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     equalities, then of the working rows in ``act`` order.  A bound's
     multiplier closes the stationarity ``H p + grad + A' lam`` of its
     variable, and bounds on one variable share it in proportion to their
-    coefficients (the least-norm split).  ``grad`` and ``rhs`` may carry a
-    trailing axis of right-hand sides, solved with one factorization.
-    ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
+    coefficients (the least-norm split).  Under a zero ``grad``, with the
+    rate of change of the right-hand sides as ``rhs``, the solution is the
+    rate of change of the face's point and multipliers (``solver``'s corner
+    path).  ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
     on_bound, fixing, gen, A_gen = rows.face(act, A_eq) if face is None else face
@@ -198,18 +197,17 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     else:
         free, H_f, A_f, g_f = slice(None), H, A_gen, grad
     nf, m = H_f.shape[0], A_gen.shape[0]
-    tail = grad.shape[1:]
     K = np.zeros((nf + m,) * 2)
     K[:nf, :nf] = H_f
     K[nf:, :nf] = A_f
     K[:nf, nf:] = A_f.T
-    rhs = np.zeros((m,) + tail) if rhs is None else rhs
+    rhs = np.zeros(m) if rhs is None else rhs
     sol = _solve_kkt(K, np.concatenate([-g_f, rhs]))
-    p = np.zeros((n,) + tail)
+    p = np.zeros(n)
     p[free] = sol[:nf]
     if not fixing.size:                 # the working rows are the general ones, in order
         return p, sol[nf:]
-    lam = np.empty((m_eq + act.size,) + tail)       # equalities, then the working set
+    lam = np.empty(m_eq + act.size)     # equalities, then the working set
     lam[:m_eq] = sol[nf:nf + m_eq]
     mult_in = lam[m_eq:]
     if gen.size:
@@ -218,13 +216,11 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
     c = rows.coef[fixing]
     share = np.bincount(fixed, c * c, n)[fixed]
-    if tail:
-        c, share = c[:, None], share[:, None]
     mult_in[on_bound if gen.size else ...] = -r * c / share   # no general row: all of them
     return p, lam
 
 
-def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0, face=None):
+def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
     """The minimizer of ``0.5 x'Hx + g'x`` on the face where the equalities and
     the working rows ``act`` hold, from ``x``, with one reduced KKT solve.
 
@@ -233,12 +229,9 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0, fa
     ``reduced_kkt``, under the gradient ``H x + g``.  Returns ``(x, p, lam)``:
     the face's point, None where it leaves one of those gaps above 1e-12
     (the face has no point, or its system is nearly singular), then the
-    step and the multipliers.  Given ``rate``, a second right-hand side over
-    the same rows, ``p`` and ``lam`` get a second column: the solution of
-    that system under a zero gradient, from the same factorization.
-    ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
+    step and the multipliers.
     """
-    face = rows.face(act, A_eq) if face is None else face
+    face = rows.face(act, A_eq)
     _, fixing, general, A_gen = face
     x = x.copy()
     x[rows.var[fixing]] = rows.b[fixing] / rows.coef[fixing]        # on the bounds exactly
@@ -247,11 +240,8 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, rate=None, g=0.0, fa
     def gap(x):
         return np.concatenate([b_eq - A_eq.dot(x), b_G - A_G.dot(x)]) if general.size else b_eq - A_eq.dot(x)
 
-    grad, rhs = H.dot(x) + g, gap(x)
-    if rate is not None:                        # a second column: zero gradient, right-hand side rate
-        grad, rhs = np.array([grad, np.zeros(len(x))]).T, np.array([rhs, rate]).T
-    p, lam = reduced_kkt(H, grad, A_eq, rows, act, rhs, face)
-    x = x + (p if rate is None else p[:, 0])
+    p, lam = reduced_kkt(H, H.dot(x) + g, A_eq, rows, act, gap(x), face)
+    x = x + p
     if np.abs(gap(x)).max(initial=0.0) > 1e-12:
         x = None
     return x, p, lam

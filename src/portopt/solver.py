@@ -21,7 +21,7 @@ vertex.  Each mix is one closed-form step, not a search.
 
 A frontier is one corner path (``Problem.corner_path``): between two
 changes of the working set the target-return solution is affine in the
-target, so each change costs one KKT solve, not a QP.
+target, so each segment costs one KKT solve, for its direction, not a QP.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import InequalityRows, face_point, solve_qp
+from .qp import InequalityRows, reduced_kkt, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -93,16 +93,18 @@ class PortfolioSolution:
 
 
 def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
-    """Validate/symmetrize; return (raw, factorizable, ridge)."""
-    c = np.atleast_2d(np.asarray(cov, dtype=float))
+    """Validate/symmetrize; return (raw, factorizable, ridge), never the caller's array."""
+    c = np.array(cov, dtype=float, ndmin=2)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValidationError("covariance contains non-finite entries")
     scale = max(float(np.max(np.abs(c), initial=0.0)), 1e-300)
-    if np.max(np.abs(c - c.T), initial=0.0) > 1e-8 * scale:
-        raise ValidationError("covariance matrix is not symmetric")
-    c = 0.5 * (c + c.T)
+    # a symmetric c is its own 0.5 (c + c') bit for bit: c + c and * 0.5 are exact
+    if not np.array_equal(c, c.T):
+        if np.max(np.abs(c - c.T), initial=0.0) > 1e-8 * scale:
+            raise ValidationError("covariance matrix is not symmetric")
+        c = 0.5 * (c + c.T)
     # a Cholesky factor exists only where the smallest eigenvalue exceeds
     # about -n eps |c|, far above the threshold below: the spectrum is
     # needed only when it fails, or when a pivot is at rounding level (an
@@ -508,27 +510,31 @@ class Problem:
         While the working set of the return-constrained QP stays fixed, its
         solution and multipliers are affine in the target return ``t``
         (Markowitz's critical line).  Where ``targets[0]`` is the
-        minimum-variance return, the path starts from that solve's point and
-        working set (``_min_variance_qp``), the return row's multiplier zero;
-        else with a QP at ``targets[0]`` (``_target_qp``) from the
-        minimum-variance weights.  At each corner one factorization of the
-        working set's reduced KKT system re-solves the point and gives
-        ``d(x, lam)/dt``; the next corner is the nearest ``t`` at which an
-        inactive row reaches its bound or a working multiplier reaches zero,
-        where that row joins or leaves the working set.  Each target in
-        between is the mix of the two re-solved corners around it, all mixed
-        as one array expression at the end.  The return row enters the system
-        centred on the mean return and scaled to unit range: the same row
-        under full investment, but not nearly parallel to it.
+        minimum-variance return, the path starts from that solve's point,
+        multipliers and working set (``_min_variance_qp``), the return row's
+        multiplier zero; else with a QP at ``targets[0]`` (``_target_qp``)
+        from the minimum-variance weights.  Each segment costs one reduced KKT
+        solve, under a zero gradient with the return row's rate as its only
+        right-hand side (``reduced_kkt``): ``d(x, lam)/dt`` over the working
+        set.  The point and the multipliers are carried along it; the next
+        corner is the nearest ``t`` at which an inactive row reaches its bound
+        or a working multiplier reaches zero, where that row joins or leaves
+        the working set with a multiplier of exactly zero, and a bound that
+        joins holds its variable exactly on it.  Each target in between is the
+        mix of the two corners around it, all mixed as one array expression at
+        the end.  The return row enters the system centred on the mean return
+        and scaled to unit range: the same row under full investment, but not
+        nearly parallel to it.
 
         A QP at the next target, started from the corner, takes over at a
         degenerate corner: a zero-length step, several events within a
         relative 1e-12 of the return, or working rows that fix the point
-        and leave no direction.  The path resumes from its working set.
-        Where no event comes before the last target, the last segment ends
-        there and the top is one more corner: on that segment every working
-        row stays tight and every working multiplier nonnegative, so the
-        working set's point and multipliers at the top satisfy KKT.
+        and leave no direction (the direction solve misses the rate).  The
+        path resumes from its point, multipliers and working set.  Where no
+        event comes before the last target, the last segment ends there and
+        the top is one more corner, with no solve: on that segment every
+        working row stays tight and every working multiplier nonnegative, so
+        the working set's point and multipliers at the top satisfy KKT.
 
         Each corner, and a segment's end where a QP takes over, is certified
         from its multipliers, queued and checked as one stack before each QP
@@ -540,32 +546,20 @@ class Problem:
         """
         r, mean, H = self.regime, self.mean, self.hessian
         targets = self._targets(targets)
-        A_eq, b_eq, A_in, b_in = r.system()
+        A_eq, _, A_in, b_in = r.system()
         # the return row, last, as ((mean - mid) / sigma) w = (t - mid) / sigma: the same
         # row under full investment, but not near the full-investment row's span
         mid = float(mean[r.free].mean())
         sigma = float(np.abs(mean - mid)[r.free].max()) or 1.0
         A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
-        m_eq, b_t = len(A_eq), np.append(b_eq, 0.0)      # b_t[-1]: the return row's (t - mid) / sigma
+        m_eq = len(A_eq)
         rows_in = InequalityRows(A_in, b_in)
         top = targets[-1]
         tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
         working = np.zeros(len(b_in), dtype=bool)
+        zero = np.zeros(len(H))                           # the direction's gradient
         rate = np.zeros(m_eq + len(rows_in.general))      # d b_t / dt, then the general rows' zeros
         rate[m_eq - 1] = 1.0 / sigma
-
-        def resolve(x, t):
-            """The working set's point at ``t`` (None where it would not hold the working
-            rows, or leaves another by over ``solve_qp``'s activity tolerance), its rows'
-            values, ``d(x, lam)/dt`` from the same factorization, and the working general rows."""
-            act = working.nonzero()[0]
-            face = rows_in.face(act, A_eq)
-            b_t[-1] = (t - mid) / sigma
-            x, p, lam = face_point(H, x, A_eq, b_t, rows_in, act, rate[:len(face[3])], face=face)
-            values = None if x is None else rows_in.dot(x)
-            if x is not None and np.count_nonzero(values - b_in > 1e-9 * rows_in.scale):
-                x = None
-            return x, values, p[:, 1], lam[:, 0], lam[:, 1], act, face[3][m_eq:]
 
         # every corner, in order: (point, target, multipliers of the equalities then of
         # the rows ``act``, ``act``, whether in the path's scaling of the return row)
@@ -612,50 +606,58 @@ class Problem:
         else:
             res = self._target_qp(t0, r.to_weights(res.x))
         while True:
-            if res is not None:                           # resume from a QP's working set
+            if res is not None:                           # a QP's point and multipliers stand
                 working[:] = False
                 working[list(res.active)] = True
-                x = res.x
-            x1, values, dx, lam, dlam, act, A_G = resolve(x, t0)
-            miss = np.concatenate([A_eq.dot(dx), A_G.dot(dx)])
-            miss[m_eq - 1] -= 1.0 / sigma
+                x, act, eq = res.x, working.nonzero()[0], res.eq_multipliers
+                corners.append((x, t0, np.append(eq, res.in_multipliers), every, False))
+                if t0 == top:
+                    break
+                # the multipliers in the path's scaling of the return row: certify()'s inverse
+                lam = np.concatenate([eq, res.in_multipliers[act]])
+                lam[m_eq - 1] *= sigma
+                lam[0] += mid * eq[-1]
+                res = None
+            face = rows_in.face(act, A_eq)
+            rhs = rate[:len(face[3])]
+            dx, dlam = reduced_kkt(H, zero, A_eq, rows_in, act, rhs, face)
             # working rows that fix the point leave no direction
-            stuck = np.abs(miss).max() > 1e-9 * (1.0 + np.abs(dx).max())
-            if res is not None:                           # a QP's point and multipliers stand
-                corners.append((x, t0, np.append(res.eq_multipliers, res.in_multipliers), every, False))
-                res = values = None
-            elif x1 is None or stuck:                     # the point stays as the event left it
-                corners.append((x, t0, event[0] + event[2] * event[1], event[3], True))
-                stuck = True
-            else:
-                x = x1
-                corners.append((x, t0, lam, act, True))
-            if t0 == top:
-                certify()
-                return r.to_weights(mix())
+            stuck = np.abs(face[3].dot(dx) - rhs).max() > 1e-9 * (1.0 + np.abs(dx).max())
             s, end = 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
-                hit, ahead = rows_in.reach(x, dx, working, values)
-                fall = (dlam[m_eq:] < -1e-12 * np.abs(dlam).max()).nonzero()[0]
-                steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dlam[m_eq:][fall]])
+                hit, ahead = rows_in.reach(x, dx, working)
+                dmu = dlam[m_eq:]
+                fall = (dmu < -1e-12 * np.abs(dlam).max()).nonzero()[0]
+                steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dmu[fall]])
                 s = float(steps.min(initial=end))
-                near = np.concatenate([hit, act[fall]])[steps <= s + tie]
                 if s >= end - tie:                        # no event before the top: the path ends there
-                    x, t0, event = x + end * dx, top, (lam, dlam, end, act)
-                    continue
-                if tie < s and len(near) == 1:            # one row joins or leaves
-                    working[near[0]] = not working[near[0]]
-                    x, t0, event = x + s * dx, t0 + s, (lam, dlam, s, act)
+                    corners.append((x + end * dx, top, lam + end * dlam, act, True))
+                    break
+                near = np.concatenate([hit, act[fall]])[steps <= s + tie]
+                if tie < s and len(near) == 1:            # one row joins or leaves, at multiplier 0
+                    j = near[0]
+                    k = m_eq + int(act.searchsorted(j))
+                    x, t0, lam = x + s * dx, t0 + s, lam + s * dlam
+                    if working[j]:
+                        lam = np.concatenate((lam[:k], lam[k + 1:]))
+                    else:
+                        lam = np.concatenate((lam[:k], (0.0,), lam[k:]))
+                        if rows_in.bound[j]:              # on the bound exactly
+                            x[rows_in.var[j]] = b_in[j] / rows_in.coef[j]
+                    working[j] = not working[j]
+                    act = working.nonzero()[0]
+                    corners.append((x, t0, lam, act, True))
                     continue
             # a degenerate corner: the segment's end is one more corner; certify them all,
             # then a QP at the next target, started from that end
             if 0.0 < s:
-                x1 = resolve(x + s * dx, t0 + s)[0]
-                corners.append((x + s * dx if x1 is None else x1, t0 + s, lam + s * dlam, act, True))
+                corners.append((x + s * dx, t0 + s, lam + s * dlam, act, True))
             certify()
             t0 = targets[bisect_right(targets, corners[-1][1])]
             res = self._target_qp(t0, r.to_weights(x + s * dx))
+        certify()
+        return r.to_weights(mix())
 
     def max_sharpe(self) -> PortfolioSolution:
         r, mean = self.regime, self._mean()

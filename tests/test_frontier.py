@@ -333,25 +333,26 @@ def test_bundled_frontier_corner_counts(monkeypatch, markets):
     # pins the corner path of every bounded bundled curve at grid 100: its
     # corners, each certified once, and no QP: the path starts from the
     # minimum-variance solve, no corner is degenerate, and the top is the end
-    # of the last segment; no least-squares fallback.  One QP per target took
-    # 196-245 active-set iterations per curve
+    # of the last segment, with one KKT solve per segment and none at the top;
+    # no least-squares fallback.  One QP per target took 196-245 active-set
+    # iterations per curve
     counts = {"c1": (14, 16), "c2": (12, 12), "c4": (8, 8)}
     for regime, expected in counts.items():
         for label, corners in zip(("bundled-mm", "bundled-im"), expected):
             cov, mean, rf, mi = markets[label]
-            _, *path, _, fallbacks = _path_counts(monkeypatch, cov, mean, rf,
-                                                  constraint_for(regime, mi), 100)
-            assert (*path, fallbacks) == (corners, 0, 0), (regime, label)
+            _, *path, fallbacks = _path_counts(monkeypatch, cov, mean, rf,
+                                               constraint_for(regime, mi), 100)
+            assert (*path, fallbacks) == (corners, 0, corners - 1, 0), (regime, label)
 
 
 def test_n50_frontier_corner_counts(monkeypatch):
     # pins the corner path of the bounded curves of the frontier benchmark's
     # universe at grid 100: its corners, no QP, and the KKT solves inside the
-    # path, one per corner; no least-squares fallback
+    # path, one per segment and none at the top; no least-squares fallback
     from perfbench.universe import make_universe
 
     u = make_universe(50, 128, 1)
-    counts = {"c1": (54, 0, 54), "c2": (52, 0, 52), "c4": (22, 0, 22)}
+    counts = {"c1": (54, 0, 53), "c2": (52, 0, 51), "c4": (22, 0, 21)}
     for regime, expected in counts.items():
         _, *path, fallbacks = _path_counts(monkeypatch, u.mm.cov, u.mm.mean, u.rf,
                                            ConstraintSet(regime), 100)
@@ -398,6 +399,20 @@ def test_zero_crossing_under_slack_leverage_falls_back(monkeypatch):
     assert np.sign(weights[0]).tolist() != np.sign(weights[-1]).tolist()
     assert np.abs(weights[-1]).sum() < 50.0
     _assert_matches_cold_solves(curve, cov, mean, c, 20)
+
+
+def test_degenerate_corners_match_cold_solves(monkeypatch):
+    # a tight box on a frontier benchmark universe: the path meets degenerate
+    # corners, a QP takes over at each, and the path resumes from the QP's
+    # point and multipliers, stepping by direction alone; every point is still
+    # the cold solve at its target
+    from perfbench.universe import make_universe
+
+    u = make_universe(50, 128, 3)
+    c = ConstraintSet("c2", weight_bound=1.2 / 50)
+    curve, _, qps, _, _ = _path_counts(monkeypatch, u.mm.cov, u.mm.mean, u.rf, c, 40)
+    assert qps >= 1
+    _assert_matches_cold_solves(curve, u.mm.cov, u.mm.mean, c, 40)
 
 
 @pytest.mark.parametrize("regime, k", [

@@ -44,7 +44,8 @@ def _copy(tmp_path):
 def test_a_start_qp_shows_in_the_path_qps(tmp_path, capsys):
     # a head whose paths take every first target as off the minimum-variance
     # return, and so start with a QP from the minimum-variance weights: one
-    # path QP per curve, each one KKT solve more, the same points
+    # path QP per curve, each one KKT solve more, and the same points up to
+    # rounding, each path carrying its QP's point instead of the solve's
     solver = _copy(tmp_path) / "solver.py"
     text = solver.read_text(encoding="utf-8")
     start = "if t0 == float(mean @ r.to_weights(res.x)):"
@@ -55,18 +56,25 @@ def test_a_start_qp_shows_in_the_path_qps(tmp_path, capsys):
     assert "path QPs per pass: base 0, head 15" in out
     base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
     assert head == base + 15
-    assert "points bit-identical: yes" in out
+    move = re.search(r"points bit-identical: (yes|no, \d+ curves differ, "
+                     r"largest relative move (\S+))", out)
+    assert move and (move.group(2) is None or float(move.group(2)) < 1e-13)
 
 
-def test_a_moved_point_reports_its_relative_move(tmp_path, capsys):
-    # a head whose corner paths scale every weight by 1 + 2e-12: each curve's
-    # points move by about that much, and the KKT solves stay the same
+def _scaled_copy(tmp_path):
+    """A copy of this tree whose corner paths scale every weight by 1 + 2e-12."""
     solver = _copy(tmp_path) / "solver.py"
     text = solver.read_text(encoding="utf-8")
     assert text.count("return r.to_weights(mix())") == 1
     solver.write_text(text.replace("return r.to_weights(mix())",
                                    "return r.to_weights(mix()) * (1.0 + 2e-12)"),
                       encoding="utf-8")
+
+
+def test_a_moved_point_reports_its_relative_move(tmp_path, capsys):
+    # a head whose corner paths scale every weight by 1 + 2e-12: each curve's
+    # points move by about that much, and the KKT solves stay the same
+    _scaled_copy(tmp_path)
     assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
     out = capsys.readouterr().out
     base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
@@ -74,6 +82,26 @@ def test_a_moved_point_reports_its_relative_move(tmp_path, capsys):
     move = re.search(r"points bit-identical: no, 15 curves differ, largest relative move (\S+)",
                      out)
     assert 1e-12 < float(move.group(1)) < 3e-12
+
+
+def test_wide_reports_each_curve(tmp_path, capsys):
+    # --wide on one small universe against the scaled head: a line per
+    # constraint set with its move and both trees' path QPs and KKT solves,
+    # which the scaling leaves unchanged, then the largest move
+    _scaled_copy(tmp_path)
+    script = _script()
+    script.WIDE_SIZES = (12,)
+    assert script.main([str(ROOT / "src"), str(tmp_path), "--wide"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("wide curves: make_universe(N, 240, 1), grid 100\n")
+    lines = re.findall(r"^n12 (.+?) +move (\S+) +path QPs base (\d+), head (\d+)"
+                       r"  KKT solves base (\d+), head (\d+)$", out, re.M)
+    assert [line[0] for line in lines] == [label for label, *_ in script.WIDE]
+    for _, move, qps_base, qps_head, solves_base, solves_head in lines:
+        assert 1e-12 < float(move) < 3e-12
+        assert qps_base == qps_head and solves_base == solves_head != "0"
+    largest = re.search(r"largest relative move over 4 curves: (\S+)", out)
+    assert 1e-12 < float(largest.group(1)) < 3e-12
 
 
 def test_a_tree_without_portopt_is_refused(tmp_path):

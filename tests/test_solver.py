@@ -269,6 +269,26 @@ def test_asymmetric_rejected():
         solve_min_variance(bad, C3)
 
 
+def test_symmetry_tolerance_and_private_copy():
+    # an asymmetry of 1e-8 times the largest entry is symmetrized, one just
+    # above it is refused; a symmetric matrix is prepared bit for bit as the
+    # symmetrized one, into an array of its own
+    cov = np.array([[0.04, 0.01], [0.01, 0.09]])
+    for gap, ok in ((0.99e-8, True), (1.01e-8, False)):
+        skew = cov.copy()
+        skew[0, 1] += gap * 0.09
+        if ok:
+            prepared = portopt.solver._prepare_cov(skew)[0]
+            assert np.array_equal(prepared, 0.5 * (skew + skew.T))
+        else:
+            with pytest.raises(ValidationError, match="not symmetric"):
+                portopt.solver._prepare_cov(skew)
+    raw, solve_c, _ = portopt.solver._prepare_cov(cov)
+    assert np.array_equal(raw, 0.5 * (cov + cov.T)) and raw is not cov and solve_c is raw
+    raw[0, 0] = 1.0
+    assert cov[0, 0] == 0.04
+
+
 def test_kkt_residual_exact_solution_tiny():
     cov = np.diag([0.01, 0.04])
     sol = solve_min_variance(cov, C3)
