@@ -81,6 +81,31 @@ def _unload(name: str) -> None:
         del sys.modules[key]
 
 
+@contextmanager
+def _trees(base_src: Path, head_src: Path, prefix: str):
+    """While open, this process pinned to one CPU and the ``portopt`` packages
+    under ``base_src`` and ``head_src`` loaded as modules ``<prefix>_base`` and
+    ``<prefix>_head``: yields ``{"base": package, "head": package}``.  Where no
+    ``portopt`` was imported, the head's stands in for it (``perfbench.universe``
+    imports ``portopt``)."""
+    names = {side: f"{prefix}_{side}" for side in ("base", "head")}
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    bare = "portopt" not in sys.modules
+    try:
+        if affinity:
+            os.sched_setaffinity(0, {min(affinity)})
+        trees = {side: _load(src.resolve(), names[side])
+                 for side, src in (("base", base_src), ("head", head_src))}
+        if bare:
+            sys.modules["portopt"] = trees["head"]
+        yield trees
+    finally:
+        if affinity:
+            os.sched_setaffinity(0, affinity)
+        for name in (*names.values(), *(("portopt",) if bare else ())):
+            _unload(name)
+
+
 def _markets(po, seed: int):
     """``(cov, mean, rf, market index, model)`` of each frontier-grid market,
     estimated with the package ``po``."""
@@ -211,16 +236,7 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
     if str(ROOT) not in sys.path:           # perfbench, from this checkout
         sys.path.append(str(ROOT))
-    names = {side: f"_frontier_ab_{side}" for side in ("base", "head")}
-    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    bare = "portopt" not in sys.modules     # perfbench.universe imports ``portopt``
-    try:
-        if affinity:
-            os.sched_setaffinity(0, {min(affinity)})
-        trees = {side: _load(getattr(args, f"{side}_src").resolve(), name)
-                 for side, name in names.items()}
-        if bare:
-            sys.modules["portopt"] = trees["head"]
+    with _trees(args.base_src, args.head_src, "_frontier_ab") as trees:
         if args.wide:
             print(f"wide curves: make_universe(N, {WIDE_T}, {args.seed}), grid {GRID}")
             _report_wide(*(_wide_curves(po, args.seed) for po in trees.values()))
@@ -236,11 +252,6 @@ def main(argv=None) -> int:
                 times[side].append(elapsed)
                 if [p.tobytes() for p in pts] != [p.tobytes() for p in points[side]]:
                     raise SystemExit(f"{side}: a pass traced other points than the first")
-    finally:
-        if affinity:
-            os.sched_setaffinity(0, affinity)
-        for name in (*names.values(), *(("portopt",) if bare else ())):
-            _unload(name)
     ratios = [h / b for b, h in zip(times["base"], times["head"])]
     q1, med, q3 = _quartiles(ratios)
     moved = sum(a.tobytes() != b.tobytes() for a, b in zip(points["base"], points["head"]))

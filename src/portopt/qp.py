@@ -15,8 +15,10 @@ smallest index, making the method deterministic for fixed inputs.
 
 Every call passes all constraint arrays (empty ones included) and a start
 near the answer that may break rows: ``solve_qp`` exchanges rows between
-faces from it (``face_point``), at least one round, and iterates only
-where rows were still leaving, a face had no point or there was no start.
+faces from it (``face_point``), and iterates only where rows were still
+leaving, a face had no point or there was no start.  A start that holds no
+row tight or broken and already minimizes on the equalities
+(``_equality_minimizer``) is the answer as it is, with no KKT solve.
 The loop and ``solver``'s corner path share one ratio test, ``reach``.
 """
 
@@ -33,6 +35,13 @@ _ELASTIC_DELTA = 1e-9      # proximal weight of the elastic phase-1
 _FEAS_TOL = 1e-9           # phase-1 verdict, relative to the right-hand sides
 _MAX_ITER = 10000          # active-set iterations before ``ConvergenceError``
 _PATIENCE = 3              # block-exchange rounds without a new best before rows only join
+# a start on the equalities whose stationarity residual, under their least-squares
+# multipliers, is within this times 1 + |H x + g| is their face's minimizer
+# (``_block_exchange``).  The 115 such starts of scripts/kkt_solve_counts.py read at
+# most 3.5e-16 of it, and 6.4e-13 of |H x + g| alone outside the N > T universes, so
+# they pass at any scale of the covariance; it is a thousandth of the
+# -1e-9 (1 + |H x + g|) below which the engine reads a multiplier as negative
+_START_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -247,14 +256,32 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
     return x, p, lam
 
 
+def _equality_minimizer(H, g, x, A_eq, b_eq):
+    """The least-squares multipliers of the equalities at ``x`` where ``x`` already
+    is the minimizer of ``0.5 x'Hx + g'x`` on them, with no KKT solve, else None.
+
+    ``x`` qualifies where it meets every equality within 1e-12 (``face_point``'s
+    rule) and ``|H x + g + A_eq' lam|`` is within ``_START_TOL (1 + |H x + g|)``
+    (max norms), ``lam`` the least-squares multipliers over the equality rows."""
+    if np.abs(b_eq - A_eq.dot(x)).max(initial=0.0) > 1e-12:
+        return None
+    grad = H.dot(x) + g
+    lam = np.linalg.lstsq(A_eq.T, -grad, rcond=None)[0] if len(b_eq) else np.zeros(0)
+    miss = np.abs(grad + A_eq.T.dot(lam)).max()
+    return lam if miss <= _START_TOL * (1.0 + np.abs(grad).max()) else None
+
+
 def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     """Block principal pivoting from ``x`` for ``solve_qp``: ``(x, rounds,
     face)``, x None where a face has no point of the feasible set, and
     ``face`` the multipliers and working rows of a last round that moved no
     row, whose point is then the QP's answer (else None).
 
-    Every start takes a round: the first face holds every row that ``x`` holds
-    tight or breaks, at its bound, and each round moves to its face's minimizer
+    The first face holds every row that ``x`` holds tight or breaks, at its
+    bound.  Where it holds none and ``x`` already is the minimizer on the
+    equalities (``_equality_minimizer``), ``x`` and its least-squares
+    multipliers are the answer, with no round (c3, c5, and c2 where the start
+    lies inside the box).  Else each round moves to its face's minimizer
     (``face_point``, one KKT solve); a point off a working row by over 1e-9
     scale (two bounds on one side of a variable) counts as none.  Then every
     row the point breaks joins and every working row whose multiplier is below
@@ -269,6 +296,10 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     point: it breaks the bounds of free variables, and they join.
     """
     working = rows.dot(x) >= rows.b             # every tight or broken row, at its bound
+    if not working.any():                       # the face of the equalities alone
+        lam = _equality_minimizer(H, g, x, A_eq, b_eq)
+        if lam is not None:
+            return x.copy(), 0, (lam, working.nonzero()[0])
     best, patience, rounds = np.inf, _PATIENCE, 0
     while True:
         act = working.nonzero()[0]
@@ -310,10 +341,11 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
     Every argument is a float array and a matrix without rows has shape
-    ``(0, n)``.  ``x0`` may break rows: the block exchange runs from it, at
-    least one round (``_block_exchange``), and the solve returns where its
-    last round moved no row.  Else the active-set loop runs from its point,
-    or where a face had no point (or ``x0`` is None), from ``fallback()``, a
+    ``(0, n)``.  ``x0`` may break rows: the block exchange runs from it
+    (``_block_exchange``), and the solve returns where its last round moved
+    no row, or with no round where ``x0`` holds no row tight or broken and
+    already minimizes on the equalities.  Else the active-set loop runs from
+    its point, or where a face had no point (or ``x0`` is None), from ``fallback()``, a
     feasible point the caller supplies lazily (else ``x0``).  The loop's
     working set is a boolean mask over the inequality rows.  Each iteration
     solves the KKT system of the working set over the free variables
@@ -321,7 +353,8 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     fix.  A zero step either returns (no negative multiplier) or drops the
     most negative working row, and a nonzero step is cut by the ratio test
     at the nearest blocking row, the lowest index winning an exact tie.
-    ``iterations`` counts every KKT solve, the exchange's rounds included.
+    ``iterations`` counts every KKT solve, the exchange's rounds included
+    (0 where ``x0`` is the answer as it is).
     """
     rows_in = InequalityRows(A_in, b_in)
     x, rounds, face = (None, 0, None) if x0 is None else _block_exchange(

@@ -97,9 +97,10 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
     c = np.array(cov, dtype=float, ndmin=2)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
+    scale = float(np.max(np.abs(c), initial=0.0))
+    if not math.isfinite(scale):                # a NaN or an infinite entry makes it so
         raise ValidationError("covariance contains non-finite entries")
-    scale = max(float(np.max(np.abs(c), initial=0.0)), 1e-300)
+    scale = max(scale, 1e-300)
     # a symmetric c is its own 0.5 (c + c') bit for bit: c + c and * 0.5 are exact
     if not np.array_equal(c, c.T):
         if np.max(np.abs(c - c.T), initial=0.0) > 1e-8 * scale:
@@ -402,6 +403,8 @@ class Problem:
         """``cov_solve[free, free]^-1 rhs[free]``, zero on the pinned asset: the free
         assets' unnormalized minimum-variance (``rhs`` ones) or tangency portfolio."""
         r = self.regime
+        if not len(r.pinned):                       # every asset free: no gather
+            return np.linalg.solve(self.cov_solve, rhs)
         z = np.zeros(r.n)
         z[r.free] = np.linalg.solve(self.cov_solve.take(r.free, 0).take(r.free, 1), rhs[r.free])
         return z
@@ -438,8 +441,10 @@ class Problem:
         starts from that point mixed toward the centre as far as the rows
         hold (``RegimeModel.toward``).  Where the centre is the set's only
         point (``RegimeModel.one_point``), the loop starts there with no
-        exchange.  Without inequality rows (c3, c5) the first round's face
-        is the equalities alone, and its point the answer: one KKT solve.
+        exchange.  Where the start holds no row tight or broken (c3, c5, and
+        c2 where it lies inside the box) it is the minimizer on the
+        equalities alone, and so the answer: the engine finds it stationary
+        there and returns it with no KKT solve, and ``iterations`` is 0.
         """
         res = self._min_variance_qp
         return self._solution(self.regime.to_weights(res.x), res, OBJECTIVE_MIN_VARIANCE)
@@ -680,10 +685,11 @@ class Problem:
         The start is the free assets' tangency portfolio ``cov_solve[free,
         free]^-1 excess`` (``_free_solve``) scaled to unit excess return,
         where it earns excess; the engine's block exchange runs from it, and
-        in c3 and c5 its one round lands on the answer.  The fallback is the
-        centre where that is the set's only point (``RegimeModel.one_point``,
-        where there is no start either), else the long-only fill, or failing
-        that the highest-return vertex, scaled to unit excess return.  On a
+        in c3 and c5, where it breaks no row, it is the answer as it is, with
+        no KKT solve.  The fallback is the centre where that is the set's
+        only point (``RegimeModel.one_point``, where there is no start
+        either), else the long-only fill, or failing that the highest-return
+        vertex, scaled to unit excess return.  On a
         bounded set (c1, c2, c4) the vertex maximizes the excess return, so
         when it earns none there is no point: ``1'y = 0`` would force
         ``y = 0``.  On c3 and c5 the zero-investment pair long the best and

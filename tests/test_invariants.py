@@ -186,11 +186,13 @@ def test_regime_model_market_index_in_range(market_index, n):
      "covariance must be square, got shape (2, 3)"),
     (np.zeros((2, 2, 2)), MEAN, 0.0, "covariance must be square, got shape (2, 2, 2)"),
     ([[0.04, NAN], [NAN, 0.09]], MEAN, 0.0, "covariance contains non-finite entries"),
+    ([[0.04, np.inf], [np.inf, 0.09]], MEAN, 0.0, "covariance contains non-finite entries"),
+    ([[-np.inf, 0.01], [0.01, 0.09]], MEAN, 0.0, "covariance contains non-finite entries"),
     (COV, [0.01, 0.02, 0.03], 0.0, "mean vector length does not match covariance"),
     (COV, [0.01, NAN], 0.0, "mean vector contains non-finite entries"),
     (COV, MEAN, NAN, "risk-free rate rf must be finite"),
-], ids=["cov-not-square", "cov-3d", "cov-non-finite", "mean-length", "mean-non-finite",
-        "rf-non-finite"])
+], ids=["cov-not-square", "cov-3d", "cov-non-finite", "cov-plus-inf", "cov-minus-inf",
+        "mean-length", "mean-non-finite", "rf-non-finite"])
 def test_problem_prepare_invariants(cov, mean, rf, fragment):
     with _raises(ValidationError, fragment):
         Problem.prepare(cov, ConstraintSet("c3"), mean=mean, rf=rf)

@@ -163,7 +163,9 @@ def test_bundled_report_iteration_counts():
     # count means the engine took another route to its answer.  Where the
     # block exchange's last round moves no row it ends the solve, one KKT
     # solve below the counts of an engine iteration after it (c1 MM
-    # ((2, 6), (2, 5)), c2 ((2, 3), (2, 3)), c4 ((2, 4), (2, 3)))
+    # ((2, 6), (2, 5)), c2 ((2, 3), (2, 3)), c4 ((2, 4), (2, 3))).  In c3 and
+    # c5 the start already is the equality face's minimizer, so the exchange
+    # returns it with no KKT solve: 0 (one face solve each before)
     table = compute_monthly_returns(select_bom(parse_price_table(
         PRICES_CSV.read_text(encoding="utf-8"), "MKT")))
     rf = average_risk_free(parse_riskfree_table(RISKFREE_CSV.read_text(encoding="utf-8")))
@@ -171,8 +173,8 @@ def test_bundled_report_iteration_counts():
                          all_constraints(table))
     assert len(rep.cells) == 20
     counts = {   # (min variance, maximum Sharpe) of MM, then of IM
-        "c1": ((1, 6), (1, 4)), "c2": ((1, 2), (1, 2)), "c3": ((1, 1), (1, 1)),
-        "c4": ((1, 3), (1, 2)), "c5": ((1, 1), (1, 1)),
+        "c1": ((1, 6), (1, 4)), "c2": ((1, 2), (1, 2)), "c3": ((0, 0), (0, 0)),
+        "c4": ((1, 3), (1, 2)), "c5": ((0, 0), (0, 0)),
     }
     for cell in rep.cells:
         model = ("MM", "IM").index(cell.model)

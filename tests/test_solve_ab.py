@@ -1,0 +1,38 @@
+"""scripts/solve_ab.py: an in-process A/B timing of the large-n-solve cells."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "solve_ab.py"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("solve_ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_tree_against_itself(capsys):
+    # two rounds of one source tree loaded twice: the 20 cells of a pass are
+    # bit-identical, both trees count the same KKT solves, and the report
+    # names both parts' medians and ratios
+    src = str(ROOT / "src")
+    assert _script().main([src, src, "--rounds", "2", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "cells per pass: 20 (make_universe(N, 240, 3) at N = 100, 200; 2 rounds)" in out
+    assert len(re.findall(r"^(base|head): median split \S+ ms, weight \S+ ms", out, re.M)) == 2
+    for part in ("split", "weight"):
+        assert f"head/base {part} ratio: median" in out
+    assert "weights bit-identical: yes" in out
+    base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
+    assert base == head > 0
+
+
+def test_a_tree_without_portopt_is_refused(tmp_path):
+    with pytest.raises(SystemExit, match="no portopt package"):
+        _script().main([str(tmp_path), str(ROOT / "src"), "--rounds", "1"])

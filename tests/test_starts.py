@@ -7,6 +7,8 @@ excess) every row it holds tight or breaks joins a working set at its
 bound, each round moves to the face's minimizer with one KKT solve, and
 then every broken row joins and every working row with a negative
 multiplier leaves; a round that moves no row ends the solve on the answer.
+A start that holds no row tight or broken and already minimizes on the
+equalities (c3, c5) is the answer as it is, with no round.
 Where rows were still leaving, the engine's active-set loop runs from the
 exchange's point, and where a face holds no point of the set, from a
 closed-form fallback; where the centre is the set's only point, it starts
@@ -24,7 +26,7 @@ from conftest import factor_returns, make_table, random_spd
 from portopt import ConstraintSet, ValidationError, check_feasible, markowitz_estimates
 from portopt.constraints import RegimeModel
 from portopt.qp import InequalityRows, _block_exchange, solve_qp
-from portopt.solver import Problem, _homogenized
+from portopt.solver import KKT_TOL, Problem, _homogenized
 
 RF = 0.0
 
@@ -98,8 +100,8 @@ def test_every_start_is_feasible(monkeypatch, n, t, seed):
         assert check_feasible(r.to_weights(calls[0][-1]), c).feasible, c
         y = r.to_weights(calls[1][-1])
         assert check_feasible(y / y.sum(), c).feasible, c
-        if not len(r.system()[2]):             # c3, c5: the start is the answer
-            assert minvar.iterations == sharpe.iterations == 1, c
+        if not len(r.system()[2]):             # c3, c5: the start is the answer, no KKT solve
+            assert minvar.iterations == sharpe.iterations == 0, c
 
 
 def _answers_match_solves_from_the_centre(cov, mean, constraints) -> None:
@@ -344,11 +346,12 @@ def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
-def test_free_regimes_take_one_kkt_solve_on_the_benchmark_universes(monkeypatch, seed):
+def test_free_regimes_take_no_kkt_solve_on_the_benchmark_universes(monkeypatch, seed):
     # c3 and c5 have no inequality rows, so the free assets' unconstrained
     # minimum-variance and tangency portfolios are the answers: the block
-    # exchange's one face solve lands on them and moves no row, so no
-    # engine iteration steps at rounding noise after it
+    # exchange finds the start already stationary on the equality face and
+    # returns it with no KKT solve, and no engine iteration steps at
+    # rounding noise after it
     from perfbench.universe import make_universe
 
     u = make_universe(200, 240, seed)
@@ -358,22 +361,22 @@ def test_free_regimes_take_one_kkt_solve_on_the_benchmark_universes(monkeypatch,
         for solve in (problem.min_variance, problem.max_sharpe):
             kkt_calls[0] = 0
             sol = solve()
-            assert sol.converged and sol.iterations == kkt_calls[0] == 1, (c, solve)
+            assert sol.converged and sol.iterations == kkt_calls[0] == 0, (c, solve)
 
 
 def test_a_start_off_an_equality_takes_a_face_solve():
-    # c5 has no inequality rows, so a start that breaks no row takes one face
-    # solve, which lands back on it; one that breaks the market-exclusion row
-    # must take at least one face solve, which lands on the equalities and,
-    # without inequality rows, on the answer; the same holds off the
-    # unit-excess row of maximum Sharpe
+    # c5 has no inequality rows, so a start at the answer takes no face
+    # solve: the exchange returns it as it is; one that breaks the
+    # market-exclusion row must take at least one face solve, which lands on
+    # the equalities and, without inequality rows, on the answer; the same
+    # holds off the unit-excess row of maximum Sharpe
     cov, mean, mi = _universe(20, 120, 1)
     problem = Problem.prepare(cov, ConstraintSet("c5", market_index=mi), mean=mean, rf=RF)
     r, H = problem.regime, problem.hessian
     A_eq, b_eq, A_in, b_in = r.system()
     answer = problem.min_variance().weights
     x, rounds = _exchange(H, answer.copy(), A_eq, b_eq, A_in, b_in)
-    assert rounds == 1 and np.abs(x - answer).max() <= 1e-12
+    assert rounds == 0 and np.array_equal(x, answer)
     w = np.linalg.solve(problem.cov_solve, np.ones(20))
     w /= w.sum()
     assert abs(w[mi]) > 1e-3                        # off the market-exclusion row
@@ -390,6 +393,54 @@ def test_a_start_off_an_equality_takes_a_face_solve():
     assert rounds >= 1
     assert np.abs(A_eq @ y - b_eq).max() <= 1e-12
     assert np.all(A_in @ y <= b_in + 1e-12)
+
+
+@pytest.mark.parametrize("regime", ["c3", "c5"])
+def test_a_start_on_the_equalities_off_their_minimizer_takes_a_face_solve(monkeypatch, regime):
+    # the centre, and the answer moved by 1e-6 along the face, meet every
+    # equality of c3 and c5 and break no row, but neither is the face's
+    # minimizer: the exchange does not take either as it is, and its one
+    # face solve lands on the answer; the same holds for maximum Sharpe from
+    # the centre scaled to unit excess
+    cov, mean, mi = _universe(20, 120, 1)
+    c = ConstraintSet(regime, market_index=mi if regime == "c5" else None)
+    problem = Problem.prepare(cov, c, mean=mean, rf=RF)
+    r, H = problem.regime, problem.hessian
+    minvar, sharpe = problem.min_variance().weights, problem.max_sharpe().weights
+    centre = r.centre()
+    nudged = minvar.copy()
+    nudged[[0, 1]] += (1e-6, -1e-6)                 # neither is the market asset
+    rows = _homogenized(r, mean - RF)
+    gain = float((mean - RF) @ r.to_weights(centre))
+    assert gain > 0.0
+    kkt_calls = _counting_kkt(monkeypatch)
+    for start, system, answer in ((centre, r.system(), minvar), (nudged, r.system(), minvar),
+                                  (centre / gain, rows, sharpe)):
+        A_eq, b_eq, A_in, b_in = system
+        assert np.abs(A_eq @ start - b_eq).max() <= 1e-12 and np.all(A_in @ start < b_in)
+        kkt_calls[0] = 0
+        x, rounds = _exchange(H, start, *system)
+        assert rounds == kkt_calls[0] == 1
+        w = r.to_weights(x)
+        assert np.abs(w / w.sum() - answer).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gate", ["as is", "refused"])
+def test_equality_faces_converge_on_the_ridge_universe(monkeypatch, gate):
+    # N > T: the covariance is singular, and its ridge alone makes each
+    # equality face's minimizer unique.  Whether the exchange takes the start
+    # as the face's minimizer (no KKT solve) or solves the face (one), every
+    # c3 and c5 cell converges with its certificate
+    if gate == "refused":
+        monkeypatch.setattr(portopt.qp, "_equality_minimizer", lambda *args: None)
+    solves = (1,) if gate == "refused" else (0, 1)
+    cov, mean, mi = _universe(30, 20, 3)
+    for c in (ConstraintSet("c3"), ConstraintSet("c5", market_index=mi)):
+        problem = Problem.prepare(cov, c, mean=mean, rf=RF)
+        assert problem.ridge > 0.0
+        for sol in (problem.min_variance(), problem.max_sharpe()):
+            assert sol.converged and sol.kkt_residual <= KKT_TOL, c
+            assert sol.iterations in solves, c
 
 
 @pytest.mark.parametrize("n, t, seed", [(20, 120, 21), (30, 20, 3)])
