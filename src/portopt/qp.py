@@ -20,6 +20,8 @@ leaving, a face had no point or there was no start.  A start that holds no
 row tight or broken and already minimizes on the equalities
 (``_equality_minimizer``) is the answer as it is, with no KKT solve.
 The loop and ``solver``'s corner path share one ratio test, ``reach``.
+Every multiplier array is the equalities' multipliers, then one per
+inequality row, zero off the working rows (``reduced_kkt``).
 """
 
 from __future__ import annotations
@@ -129,11 +131,11 @@ class InequalityRows:
             self.scale[self.general] = 1.0 + np.abs(self.A_general).max(axis=1)
 
     def face(self, act, A_eq):
-        """The working rows ``act`` split: which are bounds, the bound rows, the general
-        rows, and the face's system rows (``A_eq``, then the working general rows)."""
+        """The working rows ``act`` split: the bound rows, the general rows, and the
+        face's system rows (``A_eq``, then the working general rows)."""
         on_bound = self.bound[act]
         general = act[~on_bound]
-        return on_bound, act[on_bound], general, (
+        return act[on_bound], general, (
             np.concatenate([A_eq, self.A.take(general, 0)]) if general.size else A_eq)
 
     def dot(self, v) -> np.ndarray:
@@ -186,7 +188,7 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     side ``-grad`` on the free variables and ``rhs`` (zeros by default) on
     the equalities, then the working general rows.  Returns ``(p, lam)``:
     the step, zero on the fixed variables, and the multipliers of the
-    equalities, then of the working rows in ``act`` order.  A bound's
+    equalities, then one per inequality row, zero off ``act``.  A bound's
     multiplier closes the stationarity ``H p + grad + A' lam`` of its
     variable, and bounds on one variable share it in proportion to their
     coefficients (the least-norm split).  Under a zero ``grad``, with the
@@ -195,7 +197,7 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     path).  ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
-    on_bound, fixing, gen, A_gen = rows.face(act, A_eq) if face is None else face
+    fixing, gen, A_gen = rows.face(act, A_eq) if face is None else face
     if fixing.size:
         fixed = rows.var[fixing]
         free = np.ones(n, dtype=bool)
@@ -214,18 +216,13 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     sol = _solve_kkt(K, np.concatenate([-g_f, rhs]))
     p = np.zeros(n)
     p[free] = sol[:nf]
-    if not fixing.size:                 # the working rows are the general ones, in order
-        return p, sol[nf:]
-    lam = np.empty(m_eq + act.size)     # equalities, then the working set
-    lam[:m_eq] = sol[nf:nf + m_eq]
-    mult_in = lam[m_eq:]
-    if gen.size:
-        mult_in[~on_bound] = sol[nf + m_eq:]
-    # H p from the free rows alone: H is symmetric and p is zero off them
-    r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
-    c = rows.coef[fixing]
-    share = np.bincount(fixed, c * c, n)[fixed]
-    mult_in[on_bound if gen.size else ...] = -r * c / share   # no general row: all of them
+    lam = np.zeros(m_eq + len(rows.b))  # the equalities, then every inequality row
+    lam[:m_eq], lam[m_eq + gen] = sol[nf:nf + m_eq], sol[nf + m_eq:]
+    if fixing.size:
+        # H p from the free rows alone: H is symmetric and p is zero off them
+        r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
+        c = rows.coef[fixing]
+        lam[m_eq + fixing] = -r * c / np.bincount(fixed, c * c, n)[fixed]
     return p, lam
 
 
@@ -235,13 +232,13 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
 
     The working bounds are set exactly, and the gaps of the equalities and
     of the working general rows go on the right-hand side of
-    ``reduced_kkt``, under the gradient ``H x + g``.  Returns ``(x, p, lam)``:
+    ``reduced_kkt``, under the gradient ``H x + g``.  Returns ``(x, lam)``:
     the face's point, None where it leaves one of those gaps above 1e-12
-    (the face has no point, or its system is nearly singular), then the
-    step and the multipliers.
+    (the face has no point, or its system is nearly singular), and
+    ``reduced_kkt``'s multipliers, one per equality, then per inequality row.
     """
     face = rows.face(act, A_eq)
-    _, fixing, general, A_gen = face
+    fixing, general, A_gen = face
     x = x.copy()
     x[rows.var[fixing]] = rows.b[fixing] / rows.coef[fixing]        # on the bounds exactly
     A_G, b_G = A_gen[len(A_eq):], rows.b[general]                   # the working general rows
@@ -251,9 +248,7 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
 
     p, lam = reduced_kkt(H, H.dot(x) + g, A_eq, rows, act, gap(x), face)
     x = x + p
-    if np.abs(gap(x)).max(initial=0.0) > 1e-12:
-        x = None
-    return x, p, lam
+    return (None if np.abs(gap(x)).max(initial=0.0) > 1e-12 else x), lam
 
 
 def _equality_minimizer(H, g, x, A_eq, b_eq):
@@ -274,8 +269,9 @@ def _equality_minimizer(H, g, x, A_eq, b_eq):
 def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     """Block principal pivoting from ``x`` for ``solve_qp``: ``(x, rounds,
     face)``, x None where a face has no point of the feasible set, and
-    ``face`` the multipliers and working rows of a last round that moved no
-    row, whose point is then the QP's answer (else None).
+    ``face`` the multipliers (``reduced_kkt``'s layout) and working rows of
+    a last round that moved no row, whose point is then the QP's answer
+    (else None).
 
     The first face holds every row that ``x`` holds tight or breaks, at its
     bound.  Where it holds none and ``x`` already is the minimizer on the
@@ -299,17 +295,16 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     if not working.any():                       # the face of the equalities alone
         lam = _equality_minimizer(H, g, x, A_eq, b_eq)
         if lam is not None:
-            return x.copy(), 0, (lam, working.nonzero()[0])
+            return x.copy(), 0, (np.append(lam, np.zeros(len(rows.b))), working.nonzero()[0])
     best, patience, rounds = np.inf, _PATIENCE, 0
     while True:
         act = working.nonzero()[0]
         rounds += 1
-        x, _, lam = face_point(H, x, A_eq, b_eq, rows, act, g=g)
+        x, lam = face_point(H, x, A_eq, b_eq, rows, act, g=g)
         Ax = None if x is None else rows.dot(x)
         if x is None or (np.abs(Ax - rows.b)[act] > 1e-9 * rows.scale[act]).any():
             return None, rounds, None
-        leave = np.zeros(len(rows.b), dtype=bool)
-        leave[act[lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H.dot(x) + g).max())]] = True
+        leave = lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H.dot(x) + g).max())
         if (leave & ~rows.bound).any():
             leave &= ~rows.bound
         join = ~working & (Ax > rows.b)
@@ -330,10 +325,9 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
 
 
 def _answer(x, lam, act, m_in: int, iterations: int) -> QPResult:
-    """``x`` with the multipliers ``lam`` of the equalities, then of the working rows ``act``."""
-    m_eq = len(lam) - len(act)
-    in_mult = np.zeros(m_in)
-    in_mult[act] = np.maximum(lam[m_eq:], 0.0)                 # clipped at zero
+    """``x`` with the multipliers ``lam`` of the equalities, then of the ``m_in`` inequality rows."""
+    m_eq = len(lam) - m_in
+    in_mult = np.maximum(lam[m_eq:], 0.0)                      # clipped at zero
     return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()), iterations)
 
 
@@ -391,7 +385,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
             if not neg.size:
                 return _answer(x, lam, act, working.size, iterations)
             # Bland's rule after a long stall, else the most negative multiplier
-            working[act[neg[0] if stall > _STALL_LIMIT else mult_in.argmin()]] = False
+            working[neg[0] if stall > _STALL_LIMIT else mult_in.argmin()] = False
             stall += 1
             quiet = 0
             continue

@@ -520,8 +520,8 @@ class Problem:
         multiplier zero; else with a QP at ``targets[0]`` (``_target_qp``)
         from the minimum-variance weights.  Each segment costs one reduced KKT
         solve, under a zero gradient with the return row's rate as its only
-        right-hand side (``reduced_kkt``): ``d(x, lam)/dt`` over the working
-        set.  The point and the multipliers are carried along it; the next
+        right-hand side (``reduced_kkt``): ``d(x, lam)/dt``, one multiplier per
+        row, zero off the working set.  Both are carried along it; the next
         corner is the nearest ``t`` at which an inactive row reaches its bound
         or a working multiplier reaches zero, where that row joins or leaves
         the working set with a multiplier of exactly zero, and a bound that
@@ -567,22 +567,20 @@ class Problem:
         rate[m_eq - 1] = 1.0 / sigma
 
         # every corner, in order: (point, target, multipliers of the equalities then of
-        # the rows ``act``, ``act``, whether in the path's scaling of the return row)
-        corners, checked, every = [], 0, np.arange(len(b_in))
+        # each inequality row, in the path's scaling of the return row)
+        corners, checked = [], 0
 
         def certify():
             """Certify the corners since the last call as one stack (``_check``), their
-            multipliers split as one batch; where it fails, the first corner failing
+            multipliers rescaled as one batch; where it fails, the first corner failing
             alone raises."""
             nonlocal checked
-            x, t, lam, act, own = zip(*corners[checked:])
+            x, t, lam = zip(*corners[checked:])
             checked = len(corners)
-            w, t, own = r.to_weights(np.array(x)), np.array(t), np.array(own)
-            eq, mu = np.array([v[:m_eq] for v in lam]), np.zeros((len(t), len(b_in)))
-            eq[own, -1] /= sigma
-            eq[own, 0] -= mid * eq[own, -1]
-            mu[np.repeat(np.arange(len(t)), [len(a) for a in act]), np.concatenate(act)] = \
-                np.concatenate([v[m_eq:] for v in lam])
+            w, t, lam = r.to_weights(np.array(x)), np.array(t), np.array(lam)
+            eq, mu = lam[:, :m_eq], lam[:, m_eq:]
+            eq[:, -1] /= sigma
+            eq[:, 0] -= mid * eq[:, -1]
             kkt, feasible = self._check(w, t, (eq, mu))
             if feasible and kkt <= KKT_TOL:
                 return
@@ -615,19 +613,19 @@ class Problem:
                 working[:] = False
                 working[list(res.active)] = True
                 x, act, eq = res.x, working.nonzero()[0], res.eq_multipliers
-                corners.append((x, t0, np.append(eq, res.in_multipliers), every, False))
-                if t0 == top:
-                    break
                 # the multipliers in the path's scaling of the return row: certify()'s inverse
-                lam = np.concatenate([eq, res.in_multipliers[act]])
+                lam = np.concatenate([eq, res.in_multipliers])
                 lam[m_eq - 1] *= sigma
                 lam[0] += mid * eq[-1]
+                corners.append((x, t0, lam))
+                if t0 == top:
+                    break
                 res = None
             face = rows_in.face(act, A_eq)
-            rhs = rate[:len(face[3])]
+            rhs = rate[:len(face[2])]
             dx, dlam = reduced_kkt(H, zero, A_eq, rows_in, act, rhs, face)
             # working rows that fix the point leave no direction
-            stuck = np.abs(face[3].dot(dx) - rhs).max() > 1e-9 * (1.0 + np.abs(dx).max())
+            stuck = np.abs(face[2].dot(dx) - rhs).max() > 1e-9 * (1.0 + np.abs(dx).max())
             s, end = 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
@@ -637,27 +635,23 @@ class Problem:
                 steps = np.concatenate([ahead, np.maximum(lam[m_eq:][fall], 0.0) / -dmu[fall]])
                 s = float(steps.min(initial=end))
                 if s >= end - tie:                        # no event before the top: the path ends there
-                    corners.append((x + end * dx, top, lam + end * dlam, act, True))
+                    corners.append((x + end * dx, top, lam + end * dlam))
                     break
-                near = np.concatenate([hit, act[fall]])[steps <= s + tie]
+                near = np.concatenate([hit, fall])[steps <= s + tie]
                 if tie < s and len(near) == 1:            # one row joins or leaves, at multiplier 0
                     j = near[0]
-                    k = m_eq + int(act.searchsorted(j))
                     x, t0, lam = x + s * dx, t0 + s, lam + s * dlam
-                    if working[j]:
-                        lam = np.concatenate((lam[:k], lam[k + 1:]))
-                    else:
-                        lam = np.concatenate((lam[:k], (0.0,), lam[k:]))
-                        if rows_in.bound[j]:              # on the bound exactly
-                            x[rows_in.var[j]] = b_in[j] / rows_in.coef[j]
+                    lam[m_eq + j] = 0.0
+                    if not working[j] and rows_in.bound[j]:   # a bound joins on its bound exactly
+                        x[rows_in.var[j]] = b_in[j] / rows_in.coef[j]
                     working[j] = not working[j]
                     act = working.nonzero()[0]
-                    corners.append((x, t0, lam, act, True))
+                    corners.append((x, t0, lam))
                     continue
             # a degenerate corner: the segment's end is one more corner; certify them all,
             # then a QP at the next target, started from that end
             if 0.0 < s:
-                corners.append((x + s * dx, t0 + s, lam + s * dlam, act, True))
+                corners.append((x + s * dx, t0 + s, lam + s * dlam))
             certify()
             t0 = targets[bisect_right(targets, corners[-1][1])]
             res = self._target_qp(t0, r.to_weights(x + s * dx))

@@ -429,3 +429,19 @@ def test_failed_point_certificate_raises(monkeypatch, markets, regime, k):
 def test_cloud_sample_length_is_its_count():
     for regime in ("c1", "c4"):
         assert len(sample_cloud(ConstraintSet(regime), 4, 37, seed=3)) == 37
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the corner path overshoots a bound where the means are near equal")
+def test_frontier_of_near_equal_means_stays_in_the_box():
+    # the benchmark's N = 50 covariance under expected returns within a few 1e-9
+    # of 0.01 (attainable returns span 7e-8): the corner path leaves a box bound
+    # broken by 5e-7 (|w| = 1.0000005), and the corner fails its feasibility
+    # check.  The path's event tie, 1e-12 max(|t0|, |top|), scales with the
+    # return level rather than with the path's span, which points at the cause
+    from perfbench.universe import make_universe
+
+    cov = make_universe(50, 128, 1).mm.cov
+    mean = 0.01 + 1e-9 * np.random.default_rng(5).normal(size=50)
+    curve = trace_frontier(cov, mean, 0.0, ConstraintSet("c2"), grid=20)
+    assert len(curve.points) >= 20

@@ -12,7 +12,7 @@ from portopt import ConstraintSet, solve_max_sharpe, solve_min_variance
 from portopt.constraints import REGIMES, regime_model
 from portopt.errors import ConvergenceError, InfeasibleError
 from portopt.qp import _STALL_LIMIT, InequalityRows, find_feasible_point, solve_qp
-from portopt.solver import KKT_TOL, _homogenized
+from portopt.solver import KKT_TOL, Problem, _homogenized
 
 
 def test_unconstrained_equality_qp():
@@ -187,6 +187,30 @@ def test_singular_kkt_and_blands_rule(monkeypatch):
     assert stall > _STALL_LIMIT + 1  # some drop was made past the limit
 
 
+def test_blands_rule_drops_the_lowest_index_after_the_stall_limit(monkeypatch):
+    # 40 bounds -(1 + k/10) x1 <= 0, k = 0..39, all active at the start, as in the
+    # test above: their multipliers share x1's stationarity in proportion to the
+    # coefficients, so the most negative is the highest k's.  The first 31 drops
+    # take it (39, 38, ..., 9); from then on the stall exceeds _STALL_LIMIT and
+    # Bland's rule drops the first negative multiplier, the lowest index (0, 1,
+    # 2, ...), where the most negative would drop 8, 7, 6
+    faces, solve = [], portopt.qp.reduced_kkt
+
+    def recording(H, grad, A_eq, rows, act, *args):
+        faces.append(act)
+        return solve(H, grad, A_eq, rows, act, *args)
+
+    monkeypatch.setattr(portopt.qp, "reduced_kkt", recording)
+    res = solve_qp(H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
+                   A_eq=np.ones((1, 3)), b_eq=np.ones(1),
+                   A_in=-(1.0 + np.arange(40.0)[:, None] / 10.0) * np.eye(3)[:1], b_in=np.zeros(40),
+                   x0=None, fallback=lambda: np.array([0.0, 0.5, 0.5]))
+    assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
+    left = [int(k) for a, b in zip(faces, faces[1:]) for k in np.setdiff1d(a, b)]
+    most_negative = _STALL_LIMIT + 1
+    assert left == list(range(39, 39 - most_negative, -1)) + list(range(40 - most_negative))
+
+
 def test_dependent_general_rows_start_as_one(monkeypatch):
     # 40 copies of the general row -x1 - x2 <= 0, all active at the start:
     # only the first enters the working set, so the KKT matrix is regular
@@ -320,6 +344,34 @@ def test_independent_start_keeps_the_rows_the_rank_test_keeps():
         assert np.array_equal(got, expected), (A_eq, A_in)
         cleared[i % 5] += np.count_nonzero(working & ~got)
     assert cleared.all()
+
+
+def test_multipliers_are_indexed_by_row(monkeypatch):
+    # c1 minimum variance at leverage cap 1.3 on a seeded N = 11 universe: the
+    # last KKT solve's face holds bounds and the leverage row.  Its multipliers
+    # are the equalities', then one per inequality row, exactly zero off the
+    # working rows, and the answer's in_multipliers are that tail clipped at zero
+    from perfbench.universe import make_universe
+
+    solves, solve = [], portopt.qp.reduced_kkt
+
+    def recording(H, grad, A_eq, rows, act, *args):
+        p, lam = solve(H, grad, A_eq, rows, act, *args)
+        solves.append((rows, act, lam))
+        return p, lam
+
+    monkeypatch.setattr(portopt.qp, "reduced_kkt", recording)
+    problem = Problem.prepare(make_universe(11, 240, 1).mm.cov, ConstraintSet("c1", leverage_cap=1.3))
+    res = problem._min_variance_qp
+    A_eq, _, A_in, _ = problem.regime.system()
+    rows, act, lam = solves[-1]
+    assert rows.bound[act].any() and not rows.bound[act].all()  # bounds and the leverage row
+    assert lam.shape == (len(A_eq) + len(A_in),)
+    off = np.ones(len(A_in), dtype=bool)
+    off[act] = False
+    assert np.all(lam[len(A_eq):][off] == 0.0)
+    assert res.active == tuple(act.tolist())
+    assert np.array_equal(res.in_multipliers, np.maximum(lam[len(A_eq):], 0.0))
 
 
 def test_max_sharpe_at_a_one_point_set_terminates():

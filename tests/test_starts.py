@@ -337,7 +337,7 @@ def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
     face_point, (_, anchors) = portopt.qp.face_point, _recording_loops(monkeypatch)
 
     def pointless(*args, **kwargs):
-        return (None, *face_point(*args, **kwargs)[1:])
+        return None, face_point(*args, **kwargs)[1]
 
     monkeypatch.setattr(portopt.qp, "face_point", pointless)
     constraints = [c for c in _constraints(20, mi) if c.regime == regime]
