@@ -25,12 +25,15 @@ relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
 The exit code is 0 unless a tree fails to load or a trace raises; a slower
 head or a moved point is reported, not failed.
 
-With ``--wide`` it times nothing: it traces a wider, untimed curve set on
-both trees, ``trace_frontier(grid=100)`` of the Markowitz estimates of
-``make_universe(N, 240, seed)`` at N = 100 and 200, under c1, c2 at weight
-bounds 3/N and 1.2/N, and c4, and prints for each curve the largest
-relative move of a point coordinate and each tree's path QPs and KKT
-solves, the curve's minimum-variance and maximum-Sharpe solves included.
+With ``--wide`` it times nothing: it traces a wider, untimed set of 84
+curves on both trees, ``trace_frontier(grid=100)`` of the Markowitz
+estimates of ``make_universe(N, 240, s)`` at N = 11, 50, 100 and 200 and
+seeds s = S, S + 1 and S + 2 (S from ``--seed``), under c1, c1 at leverage
+cap 1, c2, c2 at weight bounds 1.2/N, 2/N and 3/N, and c4.  It prints for
+each curve the largest relative move of a point coordinate and each tree's
+path QPs and KKT solves, the curve's minimum-variance and maximum-Sharpe
+solves included; then each constraint set's totals over its curves, and
+the totals over all of them.
 """
 
 from __future__ import annotations
@@ -54,11 +57,14 @@ ROOT = Path(__file__).resolve().parents[1]
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
 GRID = 100
 UNIVERSE = (50, 128)        # (N, T) of the frontier-grid universe
-WIDE_SIZES, WIDE_T = (100, 200), 240        # the --wide universes' N, and their T
+WIDE_SIZES, WIDE_T, WIDE_SEEDS = (11, 50, 100, 200), 240, 3   # the --wide universes' N, T and seeds
 WIDE = (                    # the --wide constraint sets: (label, regime, parameters given N)
     ("c1", "c1", lambda n: {}),
-    ("c2 weight_bound=3/N", "c2", lambda n: {"weight_bound": 3.0 / n}),
+    ("c1 leverage_cap=1", "c1", lambda n: {"leverage_cap": 1.0}),
+    ("c2", "c2", lambda n: {}),
     ("c2 weight_bound=1.2/N", "c2", lambda n: {"weight_bound": 1.2 / n}),
+    ("c2 weight_bound=2/N", "c2", lambda n: {"weight_bound": 2.0 / n}),
+    ("c2 weight_bound=3/N", "c2", lambda n: {"weight_bound": 3.0 / n}),
     ("c4", "c4", lambda n: {}),
 )
 
@@ -175,31 +181,40 @@ def _counted_pass(po, markets) -> tuple[int, int, list[np.ndarray]]:
     return *counts, curves
 
 
-def _wide_curves(po, seed: int) -> list[tuple[str, int, int, np.ndarray]]:
+def _wide_curves(po, seed: int) -> list[tuple[str, str, int, int, np.ndarray]]:
     """Each ``--wide`` curve traced with the package ``po``, counted
-    (``_counting``): its label, KKT solves, path QPs and points."""
+    (``_counting``): its label, its constraint set's label, KKT solves, path
+    QPs and points."""
     from perfbench.universe import make_universe
 
     out = []
     for n in WIDE_SIZES:
-        u = make_universe(n, WIDE_T, seed)
-        for label, regime, parameters in WIDE:
-            c = po.ConstraintSet(regime, **parameters(n))
-            with _counting(po) as counts:
-                curve = po.trace_frontier(u.mm.cov, u.mm.mean, u.rf, c, grid=GRID)
-            out.append((f"n{n} {label}", *counts, np.array(curve.points)))
+        for s in range(seed, seed + WIDE_SEEDS):
+            u = make_universe(n, WIDE_T, s)
+            for label, regime, parameters in WIDE:
+                c = po.ConstraintSet(regime, **parameters(n))
+                with _counting(po) as counts:
+                    curve = po.trace_frontier(u.mm.cov, u.mm.mean, u.rf, c, grid=GRID)
+                out.append((f"n{n} s{s} {label}", label, *counts, np.array(curve.points)))
     return out
 
 
 def _report_wide(base, head) -> None:
     """One line per ``--wide`` curve: its largest relative move (inf where the
     trees trace a different number of points), then base and head path QPs
-    and KKT solves; then the largest move over the set."""
-    largest = 0.0
-    for (label, solves_b, qps_b, a), (_, solves_h, qps_h, b) in zip(base, head):
+    and KKT solves; then those counts summed per constraint set and over every
+    curve, and the largest move over the set."""
+    largest, totals = 0.0, {key: [0] * 4 for key in [label for label, *_ in WIDE] + ["all"]}
+    for (label, group, solves_b, qps_b, a), (*_, solves_h, qps_h, b) in zip(base, head):
         move = _largest_move([a], [b]) if a.shape == b.shape else math.inf
         largest = max(largest, move)
-        print(f"{label:<27} move {move:<9.3g} path QPs base {qps_b}, head {qps_h}"
+        print(f"{label:<31} move {move:<9.3g} path QPs base {qps_b}, head {qps_h}"
+              f"  KKT solves base {solves_b}, head {solves_h}")
+        for key in (group, "all"):
+            totals[key] = [t + c for t, c in zip(totals[key], (qps_b, qps_h, solves_b, solves_h))]
+    for key, (qps_b, qps_h, solves_b, solves_h) in totals.items():
+        name = f"total over {len(base)} curves" if key == "all" else f"total {key}"
+        print(f"{name:<31} path QPs base {qps_b}, head {qps_h}"
               f"  KKT solves base {solves_b}, head {solves_h}")
     print(f"largest relative move over {len(base)} curves: {largest:.3g}")
 
@@ -238,7 +253,8 @@ def main(argv=None) -> int:
         sys.path.append(str(ROOT))
     with _trees(args.base_src, args.head_src, "_frontier_ab") as trees:
         if args.wide:
-            print(f"wide curves: make_universe(N, {WIDE_T}, {args.seed}), grid {GRID}")
+            print(f"wide curves: make_universe(N, {WIDE_T}, s) for s = {args.seed}.."
+                  f"{args.seed + WIDE_SEEDS - 1}, grid {GRID}")
             _report_wide(*(_wide_curves(po, args.seed) for po in trees.values()))
             return 0
         markets = _markets(trees["head"], args.seed)

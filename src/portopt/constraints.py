@@ -107,6 +107,18 @@ class RegimeModel:
         """Rows over the weights as rows over the solve variables."""
         return np.concatenate([rows, -rows], axis=-1) if self.split else rows
 
+    def return_row(self, mean) -> tuple[np.ndarray, float, float]:
+        """``(row, mid, sigma)``: the return equality as ``row.x = (t - mid) / sigma``, centred on
+        the free assets' mean return ``mid`` and scaled to unit range: under full investment the
+        same equality as ``mean.w = t``, but not nearly parallel to the full-investment row.  Where
+        the free means spread by at most ``1e-12 (1 + |mid|)`` it says nothing that rounding does
+        not: the row is zero and ``sigma`` infinite, so the right-hand side is zero too."""
+        mid = float(mean[self.free].mean())
+        sigma = float(np.abs(mean - mid)[self.free].max())
+        if sigma <= 1e-12 * (1.0 + abs(mid)):
+            return np.zeros(self.rows.shape[1]), mid, math.inf
+        return self.lift((mean - mid) / sigma), mid, sigma
+
     def to_solve(self, w) -> np.ndarray:
         """Weights (one portfolio, or one per row) in the solve variables."""
         w = np.asarray(w, dtype=float)

@@ -220,25 +220,24 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
                          multipliers=None, excess=None) -> float:
     """First-order optimality residual of ``min w'Cov w`` at ``w``.
 
-    Combines the stationarity gap, complementary slackness and primal
-    feasibility into a single max-norm.  When ``target`` is given the return
-    equality is part of the problem.  Conditions are scored in the regime's
-    solve variables (split ``(p, n)`` for the gross-exposure regime), where
-    they are plain QP optimality.  The primal part is the excess over the
-    regime's rows and, given a target, the return gap ``|mean.w - target|``.
+    Combines the stationarity gap, complementary slackness and primal feasibility into a
+    single max-norm.  When ``target`` is given the return equality is part of the
+    problem: its row (``RegimeModel.return_row``) in stationarity, the raw gap
+    ``|mean.w - target|`` in the primal part, which is also the excess over the regime's
+    rows.  Conditions are scored in the regime's solve variables (split ``(p, n)`` for
+    the gross-exposure regime), where they are plain QP optimality.
 
-    ``multipliers`` are the ``(equality, inequality)`` multipliers of a
-    solve over those rows, the return row last.  They are checked
-    first: stationarity, ``-min(mu)``, ``|mu| * slack`` and the primal
-    excess in one max-norm.  A feasible point of a convex QP with such
-    multipliers is optimal, so when that norm is within ``KKT_TOL`` it is
-    the residual.  Otherwise, and without multipliers, the multipliers are
-    recovered from scratch over the rows active within ``_ACT_TOL`` (NNLS,
-    then least squares), a test independent of the engine's multipliers.
-    ``excess`` is ``RegimeModel.excess(w)`` where the caller has it already.
-    ``w`` may be a stack, a portfolio per row with its own target and
-    multipliers: the residual is the largest row's, each bit for bit as
-    checked alone.  Weights that ``cov`` or ``mean`` do not match raise ``ValidationError``.
+    ``multipliers`` are the ``(equality, inequality)`` multipliers of a solve over those
+    rows, the return row last in ``return_row``'s scaling.  They are checked first:
+    stationarity, ``-min(mu)``, ``|mu| * slack`` and the primal excess in one max-norm.
+    A feasible point of a convex QP with such multipliers is optimal, so when that norm
+    is within ``KKT_TOL`` it is the residual.  Otherwise, and without multipliers, the
+    multipliers are recovered from scratch over the rows active within ``_ACT_TOL``
+    (NNLS, then least squares), a test independent of the engine's multipliers.
+    ``excess`` is ``RegimeModel.excess(w)`` where the caller has it already.  ``w`` may
+    be a stack, a portfolio per row with its own target and multipliers: the residual is
+    the largest row's, each bit for bit as checked alone.  Weights that ``cov`` or
+    ``mean`` do not match raise ``ValidationError``.
     """
     n = np.shape(w)[-1]
     W = np.asarray(w, dtype=float).reshape(-1, n)
@@ -254,7 +253,7 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     if target is not None:
         if mean is None:
             raise ValidationError("target-return KKT check requires the mean vector")
-        eq = np.concatenate([eq, regime.lift(mean)[None]])
+        eq = np.concatenate([eq, regime.return_row(mean)[0][None]])
     if excess is None:
         excess = regime.excess(W, alone=True)   # on every row; an inequality's is minus its slack
     excess = excess.reshape(len(W), -1)
@@ -312,25 +311,26 @@ def _homogenized(regime: RegimeModel, excess: np.ndarray):
     return A_eq, np.append(1.0, np.zeros(len(A_eq) - 1)), rows, np.zeros(len(rows))
 
 
-def _weight_multipliers(regime: RegimeModel, res, kappa: float, rf: float):
-    """The multipliers of the maximum-Sharpe QP (``_homogenized``) at
-    ``y = kappa w`` as those of minimum variance at ``w``'s own return:
-    ``(equality, inequality)`` over the regime's rows, the return row last.
+def _weight_multipliers(regime: RegimeModel, res, kappa: float, mean, rf: float):
+    """The multipliers of the maximum-Sharpe QP (``_homogenized``) at ``y = kappa w`` as
+    those of minimum variance at ``w``'s own return: ``(equality, inequality)`` over the
+    regime's rows, the return row last.
 
-    With ``1`` the full-investment row, the QP's stationarity reads
-    ``H y + l0 (mean - rf 1) + sum_j lj (a_j - b_j 1) + sum_i mi (a_i - b_i 1)
-    - m_kappa 1 = 0`` (j over the other equalities, i over the inequality
-    rows).  Divided by ``kappa > 0`` it is the stationarity at ``w`` with
-    ``l0 / kappa`` on the return row, ``lj / kappa``, ``mi / kappa`` and
-    ``-(l0 rf + sum_j lj b_j + sum_i mi b_i + m_kappa) / kappa`` on the
-    full-investment row.  Complementary slackness scales the same way:
-    ``mi (a_i y - b_i kappa) = kappa mi (a_i w - b_i)``.
+    With ``1`` the full-investment row, the QP's stationarity reads ``H y + l0 (mean - rf
+    1) + sum_j lj (a_j - b_j 1) + sum_i mi (a_i - b_i 1) - m_kappa 1 = 0`` (j over the
+    other equalities, i over the inequality rows).  With ``mean = sigma row + mid 1``
+    (``RegimeModel.return_row``; a zero row takes 0) and divided by ``kappa > 0``, it is
+    the stationarity at ``w`` with ``l0 sigma / kappa`` on the return row, ``lj /
+    kappa``, ``mi / kappa`` and ``-(l0 (rf - mid) + sum_j lj b_j + sum_i mi b_i +
+    m_kappa) / kappa`` on the full-investment row.  Complementary slackness scales the
+    same way: ``mi (a_i y - b_i kappa) = kappa mi (a_i w - b_i)``.
     """
     _, b_eq, _, b_in = regime.system()
+    _, mid, sigma = regime.return_row(mean)
     lam, mu = res.eq_multipliers / kappa, res.in_multipliers / kappa
     mu, m_kappa = mu[:-1], mu[-1]
-    budget = -(lam[0] * rf + lam[1:] @ b_eq[1:] + mu @ b_in + m_kappa)
-    return np.concatenate([[budget], lam[1:], lam[:1]]), mu
+    budget = -(lam[0] * (rf - mid) + lam[1:] @ b_eq[1:] + mu @ b_in + m_kappa)
+    return np.concatenate([[budget], lam[1:], [lam[0] * sigma if sigma < math.inf else 0.0]]), mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,10 +493,10 @@ class Problem:
         return np.minimum(np.maximum(t, lo), hi).tolist()
 
     def _target_qp(self, t: float, anchor: np.ndarray):
-        """The QP at return ``t``, its loop started at the mix of feasible weights
-        ``anchor`` with the return vertex on ``t``'s side that earns ``t``, with
-        no exchange: the mix may break a row by rounding, which would start one.
-        ``target_return`` anchors it at the regime's centre, and ``corner_path`` at a
+        """The QP at return ``t`` (its row ``RegimeModel.return_row``'s, last), its loop started
+        at the mix of feasible weights ``anchor`` with the return vertex on ``t``'s side that
+        earns ``t``, with no exchange: the mix may break a row by rounding, which would start
+        one.  ``target_return`` anchors it at the regime's centre, and ``corner_path`` at a
         degenerate corner, or at ``targets[0]`` off the minimum-variance start."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
@@ -504,83 +504,73 @@ class Problem:
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
         A_eq, b_eq, A_in, b_in = r.system()
-        return self._solve(np.vstack([A_eq, r.lift(mean)]), np.append(b_eq, t), A_in, b_in,
+        row, mid, sigma = r.return_row(mean)
+        return self._solve(np.vstack([A_eq, row]), np.append(b_eq, (t - mid) / sigma), A_in, b_in,
                            None, lambda: r.to_solve(anchor + s * (v - anchor)))
 
     def corner_path(self, targets) -> np.ndarray:
-        """Minimum-variance weights at each of the increasing ``targets``, a row
-        each, traced as one parametric path; each target is taken as
-        ``target_return`` takes it (``_targets``).
+        """Minimum-variance weights at each of the increasing ``targets``, a row each,
+        traced as one parametric path; each target is taken as ``target_return`` takes it
+        (``_targets``).
 
-        While the working set of the return-constrained QP stays fixed, its
-        solution and multipliers are affine in the target return ``t``
-        (Markowitz's critical line).  Where ``targets[0]`` is the
-        minimum-variance return, the path starts from that solve's point,
-        multipliers and working set (``_min_variance_qp``), the return row's
-        multiplier zero; else with a QP at ``targets[0]`` (``_target_qp``)
-        from the minimum-variance weights.  Each segment costs one reduced KKT
-        solve, under a zero gradient with the return row's rate as its only
-        right-hand side (``reduced_kkt``): ``d(x, lam)/dt``, one multiplier per
-        row, zero off the working set.  Both are carried along it; the next
-        corner is the nearest ``t`` at which an inactive row reaches its bound
-        or a working multiplier reaches zero, where that row joins or leaves
-        the working set with a multiplier of exactly zero, and a bound that
-        joins holds its variable exactly on it.  Each target in between is the
-        mix of the two corners around it, all mixed as one array expression at
-        the end.  The return row enters the system centred on the mean return
-        and scaled to unit range: the same row under full investment, but not
-        nearly parallel to it.
+        While the working set of the return-constrained QP stays fixed, its solution and
+        multipliers are affine in the return row's right-hand side ``tau = (t - mid) /
+        sigma`` (``RegimeModel.return_row``; Markowitz's critical line), and the path runs
+        in ``tau``: its targets, steps, ties, corners and mix.  Where ``targets[0]`` is the
+        minimum-variance return, the path starts from that solve's point, multipliers and
+        working set (``_min_variance_qp``), the return row's multiplier zero; else with a
+        QP at ``targets[0]`` (``_target_qp``) from the minimum-variance weights.  Each
+        segment costs one reduced KKT solve, under a zero gradient with the return row's
+        rate 1 as its only right-hand side (``reduced_kkt``): ``d(x, lam)/dtau``, one
+        multiplier per row, zero off the working set.  Both are carried along it; the next
+        corner is the nearest ``tau`` at which an inactive row reaches its bound or a
+        working multiplier reaches zero, where that row joins or leaves the working set
+        with a multiplier of exactly zero, and a bound that joins holds its variable
+        exactly on it.  Each target in between is the mix of the two corners around it,
+        all mixed as one array expression at the end.
 
-        A QP at the next target, started from the corner, takes over at a
-        degenerate corner: a zero-length step, several events within a
-        relative 1e-12 of the return, or working rows that fix the point
-        and leave no direction (the direction solve misses the rate).  The
-        path resumes from its point, multipliers and working set.  Where no
-        event comes before the last target, the last segment ends there and
-        the top is one more corner, with no solve: on that segment every
-        working row stays tight and every working multiplier nonnegative, so
-        the working set's point and multipliers at the top satisfy KKT.
+        A QP at the next target, started from the corner, takes over at a degenerate
+        corner: a zero-length step, several events within a relative 1e-12 of ``tau``, or
+        working rows that fix the point and leave no direction (the direction solve misses
+        the rate).  The path resumes from its point, multipliers and working set.  Where no
+        event comes before the last target, the last segment ends there and the top is one
+        more corner, with no solve: on that segment every working row stays tight and every
+        working multiplier nonnegative, so the working set's point and multipliers at the
+        top satisfy KKT.
 
-        Each corner, and a segment's end where a QP takes over, is certified
-        from its multipliers, queued and checked as one stack before each QP
-        and at the top; the first that fails raises ``ConvergenceError``
-        naming its target and residual.  On a segment every term of the
-        certificate is a max-norm of a function affine in ``t`` (the working
-        rows keep zero slack), so a point between two corners has a residual
-        of at most the larger of theirs.
+        Each corner, and a segment's end where a QP takes over, is certified from its
+        multipliers at the raw return read off the targets around its ``tau``, queued and
+        checked as one stack before each QP and at the top; the first that fails raises
+        ``ConvergenceError`` naming its target and residual.  On a segment every term of
+        the certificate is a max-norm of a function affine in ``tau`` (the working rows
+        keep zero slack), so a point between two corners has a residual of at most the
+        larger of theirs.
         """
         r, mean, H = self.regime, self.mean, self.hessian
         targets = self._targets(targets)
+        row, mid, sigma = r.return_row(mean)
+        taus = [(t - mid) / sigma for t in targets]
         A_eq, _, A_in, b_in = r.system()
-        # the return row, last, as ((mean - mid) / sigma) w = (t - mid) / sigma: the same
-        # row under full investment, but not near the full-investment row's span
-        mid = float(mean[r.free].mean())
-        sigma = float(np.abs(mean - mid)[r.free].max()) or 1.0
-        A_eq = np.vstack([A_eq, r.lift((mean - mid) / sigma)])
-        m_eq = len(A_eq)
+        A_eq, m_eq = np.vstack([A_eq, row]), r.m_eq + 1
         rows_in = InequalityRows(A_in, b_in)
-        top = targets[-1]
-        tie = 1e-12 * max(abs(targets[0]), abs(top))      # events this close coincide
+        top = taus[-1]
+        tie = 1e-12 * max(abs(taus[0]), abs(top))        # events this close coincide
         working = np.zeros(len(b_in), dtype=bool)
         zero = np.zeros(len(H))                           # the direction's gradient
-        rate = np.zeros(m_eq + len(rows_in.general))      # d b_t / dt, then the general rows' zeros
-        rate[m_eq - 1] = 1.0 / sigma
+        rate = np.zeros(m_eq + len(rows_in.general))      # d b / dtau, then the general rows' zeros
+        rate[m_eq - 1] = 1.0
 
-        # every corner, in order: (point, target, multipliers of the equalities then of
-        # each inequality row, in the path's scaling of the return row)
+        # every corner, in order: (point, tau, multipliers of each equality, then inequality row)
         corners, checked = [], 0
 
         def certify():
-            """Certify the corners since the last call as one stack (``_check``), their
-            multipliers rescaled as one batch; where it fails, the first corner failing
-            alone raises."""
+            """Certify the corners since the last call as one stack (``_check``); where
+            it fails, the first corner failing alone raises."""
             nonlocal checked
-            x, t, lam = zip(*corners[checked:])
+            x, tau, lam = zip(*corners[checked:])
             checked = len(corners)
-            w, t, lam = r.to_weights(np.array(x)), np.array(t), np.array(lam)
+            w, t, lam = r.to_weights(np.array(x)), np.interp(tau, taus, targets), np.array(lam)
             eq, mu = lam[:, :m_eq], lam[:, m_eq:]
-            eq[:, -1] /= sigma
-            eq[:, 0] -= mid * eq[:, -1]
             kkt, feasible = self._check(w, t, (eq, mu))
             if feasible and kkt <= KKT_TOL:
                 return
@@ -594,7 +584,7 @@ class Problem:
             """Every target's point, mixed from the first corner at or above it and the
             one before as one elementwise array expression, so each as if mixed alone."""
             x, t = np.array([c[0] for c in corners]), np.array([c[1] for c in corners])
-            tt = np.array(targets)
+            tt = np.array(taus)
             b = np.searchsorted(t, tt)
             a = np.maximum(b - 1, 0)
             on = tt == t[b]                               # a corner's own target
@@ -608,15 +598,13 @@ class Problem:
             res = replace(res, eq_multipliers=np.append(res.eq_multipliers, 0.0))
         else:
             res = self._target_qp(t0, r.to_weights(res.x))
+        t0 = taus[0]
         while True:
             if res is not None:                           # a QP's point and multipliers stand
                 working[:] = False
                 working[list(res.active)] = True
-                x, act, eq = res.x, working.nonzero()[0], res.eq_multipliers
-                # the multipliers in the path's scaling of the return row: certify()'s inverse
-                lam = np.concatenate([eq, res.in_multipliers])
-                lam[m_eq - 1] *= sigma
-                lam[0] += mid * eq[-1]
+                x, act = res.x, working.nonzero()[0]
+                lam = np.concatenate([res.eq_multipliers, res.in_multipliers])
                 corners.append((x, t0, lam))
                 if t0 == top:
                     break
@@ -653,8 +641,8 @@ class Problem:
             if 0.0 < s:
                 corners.append((x + s * dx, t0 + s, lam + s * dlam))
             certify()
-            t0 = targets[bisect_right(targets, corners[-1][1])]
-            res = self._target_qp(t0, r.to_weights(x + s * dx))
+            k = bisect_right(taus, corners[-1][1])
+            t0, res = taus[k], self._target_qp(targets[k], r.to_weights(x + s * dx))
         certify()
         return r.to_weights(mix())
 
@@ -671,7 +659,7 @@ class Problem:
             )
         w = y / kappa
         return self._solution(w, res, OBJECTIVE_MAX_SHARPE, target=float(mean @ w),
-                              multipliers=_weight_multipliers(r, res, kappa, self.rf))
+                              multipliers=_weight_multipliers(r, res, kappa, mean, self.rf))
 
     def _sharpe_start(self, excess):
         """The start of the homogenized problem and its fallback, for ``qp.solve_qp``.

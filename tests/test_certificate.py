@@ -7,7 +7,8 @@ the same verdicts: they agree on solved points, a corrupted multiplier
 sends a good point to the fallback, which still certifies it, and a
 wrong point fails under both.  Target-return points and corners carry
 their QP's multipliers, minimum variance too, and maximum Sharpe those of
-its homogenized QP mapped to the weights (``solver._weight_multipliers``).
+its homogenized QP mapped to the weights (``solver._weight_multipliers``),
+each return row's multiplier in the scaling of ``RegimeModel.return_row``.
 A frontier's corners are certified as one stack per path, and a stack
 that fails again row by row, so that the first failing corner names
 itself.

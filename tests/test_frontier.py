@@ -431,17 +431,50 @@ def test_cloud_sample_length_is_its_count():
         assert len(sample_cloud(ConstraintSet(regime), 4, 37, seed=3)) == 37
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the corner path overshoots a bound where the means are near equal")
 def test_frontier_of_near_equal_means_stays_in_the_box():
     # the benchmark's N = 50 covariance under expected returns within a few 1e-9
-    # of 0.01 (attainable returns span 7e-8): the corner path leaves a box bound
-    # broken by 5e-7 (|w| = 1.0000005), and the corner fails its feasibility
-    # check.  The path's event tie, 1e-12 max(|t0|, |top|), scales with the
-    # return level rather than with the path's span, which points at the cause
+    # of 0.01 (attainable returns span 7e-8): stepped in raw returns, the path
+    # would lose about log10(level / span) digits per step and break a box
+    # bound; stepped in the return row's units (``RegimeModel.return_row``),
+    # every corner holds its bounds and passes its certificate
     from perfbench.universe import make_universe
 
     cov = make_universe(50, 128, 1).mm.cov
     mean = 0.01 + 1e-9 * np.random.default_rng(5).normal(size=50)
     curve = trace_frontier(cov, mean, 0.0, ConstraintSet("c2"), grid=20)
     assert len(curve.points) >= 20
+
+
+def _shifted_curves(cov, z, spread, c):
+    """The frontier of means ``level + spread z`` at risk-free rate ``level``, for
+    each level 0, 0.01 and 1: the same efficient portfolios under full investment."""
+    return [trace_frontier(cov, level + spread * z, level, c, grid=20) for level in (0.0, 0.01, 1.0)]
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("regime", ["c1", "c2", "c4"])
+def test_frontier_does_not_depend_on_the_return_level(regime, seed):
+    # adding a constant to every mean and to rf changes no efficient portfolio,
+    # so at each level, however far above the spread, every curve traces in full
+    from perfbench.universe import make_universe
+
+    cov = make_universe(50, 128, 1).mm.cov
+    z = np.random.default_rng(seed).normal(size=50)
+    for spread in (1e-6, 1e-9):
+        for curve in _shifted_curves(cov, z, spread, ConstraintSet(regime)):
+            assert len(curve.points) >= 20, spread
+
+
+def test_shifted_frontiers_agree_up_to_the_shift():
+    # inputs level + spread z round at ulp(level), so curves at two levels agree
+    # to about ulp(level) / spread: at spread 1e-4, within 1e-9 relative
+    from perfbench.universe import make_universe
+
+    cov = make_universe(50, 128, 1).mm.cov
+    z = np.random.default_rng(5).normal(size=50)
+    for regime in ("c1", "c2", "c4"):
+        base, *shifted = _shifted_curves(cov, z, 1e-4, ConstraintSet(regime))
+        for curve in shifted:
+            assert len(curve.points) == len(base.points), regime
+            assert np.allclose([p[0] for p in curve.points], [p[0] for p in base.points],
+                               rtol=1e-9, atol=0.0), regime

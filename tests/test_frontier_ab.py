@@ -85,22 +85,29 @@ def test_a_moved_point_reports_its_relative_move(tmp_path, capsys):
 
 
 def test_wide_reports_each_curve(tmp_path, capsys):
-    # --wide on one small universe against the scaled head: a line per
-    # constraint set with its move and both trees' path QPs and KKT solves,
-    # which the scaling leaves unchanged, then the largest move
+    # --wide on one small universe size at two seeds against the scaled head: a
+    # line per curve with its move and both trees' path QPs and KKT solves,
+    # which the scaling leaves unchanged, then those counts summed per
+    # constraint set and over every curve, then the largest move
     _scaled_copy(tmp_path)
     script = _script()
-    script.WIDE_SIZES = (12,)
-    assert script.main([str(ROOT / "src"), str(tmp_path), "--wide"]) == 0
+    script.WIDE_SIZES, script.WIDE_SEEDS = (12,), 2
+    assert script.main([str(ROOT / "src"), str(tmp_path), "--wide", "--seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("wide curves: make_universe(N, 240, 1), grid 100\n")
-    lines = re.findall(r"^n12 (.+?) +move (\S+) +path QPs base (\d+), head (\d+)"
-                       r"  KKT solves base (\d+), head (\d+)$", out, re.M)
-    assert [line[0] for line in lines] == [label for label, *_ in script.WIDE]
-    for _, move, qps_base, qps_head, solves_base, solves_head in lines:
+    assert out.startswith("wide curves: make_universe(N, 240, s) for s = 4..5, grid 100\n")
+    counts = r"path QPs base (\d+), head (\d+)  KKT solves base (\d+), head (\d+)$"
+    lines = re.findall(r"^n12 (s\d) (.+?) +move (\S+) +" + counts, out, re.M)
+    labels = [label for label, *_ in script.WIDE]
+    assert [line[:2] for line in lines] == [(s, label) for s in ("s4", "s5") for label in labels]
+    for *_, move, qps_base, qps_head, solves_base, solves_head in lines:
         assert 1e-12 < float(move) < 3e-12
         assert qps_base == qps_head and solves_base == solves_head != "0"
-    largest = re.search(r"largest relative move over 4 curves: (\S+)", out)
+    totals = re.findall(r"^total (.+?) +" + counts, out, re.M)
+    assert [name for name, *_ in totals] == labels + ["over 14 curves"]
+    for name, *sums in totals:
+        group = [line for line in lines if name.startswith("over") or line[1] == name]
+        assert [int(v) for v in sums] == [sum(int(line[i]) for line in group) for i in range(3, 7)]
+    largest = re.search(r"largest relative move over 14 curves: (\S+)", out)
     assert 1e-12 < float(largest.group(1)) < 3e-12
 
 

@@ -14,9 +14,9 @@ portfolios ``x.w = mean.w - rf``, without the cancellation between
 corner path (``Problem.corner_path``) passes through the tangency return,
 so the best point on the chords between its consecutive portfolios is the
 tangency.  The chords are evaluated here from ``cov`` and ``mean`` alone,
-and the path shares no code with the homogenized QP of
-``Problem.max_sharpe`` (``_homogenized``, ``_weight_multipliers``,
-``_sharpe_start``).
+and apart from the return row that both read (``RegimeModel.return_row``)
+the path shares no code with the homogenized QP of ``Problem.max_sharpe``
+(``_homogenized``, ``_weight_multipliers``, ``_sharpe_start``).
 """
 
 import numpy as np

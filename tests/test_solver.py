@@ -151,6 +151,27 @@ def test_target_return_at_min_variance_is_free():
     assert np.allclose(sol.weights, mv.weights, atol=1e-8)
 
 
+@pytest.mark.parametrize("c", [ConstraintSet(r) for r in ("c1", "c2", "c3", "c4")],
+                         ids=["c1", "c2", "c3", "c4"])
+@pytest.mark.parametrize("level, spread", [(0.01, 3e-18), (1.0, 3e-16), (0.01, 1e-16),
+                                           (0.01, 1e-15)])
+def test_target_return_where_the_means_differ_by_rounding(c, level, spread):
+    # means level + spread z, distinct only at rounding level: every return is
+    # the minimum-variance return, so the target-return QP at it must find the
+    # minimum variance.  A return row built from such means would be a
+    # hyperplane of rounding noise (``RegimeModel.return_row`` makes it zero)
+    from perfbench.universe import make_universe
+
+    for n in (11, 50):
+        cov = make_universe(n, 128, 1).mm.cov
+        for seed in range(3):
+            mean = level + spread * np.random.default_rng(seed).normal(size=n)
+            mv = solve_min_variance(cov, c, mean=mean)
+            sol = solve_target_return(cov, mean, mv.stats.ret, c)
+            assert sol.converged, (n, seed)
+            assert sol.stats.stdev == pytest.approx(mv.stats.stdev, rel=1e-12, abs=0.0), (n, seed)
+
+
 def test_target_return_endpoint_unique_solution():
     sol = solve_target_return(np.diag([0.01, 0.04]), [0.01, 0.02], 0.02, C3)
     assert np.allclose(sol.weights, [0.0, 1.0], atol=1e-9)
