@@ -10,15 +10,17 @@ their own module names, and one pass traces the curves the benchmark's
 bundled data under both models and of the seeded N = 50 universe
 (``perfbench.universe.make_universe(50, 128, seed)``), in each regime c1-c5.
 
-The process is pinned to one CPU and runs one BLAS thread.  After one
-untimed pass per side, each round times one base and one head pass, the
+The process is pinned to one CPU and runs one BLAS thread.  After two
+untimed passes per side, each round times one base and one head pass, the
 side that goes first alternating.  Machine speed drifts between fresh
 processes far more than between two passes a few milliseconds apart, so the
 ratio of each round's pair is steady where single timings are not.  It
 prints each side's median pass time, each side's KKT solves per pass (the
-calls of its ``qp._solve_kkt``) and path QPs per pass (its ``solve_qp``
-calls inside ``Problem.corner_path``), both counted in the untimed pass
-only, so no timed pass runs a counting wrapper, the median of the rounds'
+calls of its ``qp._solve_kkt``), path QPs per pass (its ``solve_qp``
+calls inside ``Problem.corner_path``) and dense row scans per pass (the
+dense inequality matrices its ``qp.InequalityRows`` scans for their
+bounds), all counted in a second untimed pass, after the regimes' first
+use, so no timed pass runs a counting wrapper, the median of the rounds'
 head/base time ratios with its quartiles, and whether every curve's points are
 bit-identical between the two trees; where they are not, the largest
 relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
@@ -144,16 +146,22 @@ def _pass(po, markets) -> tuple[float, list[np.ndarray]]:
 
 @contextmanager
 def _counting(po):
-    """While open, count every call of the tree's ``qp._solve_kkt`` and every
-    ``solve_qp`` call its solver makes inside ``Problem.corner_path``: yields
-    ``[KKT solves, path QPs]``."""
+    """While open, count every call of the tree's ``qp._solve_kkt``, every
+    ``solve_qp`` call its solver makes inside ``Problem.corner_path`` and
+    every dense matrix its ``qp.InequalityRows`` scans (a call of that
+    class's ``__init__``): yields ``[KKT solves, path QPs, dense row scans]``."""
     qp, solver = (sys.modules[f"{po.__name__}.{name}"] for name in ("qp", "solver"))
     solve_kkt, solve_qp, corner_path = qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path
-    counts, on_path = [0, 0], [False]
+    rows, scan = qp.InequalityRows, qp.InequalityRows.__init__
+    counts, on_path = [0, 0, 0], [False]
 
     def counting(K, rhs):
         counts[0] += 1
         return solve_kkt(K, rhs)
+
+    def scanning(self, *args):
+        counts[2] += 1
+        scan(self, *args)
 
     def solving(*args):
         counts[1] += on_path[0]
@@ -167,15 +175,17 @@ def _counting(po):
             on_path[0] = False
 
     qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = counting, solving, tracing
+    rows.__init__ = scanning
     try:
         yield counts
     finally:
         qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = solve_kkt, solve_qp, corner_path
+        rows.__init__ = scan
 
 
-def _counted_pass(po, markets) -> tuple[int, int, list[np.ndarray]]:
-    """One pass, counted (``_counting``): the KKT solves, the path QPs, and
-    each curve's points."""
+def _counted_pass(po, markets) -> tuple[int, int, int, list[np.ndarray]]:
+    """One pass, counted (``_counting``): the KKT solves, the path QPs, the
+    dense row scans, and each curve's points."""
     with _counting(po) as counts:
         curves = _pass(po, markets)[1]
     return *counts, curves
@@ -195,7 +205,7 @@ def _wide_curves(po, seed: int) -> list[tuple[str, str, int, int, np.ndarray]]:
                 c = po.ConstraintSet(regime, **parameters(n))
                 with _counting(po) as counts:
                     curve = po.trace_frontier(u.mm.cov, u.mm.mean, u.rf, c, grid=GRID)
-                out.append((f"n{n} s{s} {label}", label, *counts, np.array(curve.points)))
+                out.append((f"n{n} s{s} {label}", label, *counts[:2], np.array(curve.points)))
     return out
 
 
@@ -258,9 +268,10 @@ def main(argv=None) -> int:
             _report_wide(*(_wide_curves(po, args.seed) for po in trees.values()))
             return 0
         markets = _markets(trees["head"], args.seed)
-        solves, qps, points = {}, {}, {}
+        solves, qps, scans, points = {}, {}, {}, {}
         for side, po in trees.items():                                  # untimed
-            solves[side], qps[side], points[side] = _counted_pass(po, markets)
+            _pass(po, markets)                                          # the regimes' first use
+            solves[side], qps[side], scans[side], points[side] = _counted_pass(po, markets)
         times = {"base": [], "head": []}
         for k in range(args.rounds):
             for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
@@ -277,6 +288,7 @@ def main(argv=None) -> int:
               f"  ({getattr(args, f'{side}_src')})")
     print(f"KKT solves per pass: base {solves['base']}, head {solves['head']}")
     print(f"path QPs per pass: base {qps['base']}, head {qps['head']}")
+    print(f"dense row scans per pass: base {scans['base']}, head {scans['head']}")
     print(f"head/base time ratio: median {med:.3f}  quartiles {q1:.3f} - {q3:.3f}")
     print("points bit-identical: " + ("yes" if not moved else
           f"no, {moved} curves differ, largest relative move "

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
+from .qp import InequalityRows
 
 REGIMES = ("c1", "c2", "c3", "c4", "c5")
 PUBLIC_FEAS_TOL = 1e-7   # the violation ``check_feasible`` and every solution tolerate
@@ -78,13 +79,18 @@ class RegimeModel:
 
     ``rows`` and ``rhs`` hold each row once: the ``m_eq`` equalities
     ``a.x = b``, then the inequalities ``a.x <= b``; row 0 is full
-    investment.  The arrays are read-only and shared.
+    investment.  ``inequalities`` are the inequality rows as the engine
+    reads them (``qp.InequalityRows``), written from what the regime knows
+    of each (``rows`` is written from them), and ``homogenized`` maximum
+    Sharpe's, built from them at first use: every solve hands the engine
+    these, with no dense scan.  The arrays are read-only and shared.
     """
 
     constraint: ConstraintSet
     n: int
     rows: np.ndarray
     rhs: np.ndarray
+    inequalities: InequalityRows  # rows[m_eq:] and rhs[m_eq:], each bound read as a vector
     names: tuple[str, ...]        # one per row
     m_eq: int                     # equality rows
     split: bool                   # solve variables are (p, n) with w = p - n
@@ -102,6 +108,28 @@ class RegimeModel:
         """``(A_eq, b_eq, A_in, b_in)``, each equality once."""
         m = self.m_eq
         return self.rows[:m], self.rhs[:m], self.rows[m:], self.rhs[m:]
+
+    @cached_property
+    def homogenized(self) -> InequalityRows:
+        """The inequality rows of maximum Sharpe over ``y = kappa w``, ``kappa = 1'w``
+        (``solver._homogenized``), built once: each ``a.w <= b`` as ``a.y - b 1'y <= 0``,
+        then ``-1'y <= 0``.  A bound with a zero right-hand side (the split's parts, long
+        only) is that same bound; the other rows and ``-1'y`` are formed densely and
+        scanned (``qp.InequalityRows``), so each is a bound exactly where it has a single
+        nonzero (c1 at cap 1 on one asset: its cap row becomes ``2 n <= 0``)."""
+        rows, m = self.inequalities, self.m_eq
+        kappa = self.lift(np.ones(self.n))
+        keep = rows.bound & (rows.b == 0.0)
+        formed = np.append((~keep).nonzero()[0], len(rows.b))   # their rows, -1'y last
+        A = np.empty((len(formed), len(kappa)))                 # one array, no temporaries
+        np.multiply(rows.b[formed[:-1], None], kappa, out=A[:-1])
+        np.subtract(self.rows[m + formed[:-1]], A[:-1], out=A[:-1])
+        A[-1] = -kappa
+        scanned = InequalityRows(A, np.zeros(len(A)))
+        bound, var, coef = np.append(keep, False), np.append(rows.var, 0), np.append(rows.coef, 0.0)
+        bound[formed], var[formed], coef[formed] = scanned.bound, scanned.var, scanned.coef
+        return InequalityRows.of(np.zeros(len(bound)), bound, var[bound], coef[bound],
+                                 scanned.A_general)
 
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Rows over the weights as rows over the solve variables."""
@@ -262,31 +290,36 @@ def regime_model(c: ConstraintSet, n: int) -> RegimeModel:
         b_eq.append(0.0)
         eq_names.append("market_excluded")
 
+    # the inequality rows: bounds coef * x[var] <= b first, then the general rows
     split = c.regime == "c1"
     box = (-np.inf, np.inf)
-    if c.regime == "c1":
-        A_in = np.vstack([-np.eye(2 * n), np.ones((1, 2 * n))])
-        b_in = np.concatenate([np.zeros(2 * n), [c.leverage_cap]])
+    general = np.zeros((0, n))
+    if c.regime == "c1":                            # p, n >= 0, then the gross cap
+        var, coef, general = np.arange(2 * n), np.full(2 * n, -1.0), np.ones((1, 2 * n))
+        b_in = np.append(np.zeros(2 * n), c.leverage_cap)
         in_names = [f"split_part[{i}]" for i in range(2 * n)] + ["leverage_cap"]
     elif c.regime == "c2":
-        A_in = np.vstack([np.eye(n), -np.eye(n)])
+        var, coef = np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n)
         b_in = np.full(2 * n, c.weight_bound)
         in_names = [f"weight_{side}[{i}]" for side in ("upper", "lower") for i in range(n)]
         box = (-c.weight_bound, c.weight_bound)
     elif c.regime == "c4":
-        A_in, b_in = -np.eye(n), np.zeros(n)
+        var, coef, b_in = np.arange(n), np.full(n, -1.0), np.zeros(n)
         in_names = [f"long_only[{i}]" for i in range(n)]
         box = (0.0, np.inf)
     else:  # c3, c5
-        A_in, b_in, in_names = np.zeros((0, n)), np.zeros(0), []
+        var, coef, b_in, in_names = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), []
 
     A_eq = np.vstack(eq_rows)
-    rows = np.vstack([np.hstack([A_eq, -A_eq]) if split else A_eq, A_in])
     rhs = np.concatenate([b_eq, b_in])
+    bound = np.arange(len(b_in)) < len(var)
+    inequalities = InequalityRows.of(rhs[len(b_eq):], bound, var, coef, general)
+    rows = np.vstack([np.hstack([A_eq, -A_eq]) if split else A_eq, inequalities.dense()])
     for a in (rows, rhs, free, pinned):
         a.setflags(write=False)
     return RegimeModel(
-        constraint=c, n=n, rows=rows, rhs=rhs, names=tuple(eq_names + in_names),
+        constraint=c, n=n, rows=rows, rhs=rhs, inequalities=inequalities,
+        names=tuple(eq_names + in_names),
         m_eq=len(b_eq), split=split, free=free, pinned=pinned, box=box,
         bounded=c.regime in ("c1", "c2", "c4"),
     )

@@ -21,7 +21,9 @@ row tight or broken and already minimizes on the equalities
 (``_equality_minimizer``) is the answer as it is, with no KKT solve.
 The loop and ``solver``'s corner path share one ratio test, ``reach``.
 Every multiplier array is the equalities' multipliers, then one per
-inequality row, zero off the working rows (``reduced_kkt``).
+inequality row, zero off the working rows (``reduced_kkt``).  The
+inequality rows come as the ``InequalityRows`` a regime built once
+(``constraints.RegimeModel``), or as a dense matrix scanned at each call.
 """
 
 from __future__ import annotations
@@ -94,41 +96,76 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
     return x
 
 
-def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sol, residual)``: ``K sol = rhs`` solved by LU, or by least squares where LU
+    fails or misses by over ``1e-7 (1 + |rhs|)``, and the residual ``K sol - rhs``."""
     try:
         sol = np.linalg.solve(K, rhs)
-        miss = np.abs(K.dot(sol) - rhs).max(initial=0.0)
+        residual = K.dot(sol) - rhs
+        miss = np.abs(residual).max(initial=0.0)
         # within 1e-7 (1 + |rhs|); a miss of at most 1e-7 is, whatever rhs is
         if miss <= 1e-7 or miss <= 1e-7 * (1.0 + float(np.abs(rhs).max(initial=0.0))):
-            return sol
+            return sol, residual
     except np.linalg.LinAlgError:
         pass
     sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol
+    return sol, K.dot(sol) - rhs
 
 
 class InequalityRows:
     """The inequality rows ``A x <= b``, each bound read as a vector.
 
-    ``dot(v)`` is ``A @ v``: a bound's product is ``coef * v[var]``,
-    which the dense product equals bit for bit (it only adds exact zeros),
-    and the general rows alone go through a matrix product.  ``scale`` is
-    ``1 + max |a_ij|`` of each row.  ``reach(x, p, working)`` is the ratio
-    test: the rows off the mask that ``p`` moves toward by over ``1e-13 scale
-    (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each (room >= 0).
+    ``InequalityRows(A_in, b_in)`` scans the dense ``A_in``: a row with a
+    single nonzero is a bound, ``coef * x[var] <= b``, and every other row
+    is general.  ``InequalityRows.of`` builds the rows from that description
+    with no scan.  ``dot(v)`` is ``A @ v``: a bound's product is ``coef *
+    v[var]``, which the dense product equals bit for bit (it only adds exact
+    zeros), and the general rows alone go through a matrix product.
+    ``scale`` is ``1 + max |a_ij|`` of each row.  ``reach(x, p, working)`` is
+    the ratio test: the rows off the mask that ``p`` moves toward by over
+    ``1e-13 scale (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each
+    (room >= 0).
     """
 
     def __init__(self, A_in, b_in):
-        self.A, self.b = A_in, b_in
         nonzero = A_in != 0.0                   # a bound has a single nonzero, on its variable
-        self.bound, self.var = nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1)
-        self.general = (~self.bound).nonzero()[0]
-        self.A_general = A_in[self.general]
-        # a general row's entry here is its first nonzero, overwritten in both uses
-        self.coef = A_in[np.arange(len(A_in)), self.var]
+        bound = nonzero.sum(axis=1) == 1
+        var = nonzero.argmax(axis=1)[bound]
+        self._describe(b_in, bound, var, A_in[bound.nonzero()[0], var], A_in[~bound])
+
+    @classmethod
+    def of(cls, b, bound, var, coef, A_general) -> InequalityRows:
+        """The rows ``A x <= b`` from their description, with no scan: the mask ``bound``
+        marks the bounds, ``coef * x[var] <= b`` in row order, and ``A_general`` holds the
+        other rows in row order (shape ``(0, n)`` where there are none).  Every array,
+        those given included, is read-only: rows built once are shared."""
+        rows = cls.__new__(cls)
+        rows._describe(b, bound, var, coef, A_general)
+        for a in (b, bound, A_general, rows.general, rows.slot, rows.var, rows.coef, rows.scale):
+            a.setflags(write=False)
+        return rows
+
+    def _describe(self, b, bound, var, coef, A_general) -> None:
+        m, self.n = len(b), A_general.shape[1]          # rows, variables
+        self.b, self.bound, self.A_general = b, bound, A_general
+        self.general = (~bound).nonzero()[0]
+        self.slot = np.cumsum(~bound) - 1       # a general row's index in A_general
+        # a general row's entries here are 0, overwritten in both uses
+        self.var, self.coef = np.zeros(m, dtype=int), np.zeros(m)
+        self.var[bound], self.coef[bound] = var, coef
         self.scale = 1.0 + np.abs(self.coef)
         if self.general.size:
-            self.scale[self.general] = 1.0 + np.abs(self.A_general).max(axis=1)
+            self.scale[self.general] = 1.0 + np.abs(A_general).max(axis=1)
+
+    def dense(self) -> np.ndarray:
+        """The rows as one matrix; a bound's other entries are ``coef * 0.0``."""
+        A = self.coef[:, None] * (np.arange(self.n) == self.var[:, None])
+        A[self.general] = self.A_general
+        return A
+
+    def take(self, general) -> np.ndarray:
+        """The general rows ``general`` (row indices), as a matrix."""
+        return self.A_general.take(self.slot[general], 0)
 
     def face(self, act, A_eq):
         """The working rows ``act`` split: the bound rows, the general rows, and the
@@ -136,7 +173,7 @@ class InequalityRows:
         on_bound = self.bound[act]
         general = act[~on_bound]
         return act[on_bound], general, (
-            np.concatenate([A_eq, self.A.take(general, 0)]) if general.size else A_eq)
+            np.concatenate([A_eq, self.take(general)]) if general.size else A_eq)
 
     def dot(self, v) -> np.ndarray:
         out = self.coef * v[self.var]
@@ -164,9 +201,9 @@ def _independent_start(working, A_eq, rows: InequalityRows) -> None:
     general = (working & ~rows.bound).nonzero()[0]
     if not general.size:
         return
-    free = np.ones(rows.A.shape[1], dtype=bool)
+    free = np.ones(rows.n, dtype=bool)
     free[rows.var[working & rows.bound]] = False
-    system = np.vstack([A_eq[:, free], rows.A[general][:, free]])
+    system = np.vstack([A_eq[:, free], rows.take(general)[:, free]])
     tol = 1e3 * max(system.shape) * np.finfo(float).eps
     Q, k = np.empty_like(system), 0             # the orthonormal rows kept, Q[:k]
     for i, r in enumerate(system):
@@ -186,9 +223,11 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     The working bounds fix their variables; the system spans the free
     ones under the equalities and the working general rows, with right-hand
     side ``-grad`` on the free variables and ``rhs`` (zeros by default) on
-    the equalities, then the working general rows.  Returns ``(p, lam)``:
-    the step, zero on the fixed variables, and the multipliers of the
-    equalities, then one per inequality row, zero off ``act``.  A bound's
+    the equalities, then the working general rows.  Returns ``(p, lam,
+    miss)``: the step, zero on the fixed variables, the multipliers of the
+    equalities, then one per inequality row, zero off ``act``, and how far
+    the solve misses the system's rows, ``A p - rhs`` over those rows (the
+    residual ``_solve_kkt`` formed; the corner path reads it).  A bound's
     multiplier closes the stationarity ``H p + grad + A' lam`` of its
     variable, and bounds on one variable share it in proportion to their
     coefficients (the least-norm split).  Under a zero ``grad``, with the
@@ -213,7 +252,7 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     K[nf:, :nf] = A_f
     K[:nf, nf:] = A_f.T
     rhs = np.zeros(m) if rhs is None else rhs
-    sol = _solve_kkt(K, np.concatenate([-g_f, rhs]))
+    sol, residual = _solve_kkt(K, np.concatenate([-g_f, rhs]))
     p = np.zeros(n)
     p[free] = sol[:nf]
     lam = np.zeros(m_eq + len(rows.b))  # the equalities, then every inequality row
@@ -223,7 +262,7 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
         r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
         c = rows.coef[fixing]
         lam[m_eq + fixing] = -r * c / np.bincount(fixed, c * c, n)[fixed]
-    return p, lam
+    return p, lam, residual[nf:]
 
 
 def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
@@ -246,7 +285,7 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
     def gap(x):
         return np.concatenate([b_eq - A_eq.dot(x), b_G - A_G.dot(x)]) if general.size else b_eq - A_eq.dot(x)
 
-    p, lam = reduced_kkt(H, H.dot(x) + g, A_eq, rows, act, gap(x), face)
+    p, lam, _ = reduced_kkt(H, H.dot(x) + g, A_eq, rows, act, gap(x), face)
     x = x + p
     return (None if np.abs(gap(x)).max(initial=0.0) > 1e-12 else x), lam
 
@@ -335,7 +374,9 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
     Every argument is a float array and a matrix without rows has shape
-    ``(0, n)``.  ``x0`` may break rows: the block exchange runs from it
+    ``(0, n)``, except that ``A_in`` may be ``InequalityRows`` the caller built
+    (``b_in`` their ``b``), which are not scanned.  ``x0`` may break rows: the
+    block exchange runs from it
     (``_block_exchange``), and the solve returns where its last round moved
     no row, or with no round where ``x0`` holds no row tight or broken and
     already minimizes on the equalities.  Else the active-set loop runs from
@@ -350,7 +391,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
     ``iterations`` counts every KKT solve, the exchange's rounds included
     (0 where ``x0`` is the answer as it is).
     """
-    rows_in = InequalityRows(A_in, b_in)
+    rows_in = A_in if isinstance(A_in, InequalityRows) else InequalityRows(A_in, b_in)
     x, rounds, face = (None, 0, None) if x0 is None else _block_exchange(
         H, g, x0, A_eq, b_eq, rows_in)
     if face is not None:                        # the last round moved no row: the answer
@@ -371,7 +412,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
             grad = Hx + g
             x_max = np.abs(x).max()
         act = working.nonzero()[0]
-        p, lam = reduced_kkt(H, grad, A_eq, rows_in, act)
+        p, lam, _ = reduced_kkt(H, grad, A_eq, rows_in, act)
         mult_in = lam[len(b_eq):]
 
         # KKT solve noise grows with the multiplier scale; steps below it

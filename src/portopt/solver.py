@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import MODEL_MM, PortfolioStats
-from .qp import InequalityRows, reduced_kkt, solve_qp
+from .qp import reduced_kkt, solve_qp
 
 OBJECTIVE_MIN_VARIANCE = "min_variance"
 OBJECTIVE_MAX_SHARPE = "max_sharpe"
@@ -295,20 +295,19 @@ def kkt_residual(solution: PortfolioSolution, cov, mean=None) -> float:
 
 
 def _homogenized(regime: RegimeModel, excess: np.ndarray):
-    """Rows of the maximum-Sharpe QP over ``y = kappa w`` with ``kappa = 1'w``.
+    """``(A_eq, b_eq, rows)``: the rows of the maximum-Sharpe QP over ``y = kappa w`` with
+    ``kappa = 1'w``.
 
     ``a.w <= b`` becomes ``a.y - b 1'y <= 0``, the full-investment row
     becomes ``excess.y = 1``, and ``1'y >= 0`` is appended; that row is
-    redundant, and never active, where the regime bounds the weights.
+    redundant, and never active, where the regime bounds the weights.  The
+    inequality rows do not depend on ``excess``: they are the regime's
+    ``RegimeModel.homogenized``, built once; only the equalities are formed here.
     """
-    A_eq, b_eq, A_in, b_in = regime.system()
+    A_eq, b_eq, _, _ = regime.system()
     kappa = regime.lift(np.ones(regime.n))
     A_eq = np.vstack([regime.lift(excess), A_eq[1:] - b_eq[1:, None] * kappa])
-    rows = np.empty((len(A_in) + 1, len(kappa)))      # one array, no temporaries
-    np.multiply(b_in[:, None], kappa, out=rows[:-1])
-    np.subtract(A_in, rows[:-1], out=rows[:-1])
-    rows[-1] = -kappa
-    return A_eq, np.append(1.0, np.zeros(len(A_eq) - 1)), rows, np.zeros(len(rows))
+    return A_eq, np.append(1.0, np.zeros(len(A_eq) - 1)), regime.homogenized
 
 
 def _weight_multipliers(regime: RegimeModel, res, kappa: float, mean, rf: float):
@@ -395,8 +394,8 @@ class Problem:
         """Attainable interval of expected returns, read off ``vertices``."""
         return self.regime.return_range(self._mean(), self.vertices)
 
-    def _solve(self, A_eq, b_eq, A_in, b_in, x0, fallback):
-        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, A_in, b_in, x0,
+    def _solve(self, A_eq, b_eq, rows, x0, fallback):
+        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, rows, rows.b, x0,
                         fallback)
 
     def _free_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -454,11 +453,13 @@ class Problem:
         """The QP result of ``min_variance``, solved once: ``corner_path`` starts from it."""
         r = self.regime
         centre = r.to_weights(r.centre())           # raises when the set is empty
+        A_eq, b_eq, _, _ = r.system()
         if r.one_point:                             # the loop starts at the answer
-            return self._solve(*r.system(), None, r.centre)
+            return self._solve(A_eq, b_eq, r.inequalities, None, r.centre)
         w = self._free_solve(np.ones(r.n))
         w /= w.sum()
-        return self._solve(*r.system(), r.to_solve(w), lambda: r.to_solve(r.toward(centre, w)))
+        return self._solve(A_eq, b_eq, r.inequalities, r.to_solve(w),
+                           lambda: r.to_solve(r.toward(centre, w)))
 
     def target_return(self, target: float) -> PortfolioSolution:
         """Minimum variance at expected return ``target``.
@@ -497,16 +498,25 @@ class Problem:
         at the mix of feasible weights ``anchor`` with the return vertex on ``t``'s side that
         earns ``t``, with no exchange: the mix may break a row by rounding, which would start
         one.  ``target_return`` anchors it at the regime's centre, and ``corner_path`` at a
-        degenerate corner, or at ``targets[0]`` off the minimum-variance start."""
+        degenerate corner, or at ``targets[0]`` off the minimum-variance start.  A zero
+        return row (``sigma`` infinite) says nothing, and would make every KKT system
+        singular: the engine solves without it, and its multiplier is 0."""
         r, mean = self.regime, self.mean
         a_ret = float(mean @ anchor)
         v = self.vertices[t >= a_ret]
         gap = float(mean @ v) - a_ret
         s = (t - a_ret) / gap if gap != 0.0 else 0.0
-        A_eq, b_eq, A_in, b_in = r.system()
+        A_eq, b_eq, _, _ = r.system()
         row, mid, sigma = r.return_row(mean)
-        return self._solve(np.vstack([A_eq, row]), np.append(b_eq, (t - mid) / sigma), A_in, b_in,
-                           None, lambda: r.to_solve(anchor + s * (v - anchor)))
+
+        def start():
+            return r.to_solve(anchor + s * (v - anchor))
+
+        if sigma == math.inf:
+            res = self._solve(A_eq, b_eq, r.inequalities, None, start)
+            return replace(res, eq_multipliers=np.append(res.eq_multipliers, 0.0))
+        return self._solve(np.vstack([A_eq, row]), np.append(b_eq, (t - mid) / sigma),
+                           r.inequalities, None, start)
 
     def corner_path(self, targets) -> np.ndarray:
         """Minimum-variance weights at each of the increasing ``targets``, a row each,
@@ -550,12 +560,11 @@ class Problem:
         targets = self._targets(targets)
         row, mid, sigma = r.return_row(mean)
         taus = [(t - mid) / sigma for t in targets]
-        A_eq, _, A_in, b_in = r.system()
-        A_eq, m_eq = np.vstack([A_eq, row]), r.m_eq + 1
-        rows_in = InequalityRows(A_in, b_in)
+        A_eq, m_eq = np.vstack([r.system()[0], row]), r.m_eq + 1
+        rows_in = r.inequalities
         top = taus[-1]
         tie = 1e-12 * max(abs(taus[0]), abs(top))        # events this close coincide
-        working = np.zeros(len(b_in), dtype=bool)
+        working = np.zeros(len(rows_in.b), dtype=bool)
         zero = np.zeros(len(H))                           # the direction's gradient
         rate = np.zeros(m_eq + len(rows_in.general))      # d b / dtau, then the general rows' zeros
         rate[m_eq - 1] = 1.0
@@ -611,9 +620,9 @@ class Problem:
                 res = None
             face = rows_in.face(act, A_eq)
             rhs = rate[:len(face[2])]
-            dx, dlam = reduced_kkt(H, zero, A_eq, rows_in, act, rhs, face)
+            dx, dlam, miss = reduced_kkt(H, zero, A_eq, rows_in, act, rhs, face)
             # working rows that fix the point leave no direction
-            stuck = np.abs(face[2].dot(dx) - rhs).max() > 1e-9 * (1.0 + np.abs(dx).max())
+            stuck = np.abs(miss).max() > 1e-9 * (1.0 + np.abs(dx).max())
             s, end = 0.0, top - t0
             if not stuck:
                 # the next corner: an inactive row reaching its bound, a multiplier reaching zero
@@ -631,7 +640,7 @@ class Problem:
                     x, t0, lam = x + s * dx, t0 + s, lam + s * dlam
                     lam[m_eq + j] = 0.0
                     if not working[j] and rows_in.bound[j]:   # a bound joins on its bound exactly
-                        x[rows_in.var[j]] = b_in[j] / rows_in.coef[j]
+                        x[rows_in.var[j]] = rows_in.b[j] / rows_in.coef[j]
                     working[j] = not working[j]
                     act = working.nonzero()[0]
                     corners.append((x, t0, lam))

@@ -32,6 +32,8 @@ def test_one_tree_against_itself(capsys):
     # every path starts from its minimum-variance solve, and no frontier-grid
     # curve has a degenerate corner
     assert "path QPs per pass: base 0, head 0" in out
+    # after the regimes' first use, every solve hands the engine its regime's rows
+    assert "dense row scans per pass: base 0, head 0" in out
 
 
 def _copy(tmp_path):

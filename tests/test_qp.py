@@ -356,9 +356,9 @@ def test_multipliers_are_indexed_by_row(monkeypatch):
     solves, solve = [], portopt.qp.reduced_kkt
 
     def recording(H, grad, A_eq, rows, act, *args):
-        p, lam = solve(H, grad, A_eq, rows, act, *args)
+        p, lam, miss = solve(H, grad, A_eq, rows, act, *args)
         solves.append((rows, act, lam))
-        return p, lam
+        return p, lam, miss
 
     monkeypatch.setattr(portopt.qp, "reduced_kkt", recording)
     problem = Problem.prepare(make_universe(11, 240, 1).mm.cov, ConstraintSet("c1", leverage_cap=1.3))
@@ -372,6 +372,23 @@ def test_multipliers_are_indexed_by_row(monkeypatch):
     assert np.all(lam[len(A_eq):][off] == 0.0)
     assert res.active == tuple(act.tolist())
     assert np.array_equal(res.in_multipliers, np.maximum(lam[len(A_eq):], 0.0))
+
+
+def test_reduced_kkt_returns_the_miss_of_its_rows():
+    # the third value of reduced_kkt is A p - rhs over the face's system rows
+    # (the equalities, then the working general rows), the residual its KKT
+    # solve formed: the product taken afresh, to rounding, on a face with a
+    # general row and on one whose bounds fix every variable, where the step
+    # is zero and the miss is -rhs
+    rows = InequalityRows(np.vstack([np.eye(3), [[1.0, 2.0, 0.0]]]), np.array([0.5, 0.5, 0.5, 1.0]))
+    A_eq, rhs = np.ones((1, 3)), np.array([0.3, -0.2])
+    H, grad = np.diag([1.0, 2.0, 3.0]), np.array([0.1, -0.4, 0.2])
+    for act, system in ((np.array([0, 3]), 2), (np.array([0, 1, 2]), 1)):
+        face = rows.face(act, A_eq)
+        p, _, miss = portopt.qp.reduced_kkt(H, grad, A_eq, rows, act, rhs[:system], face)
+        assert miss.shape == (system,)
+        assert np.abs(miss - (face[2].dot(p) - rhs[:system])).max() <= 1e-15
+    assert np.all(p == 0.0) and np.array_equal(miss, -rhs[:1])
 
 
 def test_max_sharpe_at_a_one_point_set_terminates():
@@ -456,7 +473,8 @@ def test_inequality_rows_equal_the_dense_product(n):
     rng = np.random.default_rng(n)
     for regime in REGIMES:
         model = regime_model(ConstraintSet(regime, market_index=0 if regime == "c5" else None), n)
-        for A, b in (model.system()[2:], _homogenized(model, rng.normal(size=n))[2:]):
+        homogenized = _homogenized(model, rng.normal(size=n))[2]
+        for A, b in (model.system()[2:], (homogenized.dense(), homogenized.b)):
             rows = InequalityRows(A, b)
             assert np.array_equal(rows.scale, 1.0 + np.abs(A).max(axis=1, initial=0.0))
             for v in (rng.integers(-4, 5, A.shape[1]).astype(float),

@@ -19,9 +19,10 @@ from portopt import (
     solve_max_sharpe,
     solve_min_variance,
     solve_target_return,
+    trace_frontier,
 )
 from portopt.constraints import regime_model
-from portopt.qp import find_feasible_point, solve_qp
+from portopt.qp import InequalityRows, find_feasible_point, solve_qp
 from portopt.solver import Problem, _homogenized, _nnls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -190,7 +191,8 @@ def test_sharpe_start_verdict_matches_linprog():
             except InfeasibleError:
                 continue                                          # an empty set
             problem = Problem.prepare(cov, c, mean=excess)
-            A_eq, b_eq, A_in, b_in = _homogenized(problem.regime, excess)
+            A_eq, b_eq, rows = _homogenized(problem.regime, excess)
+            A_in, b_in = rows.dense(), rows.b
             lp = linprog(np.zeros(A_eq.shape[1]), A_ub=A_in, b_ub=b_in, A_eq=A_eq, b_eq=b_eq,
                          bounds=[(None, None)] * A_eq.shape[1], method="highs")
             assert lp.status in (0, 2)
@@ -288,3 +290,102 @@ def test_split_toward_keeps_a_segment_that_holds_the_cap():
     batch = r.toward(anchor, np.array([inside, [1.0, 0.5, 0.0, 0.0, -0.5]]))   # gross 1.2, 2
     assert np.array_equal(batch[0], inside)
     assert np.abs(batch[1]).sum() == pytest.approx(1.3, abs=1e-15)
+
+
+def _row_constraints(n):
+    return [ConstraintSet("c1"), ConstraintSet("c1", leverage_cap=1.0),
+            ConstraintSet("c1", leverage_cap=1.3), ConstraintSet("c2"),
+            ConstraintSet("c2", weight_bound=1.0 / n), ConstraintSet("c2", weight_bound=2.0 / n),
+            ConstraintSet("c3"), ConstraintSet("c4"), ConstraintSet("c5", market_index=0)]
+
+
+def _written_rows(c, n):
+    """The inequality rows of regime ``c`` over its solve variables, written out densely."""
+    if c.regime == "c1":
+        return np.vstack([-np.eye(2 * n), np.ones((1, 2 * n))])
+    if c.regime == "c2":
+        return np.vstack([np.eye(n), -np.eye(n)])
+    return -np.eye(n) if c.regime == "c4" else np.zeros((0, n))
+
+
+def _same_rows(got, want, label):
+    """``InequalityRows`` equal field by field, bit for bit."""
+    for field in ("bound", "var", "coef", "general", "scale", "b", "A_general"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (label, field)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_regime_rows_read_as_a_dense_scan_reads_them(n):
+    # each regime builds its engine rows from what it knows of them, bounds
+    # then general rows, with no scan; a scan of its dense system (a row with
+    # a single nonzero is a bound) reads the same rows, field by field, and
+    # that system is the rows written out by hand, bit for bit
+    for c in _row_constraints(n):
+        r = regime_model(c, n)
+        _, _, A_in, b_in = r.system()
+        assert A_in.tobytes() == _written_rows(c, n).tobytes(), (c, n)
+        _same_rows(r.inequalities, InequalityRows(A_in, b_in), (c, n))
+
+
+def _dense_homogenized_rows(r):
+    """The maximum-Sharpe inequality rows as one block, formed densely: ``a - b kappa``
+    for every row ``a.w <= b``, then ``-kappa``."""
+    _, _, A_in, b_in = r.system()
+    kappa = r.lift(np.ones(r.n))
+    block = np.empty((len(A_in) + 1, len(kappa)))
+    np.multiply(b_in[:, None], kappa, out=block[:-1])
+    np.subtract(A_in, block[:-1], out=block[:-1])
+    block[-1] = -kappa
+    return block
+
+
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_homogenized_rows_are_the_dense_block(n):
+    # the maximum-Sharpe rows, built from the regime's rows with no block:
+    # rebuilt dense they are the block entry for entry (a bound row's zeros
+    # may differ in sign, which no product reads), their general rows are its
+    # rows bit for bit, and a scan of the block reads the same rows
+    for c in _row_constraints(n):
+        r = regime_model(c, n)
+        block, rows = _dense_homogenized_rows(r), r.homogenized
+        assert np.array_equal(rows.dense(), block), (c, n)
+        _same_rows(rows, InequalityRows(block, np.zeros(len(block))), (c, n))
+    # c1 at cap 1 on one asset: the cap row p + n <= 1 becomes 2 n <= 0, which
+    # has a single nonzero, so the scan and the rows read it as a bound
+    rows = regime_model(ConstraintSet("c1", leverage_cap=1.0), 1).homogenized
+    assert rows.bound.tolist() == [True, True, True, False]
+    assert (rows.var[2], rows.coef[2]) == (1, 2.0)
+
+
+def test_solves_scan_no_dense_rows_after_the_regimes_first_use(monkeypatch):
+    # a frontier (minimum variance, maximum Sharpe and the corner path) and a
+    # c1 maximum-Sharpe solve hand the engine the rows their regime built:
+    # the first use of each regime scans one dense block, the maximum-Sharpe
+    # rows it forms, and every later solve scans none; a dense call of the
+    # engine scans its matrix at every call
+    from perfbench.universe import make_universe
+
+    u = make_universe(50, 128, 1)
+    scans, scan = [0], InequalityRows.__init__
+
+    def scanning(self, *args):
+        scans[0] += 1
+        scan(self, *args)
+
+    def solves():
+        for regime in ("c1", "c2", "c4"):
+            trace_frontier(u.mm.cov, u.mm.mean, u.rf, ConstraintSet(regime), grid=20)
+        solve_max_sharpe(u.mm.cov, u.mm.mean, u.rf, ConstraintSet("c1"))
+
+    monkeypatch.setattr(InequalityRows, "__init__", scanning)
+    regime_model.cache_clear()
+    solves()
+    assert scans[0] == 3                        # one per regime
+    scans[0] = 0
+    solves()
+    assert scans[0] == 0
+    problem = Problem.prepare(u.mm.cov, ConstraintSet("c4"))
+    A_eq, b_eq, A_in, b_in = problem.regime.system()
+    solve_qp(problem.hessian, np.zeros(50), A_eq, b_eq, A_in, b_in, problem.regime.centre())
+    assert scans[0] == 1

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,27 @@ def test_one_tree_against_itself(capsys):
     assert "weights bit-identical: yes" in out
     base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
     assert base == head > 0
+    # after the regimes' first use, every solve hands the engine its regime's rows
+    assert "dense row scans per pass: base 0, head 0" in out
+
+
+def test_a_dense_engine_call_shows_in_the_row_scans(tmp_path, capsys):
+    # a head whose solves hand the engine their rows as a dense matrix: the
+    # engine scans it at each of the 20 solves of a pass, and the weights and
+    # KKT solves stay the same
+    shutil.copytree(ROOT / "src" / "portopt", tmp_path / "portopt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver = tmp_path / "portopt" / "solver.py"
+    text = solver.read_text(encoding="utf-8")
+    call = "A_eq, b_eq, rows, rows.b, x0,"
+    assert text.count(call) == 1
+    solver.write_text(text.replace(call, "A_eq, b_eq, rows.dense(), rows.b, x0,"), encoding="utf-8")
+    assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "dense row scans per pass: base 0, head 20" in out
+    base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
+    assert base == head > 0
+    assert "weights bit-identical: yes" in out
 
 
 def test_a_tree_without_portopt_is_refused(tmp_path):

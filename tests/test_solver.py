@@ -172,6 +172,33 @@ def test_target_return_where_the_means_differ_by_rounding(c, level, spread):
             assert sol.stats.stdev == pytest.approx(mv.stats.stdev, rel=1e-12, abs=0.0), (n, seed)
 
 
+@pytest.mark.parametrize("regime, solves", [("c1", 85), ("c4", 38)])
+def test_a_zero_return_row_stays_out_of_the_engine(monkeypatch, regime, solves):
+    # means 0.01 + 1e-15 z: the return row is zero (RegimeModel.return_row),
+    # and with it in the engine's system every KKT matrix was singular, so each
+    # of the QP's KKT solves fell back to least squares; solved without it, its
+    # multiplier 0, no solve and no certificate takes a least-squares step, and
+    # the answer is the minimum variance to rounding
+    from perfbench.universe import make_universe
+
+    cov = make_universe(50, 128, 1).mm.cov
+    mean = 0.01 + 1e-15 * np.random.default_rng(0).normal(size=50)
+    c = ConstraintSet(regime)
+    mv = solve_min_variance(cov, c, mean=mean)
+    lstsq, calls = np.linalg.lstsq, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    sol = solve_target_return(cov, mean, mv.stats.ret, c)
+    monkeypatch.undo()
+    assert calls[0] == 0 and sol.iterations == solves
+    assert sol.converged
+    assert sol.stats.stdev == pytest.approx(mv.stats.stdev, rel=1e-12, abs=0.0)
+
+
 def test_target_return_endpoint_unique_solution():
     sol = solve_target_return(np.diag([0.01, 0.04]), [0.01, 0.02], 0.02, C3)
     assert np.allclose(sol.weights, [0.0, 1.0], atol=1e-9)

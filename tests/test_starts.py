@@ -48,22 +48,29 @@ def _constraints(n: int, market_index: int) -> list[ConstraintSet]:
     ]
 
 
+def _dense_homogenized(regime, excess):
+    """``_homogenized``'s rows with the inequality rows as a dense matrix:
+    ``(A_eq, b_eq, A_in, b_in)``."""
+    A_eq, b_eq, rows = _homogenized(regime, excess)
+    return A_eq, b_eq, rows.dense(), rows.b
+
+
 def _recording_starts(monkeypatch) -> list[tuple]:
     """``(A_eq, b_eq, A_in, b_in, x)`` of every QP the solver runs, in order,
-    with ``x`` the point its block exchange ends on, or where the exchange
-    has no point (or no start), the fallback's."""
+    with ``A_in`` dense and ``x`` the point its block exchange ends on, or where
+    the exchange has no point (or no start), the fallback's."""
     starts, exchange, solve = [], portopt.qp._block_exchange, portopt.solver.solve_qp
 
     def exchanging(H, g, x, A_eq, b_eq, rows):
         out = exchange(H, g, x, A_eq, b_eq, rows)
         if out[0] is not None:
-            starts.append((A_eq, b_eq, rows.A, rows.b, out[0]))
+            starts.append((A_eq, b_eq, rows.dense(), rows.b, out[0]))
         return out
 
     def solving(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None):
         def recorded():
             x = fallback()
-            starts.append((A_eq, b_eq, A_in, b_in, x))
+            starts.append((A_eq, b_eq, A_in.dense(), b_in, x))
             return x
         return solve(H, g, A_eq, b_eq, A_in, b_in, x0, fallback and recorded)
 
@@ -112,7 +119,7 @@ def _answers_match_solves_from_the_centre(cov, mean, constraints) -> None:
         ref = solve_qp(problem.hessian, zero, *r.system(), centre)
         assert np.abs(problem.min_variance().weights - r.to_weights(ref.x)).max() <= 1e-9, c
 
-        rows = _homogenized(r, mean - RF)
+        rows = _dense_homogenized(r, mean - RF)
         gain = float((mean - RF) @ r.to_weights(centre))
         assert gain > 0.0
         y = r.to_weights(solve_qp(problem.hessian, zero, *rows, centre / gain).x)
@@ -386,7 +393,7 @@ def test_a_start_off_an_equality_takes_a_face_solve():
     assert np.abs(x - answer).max() <= 1e-9
 
     split = Problem.prepare(cov, ConstraintSet("c1"), mean=mean, rf=RF)
-    A_eq, b_eq, A_in, b_in = _homogenized(split.regime, mean - RF)
+    A_eq, b_eq, A_in, b_in = _dense_homogenized(split.regime, mean - RF)
     y0 = split.regime.centre()                      # breaks no row, but earns no unit excess
     assert abs(A_eq[0] @ y0 - 1.0) > 1e-3
     y, rounds = _exchange(split.hessian, y0, A_eq, b_eq, A_in, b_in)
@@ -410,7 +417,7 @@ def test_a_start_on_the_equalities_off_their_minimizer_takes_a_face_solve(monkey
     centre = r.centre()
     nudged = minvar.copy()
     nudged[[0, 1]] += (1e-6, -1e-6)                 # neither is the market asset
-    rows = _homogenized(r, mean - RF)
+    rows = _dense_homogenized(r, mean - RF)
     gain = float((mean - RF) @ r.to_weights(centre))
     assert gain > 0.0
     kkt_calls = _counting_kkt(monkeypatch)
