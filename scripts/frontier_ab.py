@@ -17,10 +17,12 @@ processes far more than between two passes a few milliseconds apart, so the
 ratio of each round's pair is steady where single timings are not.  It
 prints each side's median pass time, each side's KKT solves per pass (the
 calls of its ``qp._solve_kkt``), path QPs per pass (its ``solve_qp``
-calls inside ``Problem.corner_path``) and dense row scans per pass (the
+calls inside ``Problem.corner_path``), dense row scans per pass (the
 dense inequality matrices its ``qp.InequalityRows`` scans for their
-bounds), all counted in a second untimed pass, after the regimes' first
-use, so no timed pass runs a counting wrapper, the median of the rounds'
+bounds) and covariance preparations per pass (the calls of its
+``solver._prepare_cov``), all counted in a second untimed pass, after the
+regimes' and the covariances' first use, so no timed pass runs a counting
+wrapper, the median of the rounds'
 head/base time ratios with its quartiles, and whether every curve's points are
 bit-identical between the two trees; where they are not, the largest
 relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
@@ -147,13 +149,14 @@ def _pass(po, markets) -> tuple[float, list[np.ndarray]]:
 @contextmanager
 def _counting(po):
     """While open, count every call of the tree's ``qp._solve_kkt``, every
-    ``solve_qp`` call its solver makes inside ``Problem.corner_path`` and
-    every dense matrix its ``qp.InequalityRows`` scans (a call of that
-    class's ``__init__``): yields ``[KKT solves, path QPs, dense row scans]``."""
+    ``solve_qp`` call its solver makes inside ``Problem.corner_path``, every
+    dense matrix its ``qp.InequalityRows`` scans (a call of that class's
+    ``__init__``) and every call of its ``solver._prepare_cov``: yields
+    ``[KKT solves, path QPs, dense row scans, covariance preparations]``."""
     qp, solver = (sys.modules[f"{po.__name__}.{name}"] for name in ("qp", "solver"))
     solve_kkt, solve_qp, corner_path = qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path
-    rows, scan = qp.InequalityRows, qp.InequalityRows.__init__
-    counts, on_path = [0, 0, 0], [False]
+    rows, scan, prepare_cov = qp.InequalityRows, qp.InequalityRows.__init__, solver._prepare_cov
+    counts, on_path = [0, 0, 0, 0], [False]
 
     def counting(K, rhs):
         counts[0] += 1
@@ -162,6 +165,10 @@ def _counting(po):
     def scanning(self, *args):
         counts[2] += 1
         scan(self, *args)
+
+    def preparing(cov):
+        counts[3] += 1
+        return prepare_cov(cov)
 
     def solving(*args):
         counts[1] += on_path[0]
@@ -175,17 +182,17 @@ def _counting(po):
             on_path[0] = False
 
     qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = counting, solving, tracing
-    rows.__init__ = scanning
+    rows.__init__, solver._prepare_cov = scanning, preparing
     try:
         yield counts
     finally:
         qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = solve_kkt, solve_qp, corner_path
-        rows.__init__ = scan
+        rows.__init__, solver._prepare_cov = scan, prepare_cov
 
 
-def _counted_pass(po, markets) -> tuple[int, int, int, list[np.ndarray]]:
+def _counted_pass(po, markets) -> tuple[int, int, int, int, list[np.ndarray]]:
     """One pass, counted (``_counting``): the KKT solves, the path QPs, the
-    dense row scans, and each curve's points."""
+    dense row scans, the covariance preparations, and each curve's points."""
     with _counting(po) as counts:
         curves = _pass(po, markets)[1]
     return *counts, curves
@@ -268,10 +275,11 @@ def main(argv=None) -> int:
             _report_wide(*(_wide_curves(po, args.seed) for po in trees.values()))
             return 0
         markets = _markets(trees["head"], args.seed)
-        solves, qps, scans, points = {}, {}, {}, {}
+        solves, qps, scans, preps, points = {}, {}, {}, {}, {}
         for side, po in trees.items():                                  # untimed
             _pass(po, markets)                                          # the regimes' first use
-            solves[side], qps[side], scans[side], points[side] = _counted_pass(po, markets)
+            solves[side], qps[side], scans[side], preps[side], points[side] = \
+                _counted_pass(po, markets)
         times = {"base": [], "head": []}
         for k in range(args.rounds):
             for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
@@ -289,6 +297,7 @@ def main(argv=None) -> int:
     print(f"KKT solves per pass: base {solves['base']}, head {solves['head']}")
     print(f"path QPs per pass: base {qps['base']}, head {qps['head']}")
     print(f"dense row scans per pass: base {scans['base']}, head {scans['head']}")
+    print(f"covariance preparations per pass: base {preps['base']}, head {preps['head']}")
     print(f"head/base time ratio: median {med:.3f}  quartiles {q1:.3f} - {q3:.3f}")
     print("points bit-identical: " + ("yes" if not moved else
           f"no, {moved} curves differ, largest relative move "

@@ -13,13 +13,15 @@ c1 cells make up the split time and the others the weight time, as the
 workload's ``solve_split_s`` and ``solve_weight_s`` split them.
 
 After two untimed passes per side, the second of which counts the KKT
-solves (the calls of the tree's ``qp._solve_kkt``) and the dense row scans
+solves (the calls of the tree's ``qp._solve_kkt``), the dense row scans
 (the dense inequality matrices its ``qp.InequalityRows`` scans for their
-bounds) after the regimes' first use, each round times one base and one
-head pass, the side that goes first alternating.  It prints each side's
-median split and weight time per pass, the median of the rounds'
-head/base ratios of each with its quartiles, the KKT solves and the dense
-row scans per pass, and whether every cell's
+bounds) and the covariance preparations (the calls of its
+``solver._prepare_cov``) after the regimes' and the covariances' first
+use, each round times one base and one head pass, the side that goes first
+alternating.  It prints each side's median split and weight time per pass,
+the median of the rounds' head/base ratios of each with its quartiles, the
+KKT solves, the dense row scans and the covariance preparations per pass,
+and whether every cell's
 weights are bit-identical between the two trees; where they are not, the
 largest relative move of a weight, ``|head - base| / max(|head|, |base|)``.
 The exit code is 0 unless a tree fails to load or a solve raises; a slower
@@ -92,12 +94,12 @@ def main(argv=None) -> int:
         sys.path.append(str(ROOT))
     with _trees(args.base_src, args.head_src, "_solve_ab") as trees:
         cells = {side: _cells(po, args.seed) for side, po in trees.items()}
-        solves, scans, weights = {}, {}, {}
+        solves, scans, preps, weights = {}, {}, {}, {}
         for side, po in trees.items():                                  # untimed
             _pass(cells[side])                                          # the regimes' first use
             with _counting(po) as counts:
                 weights[side] = _pass(cells[side])[1]
-            solves[side], scans[side] = counts[0], counts[2]
+            solves[side], scans[side], preps[side] = counts[0], counts[2], counts[3]
         times = {side: {part: [] for part in PARTS} for side in trees}
         for k in range(args.rounds):
             for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
@@ -114,6 +116,7 @@ def main(argv=None) -> int:
               f"  ({getattr(args, f'{side}_src')})")
     print(f"KKT solves per pass: base {solves['base']}, head {solves['head']}")
     print(f"dense row scans per pass: base {scans['base']}, head {scans['head']}")
+    print(f"covariance preparations per pass: base {preps['base']}, head {preps['head']}")
     for part in PARTS:
         q1, med, q3 = _quartiles([h / b for b, h in zip(times["base"][part],
                                                         times["head"][part])])

@@ -27,8 +27,10 @@ target, so each segment costs one KKT solve, for its direction, not a QP.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -126,6 +128,58 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
             "covariance cannot be factorized even after ridge regularization"
         ) from None
     return c, solve_c, ridge
+
+
+# the paper's table (``compare``) solves on 2 covariances, a regime-outer frontier
+# grid on 3; a free-asset solve takes ones or mean - rf, each with and without
+# c5's pinned asset
+_COV_ENTRIES = 3
+_FREE_SOLVES = 4
+
+
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """One covariance as ``_prepare_cov`` returns it, every array read-only, under the
+    float64 bits it was prepared from (``key``: the validated matrix itself where the
+    input was symmetric), with its free-asset solves (``Problem._free_solve``)."""
+
+    key: np.ndarray
+    cov: np.ndarray
+    cov_solve: np.ndarray
+    ridge: float
+    free_solves: OrderedDict = field(default_factory=OrderedDict)
+
+
+_CACHE: list[_Prepared] = []       # most recently used first, at most _COV_ENTRIES
+_CACHE_LOCK = threading.Lock()     # guards _CACHE and every entry's free_solves
+
+
+def _prepared(cov) -> _Prepared:
+    """``cov`` prepared (``_prepare_cov``) once per exact input: a later call on the same
+    shape and float64 bits (compared as ``uint64``, so ``-0.0`` is not ``0.0``, and a
+    write into the caller's array makes a new key) returns the same entry, while it is
+    among the last ``_COV_ENTRIES`` used.  An input that fails validation raises, and is
+    not kept."""
+    a = np.atleast_2d(np.asarray(cov, dtype=float))
+    bits, row = a.view(np.uint64), a[:1].tobytes()
+
+    def same(b: np.ndarray) -> bool:   # the first row's bytes part most matrices at once
+        return b.shape == a.shape and b[:1].tobytes() == row and (b.view(np.uint64) == bits).all()
+
+    with _CACHE_LOCK:
+        for k, entry in enumerate(_CACHE):
+            if same(entry.key):
+                _CACHE.insert(0, _CACHE.pop(k))
+                return entry
+    c, solve_c, ridge = _prepare_cov(a)
+    key = c if same(c) else a.copy()
+    for x in (key, c, solve_c):
+        x.setflags(write=False)
+    entry = _Prepared(key, c, solve_c, ridge)
+    with _CACHE_LOCK:
+        _CACHE.insert(0, entry)
+        del _CACHE[_COV_ENTRIES:]
+    return entry
 
 
 def _hessian(C2: np.ndarray, split: bool) -> np.ndarray:
@@ -336,9 +390,10 @@ def _weight_multipliers(regime: RegimeModel, res, kappa: float, mean, rf: float)
 class Problem:
     """One regime's solves on a validated covariance, prepared once."""
 
-    cov: np.ndarray            # validated and symmetrized
-    cov_solve: np.ndarray      # cov plus the ridge applied, factorizable
+    cov: np.ndarray            # validated and symmetrized, read-only
+    cov_solve: np.ndarray      # cov plus the ridge applied, factorizable, read-only
     ridge: float
+    free_solves: OrderedDict   # the covariance's free-asset solves, shared (_free_solve)
     hessian: np.ndarray        # of the solve variables, from 2 cov_solve
     regime: RegimeModel
     mean: np.ndarray | None
@@ -348,8 +403,14 @@ class Problem:
     @classmethod
     def prepare(cls, cov, c: ConstraintSet, *, mean=None, rf: float = 0.0,
                 model: str = MODEL_MM) -> Problem:
-        cov_raw, cov_solve, ridge = _prepare_cov(cov)
-        n = cov_raw.shape[0]
+        """The problem of regime ``c`` on ``cov``.  Every problem on the same input bits
+        shares the covariance's preparation, its validation, Cholesky test and ridge,
+        and its free-asset solves (``_prepared``, ``_free_solve``), all read-only: a hit
+        gives what a cold preparation would, bit for bit, so every output is the same.
+        Threads that race on one covariance may each prepare it: a race repeats work,
+        and never returns a wrong entry."""
+        p = _prepared(cov)
+        n = p.cov.shape[0]
         regime = regime_model(c, n)
         if mean is not None:
             mean = np.asarray(mean, dtype=float)
@@ -359,8 +420,9 @@ class Problem:
                 raise ValidationError("mean vector contains non-finite entries")
         if not math.isfinite(rf):
             raise ValidationError(f"risk-free rate rf must be finite, got {rf}")
-        hessian = _hessian(2.0 * cov_solve, regime.split)
-        return cls(cov_raw, cov_solve, ridge, hessian, regime, mean, float(rf), model)
+        hessian = _hessian(2.0 * p.cov_solve, regime.split)
+        return cls(p.cov, p.cov_solve, p.ridge, p.free_solves, hessian, regime, mean,
+                   float(rf), model)
 
     def _mean(self) -> np.ndarray:
         if self.mean is None:
@@ -400,13 +462,35 @@ class Problem:
 
     def _free_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``cov_solve[free, free]^-1 rhs[free]``, zero on the pinned asset: the free
-        assets' unnormalized minimum-variance (``rhs`` ones) or tangency portfolio."""
-        r = self.regime
-        if not len(r.pinned):                       # every asset free: no gather
-            return np.linalg.solve(self.cov_solve, rhs)
-        z = np.zeros(r.n)
-        z[r.free] = np.linalg.solve(self.cov_solve.take(r.free, 0).take(r.free, 1), rhs[r.free])
-        return z
+        assets' unnormalized minimum-variance (``rhs`` ones) or tangency portfolio, as a
+        new array the caller may write.
+
+        Every problem on one covariance shares its solves (``free_solves``), keyed by the
+        pinned set and the bits of ``rhs``; the last ``_FREE_SOLVES`` are kept read-only,
+        and a hit returns a copy.  The paper's table needs four per covariance: ones and
+        mean - rf, each with and without c5's pinned asset, so c1-c4 share one LU per
+        right-hand side.  Only results are kept, not LU factors.  Threads that race on
+        one key may each solve it: a race repeats work, and never returns a wrong
+        result."""
+        r, solves = self.regime, self.free_solves
+        key = (r.pinned.tobytes(), rhs.tobytes())
+        with _CACHE_LOCK:
+            z = solves.get(key)
+            if z is not None:
+                solves.move_to_end(key)
+        if z is None:
+            if not len(r.pinned):                   # every asset free: no gather
+                z = np.linalg.solve(self.cov_solve, rhs)
+            else:
+                z = np.zeros(r.n)
+                z[r.free] = np.linalg.solve(self.cov_solve.take(r.free, 0).take(r.free, 1),
+                                            rhs[r.free])
+            z.setflags(write=False)
+            with _CACHE_LOCK:
+                solves[key] = z
+                while len(solves) > _FREE_SOLVES:
+                    solves.popitem(last=False)
+        return z.copy()
 
     def _check(self, w, target, multipliers) -> tuple[float, bool]:
         """The KKT certificate of weights ``w`` (one portfolio, or a stack) and whether they

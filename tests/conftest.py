@@ -174,6 +174,15 @@ def constraint_for(regime: str, market_index: int) -> ConstraintSet:
     return ConstraintSet(regime, market_index=market_index if regime == "c5" else None)
 
 
+@pytest.fixture(autouse=True)
+def _cold_covariances():
+    """Each test starts with no prepared covariance (``solver._prepared``), so it does
+    the same work in the suite as alone; a test that counts the preparation's own calls
+    (eigenvalues, Cholesky factors, LU solves) would otherwise depend on the tests
+    before it."""
+    portopt.solver._CACHE.clear()
+
+
 @pytest.fixture(scope="session")
 def markets():
     """{label: (cov, mean, rf, market index)}: bundled MM and IM, and a seeded N=30 universe."""

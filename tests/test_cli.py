@@ -226,6 +226,28 @@ def test_frontier_deterministic_outputs(toy_files, tmp_path):
         assert p1.read_bytes() == p2.read_bytes(), p1.name
 
 
+def test_repeated_runs_in_one_process_write_the_same_bytes(tmp_path):
+    # prepared covariances outlive a command within a process: compare and
+    # solve, run twice and then once more on a cold cache, write the same bytes
+    base = ["--prices", str(PRICES_CSV), "--riskfree", str(RISKFREE_CSV),
+            "--market-ticker", "MKT"]
+    commands = [["compare", *base]] + [
+        ["solve", *base, "--constraint", regime, "--model", "both", "--objective", "both"]
+        for regime in ("c1", "c2", "c3", "c4", "c5")]
+    runs = []
+    for k, cold in enumerate((False, False, True)):
+        if cold:
+            portopt.solver._CACHE.clear()
+        files = {}
+        for j, argv in enumerate(commands):
+            out = tmp_path / f"run{k}" / f"command{j}"
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            files.update({f"{j}/{f.name}": f.read_bytes() for f in sorted(out.iterdir())})
+        runs.append(files)
+    assert len(runs[0]) > len(commands)
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_compare_manifest_counts_and_hash(toy_files, tmp_path):
     prices, riskfree = toy_files
     out = tmp_path / "out"

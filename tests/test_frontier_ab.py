@@ -34,6 +34,8 @@ def test_one_tree_against_itself(capsys):
     assert "path QPs per pass: base 0, head 0" in out
     # after the regimes' first use, every solve hands the engine its regime's rows
     assert "dense row scans per pass: base 0, head 0" in out
+    # after the covariances' first use, every solve shares their preparation
+    assert "covariance preparations per pass: base 0, head 0" in out
 
 
 def _copy(tmp_path):

@@ -34,6 +34,8 @@ def test_one_tree_against_itself(capsys):
     assert base == head > 0
     # after the regimes' first use, every solve hands the engine its regime's rows
     assert "dense row scans per pass: base 0, head 0" in out
+    # after the covariances' first use, every solve shares their preparation
+    assert "covariance preparations per pass: base 0, head 0" in out
 
 
 def test_a_dense_engine_call_shows_in_the_row_scans(tmp_path, capsys):
@@ -50,6 +52,25 @@ def test_a_dense_engine_call_shows_in_the_row_scans(tmp_path, capsys):
     assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
     out = capsys.readouterr().out
     assert "dense row scans per pass: base 0, head 20" in out
+    base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
+    assert base == head > 0
+    assert "weights bit-identical: yes" in out
+
+
+def test_a_cold_preparation_shows_in_the_covariance_preparations(tmp_path, capsys):
+    # a head whose problems each clear the cache first: each of the 20 solves
+    # of a pass prepares its covariance, and the weights and KKT solves stay
+    # the same
+    shutil.copytree(ROOT / "src" / "portopt", tmp_path / "portopt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver = tmp_path / "portopt" / "solver.py"
+    text = solver.read_text(encoding="utf-8")
+    call = "p = _prepared(cov)"
+    assert text.count(call) == 1
+    solver.write_text(text.replace(call, "_CACHE.clear(); " + call), encoding="utf-8")
+    assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "covariance preparations per pass: base 0, head 20" in out
     base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
     assert base == head > 0
     assert "weights bit-identical: yes" in out

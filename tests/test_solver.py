@@ -1,6 +1,8 @@
 """Portfolio solvers: closed forms, grid oracles, KKT diagnostics, edge cases."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -335,6 +337,183 @@ def test_symmetry_tolerance_and_private_copy():
     assert np.array_equal(raw, 0.5 * (cov + cov.T)) and raw is not cov and solve_c is raw
     raw[0, 0] = 1.0
     assert cov[0, 0] == 0.04
+
+
+def _solution_bits(sol):
+    """Everything a solution reports, as bytes and ints: equal here, equal outputs."""
+    s = sol.stats
+    return (sol.weights.tobytes(), sol.iterations, sol.converged,
+            np.array([s.ret, s.stdev, s.sharpe, sol.kkt_residual, sol.regularization]).tobytes())
+
+
+def _table_cells(markets):
+    """``(objective, cov, mean, rf, c, model)`` of the paper's table on the bundled MM
+    and IM estimates and on the frontier-grid universe, in ``compare_models``' order:
+    regime, then market, then objective."""
+    from perfbench.universe import make_universe
+
+    u = make_universe(50, 128, 1)
+    table = [(*markets["bundled-mm"], "MM"), (*markets["bundled-im"], "IM"),
+             (u.mm.cov, u.mm.mean, u.rf, u.market_index, "MM")]
+    return [(objective, cov, mean, rf, ConstraintSet(regime, market_index=mi if regime == "c5"
+                                                     else None), model)
+            for regime in ("c1", "c2", "c3", "c4", "c5")
+            for cov, mean, rf, mi, model in table
+            for objective in ("min_variance", "max_sharpe")]
+
+
+def test_shared_preparations_leave_every_solution_as_a_cold_solve(markets):
+    # every cell of the table solved in compare_models' order, in reverse, and
+    # each alone on a cold cache reports the same bits: a shared preparation or
+    # free-asset solve is the one a cold solve makes
+    cells = _table_cells(markets)
+
+    def solve(cell):
+        objective, cov, mean, rf, c, model = cell
+        return _solution_bits(solve_objective(objective, cov, mean, rf, c, model=model))
+
+    forward = [solve(cell) for cell in cells]
+    backward = [solve(cell) for cell in reversed(cells)][::-1]
+    alone = []
+    for cell in cells:
+        portopt.solver._CACHE.clear()
+        alone.append(solve(cell))
+    assert forward == backward == alone
+
+
+def test_a_write_into_the_callers_covariance_is_a_new_covariance(markets):
+    # the cache keys on the input's bits, not on the array: after the caller
+    # writes into its matrix, a solve is the cold solve of the new matrix
+    cov, mean, rf, mi = markets["bundled-mm"]
+    cov = cov.copy()
+    for c in (C4, ConstraintSet("c5", market_index=mi)):
+        before = [_solution_bits(solve_objective(o, cov, mean, rf, c))
+                  for o in ("min_variance", "max_sharpe")]
+        cov[0, 0] *= 1.5
+        warm = [_solution_bits(solve_objective(o, cov, mean, rf, c))
+                for o in ("min_variance", "max_sharpe")]
+        portopt.solver._CACHE.clear()
+        cold = [_solution_bits(solve_objective(o, cov.copy(), mean, rf, c))
+                for o in ("min_variance", "max_sharpe")]
+        assert warm == cold and warm != before
+
+
+def test_the_key_is_the_inputs_bits():
+    # 0.0 and -0.0 compare equal as floats, but the key is the input's bits,
+    # past the first row too
+    plus = np.diag([0.04, 0.09, 0.16])
+    minus = plus.copy()
+    minus[1, 2] = minus[2, 1] = -0.0
+    a, b = Problem.prepare(plus, C3), Problem.prepare(minus, C3)
+    assert len(portopt.solver._CACHE) == 2
+    assert a.cov.tobytes() == plus.tobytes() and b.cov.tobytes() == minus.tobytes()
+    assert Problem.prepare(plus.copy(), C3).cov is a.cov
+    assert Problem.prepare(minus.copy(), C3).cov is b.cov
+    # an input symmetrized within tolerance is kept under its own bits, not
+    # under the symmetrized matrix's, which is another input
+    skew = plus.copy()
+    skew[0, 1] += 0.5e-8 * 0.16
+    c = Problem.prepare(skew, C3)
+    assert Problem.prepare(skew.copy(), C3).cov is c.cov and len(portopt.solver._CACHE) == 3
+    d = Problem.prepare(c.cov.copy(), C3)
+    assert d.cov is not c.cov and d.cov.tobytes() == c.cov.tobytes()
+
+
+def test_a_refused_covariance_is_never_kept_and_a_ridge_is_kept_whole():
+    for bad, cause in ((np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive semidefinite"),
+                       (np.array([[1.0, 0.5], [0.1, 1.0]]), "not symmetric"),
+                       (np.array([[0.04, np.nan], [np.nan, 0.09]]), "non-finite"),
+                       (np.ones((2, 3)), "must be square")):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=cause):
+                solve_min_variance(bad, C3)
+        assert not portopt.solver._CACHE
+    # a singular matrix takes its ridge on a miss and reports the same on a hit
+    x = np.random.default_rng(3).standard_normal((5, 2))
+    singular = x @ x.T / 100.0
+    cold = Problem.prepare(singular, C4)
+    warm = Problem.prepare(singular.copy(), C4)
+    assert cold.ridge > 0.0 and warm.ridge == cold.ridge and warm.cov_solve is cold.cov_solve
+    assert _solution_bits(warm.min_variance()) == _solution_bits(cold.min_variance())
+
+
+def test_the_cache_stays_bounded():
+    # 50 distinct covariances keep the last _COV_ENTRIES, most recent first;
+    # 50 distinct means on one covariance keep its last _FREE_SOLVES solves
+    cache = portopt.solver._CACHE
+    rng = np.random.default_rng(11)
+    covs = [random_spd(rng, 4, 1e-3) for _ in range(50)]
+    for cov in covs:
+        solve_min_variance(cov, C3)
+        assert len(cache) <= portopt.solver._COV_ENTRIES
+    assert [e.key.tobytes() for e in cache] == [
+        cov.tobytes() for cov in covs[::-1][:portopt.solver._COV_ENTRIES]]
+    c5 = ConstraintSet("c5", market_index=0)
+    for _ in range(50):
+        mean = rng.normal(0.01, 0.002, 4)
+        for c in (C3, c5):
+            solve_max_sharpe(covs[-1], mean, -0.1, c)
+            assert len(cache[0].free_solves) <= portopt.solver._FREE_SOLVES
+    assert len(cache[0].free_solves) == portopt.solver._FREE_SOLVES
+
+
+def test_every_cached_array_is_read_only(markets):
+    # the cache hands its arrays to every problem on the covariance: none may be
+    # written; a free-asset solve returns a copy the caller may write
+    for objective, cov, mean, rf, c, model in _table_cells(markets):
+        solve_objective(objective, cov, mean, rf, c, model=model)
+    arrays = [a for e in portopt.solver._CACHE
+              for a in (e.key, e.cov, e.cov_solve, *e.free_solves.values())]
+    assert len(arrays) == 3 * 3 + 3 * 4
+    assert not any(a.flags.writeable for a in arrays)
+    cov, mean, rf, _ = markets["bundled-mm"]
+    problem = Problem.prepare(cov, C3, mean=mean, rf=rf)
+    w = problem._free_solve(np.ones(len(mean)))
+    w[:] = 0.0
+    assert problem._free_solve(np.ones(len(mean))).any()
+
+
+def test_threads_sharing_the_cache_get_cold_solutions():
+    # more threads than cores, switching often, each solving on more
+    # covariances than the cache keeps: every solution is the cold one, and
+    # the cache and every entry's solves stay within their bounds
+    rng = np.random.default_rng(12)
+    cases = [(random_spd(rng, 5, 1e-3), rng.normal(0.01, 0.002, 5)) for _ in range(5)]
+    regimes = (C3, C4, ConstraintSet("c5", market_index=0))
+
+    def solve_all(order):
+        return {(k, i, o): _solution_bits(solve_objective(o, cov, mean, -0.1, c))
+                for k in order for (cov, mean) in [cases[k]]
+                for i, c in enumerate(regimes) for o in ("min_variance", "max_sharpe")}
+
+    cold = {}
+    for k in range(len(cases)):
+        portopt.solver._CACHE.clear()
+        cold.update(solve_all([k]))
+    results, errors = [], []
+
+    def work(seed):
+        try:
+            order = np.random.default_rng(seed).permutation(len(cases)).tolist()
+            for _ in range(3):
+                results.append(solve_all(order))
+        except Exception as exc:   # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert len(results) == 18 and all(r == cold for r in results)
+    assert len(portopt.solver._CACHE) <= portopt.solver._COV_ENTRIES
+    assert all(len(e.free_solves) <= portopt.solver._FREE_SOLVES for e in portopt.solver._CACHE)
 
 
 def test_kkt_residual_exact_solution_tiny():
