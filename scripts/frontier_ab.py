@@ -19,8 +19,9 @@ prints each side's median pass time, each side's KKT solves per pass (the
 calls of its ``qp._solve_kkt``), path QPs per pass (its ``solve_qp``
 calls inside ``Problem.corner_path``), dense row scans per pass (the
 dense inequality matrices its ``qp.InequalityRows`` scans for their
-bounds) and covariance preparations per pass (the calls of its
-``solver._prepare_cov``), all counted in a second untimed pass, after the
+bounds), covariance preparations per pass (the calls of its
+``solver._prepare_cov``) and Hessian builds per pass (the calls of its
+``solver._hessian``), all counted in a second untimed pass, after the
 regimes' and the covariances' first use, so no timed pass runs a counting
 wrapper, the median of the rounds'
 head/base time ratios with its quartiles, and whether every curve's points are
@@ -151,12 +152,14 @@ def _counting(po):
     """While open, count every call of the tree's ``qp._solve_kkt``, every
     ``solve_qp`` call its solver makes inside ``Problem.corner_path``, every
     dense matrix its ``qp.InequalityRows`` scans (a call of that class's
-    ``__init__``) and every call of its ``solver._prepare_cov``: yields
-    ``[KKT solves, path QPs, dense row scans, covariance preparations]``."""
+    ``__init__``), every call of its ``solver._prepare_cov`` and every call of
+    its ``solver._hessian``: yields ``[KKT solves, path QPs, dense row scans,
+    covariance preparations, Hessian builds]``."""
     qp, solver = (sys.modules[f"{po.__name__}.{name}"] for name in ("qp", "solver"))
     solve_kkt, solve_qp, corner_path = qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path
     rows, scan, prepare_cov = qp.InequalityRows, qp.InequalityRows.__init__, solver._prepare_cov
-    counts, on_path = [0, 0, 0, 0], [False]
+    hessian = solver._hessian
+    counts, on_path = [0, 0, 0, 0, 0], [False]
 
     def counting(K, rhs):
         counts[0] += 1
@@ -170,6 +173,10 @@ def _counting(po):
         counts[3] += 1
         return prepare_cov(cov)
 
+    def building(*args):
+        counts[4] += 1
+        return hessian(*args)
+
     def solving(*args):
         counts[1] += on_path[0]
         return solve_qp(*args)
@@ -182,17 +189,18 @@ def _counting(po):
             on_path[0] = False
 
     qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = counting, solving, tracing
-    rows.__init__, solver._prepare_cov = scanning, preparing
+    rows.__init__, solver._prepare_cov, solver._hessian = scanning, preparing, building
     try:
         yield counts
     finally:
         qp._solve_kkt, solver.solve_qp, solver.Problem.corner_path = solve_kkt, solve_qp, corner_path
-        rows.__init__, solver._prepare_cov = scan, prepare_cov
+        rows.__init__, solver._prepare_cov, solver._hessian = scan, prepare_cov, hessian
 
 
-def _counted_pass(po, markets) -> tuple[int, int, int, int, list[np.ndarray]]:
+def _counted_pass(po, markets) -> tuple[int, int, int, int, int, list[np.ndarray]]:
     """One pass, counted (``_counting``): the KKT solves, the path QPs, the
-    dense row scans, the covariance preparations, and each curve's points."""
+    dense row scans, the covariance preparations, the Hessian builds, and each
+    curve's points."""
     with _counting(po) as counts:
         curves = _pass(po, markets)[1]
     return *counts, curves
@@ -275,10 +283,10 @@ def main(argv=None) -> int:
             _report_wide(*(_wide_curves(po, args.seed) for po in trees.values()))
             return 0
         markets = _markets(trees["head"], args.seed)
-        solves, qps, scans, preps, points = {}, {}, {}, {}, {}
+        solves, qps, scans, preps, builds, points = {}, {}, {}, {}, {}, {}
         for side, po in trees.items():                                  # untimed
             _pass(po, markets)                                          # the regimes' first use
-            solves[side], qps[side], scans[side], preps[side], points[side] = \
+            solves[side], qps[side], scans[side], preps[side], builds[side], points[side] = \
                 _counted_pass(po, markets)
         times = {"base": [], "head": []}
         for k in range(args.rounds):
@@ -298,6 +306,7 @@ def main(argv=None) -> int:
     print(f"path QPs per pass: base {qps['base']}, head {qps['head']}")
     print(f"dense row scans per pass: base {scans['base']}, head {scans['head']}")
     print(f"covariance preparations per pass: base {preps['base']}, head {preps['head']}")
+    print(f"hessian builds per pass: base {builds['base']}, head {builds['head']}")
     print(f"head/base time ratio: median {med:.3f}  quartiles {q1:.3f} - {q3:.3f}")
     print("points bit-identical: " + ("yes" if not moved else
           f"no, {moved} curves differ, largest relative move "

@@ -217,19 +217,29 @@ class RegimeModel:
         s = s.min(axis=-1, initial=1.0)[..., None]
         return np.where(s >= 1.0, w, anchor + s * d)
 
-    def centre(self) -> np.ndarray:
-        """Equal weights over the free assets, in the solve variables.
-
-        For all five regimes the set is empty exactly when its centre is
-        infeasible, which raises ``InfeasibleError``.
-        """
+    @cached_property
+    def _centre(self) -> np.ndarray | None:
+        """Equal weights over the free assets, read-only, or None where they break a row:
+        decided once."""
         w = np.zeros(self.n)
         w[self.free] = 1.0 / max(len(self.free), 1)
         if not np.all(self.excess(w) <= 1e-12):
+            return None
+        w.setflags(write=False)
+        return w
+
+    def centre(self) -> np.ndarray:
+        """Equal weights over the free assets, in the solve variables, as a new array.
+
+        For all five regimes the set is empty exactly when its centre is
+        infeasible, which raises ``InfeasibleError`` at every call.
+        """
+        w = self._centre
+        if w is None:
             c = self.constraint
             raise InfeasibleError(f"no portfolio of {self.n} assets satisfies {c.describe()} "
                                   f"({', '.join(f'{k}={v:g}' for k, v in c._parameters().items())})")
-        return self.to_solve(w)
+        return self.to_solve(w.copy())
 
     def fill(self, order, floor: float) -> np.ndarray:
         """Weights starting at ``floor`` on every free asset, raised in

@@ -16,8 +16,11 @@ smallest index, making the method deterministic for fixed inputs.
 Every call passes all constraint arrays (empty ones included) and a start
 near the answer that may break rows: ``solve_qp`` exchanges rows between
 faces from it (``face_point``), and iterates only where rows were still
-leaving, a face had no point or there was no start.  A start that holds no
-row tight or broken and already minimizes on the equalities
+leaving, a face had no point or there was no start.  Each round takes one
+product with ``H``, the gradient at its start; the leave test reads the
+gradient at the face's point as that one plus the ``H p`` its KKT solve
+already forms (``reduced_kkt``'s ``moved``).  A start that holds no row
+tight or broken and already minimizes on the equalities
 (``_equality_minimizer``) is the answer as it is, with no KKT solve.
 The loop and ``solver``'s corner path share one ratio test, ``reach``.
 Every multiplier array is the equalities' multipliers, then one per
@@ -217,7 +220,7 @@ def _independent_start(working, A_eq, rows: InequalityRows) -> None:
             working[general[i - len(A_eq)]] = False
 
 
-def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
+def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None, moved=None):
     """Solve the KKT system of the working rows ``act`` over the free variables.
 
     The working bounds fix their variables; the system spans the free
@@ -234,6 +237,9 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     rate of change of the right-hand sides as ``rhs``, the solution is the
     rate of change of the face's point and multipliers (``solver``'s corner
     path).  ``face`` is ``rows.face(act, A_eq)`` where the caller has it already.
+    ``moved``, where given, receives the gradient at the step's end, ``grad + H p``,
+    with no product with the whole of ``H``: ``H p`` from the free rows where bounds
+    fix variables, else read off the stationarity rows of the solve's residual.
     """
     n, m_eq = H.shape[0], A_eq.shape[0]
     fixing, gen, A_gen = rows.face(act, A_eq) if face is None else face
@@ -259,9 +265,14 @@ def reduced_kkt(H, grad, A_eq, rows: InequalityRows, act, rhs=None, face=None):
     lam[:m_eq], lam[m_eq + gen] = sol[nf:nf + m_eq], sol[nf + m_eq:]
     if fixing.size:
         # H p from the free rows alone: H is symmetric and p is zero off them
-        r = (H_rows.T.dot(sol[:nf]) + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
+        Hp = H_rows.T.dot(sol[:nf])
+        r = (Hp + grad + A_gen.T.dot(sol[nf:])).take(fixed, 0)
         c = rows.coef[fixing]
         lam[m_eq + fixing] = -r * c / np.bincount(fixed, c * c, n)[fixed]
+        if moved is not None:
+            np.add(grad, Hp, out=moved)
+    elif moved is not None:     # H p + grad + A' lam is the residual's first rows
+        np.subtract(residual[:nf], A_gen.T.dot(sol[nf:]), out=moved)
     return p, lam, residual[nf:]
 
 
@@ -271,10 +282,12 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
 
     The working bounds are set exactly, and the gaps of the equalities and
     of the working general rows go on the right-hand side of
-    ``reduced_kkt``, under the gradient ``H x + g``.  Returns ``(x, lam)``:
-    the face's point, None where it leaves one of those gaps above 1e-12
-    (the face has no point, or its system is nearly singular), and
-    ``reduced_kkt``'s multipliers, one per equality, then per inequality row.
+    ``reduced_kkt``, under the gradient ``H x + g``, the one product with ``H``.
+    Returns ``(x, lam, grad)``: the face's point, None where it leaves one of
+    those gaps above 1e-12 (the face has no point, or its system is nearly
+    singular), ``reduced_kkt``'s multipliers, one per equality, then per
+    inequality row, and the gradient at the face's point (``reduced_kkt``'s
+    ``moved``).
     """
     face = rows.face(act, A_eq)
     fixing, general, A_gen = face
@@ -285,9 +298,10 @@ def face_point(H, x, A_eq, b_eq, rows: InequalityRows, act, g=0.0):
     def gap(x):
         return np.concatenate([b_eq - A_eq.dot(x), b_G - A_G.dot(x)]) if general.size else b_eq - A_eq.dot(x)
 
-    p, lam, _ = reduced_kkt(H, H.dot(x) + g, A_eq, rows, act, gap(x), face)
+    grad = np.empty(len(x))
+    p, lam, _ = reduced_kkt(H, H.dot(x) + g, A_eq, rows, act, gap(x), face, grad)
     x = x + p
-    return (None if np.abs(gap(x)).max(initial=0.0) > 1e-12 else x), lam
+    return (None if np.abs(gap(x)).max(initial=0.0) > 1e-12 else x), lam, grad
 
 
 def _equality_minimizer(H, g, x, A_eq, b_eq):
@@ -339,11 +353,11 @@ def _block_exchange(H, g, x, A_eq, b_eq, rows: InequalityRows):
     while True:
         act = working.nonzero()[0]
         rounds += 1
-        x, lam = face_point(H, x, A_eq, b_eq, rows, act, g=g)
+        x, lam, grad = face_point(H, x, A_eq, b_eq, rows, act, g=g)
         Ax = None if x is None else rows.dot(x)
         if x is None or (np.abs(Ax - rows.b)[act] > 1e-9 * rows.scale[act]).any():
             return None, rounds, None
-        leave = lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(H.dot(x) + g).max())
+        leave = lam[len(b_eq):] < -1e-9 * (1.0 + np.abs(grad).max())
         if (leave & ~rows.bound).any():
             leave &= ~rows.bound
         join = ~working & (Ax > rows.b)

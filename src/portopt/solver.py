@@ -94,9 +94,11 @@ class PortfolioSolution:
         }
 
 
-def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
-    """Validate/symmetrize; return (raw, factorizable, ridge), never the caller's array."""
-    c = np.array(cov, dtype=float, ndmin=2)
+def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Validate/symmetrize; return (raw, factorizable, ridge, key), never the caller's
+    array: ``key`` holds the input's float64 bits, ``raw`` itself where the input was
+    symmetric, else the input's own copy."""
+    c = key = np.array(cov, dtype=float, ndmin=2)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {c.shape}")
     scale = float(np.max(np.abs(c), initial=0.0))
@@ -114,7 +116,7 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
     # exactly duplicated asset), where the matrix is singular all the same
     try:
         if np.min(np.diag(np.linalg.cholesky(c))) ** 2 > 1e-12 * scale:
-            return c, c, 0.0
+            return c, c, 0.0, key
     except np.linalg.LinAlgError:
         pass
     if float(np.min(np.linalg.eigvalsh(c))) < -1e-8 * scale:
@@ -127,7 +129,7 @@ def _prepare_cov(cov) -> tuple[np.ndarray, np.ndarray, float]:
         raise SingularMatrixError(
             "covariance cannot be factorized even after ridge regularization"
         ) from None
-    return c, solve_c, ridge
+    return c, solve_c, ridge, key
 
 
 # the paper's table (``compare``) solves on 2 covariances, a regime-outer frontier
@@ -141,13 +143,27 @@ _FREE_SOLVES = 4
 class _Prepared:
     """One covariance as ``_prepare_cov`` returns it, every array read-only, under the
     float64 bits it was prepared from (``key``: the validated matrix itself where the
-    input was symmetric), with its free-asset solves (``Problem._free_solve``)."""
+    input was symmetric), with its free-asset solves (``Problem._free_solve``) and the
+    solve Hessians it has served (``hessian``)."""
 
     key: np.ndarray
     cov: np.ndarray
     cov_solve: np.ndarray
     ridge: float
     free_solves: OrderedDict = field(default_factory=OrderedDict)
+    hessians: dict = field(default_factory=dict)
+
+    def hessian(self, split: bool) -> np.ndarray:
+        """The Hessian of the solve variables from ``2 cov_solve`` (``_hessian``), built at
+        first use and kept read-only: at most one of the weights and one of the split.
+        Threads that race on one may each build it: a race repeats work, and every
+        caller gets the one kept (``dict.setdefault`` is atomic)."""
+        H = self.hessians.get(split)
+        if H is None:
+            H = _hessian(2.0 * self.cov_solve, split)
+            H.setflags(write=False)
+            H = self.hessians.setdefault(split, H)
+        return H
 
 
 _CACHE: list[_Prepared] = []       # most recently used first, at most _COV_ENTRIES
@@ -171,8 +187,7 @@ def _prepared(cov) -> _Prepared:
             if same(entry.key):
                 _CACHE.insert(0, _CACHE.pop(k))
                 return entry
-    c, solve_c, ridge = _prepare_cov(a)
-    key = c if same(c) else a.copy()
+    c, solve_c, ridge, key = _prepare_cov(a)
     for x in (key, c, solve_c):
         x.setflags(write=False)
     entry = _Prepared(key, c, solve_c, ridge)
@@ -394,7 +409,7 @@ class Problem:
     cov_solve: np.ndarray      # cov plus the ridge applied, factorizable, read-only
     ridge: float
     free_solves: OrderedDict   # the covariance's free-asset solves, shared (_free_solve)
-    hessian: np.ndarray        # of the solve variables, from 2 cov_solve
+    hessian: np.ndarray        # of the solve variables, from 2 cov_solve, shared read-only
     regime: RegimeModel
     mean: np.ndarray | None
     rf: float
@@ -405,8 +420,9 @@ class Problem:
                 model: str = MODEL_MM) -> Problem:
         """The problem of regime ``c`` on ``cov``.  Every problem on the same input bits
         shares the covariance's preparation, its validation, Cholesky test and ridge,
-        and its free-asset solves (``_prepared``, ``_free_solve``), all read-only: a hit
-        gives what a cold preparation would, bit for bit, so every output is the same.
+        its free-asset solves and its Hessians (``_prepared``, ``_free_solve``,
+        ``_Prepared.hessian``), all read-only: a hit gives what a cold preparation
+        would, bit for bit, so every output is the same.
         Threads that race on one covariance may each prepare it: a race repeats work,
         and never returns a wrong entry."""
         p = _prepared(cov)
@@ -420,9 +436,8 @@ class Problem:
                 raise ValidationError("mean vector contains non-finite entries")
         if not math.isfinite(rf):
             raise ValidationError(f"risk-free rate rf must be finite, got {rf}")
-        hessian = _hessian(2.0 * p.cov_solve, regime.split)
-        return cls(p.cov, p.cov_solve, p.ridge, p.free_solves, hessian, regime, mean,
-                   float(rf), model)
+        return cls(p.cov, p.cov_solve, p.ridge, p.free_solves, p.hessian(regime.split), regime,
+                   mean, float(rf), model)
 
     def _mean(self) -> np.ndarray:
         if self.mean is None:

@@ -36,6 +36,8 @@ def test_one_tree_against_itself(capsys):
     assert "dense row scans per pass: base 0, head 0" in out
     # after the covariances' first use, every solve shares their preparation
     assert "covariance preparations per pass: base 0, head 0" in out
+    # and the Hessians built from it
+    assert "hessian builds per pass: base 0, head 0" in out
 
 
 def _copy(tmp_path):

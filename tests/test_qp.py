@@ -391,6 +391,22 @@ def test_reduced_kkt_returns_the_miss_of_its_rows():
     assert np.all(p == 0.0) and np.array_equal(miss, -rhs[:1])
 
 
+def test_reduced_kkt_moves_the_gradient_to_the_steps_end():
+    # given moved, reduced_kkt writes the gradient at the step's end, grad + H p,
+    # to rounding: from the free rows on a face with a working bound, and from
+    # the stationarity rows of its residual on faces without one
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((5, 5))
+    H, grad = a @ a.T + np.eye(5), rng.standard_normal(5)
+    rows = InequalityRows(np.vstack([np.eye(5), rng.standard_normal((1, 5))]), np.full(6, 0.3))
+    A_eq, rhs = np.ones((1, 5)), np.array([0.2, -0.1])
+    for act in (np.array([0, 5]), np.array([1]), np.array([5]), np.zeros(0, dtype=int)):
+        system = len(rows.face(act, A_eq)[2])
+        moved = np.full(5, np.nan)
+        p, _, _ = portopt.qp.reduced_kkt(H, grad, A_eq, rows, act, rhs[:system], None, moved)
+        assert np.abs(moved - (grad + H @ p)).max() <= 1e-14 * (1.0 + np.abs(grad).max()), act
+
+
 def test_max_sharpe_at_a_one_point_set_terminates():
     # c2 at weight_bound = 1/N leaves equal weights as the only portfolio;
     # the homogenized rows y_i - 1'y / 4 <= 0 are all active there and sum

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
 
+import portopt.constraints
 from portopt import (
     ConstraintSet,
     DegenerateSharpeError,
@@ -120,6 +121,34 @@ def test_empty_sets_name_their_parameter():
                       lambda: solve_target_return(cov, mean, 0.015, c)):
             with pytest.raises(InfeasibleError, match=name):
                 solve()
+
+
+def test_the_centre_is_decided_once_and_raises_at_every_call(monkeypatch):
+    # a regime decides its centre's feasibility once, in one evaluation of its
+    # rows: an empty set (c2 at weight_bound * N < 1, c1 at a cap below 1)
+    # raises at every call, and a feasible one hands out a new array each time
+    calls, excess = [0], portopt.constraints.RegimeModel.excess
+
+    def counting(self, w, alone=False):
+        calls[0] += 1
+        return excess(self, w, alone)
+
+    monkeypatch.setattr(portopt.constraints.RegimeModel, "excess", counting)
+    for c, name in ((ConstraintSet("c2", weight_bound=0.2), "weight_bound"),
+                    (ConstraintSet("c1", leverage_cap=0.5), "leverage_cap")):
+        model, calls[0] = regime_model.__wrapped__(c, 4), 0
+        for _ in range(3):
+            with pytest.raises(InfeasibleError, match=name):
+                model.centre()
+        assert calls[0] == 1, c
+    for c in (ConstraintSet("c1"), ConstraintSet("c2", weight_bound=0.25), ConstraintSet("c4")):
+        model, calls[0] = regime_model.__wrapped__(c, 4), 0
+        first = model.centre()
+        first[:] = 7.0
+        second = model.centre()
+        assert second is not first and np.array_equal(model.to_weights(second), np.full(4, 0.25))
+        model.return_range(np.linspace(0.01, 0.02, 4))
+        assert calls[0] == 1, c
 
 
 def _random_system(rng, feasible):

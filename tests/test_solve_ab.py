@@ -36,6 +36,8 @@ def test_one_tree_against_itself(capsys):
     assert "dense row scans per pass: base 0, head 0" in out
     # after the covariances' first use, every solve shares their preparation
     assert "covariance preparations per pass: base 0, head 0" in out
+    # and the Hessians built from it
+    assert "hessian builds per pass: base 0, head 0" in out
 
 
 def test_a_dense_engine_call_shows_in_the_row_scans(tmp_path, capsys):
@@ -71,6 +73,30 @@ def test_a_cold_preparation_shows_in_the_covariance_preparations(tmp_path, capsy
     assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
     out = capsys.readouterr().out
     assert "covariance preparations per pass: base 0, head 20" in out
+    base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
+    assert base == head > 0
+    assert "weights bit-identical: yes" in out
+
+
+@pytest.mark.parametrize("call, edit, preparations", [
+    ("p = _prepared(cov)", "_CACHE.clear(); p = _prepared(cov)", 20),
+    ("p.hessian(regime.split)", "_hessian(2.0 * p.cov_solve, regime.split)", 0),
+], ids=["cold-cache", "unkept-hessian"])
+def test_hessians_built_afresh_show_in_the_hessian_builds(tmp_path, capsys, call, edit,
+                                                          preparations):
+    # a head whose problems each clear the cache first, or build their Hessian
+    # afresh instead of reading the covariance's: each of the 20 solves of a
+    # pass builds one, and the weights and KKT solves stay the same
+    shutil.copytree(ROOT / "src" / "portopt", tmp_path / "portopt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver = tmp_path / "portopt" / "solver.py"
+    text = solver.read_text(encoding="utf-8")
+    assert text.count(call) == 1
+    solver.write_text(text.replace(call, edit), encoding="utf-8")
+    assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "hessian builds per pass: base 0, head 20" in out
+    assert f"covariance preparations per pass: base 0, head {preparations}" in out
     base, head = map(int, re.search(r"KKT solves per pass: base (\d+), head (\d+)", out).groups())
     assert base == head > 0
     assert "weights bit-identical: yes" in out

@@ -333,7 +333,7 @@ def test_symmetry_tolerance_and_private_copy():
         else:
             with pytest.raises(ValidationError, match="not symmetric"):
                 portopt.solver._prepare_cov(skew)
-    raw, solve_c, _ = portopt.solver._prepare_cov(cov)
+    raw, solve_c, *_ = portopt.solver._prepare_cov(cov)
     assert np.array_equal(raw, 0.5 * (cov + cov.T)) and raw is not cov and solve_c is raw
     raw[0, 0] = 1.0
     assert cov[0, 0] == 0.04
@@ -396,6 +396,24 @@ def test_a_write_into_the_callers_covariance_is_a_new_covariance(markets):
         cold = [_solution_bits(solve_objective(o, cov.copy(), mean, rf, c))
                 for o in ("min_variance", "max_sharpe")]
         assert warm == cold and warm != before
+
+
+def test_a_write_into_the_callers_covariance_builds_a_new_hessian(markets):
+    # each entry keeps the Hessians it has served, one of the weights and one of
+    # the split; after the caller writes into its matrix, a problem gets the
+    # Hessian a cold preparation of the new matrix builds, and a hit shares it
+    cov = markets["bundled-mm"][0].copy()
+    for c in (C4, ConstraintSet("c1")):
+        before = Problem.prepare(cov, c).hessian
+        assert Problem.prepare(cov.copy(), c).hessian is before
+        cov[0, 0] *= 1.5
+        warm = Problem.prepare(cov, c).hessian
+        portopt.solver._CACHE.clear()
+        cold = Problem.prepare(cov.copy(), c).hessian
+        assert warm is not before and warm.tobytes() == cold.tobytes() != before.tobytes()
+        assert Problem.prepare(cov.copy(), c).hessian is cold
+    Problem.prepare(cov, C4)
+    assert len(portopt.solver._CACHE) == 1 and len(portopt.solver._CACHE[0].hessians) == 2
 
 
 def test_the_key_is_the_inputs_bits():
@@ -463,8 +481,8 @@ def test_every_cached_array_is_read_only(markets):
     for objective, cov, mean, rf, c, model in _table_cells(markets):
         solve_objective(objective, cov, mean, rf, c, model=model)
     arrays = [a for e in portopt.solver._CACHE
-              for a in (e.key, e.cov, e.cov_solve, *e.free_solves.values())]
-    assert len(arrays) == 3 * 3 + 3 * 4
+              for a in (e.key, e.cov, e.cov_solve, *e.free_solves.values(), *e.hessians.values())]
+    assert len(arrays) == 3 * 3 + 3 * 4 + 3 * 2
     assert not any(a.flags.writeable for a in arrays)
     cov, mean, rf, _ = markets["bundled-mm"]
     problem = Problem.prepare(cov, C3, mean=mean, rf=rf)
@@ -738,9 +756,9 @@ def test_certificate_and_feasibility_read_one_row_excess(monkeypatch, markets):
 
 
 def test_curve_builds_hessian_and_return_range_once(monkeypatch):
-    # one Problem per curve: the split Hessian is computed once for it, and
-    # the attainable return range is read off the two return vertices it
-    # builds once, not once per target or per range
+    # the split Hessian is computed once per covariance, shared by every
+    # Problem on it, and the attainable return range is read off the two
+    # return vertices each Problem builds once, not once per target or per range
     calls = {"hessian": 0, "vertex": 0}
 
     def counting(name, fn):
@@ -759,7 +777,7 @@ def test_curve_builds_hessian_and_return_range_once(monkeypatch):
     assert calls == {"hessian": 1, "vertex": 2}
     curve = trace_frontier(cov, mean, 0.0, ConstraintSet("c1"), grid=20)
     assert len(curve.points) >= 20
-    assert calls == {"hessian": 2, "vertex": 4}
+    assert calls == {"hessian": 1, "vertex": 4}
 
 
 def test_curve_builds_the_return_vertices_once(monkeypatch):

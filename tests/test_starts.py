@@ -335,6 +335,51 @@ def test_split_faces_with_both_parts_free(monkeypatch, n, t, seed, cap):
         assert np.abs(r.to_weights(res.x) - r.to_weights(ref.x)).max() <= 1e-9
 
 
+class _CountingHessian(np.ndarray):
+    """A Hessian that counts its products with a vector taken whole (``H.dot``), not
+    those of the row blocks ``take`` cuts from it; every product is a plain array."""
+
+    products = 0
+
+    def dot(self, b):
+        if self.shape == (len(b),) * 2:
+            type(self).products += 1
+        return np.asarray(np.ndarray.dot(self, b))
+
+
+def test_an_exchange_round_takes_one_product_with_the_hessian(monkeypatch):
+    # each round multiplies by the whole Hessian once, for the gradient at its
+    # start; the leave test reads the gradient at the face's point as that one
+    # plus the H p of the round's KKT solve.  A start that holds no row first
+    # checks whether it minimizes on the equalities, with one product more.
+    # Counting changes no answer
+    cov, mean, mi = _universe(20, 120, 1)
+    exchange, seen = portopt.qp._block_exchange, []
+
+    def exchanging(H, g, x, A_eq, b_eq, rows):
+        _CountingHessian.products = 0
+        out = exchange(H.view(_CountingHessian), g, x, A_eq, b_eq, rows)
+        held = bool((rows.dot(x) >= rows.b).any())
+        seen.append((_CountingHessian.products, out[1] + (not held)))
+        return out
+
+    constraints = [c for c in _constraints(20, mi) if c.regime in ("c1", "c2", "c4")]
+    plain = [_solution(cov, mean, c) for c in constraints]
+    monkeypatch.setattr(portopt.qp, "_block_exchange", exchanging)
+    counted = [_solution(cov, mean, c) for c in constraints]
+    assert counted == plain
+    assert sum(expected for _, expected in seen) > 2 * len(seen)
+    assert all(products == expected for products, expected in seen), seen
+
+
+def _solution(cov, mean, c):
+    """The bits of the minimum-variance and maximum-Sharpe weights under ``c``, and
+    their iterations, from a cold preparation."""
+    portopt.solver._CACHE.clear()
+    problem = Problem.prepare(cov, c, mean=mean, rf=RF)
+    return [(s.weights.tobytes(), s.iterations) for s in (problem.min_variance(), problem.max_sharpe())]
+
+
 @pytest.mark.parametrize("regime", ["c1", "c4"])
 def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
     # where face_point finds no point (its 1e-12 gap check), the block start
@@ -344,7 +389,7 @@ def test_faces_that_lose_their_point_fall_back(monkeypatch, regime):
     face_point, (_, anchors) = portopt.qp.face_point, _recording_loops(monkeypatch)
 
     def pointless(*args, **kwargs):
-        return None, face_point(*args, **kwargs)[1]
+        return None, *face_point(*args, **kwargs)[1:]
 
     monkeypatch.setattr(portopt.qp, "face_point", pointless)
     constraints = [c for c in _constraints(20, mi) if c.regime == regime]
