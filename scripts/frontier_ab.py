@@ -23,10 +23,10 @@ bounds), covariance preparations per pass (the calls of its
 ``solver._prepare_cov``) and Hessian builds per pass (the calls of its
 ``solver._hessian``), all counted in a second untimed pass, after the
 regimes' and the covariances' first use, so no timed pass runs a counting
-wrapper, the median of the rounds'
-head/base time ratios with its quartiles, and whether every curve's points are
-bit-identical between the two trees; where they are not, the largest
-relative move of a point coordinate, ``|head - base| / max(|head|, |base|)``.
+wrapper, the median of the rounds' head/base time ratios with its
+quartiles, and whether every curve's points are bit-identical between the
+two trees; where they are not, the largest relative move of a point
+coordinate, ``|head - base| / max(|head|, |base|)``.
 The exit code is 0 unless a tree fails to load or a trace raises; a slower
 head or a moved point is reported, not failed.
 

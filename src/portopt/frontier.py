@@ -129,6 +129,8 @@ def sample_cloud(c: ConstraintSet, n_assets: int, count: int, seed: int) -> Clou
         raise ValidationError("count must be at least 1")
     if n_assets < 1:
         raise ValidationError("n_assets must be at least 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     regime = regime_model(c, n_assets)
 

@@ -1,7 +1,7 @@
 """Dense primal active-set solver for small convex quadratic programs.
 
 Solves ``min 0.5 x'Hx + g'x`` subject to ``A_eq x = b_eq`` and
-``A_in x <= b_in``.  An inequality row with a single nonzero is a bound:
+``A x <= b``.  An inequality row with a single nonzero is a bound:
 while it is in the working set it fixes its variable, so each iteration
 solves the KKT system over the free variables only, with the equalities
 and the working general rows, and reads each bound's multiplier off the
@@ -25,8 +25,9 @@ tight or broken and already minimizes on the equalities
 The loop and ``solver``'s corner path share one ratio test, ``reach``.
 Every multiplier array is the equalities' multipliers, then one per
 inequality row, zero off the working rows (``reduced_kkt``).  The
-inequality rows come as the ``InequalityRows`` a regime built once
-(``constraints.RegimeModel``), or as a dense matrix scanned at each call.
+inequality rows come only as ``InequalityRows``, scanned once by whoever
+builds them: a regime where it is built (``constraints.RegimeModel``), so
+no solve scans a dense matrix.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
     from that point with ``s = max(A_in x - b_in, 0)``; the constraints are
     consistent exactly when the optimal ``s`` vanishes.  The small proximal
     term keeps the phase-1 bounded and its point well scaled even on
-    unbounded feasible sets.  The arrays are as for ``solve_qp``.  The
-    library no longer calls this: every solve starts in closed form.
+    unbounded feasible sets.  Every argument is a float array, and a matrix
+    without rows has shape ``(0, n)``.  The library no longer calls this:
+    every solve starts in closed form.
     """
     A_eq, b_eq, A_in, b_in = (np.asarray(a, dtype=float) for a in (A_eq, b_eq, A_in, b_in))
     m_eq, m_in = A_eq.shape[0], A_in.shape[0]
@@ -89,8 +91,8 @@ def find_feasible_point(A_eq, b_eq, A_in, b_in, n: int) -> np.ndarray:
         _ELASTIC_DELTA * np.eye(n + m_in),
         np.concatenate([np.zeros(n), np.ones(m_in)]),
         np.hstack([A_eq, np.zeros((m_eq, m_in))]), b_eq,
-        np.block([[A_in, -np.eye(m_in)], [np.zeros((m_in, n)), -np.eye(m_in)]]),
-        np.concatenate([b_in, np.zeros(m_in)]),
+        InequalityRows(np.block([[A_in, -np.eye(m_in)], [np.zeros((m_in, n)), -np.eye(m_in)]]),
+                       np.concatenate([b_in, np.zeros(m_in)])),
         x0=np.concatenate([x, s]),
     )
     x = res.x[:n]
@@ -118,53 +120,36 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class InequalityRows:
     """The inequality rows ``A x <= b``, each bound read as a vector.
 
-    ``InequalityRows(A_in, b_in)`` scans the dense ``A_in``: a row with a
-    single nonzero is a bound, ``coef * x[var] <= b``, and every other row
-    is general.  ``InequalityRows.of`` builds the rows from that description
-    with no scan.  ``dot(v)`` is ``A @ v``: a bound's product is ``coef *
-    v[var]``, which the dense product equals bit for bit (it only adds exact
-    zeros), and the general rows alone go through a matrix product.
-    ``scale`` is ``1 + max |a_ij|`` of each row.  ``reach(x, p, working)`` is
-    the ratio test: the rows off the mask that ``p`` moves toward by over
-    ``1e-13 scale (1 + |p|)``, and the multiple of ``p`` taking ``x`` to each
-    (room >= 0).
+    ``InequalityRows(A_in, b_in)`` scans the dense ``A_in`` once: a row with
+    a single nonzero is a bound, ``coef * x[var] <= b``, and every other row
+    is general, kept in row order in ``A_general``.  Every array it keeps is
+    read-only (``b`` a copy of ``b_in``), so rows scanned once may be shared:
+    a regime scans its rows where it is built (``constraints.RegimeModel``).
+    ``dot(v)`` is ``A @ v``: a bound's product is ``coef * v[var]``, which
+    the dense product equals bit for bit (it only adds exact zeros), and the
+    general rows alone go through a matrix product.  ``scale`` is ``1 + max
+    |a_ij|`` of each row.  ``reach(x, p, working)`` is the ratio test: the
+    rows off the mask that ``p`` moves toward by over ``1e-13 scale (1 +
+    |p|)``, and the multiple of ``p`` taking ``x`` to each (room >= 0).
     """
 
     def __init__(self, A_in, b_in):
         nonzero = A_in != 0.0                   # a bound has a single nonzero, on its variable
         bound = nonzero.sum(axis=1) == 1
-        var = nonzero.argmax(axis=1)[bound]
-        self._describe(b_in, bound, var, A_in[bound.nonzero()[0], var], A_in[~bound])
-
-    @classmethod
-    def of(cls, b, bound, var, coef, A_general) -> InequalityRows:
-        """The rows ``A x <= b`` from their description, with no scan: the mask ``bound``
-        marks the bounds, ``coef * x[var] <= b`` in row order, and ``A_general`` holds the
-        other rows in row order (shape ``(0, n)`` where there are none).  Every array,
-        those given included, is read-only: rows built once are shared."""
-        rows = cls.__new__(cls)
-        rows._describe(b, bound, var, coef, A_general)
-        for a in (b, bound, A_general, rows.general, rows.slot, rows.var, rows.coef, rows.scale):
-            a.setflags(write=False)
-        return rows
-
-    def _describe(self, b, bound, var, coef, A_general) -> None:
-        m, self.n = len(b), A_general.shape[1]          # rows, variables
-        self.b, self.bound, self.A_general = b, bound, A_general
+        m, self.n = len(A_in), A_in.shape[1]    # rows, variables
+        self.b, self.bound, self.A_general = np.array(b_in, dtype=float), bound, A_in[~bound]
         self.general = (~bound).nonzero()[0]
         self.slot = np.cumsum(~bound) - 1       # a general row's index in A_general
         # a general row's entries here are 0, overwritten in both uses
         self.var, self.coef = np.zeros(m, dtype=int), np.zeros(m)
-        self.var[bound], self.coef[bound] = var, coef
+        if self.n:                              # argmax needs a column; no column, no bound
+            self.var[bound] = nonzero.argmax(axis=1)[bound]
+            self.coef[bound] = A_in[bound.nonzero()[0], self.var[bound]]
         self.scale = 1.0 + np.abs(self.coef)
-        if self.general.size:
-            self.scale[self.general] = 1.0 + np.abs(A_general).max(axis=1)
-
-    def dense(self) -> np.ndarray:
-        """The rows as one matrix; a bound's other entries are ``coef * 0.0``."""
-        A = self.coef[:, None] * (np.arange(self.n) == self.var[:, None])
-        A[self.general] = self.A_general
-        return A
+        self.scale[self.general] = 1.0 + np.abs(self.A_general).max(axis=1, initial=0.0)
+        for a in (self.b, bound, self.A_general, self.general, self.slot, self.var, self.coef,
+                  self.scale):
+            a.setflags(write=False)
 
     def take(self, general) -> np.ndarray:
         """The general rows ``general`` (row indices), as a matrix."""
@@ -384,36 +369,35 @@ def _answer(x, lam, act, m_in: int, iterations: int) -> QPResult:
     return QPResult(x, lam[:m_eq].copy(), in_mult, tuple(act.tolist()), iterations)
 
 
-def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
+def solve_qp(H, g, A_eq, b_eq, rows: InequalityRows, x0, fallback=None) -> QPResult:
     """Minimize a convex quadratic under linear equalities/inequalities.
 
-    Every argument is a float array and a matrix without rows has shape
-    ``(0, n)``, except that ``A_in`` may be ``InequalityRows`` the caller built
-    (``b_in`` their ``b``), which are not scanned.  ``x0`` may break rows: the
-    block exchange runs from it
-    (``_block_exchange``), and the solve returns where its last round moved
-    no row, or with no round where ``x0`` holds no row tight or broken and
-    already minimizes on the equalities.  Else the active-set loop runs from
-    its point, or where a face had no point (or ``x0`` is None), from ``fallback()``, a
-    feasible point the caller supplies lazily (else ``x0``).  The loop's
-    working set is a boolean mask over the inequality rows.  Each iteration
-    solves the KKT system of the working set over the free variables
-    (``reduced_kkt``); the step is zero on the variables the working bounds
-    fix.  A zero step either returns (no negative multiplier) or drops the
-    most negative working row, and a nonzero step is cut by the ratio test
-    at the nearest blocking row, the lowest index winning an exact tie.
-    ``iterations`` counts every KKT solve, the exchange's rounds included
-    (0 where ``x0`` is the answer as it is).
+    ``rows`` are the inequality rows ``A x <= b``, scanned by their builder
+    (``InequalityRows``); every other argument is a float array, and ``A_eq``
+    without rows has shape ``(0, n)``.  ``x0`` may break rows: the block
+    exchange runs from it (``_block_exchange``), and the solve returns where
+    its last round moved no row, or with no round where ``x0`` holds no row
+    tight or broken and already minimizes on the equalities.  Else the
+    active-set loop runs from its point, or where a face had no point (or
+    ``x0`` is None), from ``fallback()``, a feasible point the caller
+    supplies lazily (else ``x0``).  The loop's working set is a boolean
+    mask over the inequality rows.  Each iteration solves the KKT system of
+    the working set over the free variables (``reduced_kkt``); the step is
+    zero on the variables the working bounds fix.  A zero step either
+    returns (no negative multiplier) or drops the most negative working
+    row, and a nonzero step is cut by the ratio test at the nearest blocking
+    row, the lowest index winning an exact tie.  ``iterations`` counts every
+    KKT solve, the exchange's rounds included (0 where ``x0`` is the answer
+    as it is).
     """
-    rows_in = A_in if isinstance(A_in, InequalityRows) else InequalityRows(A_in, b_in)
     x, rounds, face = (None, 0, None) if x0 is None else _block_exchange(
-        H, g, x0, A_eq, b_eq, rows_in)
+        H, g, x0, A_eq, b_eq, rows)
     if face is not None:                        # the last round moved no row: the answer
-        return _answer(x, *face, len(b_in), rounds)
+        return _answer(x, *face, len(rows.b), rounds)
     if x is None:                               # no start, or a face without a point
         x = x0 if fallback is None else fallback()
-    working = rows_in.dot(x) - b_in >= -1e-9 * rows_in.scale
-    _independent_start(working, A_eq, rows_in)
+    working = rows.dot(x) - rows.b >= -1e-9 * rows.scale
+    _independent_start(working, A_eq, rows)
 
     stall = 0
     quiet = 0
@@ -426,7 +410,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
             grad = Hx + g
             x_max = np.abs(x).max()
         act = working.nonzero()[0]
-        p, lam, _ = reduced_kkt(H, grad, A_eq, rows_in, act)
+        p, lam, _ = reduced_kkt(H, grad, A_eq, rows, act)
         mult_in = lam[len(b_eq):]
 
         # KKT solve noise grows with the multiplier scale; steps below it
@@ -447,7 +431,7 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
 
         f = 0.5 * float(x.dot(Hx)) + float(g.dot(x))
         # ratio test over the rows outside the working set that p moves toward
-        cand, ratio = rows_in.reach(x, p, working)
+        cand, ratio = rows.reach(x, p, working)
         ratio = np.append(ratio, 1.0)                   # last: the full step
         k = ratio.argmin()                              # the lowest index wins an exact tie
         blocked = ratio[k] < 1.0 - 1e-15
@@ -458,8 +442,8 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None) -> QPResult:
         if blocked:
             j = cand[k]
             working[j] = True
-            if rows_in.bound[j]:       # land on the bound exactly, not a rounding away
-                x[rows_in.var[j]] = b_in[j] / rows_in.coef[j]
+            if rows.bound[j]:          # land on the bound exactly, not a rounding away
+                x[rows.var[j]] = rows.b[j] / rows.coef[j]
             stall = stall + 1 if alpha <= 1e-14 else 0
             quiet = 0
         else:

@@ -306,8 +306,10 @@ def kkt_residual_weights(w, cov, c: ConstraintSet, *, mean=None, target=None,
     ``excess`` is ``RegimeModel.excess(w)`` where the caller has it already.  ``w`` may
     be a stack, a portfolio per row with its own target and multipliers: the residual is
     the largest row's, each bit for bit as checked alone.  Weights that ``cov`` or
-    ``mean`` do not match raise ``ValidationError``.
+    ``mean`` do not match, or a ``w`` that is a scalar, raise ``ValidationError``.
     """
+    if np.ndim(w) == 0:
+        raise ValidationError("weights must be a vector or a stack of vectors, got shape ()")
     n = np.shape(w)[-1]
     W = np.asarray(w, dtype=float).reshape(-1, n)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -472,8 +474,7 @@ class Problem:
         return self.regime.return_range(self._mean(), self.vertices)
 
     def _solve(self, A_eq, b_eq, rows, x0, fallback):
-        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, rows, rows.b, x0,
-                        fallback)
+        return solve_qp(self.hessian, np.zeros(len(self.hessian)), A_eq, b_eq, rows, x0, fallback)
 
     def _free_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``cov_solve[free, free]^-1 rhs[free]``, zero on the pinned asset: the free
@@ -847,6 +848,8 @@ def solve_objective(objective: str, cov, mean, rf: float, c: ConstraintSet, *,
 def attainable_return_range(mean, c: ConstraintSet) -> tuple[float, float]:
     """Feasible interval of expected returns under ``c`` (inf for unbounded)."""
     mean_v = np.asarray(mean, dtype=float)
+    if mean_v.ndim != 1:
+        raise ValidationError(f"mean must be one vector, got shape {mean_v.shape}")
     return regime_model(c, len(mean_v)).return_range(mean_v)
 
 

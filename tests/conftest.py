@@ -170,6 +170,14 @@ class CertificateWatch:
         return value, self.recoveries > before
 
 
+def dense_rows(rows) -> np.ndarray:
+    """``qp.InequalityRows`` written out as one matrix; a bound's other entries are
+    ``coef * 0.0``, as a regime's dense rows have them."""
+    A = rows.coef[:, None] * (np.arange(rows.n) == rows.var[:, None])
+    A[rows.general] = rows.A_general
+    return A
+
+
 def constraint_for(regime: str, market_index: int) -> ConstraintSet:
     return ConstraintSet(regime, market_index=market_index if regime == "c5" else None)
 

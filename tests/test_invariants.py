@@ -22,7 +22,9 @@ from portopt import (
     PortfolioStats,
     RiskFreeSeries,
     ValidationError,
+    attainable_return_range,
     capital_allocation_line,
+    check_feasible,
     parse_price_table,
     parse_riskfree_table,
     portfolio_stats,
@@ -30,7 +32,7 @@ from portopt import (
     trace_frontier,
 )
 from portopt.constraints import regime_model
-from portopt.solver import Problem
+from portopt.solver import Problem, kkt_residual_weights
 
 NAN = float("nan")
 
@@ -228,3 +230,38 @@ def test_capital_allocation_line_invariants(tangency, sigma_max, grid, fragment)
 def test_sample_cloud_invariants(n_assets, count, fragment):
     with _raises(ValidationError, fragment):
         sample_cloud(ConstraintSet("c3"), n_assets, count, seed=0)
+
+
+@pytest.mark.parametrize("seed, fragment", [
+    (-1, "seed must be a nonnegative integer, got -1"),
+    (np.int64(-3), "seed must be a nonnegative integer, got "),   # numpy 1 and 2 print it apart
+    (1.5, "seed must be a nonnegative integer, got 1.5"),
+    (2.0, "seed must be a nonnegative integer, got 2.0"),
+    ("7", "seed must be a nonnegative integer, got '7'"),
+], ids=["negative", "negative-numpy", "fraction", "float", "text"])
+def test_sample_cloud_seed(seed, fragment):
+    with _raises(ValidationError, fragment):
+        sample_cloud(ConstraintSet("c3"), 3, 5, seed=seed)
+
+
+@pytest.mark.parametrize("weights, fragment", [
+    (1.0, "weights must be one vector, got shape ()"),
+    ([[0.5, 0.5], [0.25, 0.75]], "weights must be one vector, got shape (2, 2)"),
+], ids=["scalar", "matrix"])
+def test_check_feasible_weights(weights, fragment):
+    with _raises(ValidationError, fragment):
+        check_feasible(weights, ConstraintSet("c3"))
+
+
+@pytest.mark.parametrize("mean, fragment", [
+    (0.5, "mean must be one vector, got shape ()"),
+    ([MEAN, MEAN], "mean must be one vector, got shape (2, 2)"),
+], ids=["scalar", "matrix"])
+def test_attainable_return_range_mean(mean, fragment):
+    with _raises(ValidationError, fragment):
+        attainable_return_range(mean, ConstraintSet("c4"))
+
+
+def test_kkt_residual_weights_scalar():
+    with _raises(ValidationError, "weights must be a vector or a stack of vectors, got shape ()"):
+        kkt_residual_weights(0.5, COV, ConstraintSet("c3"))

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import portopt.qp
-from conftest import random_spd
+from conftest import dense_rows, random_spd
 from portopt import ConstraintSet, solve_max_sharpe, solve_min_variance
 from portopt.constraints import REGIMES, regime_model
 from portopt.errors import ConvergenceError, InfeasibleError
@@ -20,7 +20,7 @@ def test_unconstrained_equality_qp():
     h = 2.0 * np.eye(3)
     g = -2.0 * np.ones(3)
     res = solve_qp(h, g, A_eq=np.ones((1, 3)), b_eq=np.zeros(1),
-                   A_in=np.zeros((0, 3)), b_in=np.zeros(0), x0=np.zeros(3))
+                   rows=InequalityRows(np.zeros((0, 3)), np.zeros(0)), x0=np.zeros(3))
     assert np.allclose(res.x, 0.0, atol=1e-12)
 
 
@@ -30,7 +30,7 @@ def test_simple_bound_activation():
     a_in = np.zeros((1, 3))
     a_in[0, 2] = 1.0
     res = solve_qp(h, np.zeros(3), A_eq=np.ones((1, 3)), b_eq=np.ones(1),
-                   A_in=a_in, b_in=np.array([0.1]), x0=np.array([0.5, 0.5, 0.0]))
+                   rows=InequalityRows(a_in, np.array([0.1])), x0=np.array([0.5, 0.5, 0.0]))
     assert np.allclose(res.x, [0.45, 0.45, 0.1], atol=1e-12)
     assert res.in_multipliers[0] > 0.0
 
@@ -39,7 +39,7 @@ def test_inactive_inequality_multiplier_zero():
     h = 2.0 * np.eye(2)
     a_in = np.array([[1.0, 0.0]])
     res = solve_qp(h, np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
-                   A_in=a_in, b_in=np.array([10.0]), x0=np.array([0.5, 0.5]))
+                   rows=InequalityRows(a_in, np.array([10.0])), x0=np.array([0.5, 0.5]))
     assert res.in_multipliers[0] == 0.0
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-12)
 
@@ -60,7 +60,7 @@ def test_matches_scipy_on_random_boxes():
             a_in = np.vstack([a_in, dense])
             b_in = np.concatenate([b_in, dense.sum(axis=1) / n + rng.uniform(0.0, 0.3, len(dense))])
         res = solve_qp(h, g, A_eq=np.ones((1, n)), b_eq=np.ones(1),
-                       A_in=a_in, b_in=b_in, x0=np.full(n, 1.0 / n))
+                       rows=InequalityRows(a_in, b_in), x0=np.full(n, 1.0 / n))
 
         def f(x):
             return 0.5 * x @ h @ x + g @ x
@@ -98,7 +98,7 @@ def test_determinism_same_inputs_same_output():
     h = a @ a.T / 5 + 0.4 * np.eye(5)
     g = rng.standard_normal(5)
     a_in = -np.eye(5)
-    args = dict(A_eq=np.ones((1, 5)), b_eq=np.ones(1), A_in=a_in, b_in=np.zeros(5),
+    args = dict(A_eq=np.ones((1, 5)), b_eq=np.ones(1), rows=InequalityRows(a_in, np.zeros(5)),
                 x0=np.full(5, 0.2))
     r1 = solve_qp(h, g, **args)
     r2 = solve_qp(h, g, **args)
@@ -110,7 +110,7 @@ def _tie_problem():
     # min |x - (2, 2)|^2 with x1 <= 1 and x2 <= 1: from 0 both rows block at alpha = 0.5;
     # the loop starts there through the fallback, as a start would be exchanged first
     return dict(H=2.0 * np.eye(2), g=np.array([-4.0, -4.0]), A_eq=np.zeros((0, 2)),
-                b_eq=np.zeros(0), A_in=np.eye(2), b_in=np.ones(2), x0=None,
+                b_eq=np.zeros(0), rows=InequalityRows(np.eye(2), np.ones(2)), x0=None,
                 fallback=lambda: np.zeros(2))
 
 
@@ -178,7 +178,7 @@ def test_singular_kkt_and_blands_rule(monkeypatch):
     res, fallbacks, stall = _solve_counting(
         monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
-        A_in=np.tile([-1.0, 0.0, 0.0], (40, 1)), b_in=np.zeros(40),
+        rows=InequalityRows(np.tile([-1.0, 0.0, 0.0], (40, 1)), np.zeros(40)),
         x0=None, fallback=lambda: np.array([0.0, 0.5, 0.5]))
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
@@ -203,7 +203,8 @@ def test_blands_rule_drops_the_lowest_index_after_the_stall_limit(monkeypatch):
     monkeypatch.setattr(portopt.qp, "reduced_kkt", recording)
     res = solve_qp(H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
                    A_eq=np.ones((1, 3)), b_eq=np.ones(1),
-                   A_in=-(1.0 + np.arange(40.0)[:, None] / 10.0) * np.eye(3)[:1], b_in=np.zeros(40),
+                   rows=InequalityRows(-(1.0 + np.arange(40.0)[:, None] / 10.0) * np.eye(3)[:1],
+                                       np.zeros(40)),
                    x0=None, fallback=lambda: np.array([0.0, 0.5, 0.5]))
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     left = [int(k) for a, b in zip(faces, faces[1:]) for k in np.setdiff1d(a, b)]
@@ -219,7 +220,7 @@ def test_dependent_general_rows_start_as_one(monkeypatch):
     res, fallbacks, stall = _solve_counting(
         monkeypatch, H=2.0 * np.eye(3), g=np.array([-2.0, 0.0, 0.0]),
         A_eq=np.ones((1, 3)), b_eq=np.ones(1),
-        A_in=np.tile([-1.0, -1.0, 0.0], (40, 1)), b_in=np.zeros(40),
+        rows=InequalityRows(np.tile([-1.0, -1.0, 0.0], (40, 1)), np.zeros(40)),
         x0=None, fallback=lambda: np.array([0.0, 0.0, 1.0]))
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert res.active == ()
@@ -440,7 +441,7 @@ def test_multipliers_certify_their_point():
         a_in = np.vstack([np.eye(n), -np.eye(n), copies, dense])
         b_in = np.concatenate([np.full(2 * n, 0.8), np.zeros(len(copies)), dense @ x0 + 0.2])
         a_eq = np.ones((1, n))
-        res = solve_qp(h, g, A_eq=a_eq, b_eq=np.ones(1), A_in=a_in, b_in=b_in, x0=x0)
+        res = solve_qp(h, g, A_eq=a_eq, b_eq=np.ones(1), rows=InequalityRows(a_in, b_in), x0=x0)
         assert set(range(2 * n, 2 * n + len(copies))) <= set(res.active)
         mu = res.in_multipliers
         stationarity = h @ res.x + g + a_eq.T @ res.eq_multipliers + a_in.T @ mu
@@ -460,7 +461,8 @@ def test_bounds_on_one_side_of_a_variable_keep_the_answer(order):
     a_in = np.vstack([-np.eye(3)[:1], -np.eye(3)[:1], np.eye(3), -np.eye(3)])
     b_in = np.concatenate([order, np.full(6, 5.0)])
     res = solve_qp(np.eye(3), np.array([10.0, 0.0, 0.0]), np.ones((1, 3)), np.ones(1),
-                   a_in, b_in, x0=np.array([-2.0, 1.5, 1.5]), fallback=lambda: np.full(3, 1.0 / 3))
+                   InequalityRows(a_in, b_in), x0=np.array([-2.0, 1.5, 1.5]),
+                   fallback=lambda: np.full(3, 1.0 / 3))
     assert np.allclose(res.x, [0.0, 0.5, 0.5], atol=1e-12)
     assert np.all(a_in @ res.x <= b_in + 1e-12)
     mu = res.in_multipliers
@@ -490,7 +492,7 @@ def test_inequality_rows_equal_the_dense_product(n):
     for regime in REGIMES:
         model = regime_model(ConstraintSet(regime, market_index=0 if regime == "c5" else None), n)
         homogenized = _homogenized(model, rng.normal(size=n))[2]
-        for A, b in (model.system()[2:], (homogenized.dense(), homogenized.b)):
+        for A, b in (model.system()[2:], (dense_rows(homogenized), homogenized.b)):
             rows = InequalityRows(A, b)
             assert np.array_equal(rows.scale, 1.0 + np.abs(A).max(axis=1, initial=0.0))
             for v in (rng.integers(-4, 5, A.shape[1]).astype(float),

@@ -3,12 +3,14 @@
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
 
 import portopt.constraints
+from conftest import dense_rows
 from portopt import (
     ConstraintSet,
     DegenerateSharpeError,
@@ -221,13 +223,13 @@ def test_sharpe_start_verdict_matches_linprog():
                 continue                                          # an empty set
             problem = Problem.prepare(cov, c, mean=excess)
             A_eq, b_eq, rows = _homogenized(problem.regime, excess)
-            A_in, b_in = rows.dense(), rows.b
+            A_in, b_in = dense_rows(rows), rows.b
             lp = linprog(np.zeros(A_eq.shape[1]), A_ub=A_in, b_ub=b_in, A_eq=A_eq, b_eq=b_eq,
                          bounds=[(None, None)] * A_eq.shape[1], method="highs")
             assert lp.status in (0, 2)
             try:
-                y = solve_qp(problem.hessian, np.zeros(A_eq.shape[1]), A_eq, b_eq, A_in, b_in,
-                             *problem._sharpe_start(excess)).x
+                y = solve_qp(problem.hessian, np.zeros(A_eq.shape[1]), A_eq, b_eq,
+                             InequalityRows(A_in, b_in), *problem._sharpe_start(excess)).x
             except DegenerateSharpeError:
                 verdicts[False] += 1
                 assert lp.status == 2, (c, excess)
@@ -337,24 +339,81 @@ def _written_rows(c, n):
     return -np.eye(n) if c.regime == "c4" else np.zeros((0, n))
 
 
+_FIELDS = ("bound", "var", "coef", "general", "slot", "scale", "b", "A_general")
+
+
+def _described_rows(c, n):
+    """The fields of regime ``c``'s inequality rows, written by hand from what the
+    regime knows of each: its bounds ``coef * x[var] <= b`` first, then its general
+    rows; a general row's ``var`` and ``coef`` are 0."""
+    general = np.zeros((0, n))
+    if c.regime == "c1":                            # p, n >= 0, then the gross cap
+        var, coef, general = np.arange(2 * n), np.full(2 * n, -1.0), np.ones((1, 2 * n))
+        b = np.append(np.zeros(2 * n), c.leverage_cap)
+    elif c.regime == "c2":
+        var, coef = np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n)
+        b = np.full(2 * n, c.weight_bound)
+    elif c.regime == "c4":
+        var, coef, b = np.arange(n), np.full(n, -1.0), np.zeros(n)
+    else:  # c3, c5
+        var, coef, b = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+    bound = np.arange(len(b)) < len(var)
+    scale = 1.0 + np.abs(np.append(coef, np.zeros(len(general))))
+    scale[len(var):] = 1.0 + np.abs(general).max(axis=1, initial=0.0)
+    return SimpleNamespace(bound=bound, var=np.append(var, np.zeros(len(general), dtype=int)),
+                           coef=np.append(coef, np.zeros(len(general))),
+                           general=(~bound).nonzero()[0], slot=np.cumsum(~bound) - 1,
+                           scale=scale, b=b, A_general=general)
+
+
 def _same_rows(got, want, label):
     """``InequalityRows`` equal field by field, bit for bit."""
-    for field in ("bound", "var", "coef", "general", "scale", "b", "A_general"):
+    for field in _FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (label, field)
 
 
 @pytest.mark.parametrize("n", [1, 2, 11])
 def test_regime_rows_read_as_a_dense_scan_reads_them(n):
-    # each regime builds its engine rows from what it knows of them, bounds
-    # then general rows, with no scan; a scan of its dense system (a row with
-    # a single nonzero is a bound) reads the same rows, field by field, and
-    # that system is the rows written out by hand, bit for bit
+    # each regime scans its dense system once where it is built (a row with a
+    # single nonzero is a bound); the scan reads the rows the regime knows,
+    # bounds then general rows, field by field as described by hand, and that
+    # system is the rows written out by hand, bit for bit
     for c in _row_constraints(n):
         r = regime_model(c, n)
         _, _, A_in, b_in = r.system()
         assert A_in.tobytes() == _written_rows(c, n).tobytes(), (c, n)
+        _same_rows(r.inequalities, _described_rows(c, n), (c, n))
         _same_rows(r.inequalities, InequalityRows(A_in, b_in), (c, n))
+
+
+@pytest.mark.parametrize("n", [1, 11])
+def test_scanned_rows_are_read_only(n):
+    # every array a scan keeps is read-only, so rows scanned once are shared
+    # safely: a regime's rows, its maximum-Sharpe rows and rows scanned from
+    # writable arrays, whose right-hand side is a copy the caller may still write
+    b_in = np.array([0.5, 1.0, 2.0])
+    A_in = np.array([[1.0, 0.0], [0.0, -2.0], [1.0, 1.0]])
+    scanned = InequalityRows(A_in, b_in)
+    b_in[0] = 9.0
+    assert scanned.b[0] == 0.5 and A_in.flags.writeable
+    for c in _row_constraints(n):
+        r = regime_model(c, n)
+        for rows in (r.inequalities, r.homogenized, scanned):
+            for field in _FIELDS:
+                assert not getattr(rows, field).flags.writeable, (c, field)
+
+
+@pytest.mark.parametrize("regime", ["c1", "c2", "c3", "c4"])
+def test_rows_over_no_variables_scan(regime):
+    # a regime on no assets scans blocks with no columns: (0, 0), or c1's
+    # cap row alone, a general row with no entries and scale 1; every
+    # portfolio of no assets breaks full investment
+    r = regime_model(ConstraintSet(regime), 0)
+    for rows in (r.inequalities, r.homogenized):
+        assert rows.n == 0 and not rows.bound.any() and np.all(rows.scale == 1.0)
+    report = check_feasible([], ConstraintSet(regime))
+    assert not report.feasible and report.violations == (("full_investment", 1.0),)
 
 
 def _dense_homogenized_rows(r):
@@ -378,7 +437,7 @@ def test_homogenized_rows_are_the_dense_block(n):
     for c in _row_constraints(n):
         r = regime_model(c, n)
         block, rows = _dense_homogenized_rows(r), r.homogenized
-        assert np.array_equal(rows.dense(), block), (c, n)
+        assert np.array_equal(dense_rows(rows), block), (c, n)
         _same_rows(rows, InequalityRows(block, np.zeros(len(block))), (c, n))
     # c1 at cap 1 on one asset: the cap row p + n <= 1 becomes 2 n <= 0, which
     # has a single nonzero, so the scan and the rows read it as a bound
@@ -389,10 +448,11 @@ def test_homogenized_rows_are_the_dense_block(n):
 
 def test_solves_scan_no_dense_rows_after_the_regimes_first_use(monkeypatch):
     # a frontier (minimum variance, maximum Sharpe and the corner path) and a
-    # c1 maximum-Sharpe solve hand the engine the rows their regime built:
-    # the first use of each regime scans one dense block, the maximum-Sharpe
-    # rows it forms, and every later solve scans none; a dense call of the
-    # engine scans its matrix at every call
+    # c1 maximum-Sharpe solve hand the engine the rows their regime scanned:
+    # the first use of each regime scans two dense blocks, its rows where it
+    # is built and the maximum-Sharpe rows at its first maximum-Sharpe solve,
+    # and every later solve scans none; rows built for a call are scanned
+    # at that call
     from perfbench.universe import make_universe
 
     u = make_universe(50, 128, 1)
@@ -410,11 +470,12 @@ def test_solves_scan_no_dense_rows_after_the_regimes_first_use(monkeypatch):
     monkeypatch.setattr(InequalityRows, "__init__", scanning)
     regime_model.cache_clear()
     solves()
-    assert scans[0] == 3                        # one per regime
+    assert scans[0] == 6                        # two per regime
     scans[0] = 0
     solves()
     assert scans[0] == 0
     problem = Problem.prepare(u.mm.cov, ConstraintSet("c4"))
     A_eq, b_eq, A_in, b_in = problem.regime.system()
-    solve_qp(problem.hessian, np.zeros(50), A_eq, b_eq, A_in, b_in, problem.regime.centre())
+    solve_qp(problem.hessian, np.zeros(50), A_eq, b_eq, InequalityRows(A_in, b_in),
+             problem.regime.centre())
     assert scans[0] == 1

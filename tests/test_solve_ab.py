@@ -1,11 +1,14 @@
 """scripts/solve_ab.py: an in-process A/B timing of the large-n-solve cells."""
 
 import importlib.util
+import inspect
 import re
 import shutil
 from pathlib import Path
 
 import pytest
+
+from conftest import dense_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "solve_ab.py"
@@ -41,16 +44,18 @@ def test_one_tree_against_itself(capsys):
 
 
 def test_a_dense_engine_call_shows_in_the_row_scans(tmp_path, capsys):
-    # a head whose solves hand the engine their rows as a dense matrix: the
-    # engine scans it at each of the 20 solves of a pass, and the weights and
-    # KKT solves stay the same
+    # a head whose solves write their rows out as a dense matrix and scan it
+    # (InequalityRows) at each of the 20 solves of a pass, and hand the engine
+    # what the scan reads: the weights and KKT solves stay the same
     shutil.copytree(ROOT / "src" / "portopt", tmp_path / "portopt",
                     ignore=shutil.ignore_patterns("__pycache__"))
     solver = tmp_path / "portopt" / "solver.py"
     text = solver.read_text(encoding="utf-8")
-    call = "A_eq, b_eq, rows, rows.b, x0,"
-    assert text.count(call) == 1
-    solver.write_text(text.replace(call, "A_eq, b_eq, rows.dense(), rows.b, x0,"), encoding="utf-8")
+    call, engine = "A_eq, b_eq, rows, x0, fallback)\n", "from .qp import reduced_kkt, solve_qp"
+    assert text.count(call) == 1 and text.count(engine) == 1
+    text = text.replace(call, "A_eq, b_eq, InequalityRows(dense_rows(rows), rows.b), x0, fallback)\n")
+    text = text.replace(engine, "from .qp import InequalityRows, reduced_kkt, solve_qp")
+    solver.write_text(text + "\n\n" + inspect.getsource(dense_rows), encoding="utf-8")
     assert _script().main([str(ROOT / "src"), str(tmp_path), "--rounds", "1"]) == 0
     out = capsys.readouterr().out
     assert "dense row scans per pass: base 0, head 20" in out

@@ -22,7 +22,7 @@ import pytest
 
 import portopt.qp
 import portopt.solver
-from conftest import factor_returns, make_table, random_spd
+from conftest import dense_rows, factor_returns, make_table, random_spd
 from portopt import ConstraintSet, ValidationError, check_feasible, markowitz_estimates
 from portopt.constraints import RegimeModel
 from portopt.qp import InequalityRows, _block_exchange, solve_qp
@@ -52,7 +52,13 @@ def _dense_homogenized(regime, excess):
     """``_homogenized``'s rows with the inequality rows as a dense matrix:
     ``(A_eq, b_eq, A_in, b_in)``."""
     A_eq, b_eq, rows = _homogenized(regime, excess)
-    return A_eq, b_eq, rows.dense(), rows.b
+    return A_eq, b_eq, dense_rows(rows), rows.b
+
+
+def _solve(H, A_eq, b_eq, A_in, b_in, x0):
+    """``solve_qp`` of ``0.5 x'Hx`` from ``x0``, the inequality rows given as a dense
+    matrix and scanned here (``InequalityRows``)."""
+    return solve_qp(H, np.zeros(len(H)), A_eq, b_eq, InequalityRows(A_in, b_in), x0)
 
 
 def _recording_starts(monkeypatch) -> list[tuple]:
@@ -64,15 +70,15 @@ def _recording_starts(monkeypatch) -> list[tuple]:
     def exchanging(H, g, x, A_eq, b_eq, rows):
         out = exchange(H, g, x, A_eq, b_eq, rows)
         if out[0] is not None:
-            starts.append((A_eq, b_eq, rows.dense(), rows.b, out[0]))
+            starts.append((A_eq, b_eq, dense_rows(rows), rows.b, out[0]))
         return out
 
-    def solving(H, g, A_eq, b_eq, A_in, b_in, x0, fallback=None):
+    def solving(H, g, A_eq, b_eq, rows, x0, fallback=None):
         def recorded():
             x = fallback()
-            starts.append((A_eq, b_eq, A_in.dense(), b_in, x))
+            starts.append((A_eq, b_eq, dense_rows(rows), rows.b, x))
             return x
-        return solve(H, g, A_eq, b_eq, A_in, b_in, x0, fallback and recorded)
+        return solve(H, g, A_eq, b_eq, rows, x0, fallback and recorded)
 
     monkeypatch.setattr(portopt.qp, "_block_exchange", exchanging)
     monkeypatch.setattr(portopt.solver, "solve_qp", solving)
@@ -114,15 +120,15 @@ def test_every_start_is_feasible(monkeypatch, n, t, seed):
 def _answers_match_solves_from_the_centre(cov, mean, constraints) -> None:
     for c in constraints:
         problem = Problem.prepare(cov, c, mean=mean, rf=RF)
-        r, zero = problem.regime, np.zeros(len(problem.hessian))
+        r = problem.regime
         centre = r.centre()
-        ref = solve_qp(problem.hessian, zero, *r.system(), centre)
+        ref = _solve(problem.hessian, *r.system(), centre)
         assert np.abs(problem.min_variance().weights - r.to_weights(ref.x)).max() <= 1e-9, c
 
         rows = _dense_homogenized(r, mean - RF)
         gain = float((mean - RF) @ r.to_weights(centre))
         assert gain > 0.0
-        y = r.to_weights(solve_qp(problem.hessian, zero, *rows, centre / gain).x)
+        y = r.to_weights(_solve(problem.hessian, *rows, centre / gain).x)
         assert np.abs(problem.max_sharpe().weights - y / y.sum()).max() <= 1e-9, c
 
 
@@ -327,11 +333,11 @@ def test_split_faces_with_both_parts_free(monkeypatch, n, t, seed, cap):
     monkeypatch.undo()
     assert rounds == len(faces) >= 1
     assert not np.isin(np.arange(2 * n), faces[0]).any()      # both parts free, every asset
-    ref = solve_qp(H, np.zeros(2 * n), A_eq, b_eq, A_in, b_in, r.centre())
+    ref = _solve(H, A_eq, b_eq, A_in, b_in, r.centre())
     if x is not None:
         assert np.abs(A_eq @ x - b_eq).max() <= 1e-12
         assert np.all(A_in @ x <= b_in + 1e-12)
-        res = solve_qp(H, np.zeros(2 * n), A_eq, b_eq, A_in, b_in, x)
+        res = _solve(H, A_eq, b_eq, A_in, b_in, x)
         assert np.abs(r.to_weights(res.x) - r.to_weights(ref.x)).max() <= 1e-9
 
 
@@ -521,7 +527,7 @@ def test_tight_boxes_exchange_on_and_the_one_point_set_starts_at_the_centre(
         assert len(faces) > 1 and len(loops) == int(t < n)
         assert loops or np.all(x0 == sol.weights)     # no loop: the exchange's point
     r = problem.regime
-    ref = solve_qp(problem.hessian, np.zeros(n), *r.system(), r.centre())
+    ref = _solve(problem.hessian, *r.system(), r.centre())
     assert np.abs(sol.weights - r.to_weights(ref.x)).max() <= 1e-9
 
 
